@@ -261,11 +261,9 @@ class StreamArray:
         self.counters = snap.copy()
 
     def uniforms_all(self) -> np.ndarray:
-        u = _uniform_from_raw(_mix64_array(self.keys + (self.counters + _U64_ONE) * _U64_GOLD))
-        self.counters += _U64_ONE
-        return u
+        return self.uniforms_at(slice(None))
 
-    def uniforms_at(self, idx: np.ndarray) -> np.ndarray:
+    def uniforms_at(self, idx: np.ndarray | slice) -> np.ndarray:
         u = _uniform_from_raw(
             _mix64_array(self.keys[idx] + (self.counters[idx] + _U64_ONE) * _U64_GOLD)
         )
@@ -281,11 +279,6 @@ class StreamArray:
         return ndtri(_uniform_from_raw(raw))
 
 
-def stream_array(master_seed: int, replica: int, particle_ids: np.ndarray, kind: str) -> StreamArray:
-    ids = np.asarray(particle_ids)
-    return StreamArray(stream_keys(master_seed, np.full(len(ids), replica), ids, kind))
-
-
 @dataclass
 class DriverBundle:
     """Per-particle streams for one replica: Brownian, Poisson, marks, init.
@@ -293,10 +286,12 @@ class DriverBundle:
     The same bundle is handed to every process of a coupled set so all of
     them consume identical drivers particle by particle.  ``cand_counts``
     tracks each particle's candidate-event counter, which addresses marks.
+    ``replica`` is one id for every row, or an array with one id per row
+    (independent replicas batched into one bundle).
     """
 
     master_seed: int
-    replica: int
+    replica: int | np.ndarray
     particle_ids: np.ndarray
     brownian: StreamArray = field(init=False)
     poisson: StreamArray = field(init=False)
@@ -307,7 +302,7 @@ class DriverBundle:
     def __post_init__(self):
         ids = np.asarray(self.particle_ids)
         self.particle_ids = ids
-        reps = np.full(len(ids), self.replica)
+        reps = np.broadcast_to(self.replica, ids.shape)
         self.brownian = StreamArray(stream_keys(self.master_seed, reps, ids, "brownian"))
         self.poisson = StreamArray(stream_keys(self.master_seed, reps, ids, "poisson"))
         self.marks_keys = stream_keys(self.master_seed, reps, ids, "marks")
@@ -358,10 +353,6 @@ def collect_candidates(
     ks_acc: list[np.ndarray] = []
 
     active = np.flatnonzero(r > 0)
-    if active.size == 0:
-        empty = np.empty(0)
-        return empty, np.empty(0, dtype=np.int64), empty, np.empty(0, dtype=np.int64)
-
     cur = np.full(n, np.inf)
     w = bundle.poisson.uniforms_at(active)
     cur[active] = t0 - np.log(w) / r[active]

@@ -29,12 +29,16 @@ from .drivers import (
     marks_uniforms_batch,
 )
 from .metrics import w1_capped
-from .models import EmpiricalMeasure, ModelSpec, make_empirical
+from .models import EmpiricalMeasure, ModelSpec, collateral_drift, make_empirical
 from .particle import (
     InitSampler,
     NumericalBlowupError,
     RateBoundViolation,
     StepPolicy,
+    _advance_substeps,
+    _event_rounds,
+    _frozen_coefficients,
+    _resolve_scheme,
     output_grid,
     simulate_coupled,
 )
@@ -118,27 +122,9 @@ def constant_flow(points: np.ndarray, T: float, spec: ModelSpec | None = None) -
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     times = np.asarray([0.0, T])
     ens = np.stack([pts, pts])
-    if spec is not None:
-        mu = make_empirical(pts)
-        lm = float(np.mean(np.asarray(spec.rate(pts, mu))))
-    else:
-        lm = 0.0
-    return FlowApproximation(times=times, ensemble=ens, lam_mean=np.asarray([lm, lm]), trunc_c=math.inf)
-
-
-def _limit_drift(spec: ModelSpec, pos: np.ndarray, flow: FlowApproximation, t: float, trunc_c: float) -> np.ndarray | None:
-    """Mean-field drift absorbed from collateral jumps, against a frozen flow."""
-    kind = spec.collateral_mean_kind()
-    if kind == "zero":
-        return None
-    if kind == "constant":
-        lm = min(flow.lam_mean_for(t), trunc_c)
-        ev = np.asarray(spec.collateral_mean, dtype=np.float64)
-        return np.broadcast_to(lm * ev, pos.shape).copy()
-    mu = flow.quad_measure_for(t)
-    lam = np.asarray(spec.rate(mu.points, mu), dtype=np.float64)
-    cm = np.asarray(spec.collateral_mean(mu.points, pos, mu))  # (K, n, d)
-    return np.mean(lam[:, None, None] * cm, axis=0)
+    if spec is None:
+        return FlowApproximation(times=times, ensemble=ens, lam_mean=np.zeros(2), trunc_c=math.inf)
+    return _flow_from_snapshots(spec, times, ens, math.inf, meta={})
 
 
 @dataclass
@@ -169,11 +155,7 @@ def simulate_ensemble(
     copies).  The measure argument is the frozen flow of the cell.
     """
     policy = policy or StepPolicy()
-    if scheme == "auto":
-        scheme = "exact" if spec.exact_linear_ok else "euler"
-    if scheme == "exact" and not spec.exact_linear_ok:
-        raise InvalidInputError("exact integrator needs a pull-to-origin, diffusion-free model")
-    euler = scheme == "euler"
+    euler = _resolve_scheme(spec, scheme) == "euler"
     m = drivers.n
     d = spec.dim
     pos = np.asarray(initial_positions, dtype=np.float64).reshape(m, d).copy()
@@ -181,50 +163,27 @@ def simulate_ensemble(
     times = [0.0]
     snaps = [pos.copy()] if record else None
     jumps = 0
-    t = 0.0
-    cap = spec.meta.rate_global_bound
+
+    def rates(t):
+        return np.asarray(spec.rate(pos, flow.measure_for(t)), dtype=np.float64)
+
+    def substep(t, h, bounds):
+        nonlocal jumps
+        jumps += _ensemble_substep(spec, pos, drivers, flow, t, h, bounds, trunc_c, euler)
+
+    def snapshot():
+        return pos.copy(), drivers.snapshot()
+
+    def restore(snap):
+        pos[:, :] = snap[0]
+        drivers.restore(snap[1])
 
     for cell in range(ncells):
-        end = dt_eff * (cell + 1)
-        while True:
-            rem = end - t
-            if rem <= 1e-12 * max(1.0, end):
-                break
-            mu = flow.measure_for(t)
-            lam = np.asarray(spec.rate(pos, mu), dtype=np.float64)
-            bounds = (
-                np.full(m, float(cap)) if cap is not None else policy.bound_mult * lam + policy.bound_add
-            )
-            over = lam > bounds * (1.0 + 1e-12) + 1e-12
-            if np.any(over):
-                i = int(np.flatnonzero(over)[0])
-                raise RateBoundViolation(
-                    f"rate {lam[i]:.6g} already above bound {bounds[i]:.6g} for copy {i}"
-                )
-            rmax = float(bounds.max()) if m else 0.0
-            nsub = max(1, int(math.ceil(rmax * rem / policy.candidate_cap))) if rmax > 0 else 1
-            h = rem / nsub
-            retries = 0
-            while True:
-                snap_state = (pos.copy(), drivers.snapshot(), jumps)
-                try:
-                    jumps = _ensemble_substep(
-                        spec, pos, drivers, flow, mu, t, h, bounds, trunc_c, euler, policy, jumps
-                    )
-                    break
-                except RateBoundViolation:
-                    pos[:, :] = snap_state[0]
-                    drivers.restore(snap_state[1])
-                    jumps = snap_state[2]
-                    retries += 1
-                    if retries > policy.max_retries:
-                        raise
-                    h /= 2.0
-            t += h
-        t = end
+        start, end = dt_eff * cell, dt_eff * (cell + 1)
+        _advance_substeps(spec, policy, start, end, rates, substep, snapshot, restore)
         if not np.all(np.isfinite(pos)):
-            raise NumericalBlowupError(t, pos.copy(), "LIMIT")
-        times.append(t)
+            raise NumericalBlowupError(end, pos.copy(), "LIMIT")
+        times.append(end)
         if record:
             snaps.append(pos.copy())
 
@@ -236,67 +195,55 @@ def simulate_ensemble(
     )
 
 
-def _ensemble_substep(spec, pos, drivers, flow, mu, t, h, bounds, trunc_c, euler, policy, jumps):
-    m, d = pos.shape
-    g = _limit_drift(spec, pos, flow, t, trunc_c)
-    f = None
-    sig = None
-    if euler:
-        f = np.asarray(spec.drift(pos, mu), dtype=np.float64)
-        if g is not None:
-            f = f + g
-        if spec.has_diffusion():
-            sig = np.asarray(spec.diffusion(pos, mu), dtype=np.float64)
+def _ensemble_substep(spec, pos, drivers, flow, t, h, bounds, trunc_c, euler) -> int:
+    """One sub-step of every copy in place; returns the number of accepted jumps."""
+    mu = flow.measure_for(t)
+    g = collateral_drift(spec, pos, flow.quad_measure_for(t), min(flow.lam_mean_for(t), trunc_c))
+    f, sig = _frozen_coefficients(spec, pos, mu, g, euler)
 
     dW = None
     if euler and spec.has_diffusion():
         dW = drivers.brownian.normals_block(spec.brownian_dim) * math.sqrt(h)
 
     times, copies, us, ks = collect_candidates(drivers, t, t + h, bounds)
-    t_last = np.full(m, t)
+    t_last = np.full(pos.shape[0], t)
 
-    if len(times):
-        order = np.lexsort((times, copies))
-        ctimes, ccopies, cus, cks = (a[order] for a in (times, copies, us, ks))
-        new_block = np.concatenate(([True], ccopies[1:] != ccopies[:-1]))
-        block_start = np.flatnonzero(new_block)
-        block_id = np.cumsum(new_block) - 1
-        seq = np.arange(len(ccopies)) - block_start[block_id]
-        for r in range(int(seq.max()) + 1 if len(seq) else 0):
-            sel = seq == r
-            ec, eu, ek, et = ccopies[sel], cus[sel], cks[sel], ctimes[sel]
-            if not euler:
-                factor = np.exp(-(et - t_last[ec]))
-                pos[ec] *= factor[:, None]
-                if g is not None:
-                    pos[ec] += g[ec] * (1.0 - factor)[:, None]
-                t_last[ec] = et
-            lam_e = np.asarray(spec.rate(pos[ec], mu), dtype=np.float64)
-            over = lam_e > bounds[ec] * (1.0 + 1e-12) + 1e-12
-            if np.any(over):
-                i = int(np.flatnonzero(over)[0])
-                raise RateBoundViolation(
-                    f"rate {lam_e[i]:.6g} above bound {bounds[ec][i]:.6g} for copy {ec[i]}"
-                )
-            acc = eu <= lam_e
-            if np.any(acc):
-                ec_a, ek_a = ec[acc], ek[acc]
-                h_main = marks_uniforms_batch(
-                    drivers.marks_keys[ec_a], ek_a, drivers.particle_ids[ec_a]
-                )
-                psi = np.asarray(spec.main_jump(pos[ec_a], mu, h_main))
-                pos[ec_a] += psi
-                jumps += int(acc.sum())
+    def decay(rows, until):
+        # exact integrator: closed-form pull to the origin plus frozen drift g
+        factor = np.exp(-(until - t_last[rows]))
+        pos[rows] *= factor[:, None]
+        if g is not None:
+            pos[rows] += g[rows] * (1.0 - factor)[:, None]
+        t_last[rows] = until
+
+    jumps = 0
+    for sel in _event_rounds(copies, times, copies):
+        ec, eu, ek, et = copies[sel], us[sel], ks[sel], times[sel]
+        if not euler:
+            decay(ec, et)
+        lam_e = np.asarray(spec.rate(pos[ec], mu), dtype=np.float64)
+        over = lam_e > bounds[ec] * (1.0 + 1e-12) + 1e-12
+        if np.any(over):
+            i = int(np.flatnonzero(over)[0])
+            raise RateBoundViolation(
+                f"rate {lam_e[i]:.6g} above bound {bounds[ec][i]:.6g} for copy {ec[i]}"
+            )
+        acc = eu <= lam_e
+        if np.any(acc):
+            ec_a, ek_a = ec[acc], ek[acc]
+            h_main = marks_uniforms_batch(
+                drivers.marks_keys[ec_a], ek_a, drivers.particle_ids[ec_a]
+            )
+            psi = np.asarray(spec.main_jump(pos[ec_a], mu, h_main))
+            pos[ec_a] += psi
+            jumps += int(acc.sum())
 
     if euler:
         pos += h * f
         if dW is not None and sig is not None and sig.shape[-1] > 0:
             pos += np.einsum("nij,nj->ni", sig, dW)
     else:
-        factor = np.exp(-((t + h) - t_last))
-        pos *= factor[:, None]
-        if g is not None:
-            pos += g * (1.0 - factor)[:, None]
+        decay(slice(None), t + h)
     return jumps
 
 
@@ -421,11 +368,10 @@ def solve_limit(
             converged = True
             break
     floor = ensemble_noise_floor(flow, seed=seed)
-    flow.trunc_c = trunc_c
     flow.meta = {
         "deltas": deltas,
         "converged": converged,
-        "trunc_c": trunc_c,
+        "trunc_c": flow.trunc_c,
         "trunc_doublings": trunc_events,
         "noise_floor": floor,
         "M": M,

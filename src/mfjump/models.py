@@ -155,6 +155,29 @@ class ModelSpec:
         return "constant"
 
 
+def collateral_drift(
+    spec: ModelSpec, targets: np.ndarray, mu: EmpiricalMeasure, lam_mean: float | None = None
+) -> np.ndarray | None:
+    """Collateral jumps absorbed into drift: < mu, rate(.) * E_marks[Theta(., x)] >.
+
+    One row per target x, shape ``targets.shape``.  ``lam_mean``, when
+    given, stands in for < mu, rate > under a constant mark mean (the
+    limit's recorded, possibly truncated, rate summary).  Returns None
+    when the collateral mark mean is zero.
+    """
+    kind = spec.collateral_mean_kind()
+    if kind == "zero":
+        return None
+    if kind == "constant":
+        if lam_mean is None:
+            lam_mean = float(np.mean(np.asarray(spec.rate(mu.points, mu), dtype=np.float64)))
+        ev = np.asarray(spec.collateral_mean, dtype=np.float64)
+        return np.broadcast_to(lam_mean * ev, targets.shape).copy()
+    lam = np.asarray(spec.rate(mu.points, mu), dtype=np.float64)
+    cm = np.asarray(spec.collateral_mean(mu.points, targets, mu))  # (K, n, d)
+    return np.mean(lam[:, None, None] * cm, axis=0)
+
+
 @dataclass(frozen=True)
 class ProbeConfig:
     budget: int = 200
@@ -248,18 +271,6 @@ def _jump_l1_gap(spec: ModelSpec, x, y, mx, my, marks) -> float:
     big = px if lx >= ly else py
     excess = abs(lx - ly) * np.linalg.norm(big, axis=1)
     return float(np.mean(common + excess))
-
-
-def _collateral_field(spec: ModelSpec, x: np.ndarray, m: EmpiricalMeasure, marks: np.ndarray) -> np.ndarray:
-    """< m, rate(.) * E_marks[Theta(., x)] > for a single target x."""
-    kind = spec.collateral_mean_kind()
-    lam = np.asarray(spec.rate(m.points, m), dtype=np.float64)
-    if kind == "zero":
-        return np.zeros(spec.dim)
-    if kind == "constant":
-        return float(np.mean(lam)) * np.asarray(spec.collateral_mean, dtype=np.float64)
-    cm = spec.collateral_mean(m.points, x[None, :], m)  # (k, 1, d)
-    return np.mean(lam[:, None] * cm[:, 0, :], axis=0)
 
 
 def validate_model(spec: ModelSpec, probe: ProbeConfig | None = None) -> AssumptionReport:
@@ -427,13 +438,14 @@ def validate_model(spec: ModelSpec, probe: ProbeConfig | None = None) -> Assumpt
                 note=quantifier_note,
             )
         )
+
+        def collateral_gap(x, y, mx, my):
+            gx = collateral_drift(spec, x[None, :], mx)
+            return 0.0 if gx is None else float(np.linalg.norm(gx - collateral_drift(spec, y[None, :], my)))
+
         conditions.append(
             run_pairs(
-                lambda x, y, mx, my: float(
-                    np.linalg.norm(
-                        _collateral_field(spec, x, mx, marks) - _collateral_field(spec, y, my, marks)
-                    )
-                ),
+                collateral_gap,
                 "collateral-field-l1-lipschitz",
                 spec.meta.lipschitz_jump_l1,
                 note=quantifier_note,

@@ -40,9 +40,8 @@ from .drivers import (
     make_driver_bundle,
     marks_uniforms,
     marks_uniforms_batch,
-    stream_keys,
 )
-from .models import EmpiricalMeasure, ModelSpec, make_empirical
+from .models import EmpiricalMeasure, ModelSpec, collateral_drift, make_empirical
 
 
 class RateBoundViolation(RuntimeError):
@@ -183,32 +182,106 @@ class _LiveSystem:
 
 
 def _collateral_drift_y(spec: ModelSpec, pos: np.ndarray, mu: EmpiricalMeasure, rate_arg: str) -> np.ndarray | None:
+    """The intermediate system's absorbed collateral drift (mu is pos's own measure)."""
     kind = spec.collateral_mean_kind()
-    if kind == "zero":
-        return None
+    if rate_arg == "jumper" or kind == "zero":
+        return collateral_drift(spec, pos, mu)
+    # 'target' reading: each particle's own rate times the mark mean it receives
     lam = np.asarray(spec.rate(pos, mu), dtype=np.float64)
     if kind == "constant":
-        ev = np.asarray(spec.collateral_mean, dtype=np.float64)
-        if rate_arg == "jumper":
-            return np.broadcast_to(float(lam.mean()) * ev, pos.shape).copy()
-        return lam[:, None] * ev[None, :]
-    cm = np.asarray(spec.collateral_mean(pos, pos, mu))  # (N, N, d)
-    if rate_arg == "jumper":
-        return np.mean(lam[:, None, None] * cm, axis=0)
-    return lam[:, None] * np.mean(cm, axis=0)
+        return lam[:, None] * np.asarray(spec.collateral_mean, dtype=np.float64)[None, :]
+    return lam[:, None] * np.mean(np.asarray(spec.collateral_mean(pos, pos, mu)), axis=0)
 
 
-def _collateral_drift_limit(spec: ModelSpec, pos: np.ndarray, flow, t: float) -> np.ndarray | None:
-    kind = spec.collateral_mean_kind()
-    if kind == "zero":
-        return None
-    if kind == "constant":
-        ev = np.asarray(spec.collateral_mean, dtype=np.float64)
-        return np.broadcast_to(flow.lam_mean_for(t) * ev, pos.shape).copy()
-    mu = flow.quad_measure_for(t)
-    lam = np.asarray(spec.rate(mu.points, mu), dtype=np.float64)
-    cm = np.asarray(spec.collateral_mean(mu.points, pos, mu))  # (K, N, d)
-    return np.mean(lam[:, None, None] * cm, axis=0)
+def _resolve_scheme(spec: ModelSpec, scheme: str) -> str:
+    """'auto' picks the exact integrator whenever the model allows it."""
+    if scheme == "auto":
+        scheme = "exact" if spec.exact_linear_ok else "euler"
+    if scheme not in ("euler", "exact"):
+        raise InvalidInputError(f"unknown scheme {scheme!r}")
+    if scheme == "exact" and not spec.exact_linear_ok:
+        raise InvalidInputError("exact integrator needs a pull-to-origin, diffusion-free model")
+    return scheme
+
+
+def _frozen_coefficients(spec: ModelSpec, pos: np.ndarray, mu, g: np.ndarray | None, euler: bool):
+    """Drift and diffusion held fixed over a sub-step, from its start state.
+
+    The Euler drift includes the absorbed collateral drift ``g``.  The
+    exact integrator keeps only ``g``: it solves the pull to the origin in
+    closed form.
+    """
+    if not euler:
+        return g, None
+    f = np.asarray(spec.drift(pos, mu), dtype=np.float64)
+    sig = np.asarray(spec.diffusion(pos, mu), dtype=np.float64) if spec.has_diffusion() else None
+    return (f if g is None else f + g), sig
+
+
+def _thinning_bounds(spec: ModelSpec, policy: StepPolicy, lam: np.ndarray, t: float) -> np.ndarray:
+    """Per-row thinning bounds valid at the current rates ``lam``.
+
+    A rate already above its bound here is a declaration failure that
+    halving cannot repair, so it raises immediately.
+    """
+    cap = spec.meta.rate_global_bound
+    bounds = np.full(lam.shape[0], float(cap)) if cap is not None else policy.bound_mult * lam + policy.bound_add
+    over = lam > bounds * (1.0 + 1e-12) + 1e-12
+    if np.any(over):
+        j = int(np.flatnonzero(over)[0])
+        raise RateBoundViolation(
+            f"rate {lam[j]:.6g} already above bound {bounds[j]:.6g} for particle {j} "
+            f"at t={t:.6g}; the declared rate bound does not hold"
+        )
+    return bounds
+
+
+def _advance_substeps(spec, policy, t, end, rates, substep, snapshot, restore) -> int:
+    """Step from t to end in sub-steps sized to the thinning bounds.
+
+    ``rates(t)`` gives the rates the bounds must cover and
+    ``substep(t, h, bounds)`` advances the state.  A sub-step that raises
+    ``RateBoundViolation`` is rewound with ``restore(snapshot())`` and
+    retried at half the step, at most ``policy.max_retries`` times before
+    the violation surfaces.  Returns the number of retries.
+    """
+    retried = 0
+    while True:
+        rem = end - t
+        if rem <= 1e-12 * max(1.0, abs(end)):
+            return retried
+        bounds = _thinning_bounds(spec, policy, rates(t), t)
+        rmax = float(bounds.max()) if bounds.size else 0.0
+        nsub = max(1, int(math.ceil(rmax * rem / policy.candidate_cap))) if rmax > 0 else 1
+        h = rem / nsub
+        retries = 0
+        while True:
+            snap = snapshot()
+            try:
+                substep(t, h, bounds)
+                break
+            except RateBoundViolation:
+                restore(snap)
+                retries += 1
+                if retries > policy.max_retries:
+                    raise
+                h /= 2.0
+        retried += retries
+        t += h
+
+
+def _event_rounds(block: np.ndarray, time: np.ndarray, row: np.ndarray) -> list[np.ndarray]:
+    """Candidates grouped in rounds: round r indexes the r-th event of every block.
+
+    Blocks (independent copies or replicas) never interact, so one round is
+    processed at once across blocks; inside a block events come in time
+    order, ties broken by row.
+    """
+    order = np.lexsort((row, time, block))
+    b = block[order]
+    new_block = np.concatenate(([True], b[1:] != b[:-1]))
+    seq = np.arange(len(b)) - np.flatnonzero(new_block)[np.cumsum(new_block) - 1]
+    return [order[seq == r] for r in range(int(seq.max()) + 1)] if len(b) else []
 
 
 class CoupledSimulator:
@@ -234,13 +307,7 @@ class CoupledSimulator:
         self.spec = spec
         self.bundle = drivers
         self.policy = policy or StepPolicy()
-        if scheme == "auto":
-            scheme = "exact" if spec.exact_linear_ok else "euler"
-        if scheme not in ("euler", "exact"):
-            raise InvalidInputError(f"unknown scheme {scheme!r}")
-        if scheme == "exact" and not spec.exact_linear_ok:
-            raise InvalidInputError("exact integrator needs a pull-to-origin, diffusion-free model")
-        self.scheme = scheme
+        self.scheme = _resolve_scheme(spec, scheme)
         self.systems = [_LiveSystem(k, spec, np.zeros((drivers.n, spec.dim)), flow) for k in systems]
         self.t = 0.0
         self.retry_count = 0
@@ -264,28 +331,12 @@ class CoupledSimulator:
 
     # -- stepping ---------------------------------------------------------
 
-    def _bounds(self, t: float) -> np.ndarray:
-        """Per-particle thinning bounds valid at the current state.
-
-        A rate already above its bound here is a declaration failure that
-        halving cannot repair, so it raises immediately.
-        """
+    def _rates(self, t: float) -> np.ndarray:
+        """Largest rate of each particle over the coupled systems."""
         lam = self.systems[0].rates(t)
         for s in self.systems[1:]:
             lam = np.maximum(lam, s.rates(t))
-        cap = self.spec.meta.rate_global_bound
-        if cap is not None:
-            bounds = np.full(self.bundle.n, float(cap))
-        else:
-            bounds = self.policy.bound_mult * lam + self.policy.bound_add
-        over = lam > bounds * (1.0 + 1e-12) + 1e-12
-        if np.any(over):
-            j = int(np.flatnonzero(over)[0])
-            raise RateBoundViolation(
-                f"rate {lam[j]:.6g} already above bound {bounds[j]:.6g} for particle {j} "
-                f"at t={t:.6g}; the declared rate bound does not hold"
-            )
-        return bounds
+        return lam
 
     def _snapshot(self) -> dict:
         return {
@@ -310,30 +361,9 @@ class CoupledSimulator:
     def advance(self, dt_out: float) -> None:
         """Advance all systems by one output cell of width dt_out."""
         end = self.t + dt_out
-        while True:
-            rem = end - self.t
-            if rem <= 1e-12 * max(1.0, abs(end)):
-                break
-            bounds = self._bounds(self.t)
-            rmax = float(bounds.max()) if bounds.size else 0.0
-            nsub = 1
-            if rmax > 0:
-                nsub = max(1, int(math.ceil(rmax * rem / self.policy.candidate_cap)))
-            h = rem / nsub
-            retries = 0
-            while True:
-                snap = self._snapshot()
-                try:
-                    self._substep(self.t, h, bounds)
-                    break
-                except RateBoundViolation:
-                    self._restore(snap)
-                    retries += 1
-                    self.retry_count += 1
-                    if retries > self.policy.max_retries:
-                        raise
-                    h /= 2.0
-            self.t += h
+        self.retry_count += _advance_substeps(
+            self.spec, self.policy, self.t, end, self._rates, self._substep, self._snapshot, self._restore
+        )
         self.t = end
 
     def _substep(self, t: float, h: float, bounds: np.ndarray) -> None:
@@ -349,20 +379,12 @@ class CoupledSimulator:
             if s.kind == "Y":
                 g = _collateral_drift_y(spec, s.pos, mu, self.policy.ysystem_rate_arg)
             elif s.kind == "LIMIT":
-                g = _collateral_drift_limit(spec, s.pos, s.flow, t)
+                g = collateral_drift(spec, s.pos, s.flow.quad_measure_for(t), s.flow.lam_mean_for(t))
             else:
                 g = None
-            if euler:
-                f = np.asarray(spec.drift(s.pos, mu), dtype=np.float64)
-                drifts.append(f if g is None else f + g)
-                diffs.append(
-                    np.asarray(spec.diffusion(s.pos, mu), dtype=np.float64)
-                    if spec.has_diffusion()
-                    else None
-                )
-            else:
-                drifts.append(g)
-                diffs.append(None)
+            f, sig = _frozen_coefficients(spec, s.pos, mu, g, euler)
+            drifts.append(f)
+            diffs.append(sig)
 
         dW = None
         if euler and spec.has_diffusion():
@@ -616,20 +638,11 @@ def simulate(
     bundle = drivers if drivers is not None else make_driver_bundle(seed, replica, N)
     if bundle.n != N:
         raise InvalidInputError("driver bundle size must match N")
-    sim = CoupledSimulator(spec, bundle, systems=(system,), policy=policy, scheme=scheme)
-    if initial_positions is not None:
-        x0 = np.asarray(initial_positions, dtype=np.float64).reshape(N, spec.dim)
-    else:
-        x0 = (init or InitSampler(mean=tuple([0.0] * spec.dim))).sample(bundle, spec.dim)
-    sim.set_initial(x0)
-    ncells, dt_eff = output_grid(T, dt)
-    times = [0.0]
-    positions = [sim.systems[0].pos.copy()]
-    for _ in range(ncells):
-        sim.advance(dt_eff)
-        times.append(sim.t)
-        positions.append(sim.systems[0].pos.copy())
-    return _pathset_from(times, positions, sim.systems[0], spec.dim)
+    res = simulate_coupled(
+        (system,), spec, N, T, dt, bundle,
+        init=init, initial_positions=initial_positions, scheme=scheme, policy=policy,
+    )
+    return res["paths"][system]
 
 
 def simulate_coupled(
@@ -832,6 +845,10 @@ class _MeanOnlyMeasure:
         raise NotImplementedError("replicated estimator supports mean-dependent coefficients only")
 
 
+# replicas per vectorized batch of the single-step estimator
+_WEAK_CHUNK = 1 << 17
+
+
 @dataclass(frozen=True)
 class WeakStepEstimate:
     h: float
@@ -849,7 +866,6 @@ def single_step_weak_estimate(
     *,
     seed: int = 0,
     replica_base: int | None = None,
-    chunk: int = 1 << 17,
     control_variate: bool = True,
     return_positions: bool = False,
 ) -> WeakStepEstimate | np.ndarray:
@@ -889,17 +905,16 @@ def single_step_weak_estimate(
         sig_x0 = np.asarray(spec.diffusion(x0, mu0), dtype=np.float64)
         gsig0 = np.einsum("nd,ndk->nk", grad0, sig_x0)  # (n, d1)
 
-    from .drivers import _raw_from_counters, _uniform_from_raw  # noqa: PLC0415
-
     total = 0.0
     total_sq = 0.0
     done = 0
     while done < samples:
-        m = min(chunk, samples - done)
-        reps = np.repeat(np.arange(done, done + m, dtype=np.int64) + base, n)
-        parts = np.tile(np.arange(n, dtype=np.int64), m)
-        pkeys = stream_keys(seed, reps, parts, "poisson")
-        mkeys = stream_keys(seed, reps, parts, "marks")
+        m = min(_WEAK_CHUNK, samples - done)
+        bundle = DriverBundle(
+            seed,
+            np.repeat(np.arange(done, done + m, dtype=np.int64) + base, n),
+            np.tile(np.arange(n, dtype=np.int64), m),
+        )
         pos = np.broadcast_to(x0, (m, n, d)).copy()
         mean = pos.mean(axis=1)  # (m, d)
         control = np.zeros(m)
@@ -911,98 +926,53 @@ def single_step_weak_estimate(
             sig0 = np.asarray(spec.diffusion(pos.reshape(m * n, d), view0), dtype=np.float64)
             sig0 = np.broadcast_to(sig0, (m * n, d, spec.brownian_dim))
 
-        # candidate collection: alternating (inter-arrival, level) uniforms
-        ctr = np.zeros(m * n, dtype=np.uint64)
-        cand_k = np.zeros(m * n, dtype=np.int64)
-        acc_rep, acc_part, acc_time, acc_u, acc_idx = [], [], [], [], []
+        ctime, crow, cu, ck = collect_candidates(bundle, 0.0, h, np.full(m * n, cap))
+        crep, cpart = crow // n, crow % n
+        mkeys = bundle.marks_keys
 
-        def draw(keys, counters, idx):
-            u = _uniform_from_raw(_raw_from_counters(keys[idx], counters[idx]))
-            counters[idx] += np.uint64(1)
-            return u
+        if control_variate and len(crow):
+            # frozen-state contribution of every candidate, exact mean h * L_jump
+            h_main0 = marks_uniforms_batch(mkeys[crow], ck, cpart)
+            frozen_acc = cu <= lam0[cpart]
+            psi0 = np.asarray(spec.main_jump(x0[cpart], mu0, h_main0))
+            contrib = np.einsum("ed,ed->e", psi0, grad0[cpart])
+            for off in range(1, n):
+                tgt = (cpart + off) % n
+                h2 = marks_uniforms_batch(mkeys[crow], ck, tgt)
+                theta0 = np.asarray(spec.collateral_jump(x0[cpart], x0[tgt], mu0, h_main0, h2))
+                contrib += np.einsum("ed,ed->e", theta0, grad0[tgt]) / n
+            # summed in the order the streams were walked: event index, then row
+            walk = np.lexsort((crow, ck))
+            np.add.at(control, crep[walk], np.where(frozen_acc, contrib, 0.0)[walk])
 
-        cur = np.empty(m * n)
-        idx = np.arange(m * n)
-        w = draw(pkeys, ctr, idx)
-        cur[:] = -np.log(w) / cap
-        live = idx[cur <= h]
-        while live.size:
-            u = draw(pkeys, ctr, live) * cap
-            acc_rep.append(live // n)
-            acc_part.append(live % n)
-            acc_time.append(cur[live].copy())
-            acc_u.append(u)
-            acc_idx.append(cand_k[live].copy())
-            cand_k[live] += 1
-            w = draw(pkeys, ctr, live)
-            cur[live] = cur[live] - np.log(w) / cap
-            live = live[cur[live] <= h]
-
-        if acc_rep:
-            crep = np.concatenate(acc_rep)
-            cpart = np.concatenate(acc_part)
-            ctime = np.concatenate(acc_time)
-            cu = np.concatenate(acc_u)
-            ck = np.concatenate(acc_idx)
-
-            if control_variate:
-                # frozen-state contribution of every candidate, exact mean h * L_jump
-                keyrow = crep * n + cpart
-                h_main0 = marks_uniforms_batch(mkeys[keyrow], ck, cpart)
-                frozen_acc = cu <= lam0[cpart]
-                contrib = np.zeros(len(crep))
-                psi0 = np.asarray(spec.main_jump(x0[cpart], mu0, h_main0))
-                contrib += np.einsum("ed,ed->e", psi0, grad0[cpart])
-                for off in range(1, n):
-                    tgt = (cpart + off) % n
-                    h2 = marks_uniforms_batch(mkeys[keyrow], ck, tgt)
-                    theta0 = np.asarray(spec.collateral_jump(x0[cpart], x0[tgt], mu0, h_main0, h2))
-                    contrib += np.einsum("ed,ed->e", theta0, grad0[tgt]) / n
-                np.add.at(control, crep, np.where(frozen_acc, contrib, 0.0))
-
-            order = np.lexsort((cpart, ctime, crep))
-            crep, cpart, ctime, cu, ck = (a[order] for a in (crep, cpart, ctime, cu, ck))
-            new_block = np.concatenate(([True], crep[1:] != crep[:-1]))
-            block_start = np.flatnonzero(new_block)
-            block_id = np.cumsum(new_block) - 1
-            seq = np.arange(len(crep)) - block_start[block_id]
-            for r in range(int(seq.max()) + 1):
-                sel = seq == r
-                er, ep, eu, ek = crep[sel], cpart[sel], cu[sel], ck[sel]
-                xp = pos[er, ep]  # (E, d)
-                lam = np.asarray(spec.rate(xp, _MeanOnlyMeasure(mean[er])), dtype=np.float64)
-                if np.any(lam > cap * (1.0 + 1e-12)):
-                    raise RateBoundViolation("rate above declared global bound")
-                acc = eu <= lam
-                if not np.any(acc):
-                    continue
-                er, ep, ek, xp = er[acc], ep[acc], ek[acc], xp[acc]
-                keyrow = er * n + ep
-                h_main = marks_uniforms_batch(mkeys[keyrow], ek, ep)
-                psi = np.asarray(spec.main_jump(xp, _MeanOnlyMeasure(mean[er]), h_main))
-                for off in range(1, n):
-                    tgt = (ep + off) % n
-                    h2 = marks_uniforms_batch(mkeys[keyrow], ek, tgt)
-                    theta = np.asarray(
-                        spec.collateral_jump(xp, pos[er, tgt], _MeanOnlyMeasure(mean[er]), h_main, h2)
-                    )
-                    if np.any(theta):
-                        pos[er, tgt] += theta / n
-                pos[er, ep] = xp + psi
-                upd = np.unique(er)
-                mean[upd] = pos[upd].mean(axis=1)
+        for sel in _event_rounds(crep, ctime, crow):
+            erow, er, ep, eu, ek = crow[sel], crep[sel], cpart[sel], cu[sel], ck[sel]
+            xp = pos[er, ep]  # (E, d)
+            lam = np.asarray(spec.rate(xp, _MeanOnlyMeasure(mean[er])), dtype=np.float64)
+            if np.any(lam > cap * (1.0 + 1e-12)):
+                raise RateBoundViolation("rate above declared global bound")
+            acc = eu <= lam
+            if not np.any(acc):
+                continue
+            erow, er, ep, ek, xp = erow[acc], er[acc], ep[acc], ek[acc], xp[acc]
+            h_main = marks_uniforms_batch(mkeys[erow], ek, ep)
+            psi = np.asarray(spec.main_jump(xp, _MeanOnlyMeasure(mean[er]), h_main))
+            for off in range(1, n):
+                tgt = (ep + off) % n
+                h2 = marks_uniforms_batch(mkeys[erow], ek, tgt)
+                theta = np.asarray(
+                    spec.collateral_jump(xp, pos[er, tgt], _MeanOnlyMeasure(mean[er]), h_main, h2)
+                )
+                if np.any(theta):
+                    pos[er, tgt] += theta / n
+            pos[er, ep] = xp + psi
+            upd = np.unique(er)
+            mean[upd] = pos[upd].mean(axis=1)
 
         flat = pos.reshape(m * n, d)
         flat += h * drift0
         if sig0 is not None and spec.brownian_dim > 0:
-            bkeys = stream_keys(seed, reps, parts, "brownian")
-            bctr = np.broadcast_to(
-                np.arange(spec.brownian_dim, dtype=np.uint64), (m * n, spec.brownian_dim)
-            )
-            raw = _raw_from_counters(bkeys[:, None], bctr)
-            from scipy.special import ndtri  # noqa: PLC0415
-
-            dw = ndtri(_uniform_from_raw(raw)) * math.sqrt(h)
+            dw = bundle.brownian.normals_block(spec.brownian_dim) * math.sqrt(h)
             flat += np.einsum("nij,nj->ni", sig0, dw)
             if gsig0 is not None:
                 control += np.einsum("nk,rnk->r", gsig0, dw.reshape(m, n, spec.brownian_dim))

@@ -174,28 +174,34 @@ def test_poisson_event_lazy_marks():
 
 
 def test_collect_candidates_matches_scalar_walk():
-    # the vectorized collector consumes streams exactly like the scalar API
+    # the vectorized collector consumes streams exactly like the scalar API,
+    # also when the bundle's rows span several replicas
     n = 5
     bounds = np.asarray([2.0, 0.0, 1.0, 3.0, 0.5])
-    bundle = make_driver_bundle(33, 2, n)
-    times, jumpers, us, ks = collect_candidates(bundle, 0.0, 4.0, bounds)
-    assert np.all(np.diff(times) >= 0)
-    for i in range(n):
-        if bounds[i] == 0:
-            assert not np.any(jumpers == i)
-            continue
-        s = derive_stream(StreamKey(33, 2, i, "poisson"))
-        t = 0.0
-        expect = []
-        while True:
-            ev = next_candidate_event(s, t, 4.0, bounds[i])
-            if ev is None:
-                break
-            expect.append((ev.time, ev.u))
-            t = ev.time
-        got = [(float(t_), float(u_)) for t_, u_ in zip(times[jumpers == i], us[jumpers == i])]
-        assert got == pytest.approx([e for e in expect], rel=0, abs=0)
-        assert list(ks[jumpers == i]) == list(range(len(expect)))
+    reps, parts = np.asarray([2, 2, 7, 7, 11]), np.asarray([0, 1, 0, 3, 0])
+    cases = [
+        (make_driver_bundle(33, 2, n), np.full(n, 2), np.arange(n)),
+        (make_driver_bundle(33, reps, n, particle_ids=parts), reps, parts),
+    ]
+    for bundle, row_reps, row_parts in cases:
+        times, jumpers, us, ks = collect_candidates(bundle, 0.0, 4.0, bounds)
+        assert np.all(np.diff(times) >= 0)
+        for i in range(n):
+            if bounds[i] == 0:
+                assert not np.any(jumpers == i)
+                continue
+            s = derive_stream(StreamKey(33, int(row_reps[i]), int(row_parts[i]), "poisson"))
+            t = 0.0
+            expect = []
+            while True:
+                ev = next_candidate_event(s, t, 4.0, bounds[i])
+                if ev is None:
+                    break
+                expect.append((ev.time, ev.u))
+                t = ev.time
+            got = [(float(t_), float(u_)) for t_, u_ in zip(times[jumpers == i], us[jumpers == i])]
+            assert got == pytest.approx([e for e in expect], rel=0, abs=0)
+            assert list(ks[jumpers == i]) == list(range(len(expect)))
 
 
 def test_bundle_snapshot_rewinds_exactly():

@@ -99,9 +99,11 @@ def test_sweep_worker_count_does_not_change_bytes(tmp_path):
     run_chaos_sweep(cfg1)
     cfg2 = SimConfig.from_dict(_config_dict(tmp_path / "w2", workers=2))
     run_chaos_sweep(cfg2)
-    assert (tmp_path / "w1" / "distances.csv").read_bytes() == (
-        tmp_path / "w2" / "distances.csv"
-    ).read_bytes()
+    w1, w2 = tmp_path / "w1", tmp_path / "w2"
+    plots = sorted(p.name for p in (w1 / "plotdata").glob("*.dat"))
+    assert plots and plots == sorted(p.name for p in (w2 / "plotdata").glob("*.dat"))
+    for rel in ["distances.csv", "flow.npz", *(f"plotdata/{p}" for p in plots)]:
+        assert (w1 / rel).read_bytes() == (w2 / rel).read_bytes(), rel
 
 
 def test_sweep_report_regenerates_from_manifest(tmp_path):

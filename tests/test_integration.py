@@ -8,8 +8,8 @@ from scipy.stats import kstest
 
 from mfjump.cli import main as cli_main
 from mfjump.drivers import derive_stream, make_driver_bundle, next_candidate_event, StreamKey
-from mfjump.limit import _limit_drift, constant_flow, coupled_chaos_run, solve_limit
-from mfjump.models import AssumptionMeta, ModelSpec, make_empirical
+from mfjump.limit import constant_flow, coupled_chaos_run, solve_limit
+from mfjump.models import AssumptionMeta, ModelSpec, collateral_drift, make_empirical
 from mfjump.particle import InitSampler, StepPolicy, SystemState, simulate, simulate_coupled, step_Y
 from mfjump.zoo import build
 
@@ -89,7 +89,7 @@ def test_general_collateral_mean_drives_y_drift():
 def test_general_collateral_mean_limit_drift_quadrature():
     spec = _pairwise_spec(2.0)
     flow = constant_flow(np.asarray([[1.0], [2.0], [3.0], [6.0]]), 1.0, spec)
-    g = _limit_drift(spec, np.zeros((5, 1)), flow, 0.0, np.inf)
+    g = collateral_drift(spec, np.zeros((5, 1)), flow.quad_measure_for(0.0))
     # <mu, lam * E[Theta](., x)> = 2.0 * mean(flow points) = 6.0
     assert np.allclose(g, 6.0, atol=1e-12)
 

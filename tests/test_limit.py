@@ -11,10 +11,11 @@ from mfjump.limit import (
     coupled_chaos_run,
     ensemble_noise_floor,
     picard_iterate,
+    simulate_ensemble,
     solve_limit,
 )
 from mfjump.models import AssumptionMeta, ModelSpec
-from mfjump.particle import InitSampler
+from mfjump.particle import InitSampler, RateBoundViolation, StepPolicy
 from mfjump.zoo import build
 
 UNIF = InitSampler(kind="uniform", low=0.0, high=1.0)
@@ -152,6 +153,44 @@ def test_truncation_doubles_on_saturation():
     flow = solve_limit(spec, 500, 2.0, 0.1, seed=3, tol=1e-12, max_iter=4,
                        init=UNIF, trunc_factor=0.2)
     assert flow.meta["trunc_doublings"]
+
+
+def test_solve_limit_records_the_truncation_it_simulated_with():
+    # the single sweep saturates, so the truncation doubles for a sweep that
+    # never runs; the returned flow keeps the value it was simulated with
+    spec = build("neuronal", {})
+    flow = solve_limit(spec, 500, 2.0, 0.1, seed=3, tol=1e-12, max_iter=1,
+                       init=UNIF, trunc_factor=0.2)
+    assert 2 * flow.trunc_c == flow.meta["trunc_doublings"][-1]
+    assert flow.meta["trunc_c"] == flow.trunc_c
+
+
+def test_ensemble_retry_recovers_and_surfaces():
+    # outward main jumps push the rate above the start-of-sub-step envelope
+    # (the spec of the particle stepper's retry test): halved retries let the
+    # copies finish, and with no retries allowed the violation surfaces
+    spec = ModelSpec(
+        drift=lambda x, m: np.zeros_like(x),
+        diffusion=lambda x, m: np.zeros((x.shape[0], 1, 0)),
+        rate=lambda x, m: np.abs(x[:, 0]),
+        main_jump=lambda x, m, h: np.ones_like(x),
+        collateral_jump=lambda xj, tg, m, h1, h2: np.zeros((tg.shape[0], 1)),
+        dim=1,
+        brownian_dim=0,
+        class_tag="lipschitz",
+    )
+    flow = constant_flow(np.ones((4, 1)), 5.0)
+
+    def run(max_retries):
+        policy = StepPolicy(bound_mult=1.0, bound_add=0.05, candidate_cap=8.0, max_retries=max_retries)
+        return simulate_ensemble(spec, 5.0, 0.5, make_driver_bundle(6, 0, 4), flow,
+                                 initial_positions=np.ones((4, 1)), policy=policy)
+
+    with pytest.raises(RateBoundViolation):
+        run(0)
+    res = run(16)
+    assert res.jump_count > 0
+    assert np.all(np.isfinite(res.final))
 
 
 def test_flow_save_load_roundtrip(tmp_path):

@@ -1,15 +1,21 @@
+import math
+
 import numpy as np
 import pytest
 
 from mfjump.drivers import InvalidInputError, StreamKey, StreamState
+from mfjump.limit import FlowApproximation
 from mfjump.models import (
     AssumptionMeta,
     EmpiricalMeasure,
     ModelSpec,
     ProbeConfig,
+    collateral_drift,
     make_empirical,
     validate_model,
 )
+from mfjump.particle import _collateral_drift_y
+from mfjump.zoo import build
 
 
 def test_make_empirical_mean_example():
@@ -181,3 +187,79 @@ def test_validate_indeterminate_on_nonfinite_coefficient():
     drift = next(c for c in report.conditions if c.name == "drift-lipschitz")
     assert drift.verdict == "indeterminate"
     assert drift.witness is not None
+
+
+# -- absorbed collateral drift ----------------------------------------------
+# The per-module formulas that collateral_drift replaced, kept as oracles.
+
+
+def _oracle_y(spec, pos, mu, rate_arg):
+    kind = spec.collateral_mean_kind()
+    lam = np.asarray(spec.rate(pos, mu), dtype=np.float64)
+    if kind == "constant":
+        ev = np.asarray(spec.collateral_mean, dtype=np.float64)
+        if rate_arg == "jumper":
+            return np.broadcast_to(float(lam.mean()) * ev, pos.shape).copy()
+        return lam[:, None] * ev[None, :]
+    cm = np.asarray(spec.collateral_mean(pos, pos, mu))
+    if rate_arg == "jumper":
+        return np.mean(lam[:, None, None] * cm, axis=0)
+    return lam[:, None] * np.mean(cm, axis=0)
+
+
+def _oracle_limit(spec, pos, flow, t, trunc_c):
+    if spec.collateral_mean_kind() == "constant":
+        lm = min(flow.lam_mean_for(t), trunc_c)
+        ev = np.asarray(spec.collateral_mean, dtype=np.float64)
+        return np.broadcast_to(lm * ev, pos.shape).copy()
+    mu = flow.quad_measure_for(t)
+    lam = np.asarray(spec.rate(mu.points, mu), dtype=np.float64)
+    cm = np.asarray(spec.collateral_mean(mu.points, pos, mu))
+    return np.mean(lam[:, None, None] * cm, axis=0)
+
+
+def _oracle_field(spec, x, m):
+    lam = np.asarray(spec.rate(m.points, m), dtype=np.float64)
+    if spec.collateral_mean_kind() == "constant":
+        return float(np.mean(lam)) * np.asarray(spec.collateral_mean, dtype=np.float64)
+    cm = spec.collateral_mean(m.points, x[None, :], m)
+    return np.mean(lam[:, None] * cm[:, 0, :], axis=0)
+
+
+def _pairwise_mean_spec():
+    # state-dependent rate, so the jumper and target readings differ
+    return ModelSpec(
+        drift=lambda x, m: -x,
+        diffusion=lambda x, m: np.zeros((x.shape[0], 2, 0)),
+        rate=lambda x, m: 0.5 + np.abs(x[:, 0]) + 0.1 * float(m.mean[1]),
+        main_jump=lambda x, m, h: np.zeros_like(x),
+        collateral_jump=lambda xj, tg, m, h1, h2: np.zeros_like(tg),
+        dim=2,
+        brownian_dim=0,
+        class_tag="lipschitz",
+        collateral_mean=lambda jumpers, targets, m: 0.3 * jumpers[:, None, :] - 0.1 * targets[None, :, :],
+    )
+
+
+@pytest.mark.parametrize("name", ["pairwise", "neuronal"])
+def test_collateral_drift_matches_replaced_formulas(name):
+    spec = _pairwise_mean_spec() if name == "pairwise" else build("neuronal", {})
+    s = StreamState(StreamKey(17, 0, 0, "init").hash64())
+    pos = 2.0 * s.uniforms(7 * spec.dim).reshape(7, spec.dim)
+    mu = EmpiricalMeasure(pos)
+    # intermediate system, both readings of the jump rate
+    assert np.array_equal(collateral_drift(spec, pos, mu), _oracle_y(spec, pos, mu, "jumper"))
+    assert np.array_equal(_collateral_drift_y(spec, pos, mu, "jumper"), _oracle_y(spec, pos, mu, "jumper"))
+    assert np.array_equal(_collateral_drift_y(spec, pos, mu, "target"), _oracle_y(spec, pos, mu, "target"))
+    # limit copies against a frozen flow larger than the quadrature cap
+    ens = 2.0 * s.uniforms(3 * 600 * spec.dim).reshape(3, 600, spec.dim)
+    flow = FlowApproximation(times=np.asarray([0.0, 0.5, 1.0]), ensemble=ens,
+                             lam_mean=np.asarray([1.3, 2.9, 2.1]), trunc_c=math.inf)
+    for trunc_c in (math.inf, 2.0):
+        for t in (0.0, 0.6, 1.0):
+            got = collateral_drift(spec, pos, flow.quad_measure_for(t), min(flow.lam_mean_for(t), trunc_c))
+            assert np.array_equal(got, _oracle_limit(spec, pos, flow, t, trunc_c))
+    # the validator's field at a single target
+    m = make_empirical(pos[:4])
+    for x in pos:
+        assert np.array_equal(collateral_drift(spec, x[None, :], m)[0], _oracle_field(spec, x, m))
