@@ -132,9 +132,6 @@ class StreamState:
     key: int
     counter: int = 0
 
-    def clone(self) -> "StreamState":
-        return StreamState(self.key, self.counter)
-
     def raw(self, n: int) -> np.ndarray:
         idx = np.arange(self.counter, self.counter + n, dtype=np.uint64)
         self.counter += n

@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 import yaml
+from scipy.special import stdtrit
 
 from .drivers import InvalidInputError, make_driver_bundle
 from .limit import FlowApproximation, coupled_chaos_run, solve_limit
@@ -455,12 +456,6 @@ class DiagnosticsBundle:
     manifest: dict
 
 
-def _t_quantile(df: int, level: float = 0.975) -> float:
-    from scipy.stats import t as student_t
-
-    return float(student_t.ppf(level, df))
-
-
 def run_diagnostics(config: SimConfig) -> DiagnosticsBundle:
     """Moment series and jump-count tails for the interacting system.
 
@@ -492,7 +487,7 @@ def run_diagnostics(config: SimConfig) -> DiagnosticsBundle:
             mean_slope = float(slopes.mean())
             if len(slopes) > 1:
                 se = float(slopes.std(ddof=1) / np.sqrt(len(slopes)))
-                half = _t_quantile(len(slopes) - 1) * se
+                half = float(stdtrit(len(slopes) - 1, 0.975)) * se  # Student t quantile
             else:
                 se = float(rows[0]["moments"][p]["trend_se"])
                 half = 1.96 * se

@@ -2,7 +2,8 @@
 
 W1 between equal-size empirical measures is exact: sorted matching in 1D,
 optimal assignment in R^d (the optimal coupling of two uniform empirical
-measures is a permutation, so a linear assignment suffices).
+measures is a permutation), solved by shortest augmenting paths from a
+row-reduction start with lazy dual updates (Crouse 2016), in plain numpy.
 """
 
 from __future__ import annotations
@@ -16,60 +17,61 @@ from .drivers import InvalidInputError, StreamKey, StreamState
 ASSIGNMENT_CAP = 512
 
 
+def _require_finite(fn: str, a: np.ndarray, b: np.ndarray) -> None:
+    bad = [int(np.count_nonzero(~np.isfinite(x.reshape(len(x), -1)).all(axis=1))) for x in (a, b)]
+    if any(bad):
+        raise InvalidInputError(f"{fn}: {bad[0]} rows of a and {bad[1]} rows of b hold NaN or inf")
+
+
 def w1_1d(a, b) -> float:
     """Exact W1 between two equal-size 1D empirical measures."""
     a = np.asarray(a, dtype=np.float64).reshape(-1)
     b = np.asarray(b, dtype=np.float64).reshape(-1)
     if a.size == 0 or a.size != b.size:
         raise InvalidInputError("w1_1d needs two nonempty samples of equal size")
+    _require_finite("w1_1d", a, b)
     return float(np.mean(np.abs(np.sort(a) - np.sort(b))))
 
 
 def _lap_solve(cost: np.ndarray) -> np.ndarray:
-    """Shortest augmenting path assignment (Jonker-Volgenant class).
+    """Shortest augmenting path assignment with lazy dual updates (Crouse 2016).
 
-    Augments one row at a time along shortest reduced-cost paths, keeping
-    dual potentials u, v.  Ties in the path search resolve to the lowest
-    column index.  Returns the assigned column for each row.
+    Row reduction starts it: each row takes its cheapest column, the first
+    row to claim a column keeping it.  Each row left free is then matched by
+    a shortest path search over whole cost rows; the duals u, v change once
+    per augmentation.  Ties go to the lowest column.  Returns each row's column.
     """
     n = cost.shape[0]
-    u = np.zeros(n + 1)
-    v = np.zeros(n + 1)
-    p = np.zeros(n + 1, dtype=np.int64)  # p[j] = row matched to column j, 0 = free
-    way = np.zeros(n + 1, dtype=np.int64)
-    for i in range(1, n + 1):
-        p[0] = i
-        j0 = 0
-        minv = np.full(n + 1, np.inf)
-        used = np.zeros(n + 1, dtype=bool)
-        while True:
-            used[j0] = True
-            i0 = p[j0]
-            free = np.flatnonzero(~used[1:]) + 1
-            cur = cost[i0 - 1, free - 1] - u[i0] - v[free]
-            better = cur < minv[free]
-            if np.any(better):
-                upd = free[better]
-                minv[upd] = cur[better]
-                way[upd] = j0
-            k = int(np.argmin(minv[free]))
-            delta = minv[free][k]
-            j1 = int(free[k])
-            used_cols = np.flatnonzero(used)
-            u[p[used_cols]] += delta
-            v[used_cols] -= delta
-            minv[free] -= delta
-            j0 = j1
-            if p[j0] == 0:
-                break
-        while j0 != 0:
-            j1 = int(way[j0])
-            p[j0] = p[j1]
-            j0 = j1
-    row_to_col = np.zeros(n, dtype=np.int64)
-    for j in range(1, n + 1):
-        row_to_col[p[j] - 1] = j - 1
-    return row_to_col
+    col4row = cost.argmin(axis=1)
+    u = cost[np.arange(n), col4row]
+    v = np.zeros(n)
+    row4col = np.full(n, -1)
+    claimed, first = np.unique(col4row, return_index=True)
+    row4col[claimed] = first
+    path = np.empty(n, dtype=np.int64)
+    for cur in np.setdiff1d(np.arange(n), first):
+        d, vm = np.full(n, np.inf), v.copy()
+        cols, lens = [], []  # scanned columns and their path lengths
+        i, min_val = cur, 0.0
+        while i >= 0:
+            r = cost[i] - vm + (min_val - u[i])
+            path[r < d] = i
+            np.minimum(d, r, out=d)
+            j = int(d.argmin())
+            min_val = d[j]
+            cols.append(j)
+            lens.append(min_val)
+            i = row4col[j]  # -1: j is free, the sink
+            vm[j], d[j] = -np.inf, np.inf  # scanned: never reached or picked again
+        delta = min_val - np.asarray(lens)
+        u[cur] += min_val
+        u[row4col[cols[:-1]]] += delta[:-1]
+        v[cols] -= delta
+        while i != cur:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+    return col4row
 
 
 def w1_assignment(a, b, cap: int = ASSIGNMENT_CAP) -> float:
@@ -87,9 +89,12 @@ def w1_assignment(a, b, cap: int = ASSIGNMENT_CAP) -> float:
         raise InvalidInputError("empty sample")
     if n > cap:
         raise InvalidInputError(f"n={n} exceeds assignment cap {cap}; subsample first")
+    _require_finite("w1_assignment", a, b)
     if a.shape[1] == 1:
         return w1_1d(a[:, 0], b[:, 0])
     cost = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
+    if not np.isfinite(cost).all():
+        raise InvalidInputError("w1_assignment: pairwise distances overflow float64")
     cols = _lap_solve(cost)
     return float(cost[np.arange(n), cols].mean())
 

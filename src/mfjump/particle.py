@@ -379,7 +379,7 @@ class CoupledSimulator:
             if s.kind == "Y":
                 g = _collateral_drift_y(spec, s.pos, mu, self.policy.ysystem_rate_arg)
             elif s.kind == "LIMIT":
-                g = collateral_drift(spec, s.pos, s.flow.quad_measure_for(t), s.flow.lam_mean_for(t))
+                g = collateral_drift(spec, s.pos, s.flow.quad_measure_for(t), min(s.flow.lam_mean_for(t), s.flow.trunc_c))
             else:
                 g = None
             f, sig = _frozen_coefficients(spec, s.pos, mu, g, euler)

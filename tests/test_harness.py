@@ -264,3 +264,14 @@ def test_cli_chaos_sweep_and_seed_override(tmp_path, capsys):
     assert (tmp_path / "c1" / "distances.csv").read_bytes() != (
         tmp_path / "c2" / "distances.csv"
     ).read_bytes()
+
+
+def test_stdtrit_equals_scipy_stats_t_ppf():
+    # the moment verdict's Student t quantile comes from scipy.special, which
+    # avoids importing scipy.stats; it must keep the bits of the ppf it replaced
+    from scipy.special import stdtrit
+    from scipy.stats import t as student_t
+
+    for df in range(1, 200):
+        for level in (0.9, 0.95, 0.975, 0.995):
+            assert float(stdtrit(df, level)) == float(student_t.ppf(level, df))

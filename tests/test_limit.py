@@ -15,7 +15,7 @@ from mfjump.limit import (
     solve_limit,
 )
 from mfjump.models import AssumptionMeta, ModelSpec
-from mfjump.particle import InitSampler, RateBoundViolation, StepPolicy
+from mfjump.particle import CoupledSimulator, InitSampler, RateBoundViolation, StepPolicy
 from mfjump.zoo import build
 
 UNIF = InitSampler(kind="uniform", low=0.0, high=1.0)
@@ -163,6 +163,29 @@ def test_solve_limit_records_the_truncation_it_simulated_with():
                        init=UNIF, trunc_factor=0.2)
     assert 2 * flow.trunc_c == flow.meta["trunc_doublings"][-1]
     assert flow.meta["trunc_c"] == flow.trunc_c
+
+
+def test_coupled_limit_copies_follow_the_truncated_flow_drift():
+    # neuronal collateral marks have a constant mean, so the limit's absorbed
+    # drift scales with the flow's rate summary, truncated at trunc_c.  With a
+    # truncation that binds at every grid time, index-coupled limit copies on
+    # the ensemble's drivers must reproduce the ensemble's paths
+    spec = build("neuronal", {})
+    M, T, dt = 64, 1.0, 0.1
+    flow = solve_limit(spec, 500, T, dt, seed=3, tol=1e-12, max_iter=1,
+                       init=UNIF, trunc_factor=0.2)
+    assert np.all(flow.lam_mean > flow.trunc_c)
+    x0 = UNIF.sample(make_driver_bundle(9, 0, M), 1)
+    ens = simulate_ensemble(spec, T, dt, make_driver_bundle(9, 0, M), flow,
+                            initial_positions=x0, trunc_c=flow.trunc_c)
+    sim = CoupledSimulator(spec, make_driver_bundle(9, 0, M), ("LIMIT",), flow=flow)
+    sim.set_initial(x0)
+    coupled = [x0]
+    for _ in range(len(flow.times) - 1):
+        sim.advance(dt)
+        coupled.append(sim.system("LIMIT").pos.copy())
+    assert ens.jump_count > 0
+    np.testing.assert_allclose(np.asarray(coupled), ens.snapshots, rtol=0, atol=1e-12)
 
 
 def test_ensemble_retry_recovers_and_surfaces():

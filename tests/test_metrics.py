@@ -5,6 +5,7 @@ import pytest
 
 from mfjump.drivers import InvalidInputError, StreamKey, StreamState
 from mfjump.metrics import (
+    _lap_solve,
     fit_rate,
     jump_count_stats,
     path_sup_distance,
@@ -29,6 +30,57 @@ def brute_force_w1(a: np.ndarray, b: np.ndarray) -> float:
 
 def _rng(seed):
     return StreamState(StreamKey(seed, 0, 0, "init").hash64())
+
+
+def reference_lap_solve(cost: np.ndarray) -> np.ndarray:
+    """The assignment solver that the lazy-dual one replaced, kept as an oracle.
+
+    Augments one row at a time along shortest reduced-cost paths, updating
+    the dual potentials u, v on every step of the path search.  Ties in the
+    path search resolve to the lowest column index.
+    """
+    n = cost.shape[0]
+    u = np.zeros(n + 1)
+    v = np.zeros(n + 1)
+    p = np.zeros(n + 1, dtype=np.int64)  # p[j] = row matched to column j, 0 = free
+    way = np.zeros(n + 1, dtype=np.int64)
+    for i in range(1, n + 1):
+        p[0] = i
+        j0 = 0
+        minv = np.full(n + 1, np.inf)
+        used = np.zeros(n + 1, dtype=bool)
+        while True:
+            used[j0] = True
+            i0 = p[j0]
+            free = np.flatnonzero(~used[1:]) + 1
+            cur = cost[i0 - 1, free - 1] - u[i0] - v[free]
+            better = cur < minv[free]
+            if np.any(better):
+                upd = free[better]
+                minv[upd] = cur[better]
+                way[upd] = j0
+            k = int(np.argmin(minv[free]))
+            delta = minv[free][k]
+            j1 = int(free[k])
+            used_cols = np.flatnonzero(used)
+            u[p[used_cols]] += delta
+            v[used_cols] -= delta
+            minv[free] -= delta
+            j0 = j1
+            if p[j0] == 0:
+                break
+        while j0 != 0:
+            j1 = int(way[j0])
+            p[j0] = p[j1]
+            j0 = j1
+    row_to_col = np.zeros(n, dtype=np.int64)
+    for j in range(1, n + 1):
+        row_to_col[p[j] - 1] = j - 1
+    return row_to_col
+
+
+def _cost(a, b):
+    return np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
 
 
 def test_w1_1d_examples():
@@ -75,6 +127,60 @@ def test_w1_assignment_agrees_with_scipy():
         cost = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
         r, c = linear_sum_assignment(cost)
         assert w1_assignment(a, b) == pytest.approx(cost[r, c].sum() / n, abs=1e-9)
+
+
+@pytest.mark.parametrize("case", ["independent", "near-identity", "identical", "n=1", "d=3"])
+def test_lap_solve_matches_replaced_solver(case):
+    # clouds in general position have one optimal permutation, so the new
+    # solver must return exactly the replaced one's and W1 the same bits
+    rng = np.random.default_rng(2016)
+    n, d = {"n=1": (1, 2), "d=3": (200, 3)}.get(case, (512, 2))
+    a = rng.normal(size=(n, d))
+    b = {
+        "independent": rng.normal(size=(n, d)) + 0.3,
+        "near-identity": a + 1e-3 * rng.normal(size=(n, d)),
+        "identical": a.copy(),
+    }.get(case, rng.normal(size=(n, d)))
+    cost = _cost(a, b)
+    ref = reference_lap_solve(cost)
+    assert np.array_equal(_lap_solve(cost), ref)
+    assert w1_assignment(a, b) == float(cost[np.arange(n), ref].mean())
+
+
+def test_lap_solve_with_ties_is_an_optimal_permutation():
+    # duplicate and rounded points admit several optimal permutations: any
+    # of them will do, at scipy's optimal cost
+    from scipy.optimize import linear_sum_assignment
+
+    rng = np.random.default_rng(7)
+    for n, d in [(300, 2), (66, 3), (9, 2)]:
+        a = np.round(rng.normal(size=(n, d)), 0)
+        b = np.repeat(rng.normal(size=(n // 3, d)), 3, axis=0)[rng.permutation(n)]
+        for x, y in [(a, b), (a, a[rng.permutation(n)]), (b, b)]:
+            cost = _cost(x, y)
+            cols = _lap_solve(cost)
+            assert np.array_equal(np.sort(cols), np.arange(n))
+            r, c = linear_sum_assignment(cost)
+            best = cost[r, c].sum()
+            assert cost[np.arange(n), cols].sum() == pytest.approx(best, rel=1e-12, abs=1e-12)
+
+
+def test_w1_rejects_non_finite_samples():
+    a = np.zeros((5, 2))
+    b = np.ones((5, 2))
+    b[1, 0] = np.nan
+    b[3] = np.inf
+    with pytest.raises(InvalidInputError, match=r"0 rows of a and 2 rows of b"):
+        w1_assignment(a, b)
+    with pytest.raises(InvalidInputError, match=r"0 rows of a and 2 rows of b"):
+        w1_capped(a, b)
+    with pytest.raises(InvalidInputError, match=r"1 rows of a and 0 rows of b"):
+        w1_1d([0.0, np.nan, 1.0], [0.0, 1.0, 2.0])
+    with pytest.raises(InvalidInputError, match=r"1 rows of a and 2 rows of b"):
+        w1_1d([-np.inf, 0.0, 1.0], [np.nan, 1.0, np.inf])
+    # finite samples whose distances overflow are rejected, not solved
+    with pytest.raises(InvalidInputError, match="overflow"), np.errstate(over="ignore"):
+        w1_assignment(np.full((3, 2), 1e200), np.full((3, 2), -1e200))
 
 
 def test_w1_assignment_equals_sorted_in_1d():
