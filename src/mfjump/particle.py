@@ -315,6 +315,9 @@ class CoupledSimulator:
         for (a, b), key in self.PAIR_KEYS.items():
             if a in systems and b in systems:
                 self.sup[key] = np.zeros(drivers.n)
+        self._pairs = [
+            (self.system(a), self.system(b), self.sup[k]) for (a, b), k in self.PAIR_KEYS.items() if k in self.sup
+        ]
 
     def system(self, kind: str) -> _LiveSystem:
         for s in self.systems:
@@ -328,6 +331,7 @@ class CoupledSimulator:
             raise InvalidInputError(f"initial positions must have shape {(self.bundle.n, self.spec.dim)}")
         for s in self.systems:
             s.set_positions(pos)
+        self._update_sup()
 
     # -- stepping ---------------------------------------------------------
 
@@ -352,11 +356,11 @@ class CoupledSimulator:
         for k in self.sup:
             self.sup[k][:] = snap["sup"][k]
 
-    def _update_sup(self) -> None:
-        for (a, b), key in self.PAIR_KEYS.items():
-            if key in self.sup:
-                d = np.linalg.norm(self.system(a).pos - self.system(b).pos, axis=1)
-                np.maximum(self.sup[key], d, out=self.sup[key])
+    def _update_sup(self, rows: slice = slice(None)) -> None:
+        """Fold the current distances of ``rows`` into each pair's running sup."""
+        for a, b, sup in self._pairs:
+            diff = a.pos[rows] - b.pos[rows]
+            np.maximum(sup[rows], np.sqrt(np.add.reduce(diff * diff, axis=1)), out=sup[rows])
 
     def advance(self, dt_out: float) -> None:
         """Advance all systems by one output cell of width dt_out."""
@@ -391,40 +395,45 @@ class CoupledSimulator:
             dW = self.bundle.brownian.normals_block(spec.brownian_dim) * math.sqrt(h)
 
         times, jumpers, us, ks = collect_candidates(self.bundle, t, t + h, bounds)
+        bound_of = bounds.tolist()
+        keys = self.bundle.marks_keys.tolist()
+        # marks are addressed by particle id, so relabeling the bundle
+        # permutes trajectories exactly
+        pids = self.bundle.particle_ids
 
         t_last = t
-        for tau, j, u, k in zip(times, jumpers, us, ks):
-            j = int(j)
+        for tau, j, u, k in zip(times.tolist(), jumpers.tolist(), us.tolist(), ks.tolist()):
             if not euler and tau > t_last:
                 self._decay_all(tau - t_last, drifts)
                 t_last = tau
                 self._update_sup()  # left limits move in the exact scheme
+            h_main = h_coll = moved = None
             for s in self.systems:
                 mu = s.measure_now(tau)
                 lam_j = float(np.asarray(spec.rate(s.pos[j : j + 1], mu))[0])
-                if lam_j > bounds[j] * (1.0 + 1e-12) + 1e-12:
+                if lam_j > bound_of[j] * (1.0 + 1e-12) + 1e-12:
                     raise RateBoundViolation(
-                        f"rate {lam_j:.6g} above bound {bounds[j]:.6g} "
+                        f"rate {lam_j:.6g} above bound {bound_of[j]:.6g} "
                         f"for particle {j} in system {s.kind} at t={tau:.6g}"
                     )
-                if u <= lam_j:
-                    # marks are addressed by particle id, so relabeling the
-                    # bundle permutes trajectories exactly
-                    pids = self.bundle.particle_ids
-                    h_main = float(
-                        marks_uniforms(int(self.bundle.marks_keys[j]), int(k), np.asarray([pids[j]]))[0]
-                    )
-                    if s.kind == "X":
-                        h_coll = marks_uniforms(int(self.bundle.marks_keys[j]), int(k), pids)
-                    else:
-                        h_coll = None
-                    new_pos, _psi = apply_jump(spec, s.pos, j, mu, h_main, h_coll)
-                    s.jump_times.append(float(tau))
-                    s.jump_particles.append(j)
-                    s.jump_pre.append(s.pos[j].copy())
-                    s.jump_post.append(new_pos[j].copy())
-                    s.set_positions(new_pos)
-            self._update_sup()
+                if u > lam_j:
+                    continue
+                # one mark hash per candidate: element j of the collateral
+                # row is the main mark
+                if s.kind == "X":
+                    h_coll = marks_uniforms(keys[j], k, pids)
+                    h_main = float(h_coll[j])
+                elif h_main is None:
+                    h_main = float(marks_uniforms(keys[j], k, pids[j : j + 1])[0])
+                new_pos, _psi = apply_jump(spec, s.pos, j, mu, h_main, h_coll if s.kind == "X" else None)
+                s.jump_times.append(tau)
+                s.jump_particles.append(j)
+                s.jump_pre.append(s.pos[j].copy())
+                s.jump_post.append(new_pos[j].copy())
+                s.set_positions(new_pos)
+                moved = slice(None) if s.kind == "X" else moved or slice(j, j + 1)
+            if moved is not None:
+                self._update_sup(moved)
 
         if euler:
             for s, f, sig in zip(self.systems, drifts, diffs):
@@ -672,7 +681,6 @@ def simulate_coupled(
     else:
         x0 = (init or InitSampler(mean=tuple([0.0] * spec.dim))).sample(drivers, spec.dim)
     sim.set_initial(x0)
-    sim._update_sup()
     ncells, dt_eff = output_grid(T, dt)
     times = [0.0]
     positions = {k: [sim.system(k).pos.copy()] for k in systems} if record_paths else None

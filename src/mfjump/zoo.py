@@ -65,7 +65,7 @@ def build_lipschitz_demo(params: LipschitzDemoParams) -> ModelSpec:
         return np.broadcast_to(sig, (x.shape[0], d, d))
 
     def rate(x, m):
-        r = np.linalg.norm(x, axis=-1)
+        r = np.sqrt(np.add.reduce(x * x, axis=-1))
         return p.rate_base + p.rate_slope * np.minimum(r, p.rate_cap_radius)
 
     def main_jump(x, m, h1):
@@ -143,7 +143,7 @@ def build_convex_potential(params: ConvexPotentialParams) -> ModelSpec:
         return np.broadcast_to(sig, (x.shape[0], d, d))
 
     def rate(x, m):
-        r = np.linalg.norm(x, axis=-1)
+        r = np.sqrt(np.add.reduce(x * x, axis=-1))
         return p.rate_base + p.rate_slope * np.minimum(r, p.rate_cap_radius)
 
     def main_jump(x, m, h1):
@@ -241,7 +241,7 @@ def build_neuronal(params: NeuronalParams) -> ModelSpec:
         return np.zeros((x.shape[0], d, 0))
 
     def rate(x, m):
-        r = np.linalg.norm(x, axis=-1)
+        r = np.sqrt(np.add.reduce(x * x, axis=-1))
         return b_radial(r) + p.rate_offset
 
     def main_jump(x, m, h1):

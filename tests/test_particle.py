@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from mfjump.drivers import InvalidInputError, make_driver_bundle
-from mfjump.models import AssumptionMeta, ModelSpec, make_empirical
+from mfjump.drivers import InvalidInputError, collect_candidates, make_driver_bundle, marks_uniforms
+from mfjump.limit import solve_limit
+from mfjump.models import AssumptionMeta, ModelSpec, collateral_drift, make_empirical
 from mfjump.particle import (
     CoupledSimulator,
     GeneratorQuadratureError,
@@ -13,8 +16,11 @@ from mfjump.particle import (
     StepPolicy,
     SystemState,
     Observable,
+    _collateral_drift_y,
+    _frozen_coefficients,
     apply_jump,
     coordinate_function,
+    output_grid,
     generator_apply,
     simulate,
     simulate_coupled,
@@ -286,6 +292,152 @@ def test_invalid_dt_rejected():
     with pytest.raises(InvalidInputError):
         step_X(SystemState(t=0.0, positions=np.zeros((1, 1))), spec, 0.0,
                make_driver_bundle(0, 0, 1))
+
+
+class _ReferenceSimulator(CoupledSimulator):
+    """The per-event loop before its scalar rewrite, kept as the oracle.
+
+    Every candidate re-hashes the main mark on its own, hashes the
+    collateral row again for X, and folds every row of every pair into the
+    sup after every candidate.
+    """
+
+    def _update_sup(self, rows=None) -> None:
+        for (a, b), key in self.PAIR_KEYS.items():
+            if key in self.sup:
+                d = np.linalg.norm(self.system(a).pos - self.system(b).pos, axis=1)
+                np.maximum(self.sup[key], d, out=self.sup[key])
+
+    def _substep(self, t, h, bounds):
+        spec = self.spec
+        euler = self.scheme == "euler"
+        drifts, diffs = [], []
+        for s in self.systems:
+            mu = s.measure_now(t)
+            if s.kind == "Y":
+                g = _collateral_drift_y(spec, s.pos, mu, self.policy.ysystem_rate_arg)
+            elif s.kind == "LIMIT":
+                g = collateral_drift(spec, s.pos, s.flow.quad_measure_for(t), min(s.flow.lam_mean_for(t), s.flow.trunc_c))
+            else:
+                g = None
+            f, sig = _frozen_coefficients(spec, s.pos, mu, g, euler)
+            drifts.append(f)
+            diffs.append(sig)
+        dW = None
+        if euler and spec.has_diffusion():
+            dW = self.bundle.brownian.normals_block(spec.brownian_dim) * math.sqrt(h)
+        times, jumpers, us, ks = collect_candidates(self.bundle, t, t + h, bounds)
+        t_last = t
+        for tau, j, u, k in zip(times, jumpers, us, ks):
+            j = int(j)
+            if not euler and tau > t_last:
+                self._decay_all(tau - t_last, drifts)
+                t_last = tau
+                self._update_sup()
+            for s in self.systems:
+                mu = s.measure_now(tau)
+                lam_j = float(np.asarray(spec.rate(s.pos[j : j + 1], mu))[0])
+                if lam_j > bounds[j] * (1.0 + 1e-12) + 1e-12:
+                    raise RateBoundViolation(
+                        f"rate {lam_j:.6g} above bound {bounds[j]:.6g} "
+                        f"for particle {j} in system {s.kind} at t={tau:.6g}"
+                    )
+                if u <= lam_j:
+                    pids = self.bundle.particle_ids
+                    h_main = float(
+                        marks_uniforms(int(self.bundle.marks_keys[j]), int(k), np.asarray([pids[j]]))[0]
+                    )
+                    h_coll = marks_uniforms(int(self.bundle.marks_keys[j]), int(k), pids) if s.kind == "X" else None
+                    new_pos, _psi = apply_jump(spec, s.pos, j, mu, h_main, h_coll)
+                    s.jump_times.append(float(tau))
+                    s.jump_particles.append(j)
+                    s.jump_pre.append(s.pos[j].copy())
+                    s.jump_post.append(new_pos[j].copy())
+                    s.set_positions(new_pos)
+            self._update_sup()
+        if euler:
+            for s, f, sig in zip(self.systems, drifts, diffs):
+                s.pos += h * f
+                if dW is not None and sig is not None and sig.shape[-1] > 0:
+                    s.pos += np.einsum("nij,nj->ni", sig, dW)
+                s._measure.mark_dirty()
+        else:
+            self._decay_all(t + h - t_last, drifts)
+        for s in self.systems:
+            if not np.all(np.isfinite(s.pos)):
+                raise NumericalBlowupError(t + h, s.pos.copy(), s.kind)
+        self._update_sup()
+
+
+def _run_cells(cls, systems, spec, x0, T, dt, bundle_args, **kw):
+    sim = cls(spec, make_driver_bundle(*bundle_args[:3], particle_ids=bundle_args[3]), systems, **kw)
+    sim.set_initial(x0)
+    ncells, dt_eff = output_grid(T, dt)
+    grid = []
+    for _ in range(ncells):
+        sim.advance(dt_eff)
+        grid.append(np.stack([s.pos.copy() for s in sim.systems]))
+    return sim, np.stack(grid)
+
+
+def _assert_same_run(systems, spec, x0, T, dt, bundle_args, **kw):
+    new, grid_new = _run_cells(CoupledSimulator, systems, spec, x0, T, dt, bundle_args, **kw)
+    ref, grid_ref = _run_cells(_ReferenceSimulator, systems, spec, x0, T, dt, bundle_args, **kw)
+    assert np.array_equal(grid_new, grid_ref)
+    assert new.sup.keys() == ref.sup.keys()
+    for key in ref.sup:
+        assert np.array_equal(new.sup[key], ref.sup[key]), key
+    for a, b in zip(new.systems, ref.systems):
+        assert a.jump_times == b.jump_times
+        assert a.jump_particles == b.jump_particles
+        assert np.array_equal(np.asarray(a.jump_pre), np.asarray(b.jump_pre))
+        assert np.array_equal(np.asarray(a.jump_post), np.asarray(b.jump_post))
+    assert new.retry_count == ref.retry_count
+    assert sum(s.jump_count for s in new.systems) > 0
+    return new
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_event_loop_matches_reference_lipschitz_triple(dim):
+    spec = build("lipschitz-demo", {"dim": dim})
+    n, T, dt = 24, 1.0, 0.1
+    flow = solve_limit(spec, 96, T, dt, seed=5, tol=1e-12, max_iter=1)
+    x0 = np.random.default_rng(dim).normal(0.3, 0.8, size=(n, dim))
+    # relabeled particle ids: element j of the collateral row is then mark pids[j]
+    pids = np.random.default_rng(11).permutation(n) if dim == 2 else None
+    sim = _assert_same_run(("X", "Y", "LIMIT"), spec, x0, T, dt, (7, 2, n, pids), flow=flow, scheme="euler")
+    assert all(np.all(v > 0) for v in sim.sup.values())
+
+
+@pytest.mark.parametrize("rate_arg", ["jumper", "target"])
+def test_event_loop_matches_reference_neuronal_triple(rate_arg):
+    spec = build("neuronal", {})
+    n, T, dt = 24, 1.0, 0.1
+    flow = solve_limit(spec, 96, T, dt, seed=2, tol=1e-12, max_iter=1, init=InitSampler(kind="uniform"))
+    x0 = InitSampler(kind="uniform").sample(make_driver_bundle(4, 1, n), 1)
+    _assert_same_run(
+        ("X", "Y", "LIMIT"), spec, x0, T, dt, (4, 1, n, None),
+        flow=flow, scheme="exact", policy=StepPolicy(ysystem_rate_arg=rate_arg),
+    )
+
+
+def test_event_loop_matches_reference_with_halving_retries():
+    spec = _spec(
+        drift=lambda x, m: np.zeros_like(x),
+        rate=lambda x, m: np.abs(x[:, 0]),
+        main=lambda x, m, h: np.ones_like(x),
+        cap=None,
+    )
+    policy = StepPolicy(bound_mult=1.0, bound_add=0.05, candidate_cap=8.0, max_retries=16)
+    sim = _assert_same_run(("X", "Y"), spec, np.full((4, 1), 1.0), 3.0, 0.5, (6, 0, 4, None), policy=policy)
+    assert sim.retry_count > 0
+
+
+def test_event_loop_matches_reference_x_only():
+    spec = build("lipschitz-demo", {})
+    x0 = np.linspace(-1.0, 1.0, 16).reshape(16, 1)
+    sim = _assert_same_run(("X",), spec, x0, 1.0, 0.1, (3, 0, 16, None))
+    assert sim.sup == {}
 
 
 # -- generator -------------------------------------------------------------
