@@ -362,9 +362,14 @@ class CoupledSimulator:
             diff = a.pos[rows] - b.pos[rows]
             np.maximum(sup[rows], np.sqrt(np.add.reduce(diff * diff, axis=1)), out=sup[rows])
 
-    def advance(self, dt_out: float) -> None:
-        """Advance all systems by one output cell of width dt_out."""
-        end = self.t + dt_out
+    def advance(self, end: float) -> None:
+        """Advance all systems to time ``end``, the end of one output cell.
+
+        Taking the end rather than a width keeps cell ends on the flow's
+        grid: 0.1 added seven times falls short of the grid's 7 * 0.1.
+        """
+        if not end > self.t:
+            raise InvalidInputError(f"cell end {end} is not after t={self.t}")
         self.retry_count += _advance_substeps(
             self.spec, self.policy, self.t, end, self._rates, self._substep, self._snapshot, self._restore
         )
@@ -494,7 +499,7 @@ def _step_single(
     sys.jump_particles = list(state.jump_particles)
     sys.jump_pre = list(state.jump_pre)
     sys.jump_post = list(state.jump_post)
-    sim.advance(dt)
+    sim.advance(state.t + dt)
     return SystemState(
         t=sim.t,
         positions=sys.pos.copy(),
@@ -684,8 +689,8 @@ def simulate_coupled(
     ncells, dt_eff = output_grid(T, dt)
     times = [0.0]
     positions = {k: [sim.system(k).pos.copy()] for k in systems} if record_paths else None
-    for _ in range(ncells):
-        sim.advance(dt_eff)
+    for cell in range(ncells):
+        sim.advance(dt_eff * (cell + 1))
         times.append(sim.t)
         if record_paths:
             for k in systems:

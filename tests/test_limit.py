@@ -15,7 +15,7 @@ from mfjump.limit import (
     solve_limit,
 )
 from mfjump.models import AssumptionMeta, ModelSpec
-from mfjump.particle import CoupledSimulator, InitSampler, RateBoundViolation, StepPolicy
+from mfjump.particle import CoupledSimulator, InitSampler, RateBoundViolation, StepPolicy, simulate_coupled
 from mfjump.zoo import build
 
 UNIF = InitSampler(kind="uniform", low=0.0, high=1.0)
@@ -181,11 +181,29 @@ def test_coupled_limit_copies_follow_the_truncated_flow_drift():
     sim = CoupledSimulator(spec, make_driver_bundle(9, 0, M), ("LIMIT",), flow=flow)
     sim.set_initial(x0)
     coupled = [x0]
-    for _ in range(len(flow.times) - 1):
-        sim.advance(dt)
+    for end in flow.times[1:]:
+        sim.advance(end)
         coupled.append(sim.system("LIMIT").pos.copy())
     assert ens.jump_count > 0
     np.testing.assert_allclose(np.asarray(coupled), ens.snapshots, rtol=0, atol=1e-12)
+
+
+def test_coupled_limit_copies_read_the_flow_cell_of_each_grid_time():
+    # an untruncated flow's rate summary changes from cell to cell, so a
+    # cell that starts a hair before its grid time (0.7 accumulated as
+    # 0.1 + ... + 0.1 against the grid's 7 * 0.1) reads the previous cell's
+    # drift; coupled limit copies must match the ensemble at every grid time
+    spec = build("neuronal", {})
+    M, T, dt = 64, 1.0, 0.1
+    flow = solve_limit(spec, 500, T, dt, seed=3, tol=1e-12, max_iter=1, init=UNIF, trunc_factor=math.inf)
+    assert flow.trunc_c == math.inf and np.ptp(flow.lam_mean) > 0
+    x0 = UNIF.sample(make_driver_bundle(9, 0, M), 1)
+    ens = simulate_ensemble(spec, T, dt, make_driver_bundle(9, 0, M), flow, initial_positions=x0)
+    res = simulate_coupled(("LIMIT",), spec, M, T, dt, make_driver_bundle(9, 0, M),
+                           flow=flow, initial_positions=x0)
+    path = res["paths"]["LIMIT"]
+    assert np.array_equal(path.times, ens.times)
+    np.testing.assert_allclose(path.positions, ens.snapshots, rtol=0, atol=1e-12)
 
 
 def test_ensemble_retry_recovers_and_surfaces():

@@ -266,8 +266,8 @@ def test_rate_bound_retry_recovers():
     policy = StepPolicy(bound_mult=1.0, bound_add=0.05, candidate_cap=8.0, max_retries=16)
     sim = CoupledSimulator(spec, make_driver_bundle(6, 0, 4), systems=("X",), policy=policy)
     sim.set_initial(np.full((4, 1), 1.0))
-    for _ in range(10):
-        sim.advance(0.5)
+    for cell in range(10):
+        sim.advance(0.5 * (cell + 1))
     assert sim.retry_count > 0
     assert sim.systems[0].jump_count > 0
     assert np.all(np.isfinite(sim.systems[0].pos))
@@ -374,8 +374,8 @@ def _run_cells(cls, systems, spec, x0, T, dt, bundle_args, **kw):
     sim.set_initial(x0)
     ncells, dt_eff = output_grid(T, dt)
     grid = []
-    for _ in range(ncells):
-        sim.advance(dt_eff)
+    for cell in range(ncells):
+        sim.advance(dt_eff * (cell + 1))
         grid.append(np.stack([s.pos.copy() for s in sim.systems]))
     return sim, np.stack(grid)
 
