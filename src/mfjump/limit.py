@@ -181,8 +181,6 @@ def simulate_ensemble(
     for cell in range(ncells):
         start, end = dt_eff * cell, dt_eff * (cell + 1)
         _advance_substeps(spec, policy, start, end, rates, substep, snapshot, restore)
-        if not np.all(np.isfinite(pos)):
-            raise NumericalBlowupError(end, pos.copy(), "LIMIT")
         times.append(end)
         if record:
             snaps.append(pos.copy())
@@ -196,7 +194,7 @@ def simulate_ensemble(
 
 
 def _ensemble_substep(spec, pos, drivers, flow, t, h, bounds, trunc_c, euler) -> int:
-    """One sub-step of every copy in place; returns the number of accepted jumps."""
+    """One sub-step of every copy in place; returns its accepted jumps, raises if a copy blows up."""
     mu = flow.measure_for(t)
     g = collateral_drift(spec, pos, flow.quad_measure_for(t), min(flow.lam_mean_for(t), trunc_c))
     f, sig = _frozen_coefficients(spec, pos, mu, g, euler)
@@ -244,6 +242,8 @@ def _ensemble_substep(spec, pos, drivers, flow, t, h, bounds, trunc_c, euler) ->
             pos += np.einsum("nij,nj->ni", sig, dW)
     else:
         decay(slice(None), t + h)
+    if not np.all(np.isfinite(pos)):
+        raise NumericalBlowupError(t + h, pos.copy(), "LIMIT")
     return jumps
 
 

@@ -9,7 +9,12 @@ placed at their exact times and processed in time order (ties broken by
 particle index).  The measure seen by jump evaluations is live: it updates
 at every jump inside the step.  An accepted main jump of particle j moves
 j by the main amplitude and every other particle by the collateral
-amplitude over N, both evaluated at the pre-jump state.
+amplitude over N, both evaluated at the pre-jump state.  The marks of a
+candidate are hashed once: an accepted X jump hashes the collateral row
+and takes its element j as the main mark, which Y and LIMIT reuse.  The
+running sup distances of coupled pairs are updated only on rows that
+moved: row j after a Y or LIMIT jump, every row after an X jump, after
+each decay of the exact scheme and at the end of every sub-step.
 
 For the pull-to-origin, diffusion-free class an exact integrator replaces
 Euler: between events positions follow the closed-form exponential decay,
@@ -312,12 +317,11 @@ class CoupledSimulator:
         self.t = 0.0
         self.retry_count = 0
         self.sup: dict[str, np.ndarray] = {}
+        self._pairs = []  # (system a, system b, sup array) per coupled pair
         for (a, b), key in self.PAIR_KEYS.items():
             if a in systems and b in systems:
                 self.sup[key] = np.zeros(drivers.n)
-        self._pairs = [
-            (self.system(a), self.system(b), self.sup[k]) for (a, b), k in self.PAIR_KEYS.items() if k in self.sup
-        ]
+                self._pairs.append((self.system(a), self.system(b), self.sup[key]))
 
     def system(self, kind: str) -> _LiveSystem:
         for s in self.systems:
@@ -363,11 +367,7 @@ class CoupledSimulator:
             np.maximum(sup[rows], np.sqrt(np.add.reduce(diff * diff, axis=1)), out=sup[rows])
 
     def advance(self, end: float) -> None:
-        """Advance all systems to time ``end``, the end of one output cell.
-
-        Taking the end rather than a width keeps cell ends on the flow's
-        grid: 0.1 added seven times falls short of the grid's 7 * 0.1.
-        """
+        """Advance all systems to time ``end``, the end of one output cell."""
         if not end > self.t:
             raise InvalidInputError(f"cell end {end} is not after t={self.t}")
         self.retry_count += _advance_substeps(
@@ -423,8 +423,7 @@ class CoupledSimulator:
                     )
                 if u > lam_j:
                     continue
-                # one mark hash per candidate: element j of the collateral
-                # row is the main mark
+                # one mark hash per candidate: the main mark is element j of X's row
                 if s.kind == "X":
                     h_coll = marks_uniforms(keys[j], k, pids)
                     h_main = float(h_coll[j])
@@ -678,7 +677,8 @@ def simulate_coupled(
 
     Returns a dict with per-system ``PathRecordSet`` (when recorded),
     per-pair running sup distances evaluated at every grid point and every
-    event time, and per-system jump counts.
+    event time, per-system jump counts and the number of halved sub-step
+    retries.
     """
     sim = CoupledSimulator(spec, drivers, systems=systems, flow=flow, policy=policy, scheme=scheme)
     if initial_positions is not None:
@@ -690,7 +690,7 @@ def simulate_coupled(
     times = [0.0]
     positions = {k: [sim.system(k).pos.copy()] for k in systems} if record_paths else None
     for cell in range(ncells):
-        sim.advance(dt_eff * (cell + 1))
+        sim.advance(dt_eff * (cell + 1))  # the flow's grid; summed widths drift off it
         times.append(sim.t)
         if record_paths:
             for k in systems:
@@ -698,6 +698,7 @@ def simulate_coupled(
     out = {
         "sup": {k: v.copy() for k, v in sim.sup.items()},
         "jump_counts": {k: sim.system(k).jump_count for k in systems},
+        "retries": sim.retry_count,
     }
     if record_paths:
         out["paths"] = {k: _pathset_from(times, positions[k], sim.system(k), spec.dim) for k in systems}

@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from mfjump.drivers import (
@@ -164,6 +166,38 @@ def test_marks_are_stateless_and_lazy():
     # vectorized form agrees
     batch = marks_uniforms_batch(np.full(4, key, dtype=np.uint64), np.full(4, 7), idx)
     assert np.array_equal(batch, a)
+
+
+_U64 = st.integers(0, 2**64 - 1)
+_U32 = st.integers(0, 2**32 - 1)
+
+
+def _scalar_uniform(key: int, i: int) -> float:
+    """uniform(key, i) of the module docstring, on python ints."""
+    raw = mix64(key + (i + 1) * 0x9E3779B97F4A7C15)
+    return ((raw >> 11) + 0.5) * 2.0**-53
+
+
+@settings(max_examples=200, deadline=None)
+@given(key=_U64, k=_U32, pids=st.lists(_U32, min_size=1, max_size=16))
+def test_mark_row_element_is_the_single_mark_and_the_scalar_uniform(key, k, pids):
+    # the stepper takes an accepted jump's main mark as element j of the
+    # collateral row: all three addressings must give the same bits
+    ids = np.asarray(pids, dtype=np.int64)
+    row = marks_uniforms(key, k, ids)
+    for i, m in enumerate(pids):
+        assert row[i] == marks_uniforms(key, k, ids[i : i + 1])[0] == _scalar_uniform(key, (k << 32) | m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.tuples(_U64, _U32, _U32), min_size=1, max_size=16))
+def test_mark_batch_equals_per_row_marks(rows):
+    keys, ks, ms = zip(*rows)
+    batch = marks_uniforms_batch(
+        np.asarray(keys, dtype=np.uint64), np.asarray(ks, dtype=np.int64), np.asarray(ms, dtype=np.int64)
+    )
+    for i, (key, k, m) in enumerate(rows):
+        assert batch[i] == marks_uniforms(key, k, np.asarray([m]))[0]
 
 
 def test_poisson_event_lazy_marks():

@@ -15,7 +15,14 @@ from mfjump.limit import (
     solve_limit,
 )
 from mfjump.models import AssumptionMeta, ModelSpec
-from mfjump.particle import CoupledSimulator, InitSampler, RateBoundViolation, StepPolicy, simulate_coupled
+from mfjump.particle import (
+    CoupledSimulator,
+    InitSampler,
+    NumericalBlowupError,
+    RateBoundViolation,
+    StepPolicy,
+    simulate_coupled,
+)
 from mfjump.zoo import build
 
 UNIF = InitSampler(kind="uniform", low=0.0, high=1.0)
@@ -232,6 +239,30 @@ def test_ensemble_retry_recovers_and_surfaces():
     res = run(16)
     assert res.jump_count > 0
     assert np.all(np.isfinite(res.final))
+
+
+def test_ensemble_blowup_reports_the_first_non_finite_sub_step():
+    # x' = x**5 from 10 under Euler: the rate bound 5 cuts each unit cell
+    # into five sub-steps of 0.2, and the fourth already overflows, so the
+    # reported time lies inside the first cell, not at its end
+    spec = ModelSpec(
+        drift=lambda x, m: x**5,
+        diffusion=lambda x, m: np.zeros((x.shape[0], 1, 0)),
+        rate=lambda x, m: np.full(x.shape[0], 5.0),
+        main_jump=lambda x, m, h: np.zeros_like(x),
+        collateral_jump=lambda xj, tg, m, h1, h2: np.zeros((tg.shape[0], 1)),
+        dim=1,
+        brownian_dim=0,
+        class_tag="lipschitz",
+        meta=AssumptionMeta(rate_global_bound=5.0),
+    )
+    flow = constant_flow(np.zeros((4, 1)), 2.0)
+    with pytest.raises(NumericalBlowupError) as err, np.errstate(over="ignore", invalid="ignore"):
+        simulate_ensemble(spec, 2.0, 1.0, make_driver_bundle(1, 0, 4), flow,
+                          initial_positions=np.full((4, 1), 10.0))
+    assert err.value.system == "LIMIT"
+    assert err.value.t == pytest.approx(0.8)
+    assert not np.all(np.isfinite(err.value.positions))
 
 
 def test_flow_save_load_roundtrip(tmp_path):

@@ -264,13 +264,11 @@ def test_rate_bound_retry_recovers():
         cap=None,
     )
     policy = StepPolicy(bound_mult=1.0, bound_add=0.05, candidate_cap=8.0, max_retries=16)
-    sim = CoupledSimulator(spec, make_driver_bundle(6, 0, 4), systems=("X",), policy=policy)
-    sim.set_initial(np.full((4, 1), 1.0))
-    for cell in range(10):
-        sim.advance(0.5 * (cell + 1))
-    assert sim.retry_count > 0
-    assert sim.systems[0].jump_count > 0
-    assert np.all(np.isfinite(sim.systems[0].pos))
+    res = simulate_coupled(("X",), spec, 4, 5.0, 0.5, make_driver_bundle(6, 0, 4),
+                           initial_positions=np.full((4, 1), 1.0), policy=policy)
+    assert res["retries"] > 0
+    assert res["jump_counts"]["X"] > 0
+    assert np.all(np.isfinite(res["paths"]["X"].positions))
 
 
 def test_numerical_blowup_carries_state():
