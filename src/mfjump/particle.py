@@ -400,8 +400,7 @@ class CoupledSimulator:
             dW = self.bundle.brownian.normals_block(spec.brownian_dim) * math.sqrt(h)
 
         times, jumpers, us, ks = collect_candidates(self.bundle, t, t + h, bounds)
-        bound_of = bounds.tolist()
-        keys = self.bundle.marks_keys.tolist()
+        keys = self.bundle.marks_keys
         # marks are addressed by particle id, so relabeling the bundle
         # permutes trajectories exactly
         pids = self.bundle.particle_ids
@@ -413,22 +412,23 @@ class CoupledSimulator:
                 t_last = tau
                 self._update_sup()  # left limits move in the exact scheme
             h_main = h_coll = moved = None
+            bound = float(bounds[j])
             for s in self.systems:
                 mu = s.measure_now(tau)
                 lam_j = float(np.asarray(spec.rate(s.pos[j : j + 1], mu))[0])
-                if lam_j > bound_of[j] * (1.0 + 1e-12) + 1e-12:
+                if lam_j > bound * (1.0 + 1e-12) + 1e-12:
                     raise RateBoundViolation(
-                        f"rate {lam_j:.6g} above bound {bound_of[j]:.6g} "
+                        f"rate {lam_j:.6g} above bound {bound:.6g} "
                         f"for particle {j} in system {s.kind} at t={tau:.6g}"
                     )
                 if u > lam_j:
                     continue
                 # one mark hash per candidate: the main mark is element j of X's row
                 if s.kind == "X":
-                    h_coll = marks_uniforms(keys[j], k, pids)
+                    h_coll = marks_uniforms(int(keys[j]), k, pids)
                     h_main = float(h_coll[j])
                 elif h_main is None:
-                    h_main = float(marks_uniforms(keys[j], k, pids[j : j + 1])[0])
+                    h_main = float(marks_uniforms(int(keys[j]), k, pids[j : j + 1])[0])
                 new_pos, _psi = apply_jump(spec, s.pos, j, mu, h_main, h_coll if s.kind == "X" else None)
                 s.jump_times.append(tau)
                 s.jump_particles.append(j)
