@@ -95,7 +95,9 @@ class FlowApproximation:
         return float(self.lam_mean[self.cell_index(t)])
 
     def save(self, path) -> None:
-        np.savez_compressed(
+        # stored, not deflated: float64 samples shrink by under 5% and the
+        # deflate costs ~30x the write; ``load`` reads either
+        np.savez(
             path,
             format=np.asarray(["mfjump-flow-v1"]),
             times=self.times,

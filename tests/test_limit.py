@@ -1,4 +1,5 @@
 import math
+import zipfile
 
 import numpy as np
 import pytest
@@ -270,11 +271,20 @@ def test_flow_save_load_roundtrip(tmp_path):
     flow = solve_limit(spec, 300, 1.0, 0.1, seed=5, tol=1e-3, max_iter=3, init=UNIF)
     path = tmp_path / "flow.npz"
     flow.save(path)
-    loaded = FlowApproximation.load(path)
-    assert np.array_equal(loaded.times, flow.times)
-    assert np.array_equal(loaded.ensemble, flow.ensemble)
-    assert np.array_equal(loaded.lam_mean, flow.lam_mean)
-    assert loaded.trunc_c == flow.trunc_c
+    # stored members: deflating float64 samples costs far more than it saves
+    with zipfile.ZipFile(path) as zf:
+        assert {i.compress_type for i in zf.infolist()} == {zipfile.ZIP_STORED}
+    # files written before the format switched from deflated to stored
+    old = tmp_path / "flow_deflated.npz"
+    np.savez_compressed(
+        old, format=np.asarray(["mfjump-flow-v1"]), times=flow.times, ensemble=flow.ensemble,
+        lam_mean=flow.lam_mean, trunc_c=np.asarray([flow.trunc_c]),
+    )
+    for loaded in (FlowApproximation.load(path), FlowApproximation.load(old)):
+        assert np.array_equal(loaded.times, flow.times)
+        assert np.array_equal(loaded.ensemble, flow.ensemble)
+        assert np.array_equal(loaded.lam_mean, flow.lam_mean)
+        assert loaded.trunc_c == flow.trunc_c
 
 
 def test_coupled_run_triangle_inequality_and_degeneracy():
