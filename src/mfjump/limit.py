@@ -226,7 +226,8 @@ def _ensemble_substep(spec, pos, drivers, flow, t, h, bounds, trunc_c, euler) ->
         if np.any(over):
             i = int(np.flatnonzero(over)[0])
             raise RateBoundViolation(
-                f"rate {lam_e[i]:.6g} above bound {bounds[ec][i]:.6g} for copy {ec[i]}"
+                f"rate {lam_e[i]:.6g} above bound {bounds[ec][i]:.6g} "
+                f"for copy {ec[i]} in system LIMIT at t={et[i]:.6g}"
             )
         acc = eu <= lam_e
         if np.any(acc):

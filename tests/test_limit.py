@@ -235,7 +235,7 @@ def test_ensemble_retry_recovers_and_surfaces():
         return simulate_ensemble(spec, 5.0, 0.5, make_driver_bundle(6, 0, 4), flow,
                                  initial_positions=np.ones((4, 1)), policy=policy)
 
-    with pytest.raises(RateBoundViolation):
+    with pytest.raises(RateBoundViolation, match=r"for copy \d+ in system LIMIT at t=0\.\d"):
         run(0)
     res = run(16)
     assert res.jump_count > 0
