@@ -65,6 +65,7 @@ _U64_GOLD = np.uint64(_GOLD)
 _U64_MIX1 = np.uint64(_MIX1)
 _U64_MIX2 = np.uint64(_MIX2)
 _U64_ONE = np.uint64(1)
+_U64_11, _U64_27, _U64_30, _U64_31, _U64_32 = (np.uint64(s) for s in (11, 27, 30, 31, 32))
 
 
 class InvalidInputError(ValueError):
@@ -79,15 +80,23 @@ def mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _mix64_array(z: np.ndarray) -> np.ndarray:
+def _mix64_inplace(z: np.ndarray) -> np.ndarray:
+    """mix64 on a uint64 array, overwriting it, with one temporary buffer."""
     # uint64 array ops wrap mod 2**64, matching mix64 on scalars
-    z = z.astype(np.uint64, copy=True)
-    z ^= z >> np.uint64(30)
+    tmp = np.empty_like(z)
+    np.right_shift(z, _U64_30, out=tmp)
+    z ^= tmp
     z *= _U64_MIX1
-    z ^= z >> np.uint64(27)
+    np.right_shift(z, _U64_27, out=tmp)
+    z ^= tmp
     z *= _U64_MIX2
-    z ^= z >> np.uint64(31)
+    np.right_shift(z, _U64_31, out=tmp)
+    z ^= tmp
     return z
+
+
+def _mix64_array(z: np.ndarray) -> np.ndarray:
+    return _mix64_inplace(np.array(z, dtype=np.uint64))
 
 
 def _raw_from_counters(key: int | np.ndarray, counters: np.ndarray) -> np.ndarray:
@@ -97,7 +106,12 @@ def _raw_from_counters(key: int | np.ndarray, counters: np.ndarray) -> np.ndarra
 
 
 def _uniform_from_raw(raw: np.ndarray) -> np.ndarray:
-    return ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    """((raw >> 11) + 0.5) * 2**-53 as float64; overwrites ``raw``."""
+    raw >>= _U64_11
+    u = raw.astype(np.float64)
+    u += 0.5
+    u *= 2.0**-53
+    return u
 
 
 @dataclass(frozen=True)
@@ -179,18 +193,28 @@ class PoissonEvent:
 
 
 def marks_uniforms(marks_key: int, event_index: int, particle_indices: np.ndarray) -> np.ndarray:
-    """Mark coordinates for one event: uniform #((k << 32) | m) of the marks stream."""
-    idx = np.asarray(particle_indices, dtype=np.uint64)
-    counters = (np.uint64(event_index) << np.uint64(32)) | idx
-    return _uniform_from_raw(_raw_from_counters(marks_key, counters))
+    """Mark coordinates for one event: uniform #((k << 32) | m) of the marks stream.
+
+    For m < 2**32, key + ((k << 32 | m) + 1) * GOLD equals
+    (key + (k << 32) * GOLD) + (m + 1) * GOLD mod 2**64, so the event's
+    part is one scalar added to the per-particle part.
+    """
+    base = np.uint64((int(marks_key) + (int(event_index) << 32) * _GOLD) & _MASK)
+    z = np.array(particle_indices, dtype=np.uint64)
+    z += _U64_ONE
+    z *= _U64_GOLD
+    z += base
+    return _uniform_from_raw(_mix64_inplace(z))
 
 
 def marks_uniforms_batch(marks_keys: np.ndarray, event_indices: np.ndarray, particle_indices: np.ndarray) -> np.ndarray:
     """Vectorized ``marks_uniforms``: one (key, event, particle) triple per row."""
     ks = np.asarray(event_indices, dtype=np.uint64)
-    ms = np.asarray(particle_indices, dtype=np.uint64)
-    counters = (ks << np.uint64(32)) | ms
-    return _uniform_from_raw(_raw_from_counters(np.asarray(marks_keys, dtype=np.uint64), counters))
+    z = (ks << _U64_32) | np.asarray(particle_indices, dtype=np.uint64)
+    z += _U64_ONE
+    z *= _U64_GOLD
+    z += np.asarray(marks_keys, dtype=np.uint64)
+    return _uniform_from_raw(_mix64_inplace(z))
 
 
 def stream_keys(master_seed: int, replicas, particles, kind: str) -> np.ndarray:

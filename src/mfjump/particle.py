@@ -111,24 +111,29 @@ def apply_jump(
     measure: EmpiricalMeasure,
     h_main: float,
     h_collateral: np.ndarray | None,
+    in_place: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One main jump plus its simultaneous collateral kicks (pure).
+    """One main jump plus its simultaneous collateral kicks.
 
     All amplitudes are evaluated at the pre-jump positions and measure.
     ``h_collateral is None`` means the jump has no collateral channel (the
     intermediate system and limit copies).  Returns (new_positions,
-    main_amplitude).
+    main_amplitude); new_positions is a copy unless ``in_place``, which
+    writes the jump into ``positions`` (the caller then invalidates any
+    measure built on them).
     """
     n = positions.shape[0]
     xj = positions[jumper].copy()
     psi = spec.main_jump(xj[None, :], measure, np.asarray([h_main]))[0]
-    out = positions.copy()
+    delta = None
     if h_collateral is not None:
         theta = np.asarray(spec.collateral_jump(xj, positions, measure, h_main, h_collateral))
         if np.any(theta):
             delta = theta / n
             delta[jumper] = 0.0
-            out += delta
+    out = positions if in_place else positions.copy()
+    if delta is not None:
+        out += delta
     out[jumper] = xj + psi
     return out, psi
 
@@ -429,12 +434,12 @@ class CoupledSimulator:
                     h_main = float(h_coll[j])
                 elif h_main is None:
                     h_main = float(marks_uniforms(int(keys[j]), k, pids[j : j + 1])[0])
-                new_pos, _psi = apply_jump(spec, s.pos, j, mu, h_main, h_coll if s.kind == "X" else None)
                 s.jump_times.append(tau)
                 s.jump_particles.append(j)
                 s.jump_pre.append(s.pos[j].copy())
-                s.jump_post.append(new_pos[j].copy())
-                s.set_positions(new_pos)
+                apply_jump(spec, s.pos, j, mu, h_main, h_coll if s.kind == "X" else None, in_place=True)
+                s.jump_post.append(s.pos[j].copy())
+                s._measure.mark_dirty()
                 moved = slice(None) if s.kind == "X" else moved or slice(j, j + 1)
             if moved is not None:
                 self._update_sup(moved)

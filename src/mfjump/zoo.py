@@ -75,9 +75,8 @@ def build_lipschitz_demo(params: LipschitzDemoParams) -> ModelSpec:
         return -p.jump_scale * x * h[:, None]
 
     def collateral_jump(xj, targets, m, h1, h2):
-        return p.collateral_amp * (2.0 * _as_h2_column(h2, targets.shape[0]) - 1.0) * np.ones(
-            (targets.shape[0], d)
-        )
+        n = targets.shape[0]
+        return np.broadcast_to(p.collateral_amp * (2.0 * _as_h2_column(h2, n) - 1.0), (n, d))
 
     def main_jump_mean(x, m):
         return -0.5 * p.jump_scale * x
@@ -153,9 +152,8 @@ def build_convex_potential(params: ConvexPotentialParams) -> ModelSpec:
         return -p.jump_scale * x * h[:, None]
 
     def collateral_jump(xj, targets, m, h1, h2):
-        return p.collateral_amp * (2.0 * _as_h2_column(h2, targets.shape[0]) - 1.0) * np.ones(
-            (targets.shape[0], d)
-        )
+        n = targets.shape[0]
+        return np.broadcast_to(p.collateral_amp * (2.0 * _as_h2_column(h2, n) - 1.0), (n, d))
 
     def main_jump_mean(x, m):
         return -0.5 * p.jump_scale * x
@@ -252,7 +250,8 @@ def build_neuronal(params: NeuronalParams) -> ModelSpec:
         return p.reset_max * h[:, None] * np.ones((x.shape[0], d)) - x
 
     def collateral_jump(xj, targets, m, h1, h2):
-        return p.collateral_amp * _as_h2_column(h2, targets.shape[0]) * np.ones((targets.shape[0], d))
+        n = targets.shape[0]
+        return np.broadcast_to(p.collateral_amp * _as_h2_column(h2, n), (n, d))
 
     def main_jump_mean(x, m):
         return 0.5 * p.reset_max * np.ones_like(x) - x

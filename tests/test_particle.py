@@ -88,6 +88,10 @@ def test_forced_collateral_jump_shifts_by_theta_over_n():
     assert np.array_equal(psi, np.zeros(1))
     assert new[0, 0] == 1.0  # main jump is null
     assert np.allclose(new[1:, 0], pos[1:, 0] + 0.25)  # Theta / N with N = 4
+    # in place: the same bits, written into the positions passed in
+    inplace = pos.copy()
+    out, _ = apply_jump(spec, inplace, 0, make_empirical(inplace), 0.5, np.full(4, 0.5), in_place=True)
+    assert out is inplace and np.array_equal(inplace, new)
 
 
 def test_main_jump_uses_pre_jump_state_for_collateral():
