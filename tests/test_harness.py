@@ -113,9 +113,11 @@ def test_sweep_report_regenerates_from_manifest(tmp_path):
     manifest_cfg = payload["report"]["manifest"]["config"]
     manifest_cfg["output"]["dir"] = str(tmp_path / "regen")
     run_chaos_sweep(SimConfig.from_dict(manifest_cfg))
-    assert (tmp_path / "orig" / "distances.csv").read_bytes() == (
-        tmp_path / "regen" / "distances.csv"
-    ).read_bytes()
+    orig, regen = tmp_path / "orig", tmp_path / "regen"
+    plots = sorted(p.name for p in (orig / "plotdata").glob("*.dat"))
+    assert plots and plots == sorted(p.name for p in (regen / "plotdata").glob("*.dat"))
+    for rel in ["distances.csv", "flow.npz", *(f"plotdata/{p}" for p in plots)]:
+        assert (orig / rel).read_bytes() == (regen / rel).read_bytes(), rel
 
 
 def test_sweep_partial_failure_persists_other_cells(tmp_path, monkeypatch):
