@@ -65,7 +65,7 @@ _U64_GOLD = np.uint64(_GOLD)
 _U64_MIX1 = np.uint64(_MIX1)
 _U64_MIX2 = np.uint64(_MIX2)
 _U64_ONE = np.uint64(1)
-_U64_11, _U64_27, _U64_30, _U64_31, _U64_32 = (np.uint64(s) for s in (11, 27, 30, 31, 32))
+_U64_11, _U64_27, _U64_30, _U64_31 = (np.uint64(s) for s in (11, 27, 30, 31))
 
 
 class InvalidInputError(ValueError):
@@ -95,14 +95,13 @@ def _mix64_inplace(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _mix64_array(z: np.ndarray) -> np.ndarray:
-    return _mix64_inplace(np.array(z, dtype=np.uint64))
-
-
 def _raw_from_counters(key: int | np.ndarray, counters: np.ndarray) -> np.ndarray:
-    key_arr = np.asarray(key, dtype=np.uint64)
-    c = counters.astype(np.uint64, copy=False)
-    return _mix64_array(key_arr + (c + _U64_ONE) * _U64_GOLD)
+    """Raw draw #c of the stream ``key``: mix64(key + (c + 1) * GOLD), mod 2**64."""
+    z = np.array(counters, dtype=np.uint64)
+    z += _U64_ONE
+    z *= _U64_GOLD
+    z += np.asarray(key, dtype=np.uint64)
+    return _mix64_inplace(z)
 
 
 def _uniform_from_raw(raw: np.ndarray) -> np.ndarray:
@@ -199,22 +198,15 @@ def marks_uniforms(marks_key: int, event_index: int, particle_indices: np.ndarra
     (key + (k << 32) * GOLD) + (m + 1) * GOLD mod 2**64, so the event's
     part is one scalar added to the per-particle part.
     """
-    base = np.uint64((int(marks_key) + (int(event_index) << 32) * _GOLD) & _MASK)
-    z = np.array(particle_indices, dtype=np.uint64)
-    z += _U64_ONE
-    z *= _U64_GOLD
-    z += base
-    return _uniform_from_raw(_mix64_inplace(z))
+    base = (int(marks_key) + (int(event_index) << 32) * _GOLD) & _MASK
+    return _uniform_from_raw(_raw_from_counters(base, particle_indices))
 
 
 def marks_uniforms_batch(marks_keys: np.ndarray, event_indices: np.ndarray, particle_indices: np.ndarray) -> np.ndarray:
     """Vectorized ``marks_uniforms``: one (key, event, particle) triple per row."""
     ks = np.asarray(event_indices, dtype=np.uint64)
-    z = (ks << _U64_32) | np.asarray(particle_indices, dtype=np.uint64)
-    z += _U64_ONE
-    z *= _U64_GOLD
-    z += np.asarray(marks_keys, dtype=np.uint64)
-    return _uniform_from_raw(_mix64_inplace(z))
+    counters = (ks << np.uint64(32)) | np.asarray(particle_indices, dtype=np.uint64)
+    return _uniform_from_raw(_raw_from_counters(marks_keys, counters))
 
 
 def stream_keys(master_seed: int, replicas, particles, kind: str) -> np.ndarray:
@@ -224,10 +216,10 @@ def stream_keys(master_seed: int, replicas, particles, kind: str) -> np.ndarray:
     reps = np.asarray(replicas, dtype=np.uint64)
     parts = np.asarray(particles, dtype=np.uint64)
     h = np.uint64(mix64(master_seed))
-    h = _mix64_array(h ^ ((reps + _U64_ONE) * _U64_GOLD))
-    h = _mix64_array(h ^ ((parts + _U64_ONE) * _U64_GOLD))
+    h = _mix64_inplace(h ^ ((reps + _U64_ONE) * _U64_GOLD))
+    h = _mix64_inplace(h ^ ((parts + _U64_ONE) * _U64_GOLD))
     kmix = np.uint64((KIND_CODES[kind] * _GOLD) & _MASK)
-    h = _mix64_array(h ^ kmix)
+    h = _mix64_inplace(h ^ kmix)
     return h
 
 
@@ -285,17 +277,14 @@ class StreamArray:
         return self.uniforms_at(slice(None))
 
     def uniforms_at(self, idx: np.ndarray | slice) -> np.ndarray:
-        u = _uniform_from_raw(
-            _mix64_array(self.keys[idx] + (self.counters[idx] + _U64_ONE) * _U64_GOLD)
-        )
+        u = _uniform_from_raw(_raw_from_counters(self.keys[idx], self.counters[idx]))
         self.counters[idx] += _U64_ONE
         return u
 
     def normals_block(self, k: int) -> np.ndarray:
         """(n, k) standard normals; each stream advances by k."""
-        offs = np.arange(1, k + 1, dtype=np.uint64)
-        ctr = self.counters[:, None] + offs[None, :]
-        raw = _mix64_array(self.keys[:, None] + ctr * _U64_GOLD)
+        ctr = self.counters[:, None] + np.arange(k, dtype=np.uint64)[None, :]
+        raw = _raw_from_counters(self.keys[:, None], ctr)
         self.counters += np.uint64(k)
         return ndtri(_uniform_from_raw(raw))
 

@@ -111,16 +111,13 @@ def apply_jump(
     measure: EmpiricalMeasure,
     h_main: float,
     h_collateral: np.ndarray | None,
-    in_place: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One main jump plus its simultaneous collateral kicks.
+    """One main jump plus its simultaneous collateral kicks, written into ``positions``.
 
     All amplitudes are evaluated at the pre-jump positions and measure.
     ``h_collateral is None`` means the jump has no collateral channel (the
-    intermediate system and limit copies).  Returns (new_positions,
-    main_amplitude); new_positions is a copy unless ``in_place``, which
-    writes the jump into ``positions`` (the caller then invalidates any
-    measure built on them).
+    intermediate system and limit copies).  Returns (positions,
+    main_amplitude); the caller invalidates any measure built on them.
     """
     n = positions.shape[0]
     xj = positions[jumper].copy()
@@ -131,11 +128,10 @@ def apply_jump(
         if np.any(theta):
             delta = theta / n
             delta[jumper] = 0.0
-    out = positions if in_place else positions.copy()
     if delta is not None:
-        out += delta
-    out[jumper] = xj + psi
-    return out, psi
+        positions += delta
+    positions[jumper] = xj + psi
+    return positions, psi
 
 
 class _LiveSystem:
@@ -437,7 +433,7 @@ class CoupledSimulator:
                 s.jump_times.append(tau)
                 s.jump_particles.append(j)
                 s.jump_pre.append(s.pos[j].copy())
-                apply_jump(spec, s.pos, j, mu, h_main, h_coll if s.kind == "X" else None, in_place=True)
+                apply_jump(spec, s.pos, j, mu, h_main, h_coll if s.kind == "X" else None)
                 s.jump_post.append(s.pos[j].copy())
                 s._measure.mark_dirty()
                 moved = slice(None) if s.kind == "X" else moved or slice(j, j + 1)

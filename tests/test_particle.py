@@ -84,14 +84,12 @@ def test_forced_collateral_jump_shifts_by_theta_over_n():
     )
     pos = np.asarray([[1.0], [2.0], [3.0], [4.0]])
     mu = make_empirical(pos)
-    new, psi = apply_jump(spec, pos, jumper=0, measure=mu, h_main=0.5, h_collateral=np.full(4, 0.5))
+    new = pos.copy()
+    out, psi = apply_jump(spec, new, jumper=0, measure=mu, h_main=0.5, h_collateral=np.full(4, 0.5))
+    assert out is new  # the jump is written into the positions passed in
     assert np.array_equal(psi, np.zeros(1))
     assert new[0, 0] == 1.0  # main jump is null
     assert np.allclose(new[1:, 0], pos[1:, 0] + 0.25)  # Theta / N with N = 4
-    # in place: the same bits, written into the positions passed in
-    inplace = pos.copy()
-    out, _ = apply_jump(spec, inplace, 0, make_empirical(inplace), 0.5, np.full(4, 0.5), in_place=True)
-    assert out is inplace and np.array_equal(inplace, new)
 
 
 def test_main_jump_uses_pre_jump_state_for_collateral():
@@ -105,7 +103,7 @@ def test_main_jump_uses_pre_jump_state_for_collateral():
     )
     pos = np.asarray([[2.0], [0.0]])
     mu = make_empirical(pos)
-    new, _ = apply_jump(spec, pos, 0, mu, 0.5, np.full(2, 0.5))
+    new, _ = apply_jump(spec, pos.copy(), 0, mu, 0.5, np.full(2, 0.5))
     assert new[0, 0] == 0.0
     assert new[1, 0] == pytest.approx(1.0)  # Theta(xj=2)/N=2
 
@@ -350,7 +348,7 @@ class _ReferenceSimulator(CoupledSimulator):
                         marks_uniforms(int(self.bundle.marks_keys[j]), int(k), np.asarray([pids[j]]))[0]
                     )
                     h_coll = marks_uniforms(int(self.bundle.marks_keys[j]), int(k), pids) if s.kind == "X" else None
-                    new_pos, _psi = apply_jump(spec, s.pos, j, mu, h_main, h_coll)
+                    new_pos, _psi = apply_jump(spec, s.pos.copy(), j, mu, h_main, h_coll)
                     s.jump_times.append(float(tau))
                     s.jump_particles.append(j)
                     s.jump_pre.append(s.pos[j].copy())
