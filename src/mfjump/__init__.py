@@ -6,16 +6,7 @@ random drivers, and measures coupling distances, convergence rates and
 moment/jump-count diagnostics.
 """
 
-from .drivers import (
-    DriverBundle,
-    PoissonEvent,
-    StreamKey,
-    StreamState,
-    brownian_increment,
-    derive_stream,
-    make_driver_bundle,
-    next_candidate_event,
-)
+from .drivers import DriverBundle, StreamKey, StreamState, make_driver_bundle
 from .models import (
     AssumptionReport,
     EmpiricalMeasure,
@@ -24,21 +15,17 @@ from .models import (
     make_empirical,
     validate_model,
 )
-from .metrics import fit_rate, jump_count_stats, moment_diagnostics, path_sup_distance, w1_1d, w1_assignment
+from .metrics import fit_rate, jump_count_stats, moment_diagnostics, w1_1d, w1_assignment
 from .zoo import build, default_params, model_ids
 from .particle import (
     InitSampler,
     Observable,
-    PathRecord,
     PathRecordSet,
     StepPolicy,
-    SystemState,
     coordinate_function,
     generator_apply,
     simulate,
     simulate_coupled,
-    step_X,
-    step_Y,
 )
 from .limit import FlowApproximation, coupled_chaos_run, picard_iterate, simulate_ensemble, solve_limit
 from .harness import SimConfig, run_chaos_sweep, run_diagnostics, run_validate

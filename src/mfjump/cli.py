@@ -96,17 +96,26 @@ def _cmd_diagnostics(args) -> int:
 
 
 def _read_samples(path: str) -> np.ndarray:
+    """One sample per row; only the first non-comment row may be a header."""
     rows = []
+    header_ok = True
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
             parts = line.replace(",", " ").split()
             try:
-                rows.append([float(p) for p in parts])
+                row = [float(p) for p in parts]
             except ValueError:
-                continue  # header row
+                if header_ok:
+                    header_ok = False
+                    continue
+                raise SystemExit(f"{path}, line {lineno}: not a row of numbers: {line!r}") from None
+            header_ok = False
+            if rows and len(row) != len(rows[0]):
+                raise SystemExit(f"{path}, line {lineno}: {len(row)} columns, the first row has {len(rows[0])}")
+            rows.append(row)
     if not rows:
         raise SystemExit(f"no numeric rows in {path}")
     return np.asarray(rows)

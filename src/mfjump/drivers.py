@@ -158,39 +158,6 @@ class StreamState:
         return ndtri(self.uniforms(n))
 
 
-def derive_stream(key: StreamKey) -> StreamState:
-    """Materialize the stream addressed by ``key`` at counter 0."""
-    return StreamState(key.hash64())
-
-
-def brownian_increment(stream: StreamState, dt: float, d1: int) -> np.ndarray:
-    """One Brownian increment: N(0, dt * I) in R^d1."""
-    if not dt > 0:
-        raise InvalidInputError(f"dt must be positive, got {dt}")
-    return stream.normals(d1) * np.sqrt(dt)
-
-
-@dataclass(frozen=True)
-class PoissonEvent:
-    """A candidate event of a thinned Poisson stream.
-
-    ``u`` is uniform on (0, rate_bound); the caller accepts the event iff
-    ``u <= rate(state)``.  Marks are addressed lazily through
-    ``mark``/``marks`` so untouched coordinates are never drawn.
-    """
-
-    time: float
-    u: float
-    marks_key: int
-    event_index: int
-
-    def mark(self, particle_index: int) -> float:
-        return float(self.marks(np.asarray([particle_index]))[0])
-
-    def marks(self, particle_indices: np.ndarray) -> np.ndarray:
-        return marks_uniforms(self.marks_key, self.event_index, particle_indices)
-
-
 def marks_uniforms(marks_key: int, event_index: int, particle_indices: np.ndarray) -> np.ndarray:
     """Mark coordinates for one event: uniform #((k << 32) | m) of the marks stream.
 
@@ -221,32 +188,6 @@ def stream_keys(master_seed: int, replicas, particles, kind: str) -> np.ndarray:
     kmix = np.uint64((KIND_CODES[kind] * _GOLD) & _MASK)
     h = _mix64_inplace(h ^ kmix)
     return h
-
-
-def next_candidate_event(
-    stream: StreamState,
-    t: float,
-    horizon: float,
-    rate_bound: float,
-    marks_key: int = 0,
-    event_index: int = 0,
-) -> PoissonEvent | None:
-    """Next candidate at bounding rate ``rate_bound``, or None past ``horizon``.
-
-    Consumes one uniform for the inter-arrival time and, only if the
-    candidate lands inside the horizon, a second one for the thinning level
-    ``u``.
-    """
-    if not rate_bound > 0:
-        raise InvalidInputError(f"rate_bound must be positive, got {rate_bound}")
-    if not t < horizon:
-        raise InvalidInputError("t must be before horizon")
-    w = -np.log(stream.uniforms(1)[0]) / rate_bound
-    tau = t + w
-    if tau > horizon:
-        return None
-    u = stream.uniforms(1)[0] * rate_bound
-    return PoissonEvent(time=float(tau), u=float(u), marks_key=marks_key, event_index=event_index)
 
 
 class StreamArray:
@@ -350,8 +291,10 @@ def collect_candidates(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """All candidate events in (t0, t1] across the bundle's Poisson streams.
 
-    Per particle the stream is consumed as alternating (inter-arrival,
-    thinning-level) uniforms, identically to ``next_candidate_event``.
+    Each particle's Poisson stream is consumed as alternating uniforms: an
+    inter-arrival uniform w places the next candidate ``-log(w) / bound``
+    later; if that lies in (t0, t1], a thinning-level uniform, scaled by
+    the bound, follows.  The walk ends with the first candidate past t1.
     Returns (times, jumpers, u_levels, event_indices) sorted by time with
     ties broken by particle index.  Particles with zero bound emit nothing.
     """

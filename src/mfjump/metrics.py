@@ -122,26 +122,6 @@ def w1_capped(a, b, cap: int = ASSIGNMENT_CAP, seed: int = 0) -> float:
     return w1_assignment(a[idx], b[idx], cap=cap)
 
 
-def path_sup_distance(p, q) -> float:
-    """sup over [0, T] of the Euclidean distance between two cadlag paths.
-
-    Evaluation points are the union of both records' grids and jump times;
-    at each point both the post-jump value and the left limit are compared.
-    """
-    if abs(p.horizon - q.horizon) > 1e-12:
-        raise InvalidInputError("paths must share the same horizon")
-    pts = np.union1d(
-        np.union1d(np.asarray(p.times), np.asarray(q.times)),
-        np.union1d(np.asarray(p.jump_times()), np.asarray(q.jump_times())),
-    )
-    best = 0.0
-    for t in pts:
-        d_right = float(np.linalg.norm(p.eval(t) - q.eval(t)))
-        d_left = float(np.linalg.norm(p.eval_left(t) - q.eval_left(t)))
-        best = max(best, d_right, d_left)
-    return best
-
-
 @dataclass(frozen=True)
 class RateFit:
     slope: float

@@ -31,7 +31,7 @@ never silently absorbed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -464,122 +464,6 @@ class CoupledSimulator:
 
 
 @dataclass
-class SystemState:
-    """State of one system between public single-step calls."""
-
-    t: float
-    positions: np.ndarray
-    jump_times: list = field(default_factory=list)
-    jump_particles: list = field(default_factory=list)
-    jump_pre: list = field(default_factory=list)
-    jump_post: list = field(default_factory=list)
-
-    @property
-    def jump_count(self) -> int:
-        return len(self.jump_times)
-
-
-def _step_single(
-    kind: str,
-    state: SystemState,
-    spec: ModelSpec,
-    dt: float,
-    drivers: DriverBundle,
-    policy: StepPolicy | None = None,
-    scheme: str = "euler",
-    flow=None,
-) -> SystemState:
-    if not dt > 0:
-        raise InvalidInputError("dt must be positive")
-    sim = CoupledSimulator(spec, drivers, systems=(kind,), flow=flow, policy=policy, scheme=scheme)
-    sim.t = state.t
-    sim.set_initial(state.positions)
-    sys = sim.systems[0]
-    sys.jump_times = list(state.jump_times)
-    sys.jump_particles = list(state.jump_particles)
-    sys.jump_pre = list(state.jump_pre)
-    sys.jump_post = list(state.jump_post)
-    sim.advance(state.t + dt)
-    return SystemState(
-        t=sim.t,
-        positions=sys.pos.copy(),
-        jump_times=sys.jump_times,
-        jump_particles=sys.jump_particles,
-        jump_pre=sys.jump_pre,
-        jump_post=sys.jump_post,
-    )
-
-
-def step_X(state: SystemState, spec: ModelSpec, dt: float, drivers: DriverBundle, **kw) -> SystemState:
-    """One step of the interacting system (simultaneous collateral jumps)."""
-    return _step_single("X", state, spec, dt, drivers, **kw)
-
-
-def step_Y(state: SystemState, spec: ModelSpec, dt: float, drivers: DriverBundle, **kw) -> SystemState:
-    """One step of the intermediate system (collateral jumps absorbed into drift)."""
-    return _step_single("Y", state, spec, dt, drivers, **kw)
-
-
-@dataclass
-class PathRecord:
-    """Cadlag path of one particle: grid knots plus exact own-jump times."""
-
-    times: np.ndarray
-    values: np.ndarray  # (G, d)
-    jtimes: np.ndarray
-    jpre: np.ndarray  # (E, d)
-    jpost: np.ndarray  # (E, d)
-
-    def __post_init__(self):
-        knots = [(float(t), v, v) for t, v in zip(self.times, self.values)]
-        knots += [
-            (float(t), pre, post) for t, pre, post in zip(self.jtimes, self.jpre, self.jpost)
-        ]
-        knots.sort(key=lambda kv: kv[0])
-        self._kt = np.asarray([k[0] for k in knots])
-        self._kl = np.asarray([k[1] for k in knots])
-        self._kr = np.asarray([k[2] for k in knots])
-
-    @property
-    def horizon(self) -> float:
-        return float(self.times[-1])
-
-    def jump_times(self) -> np.ndarray:
-        return self.jtimes
-
-    def _interp(self, t: float, i: int) -> np.ndarray:
-        # linear between knot i's right value and knot i+1's left value
-        t0, t1 = self._kt[i], self._kt[i + 1]
-        if t1 <= t0:
-            return self._kr[i]
-        w = (t - t0) / (t1 - t0)
-        return (1.0 - w) * self._kr[i] + w * self._kl[i + 1]
-
-    def eval(self, t: float) -> np.ndarray:
-        """Cadlag value (post-jump at jump times)."""
-        i = int(np.searchsorted(self._kt, t, side="right")) - 1
-        if i < 0:
-            return self._kl[0]
-        if i >= len(self._kt) - 1:
-            return self._kr[-1]
-        if self._kt[i] == t:
-            return self._kr[i]
-        return self._interp(t, i)
-
-    def eval_left(self, t: float) -> np.ndarray:
-        """Left limit (pre-jump at jump times)."""
-        i = int(np.searchsorted(self._kt, t, side="left"))
-        if i < len(self._kt) and self._kt[i] == t:
-            return self._kl[i]
-        i -= 1
-        if i < 0:
-            return self._kl[0]
-        if i >= len(self._kt) - 1:
-            return self._kr[-1]
-        return self._interp(t, i)
-
-
-@dataclass
 class PathRecordSet:
     """Grid paths of all particles of one system plus its jump log."""
 
@@ -597,16 +481,6 @@ class PathRecordSet:
     @property
     def jump_count(self) -> int:
         return len(self.jump_times)
-
-    def record(self, i: int) -> PathRecord:
-        sel = self.jump_particles == i
-        return PathRecord(
-            times=self.times,
-            values=self.positions[:, i, :],
-            jtimes=self.jump_times[sel],
-            jpre=self.jump_pre[sel],
-            jpost=self.jump_post[sel],
-        )
 
 
 def _pathset_from(sim_times: list, sim_positions: list, sys: _LiveSystem, dim: int) -> PathRecordSet:
@@ -888,8 +762,8 @@ def single_step_weak_estimate(
 
     Vectorizes the one-step scheme over independent replicas; each replica
     is a full N-particle copy with its own streams, addressed exactly like
-    a solo run with that replica id (validated against the reference
-    stepper in the tests).  Requires a declared global rate bound and
+    a solo run with that replica id (checked against one-cell ``simulate``
+    runs in the tests).  Requires a declared global rate bound and
     coefficients that use the measure only through its mean.
 
     With ``control_variate`` (linear phi and declared mark means only),

@@ -11,16 +11,14 @@ from mfjump.drivers import (
     InvalidInputError,
     StreamKey,
     StreamState,
-    brownian_increment,
     collect_candidates,
-    derive_stream,
     make_driver_bundle,
     marks_uniforms,
     marks_uniforms_batch,
     mix64,
-    next_candidate_event,
     stream_keys,
 )
+from scalar_walk import next_candidate_event
 
 VECTORS = Path(__file__).parent / "data" / "stream_vectors.json"
 
@@ -39,16 +37,16 @@ def test_frozen_reference_vectors():
     for e in data["entries"]:
         key = StreamKey(e["master_seed"], e["replica"], e["particle"], e["kind"])
         assert key.hash64() == e["key_hash"]
-        s = derive_stream(key)
+        s = StreamState(key.hash64())
         assert [int(x) for x in s.raw(4)] == e["raw_u64"]
-        s = derive_stream(key)
+        s = StreamState(key.hash64())
         assert np.allclose(s.uniforms(4), e["uniforms"], rtol=0, atol=0)
 
 
 def test_same_key_bit_identical():
     key = StreamKey(123, 4, 5, "poisson")
-    a = derive_stream(key).uniforms(100)
-    b = derive_stream(key).uniforms(100)
+    a = StreamState(key.hash64()).uniforms(100)
+    b = StreamState(key.hash64()).uniforms(100)
     assert np.array_equal(a, b)
 
 
@@ -66,8 +64,8 @@ def test_distinct_particles_pass_chi_square_independence():
     # only in the particle index, tested against the uniform product law
     n = 10_000
     k = 8
-    a = derive_stream(StreamKey(42, 0, 0, "brownian")).uniforms(n)
-    b = derive_stream(StreamKey(42, 0, 1, "brownian")).uniforms(n)
+    a = StreamState(StreamKey(42, 0, 0, "brownian").hash64()).uniforms(n)
+    b = StreamState(StreamKey(42, 0, 1, "brownian").hash64()).uniforms(n)
     counts, _, _ = np.histogram2d(a, b, bins=k, range=[[0, 1], [0, 1]])
     expected = n / k**2
     stat = float(((counts - expected) ** 2 / expected).sum())
@@ -75,30 +73,20 @@ def test_distinct_particles_pass_chi_square_independence():
 
 
 def test_uniforms_in_open_interval():
-    u = derive_stream(StreamKey(1, 0, 0, "init")).uniforms(10_000)
+    u = StreamState(StreamKey(1, 0, 0, "init").hash64()).uniforms(10_000)
     assert np.all(u > 0) and np.all(u < 1)
 
 
 def test_brownian_increment_moments():
     n = 100_000
     dt = 0.01
-    big = derive_stream(StreamKey(7, 0, 0, "brownian")).normals(n) * np.sqrt(dt)
+    big = StreamState(StreamKey(7, 0, 0, "brownian").hash64()).normals(n) * np.sqrt(dt)
     assert abs(big.mean()) < 3 * np.sqrt(dt / n)
     assert abs(big.var() - dt) / dt < 0.05
 
 
-def test_brownian_increment_shape_and_errors():
-    s = derive_stream(StreamKey(7, 0, 0, "brownian"))
-    inc = brownian_increment(s, 0.5, 3)
-    assert inc.shape == (3,)
-    with pytest.raises(InvalidInputError):
-        brownian_increment(s, 0.0, 1)
-    with pytest.raises(InvalidInputError):
-        brownian_increment(s, -1.0, 1)
-
-
 def test_next_candidate_event_vanishing_bound():
-    s = derive_stream(StreamKey(3, 0, 0, "poisson"))
+    s = StreamState(StreamKey(3, 0, 0, "poisson").hash64())
     assert next_candidate_event(s, 0.0, 1.0, 1e-12) is None
     with pytest.raises(InvalidInputError):
         next_candidate_event(s, 0.0, 1.0, 0.0)
@@ -111,7 +99,7 @@ def test_candidate_counts_match_poisson_law():
     rate, horizon, reps = 2.0, 10.0, 10_000
     total = 0
     for r in range(reps):
-        s = derive_stream(StreamKey(11, r, 0, "poisson"))
+        s = StreamState(StreamKey(11, r, 0, "poisson").hash64())
         t = 0.0
         while True:
             ev = next_candidate_event(s, t, horizon, rate)
@@ -128,7 +116,7 @@ def test_thinning_recovers_target_rate():
     lam, bound, horizon, reps = 1.0, 2.0, 10.0, 4000
     accepted = 0
     for r in range(reps):
-        s = derive_stream(StreamKey(13, r, 0, "poisson"))
+        s = StreamState(StreamKey(13, r, 0, "poisson").hash64())
         t = 0.0
         while True:
             ev = next_candidate_event(s, t, horizon, bound)
@@ -142,7 +130,7 @@ def test_thinning_recovers_target_rate():
 
 
 def test_event_u_within_bound_and_times_increase():
-    s = derive_stream(StreamKey(17, 0, 0, "poisson"))
+    s = StreamState(StreamKey(17, 0, 0, "poisson").hash64())
     t = 0.0
     prev = -1.0
     for _ in range(50):
@@ -201,14 +189,14 @@ def test_mark_batch_equals_per_row_marks(rows):
 
 
 def test_poisson_event_lazy_marks():
-    s = derive_stream(StreamKey(5, 0, 2, "poisson"))
+    s = StreamState(StreamKey(5, 0, 2, "poisson").hash64())
     mkey = StreamKey(5, 0, 2, "marks").hash64()
     ev = next_candidate_event(s, 0.0, 100.0, 1.0, marks_key=mkey, event_index=0)
     assert ev.mark(2) == marks_uniforms(mkey, 0, np.asarray([2]))[0]
 
 
 def test_collect_candidates_matches_scalar_walk():
-    # the vectorized collector consumes streams exactly like the scalar API,
+    # the vectorized collector consumes streams exactly like the scalar walk,
     # also when the bundle's rows span several replicas
     n = 5
     bounds = np.asarray([2.0, 0.0, 1.0, 3.0, 0.5])
@@ -224,7 +212,7 @@ def test_collect_candidates_matches_scalar_walk():
             if bounds[i] == 0:
                 assert not np.any(jumpers == i)
                 continue
-            s = derive_stream(StreamKey(33, int(row_reps[i]), int(row_parts[i]), "poisson"))
+            s = StreamState(StreamKey(33, int(row_reps[i]), int(row_parts[i]), "poisson").hash64())
             t = 0.0
             expect = []
             while True:

@@ -242,6 +242,16 @@ def test_cli_wasserstein(tmp_path, capsys):
     assert cli_main(["wasserstein", str(a), str(b)]) == 0
     out = capsys.readouterr().out.strip()
     assert float(out) == pytest.approx(4.0 / 3.0)
+    # only the first row may be a header: a later unparseable row or a
+    # ragged row is an error naming the file and line, never skipped
+    bad = tmp_path / "bad.csv"
+    bad.write_text("x\n0.1\n0.5\nabc\n0.9\n")
+    with pytest.raises(SystemExit, match=r"bad\.csv, line 4"):
+        cli_main(["wasserstein", str(bad), str(b)])
+    ragged = tmp_path / "ragged.csv"
+    ragged.write_text("0.1,0.2\n0.3\n")
+    with pytest.raises(SystemExit, match=r"ragged\.csv, line 2"):
+        cli_main(["wasserstein", str(ragged), str(b)])
 
 
 def test_cli_simulate_writes_versioned_files(tmp_path):

@@ -7,11 +7,12 @@ import yaml
 from scipy.stats import kstest
 
 from mfjump.cli import main as cli_main
-from mfjump.drivers import derive_stream, make_driver_bundle, next_candidate_event, StreamKey
+from mfjump.drivers import make_driver_bundle, StreamKey, StreamState
 from mfjump.limit import constant_flow, coupled_chaos_run, solve_limit
 from mfjump.models import AssumptionMeta, ModelSpec, collateral_drift, make_empirical
-from mfjump.particle import InitSampler, StepPolicy, SystemState, simulate, simulate_coupled, step_Y
+from mfjump.particle import InitSampler, simulate, simulate_coupled
 from mfjump.zoo import build
+from scalar_walk import next_candidate_event
 
 
 def test_thinned_interarrival_law():
@@ -19,7 +20,7 @@ def test_thinned_interarrival_law():
     lam, bound = 1.0, 2.5
     gaps = []
     for r in range(300):
-        s = derive_stream(StreamKey(88, r, 0, "poisson"))
+        s = StreamState(StreamKey(88, r, 0, "poisson").hash64())
         t, last = 0.0, 0.0
         while True:
             ev = next_candidate_event(s, t, 30.0, bound)
@@ -80,10 +81,10 @@ def test_general_collateral_mean_drives_y_drift():
     lam0 = 1.25
     spec = _pairwise_spec(lam0)
     y = np.asarray([[1.0], [3.0], [-1.0]])
-    st = step_Y(SystemState(t=0.0, positions=y.copy()), spec, 0.01,
-                make_driver_bundle(5, 0, 3))
+    st = simulate("Y", spec, 3, 0.01, 0.01, make_driver_bundle(5, 0, 3),
+                  initial_positions=y.copy(), scheme="euler")
     expected = y + 0.01 * lam0 * y.mean()
-    assert np.allclose(st.positions, expected, atol=1e-14)
+    assert np.allclose(st.positions[-1], expected, atol=1e-14)
 
 
 def test_general_collateral_mean_limit_drift_quadrature():

@@ -8,14 +8,12 @@ from mfjump.metrics import (
     _lap_solve,
     fit_rate,
     jump_count_stats,
-    path_sup_distance,
     subsample_indices,
     w1_1d,
     w1_assignment,
     w1_capped,
     wilson_interval,
 )
-from mfjump.particle import PathRecord
 
 
 def brute_force_w1(a: np.ndarray, b: np.ndarray) -> float:
@@ -248,51 +246,6 @@ def test_fit_rate_errors():
         fit_rate([8, 16, 32], [1.0, -0.5, 0.1])
 
 
-def _record(times, values, jtimes=(), jpre=(), jpost=()):
-    e = len(jtimes)
-    return PathRecord(
-        times=np.asarray(times, dtype=float),
-        values=np.asarray(values, dtype=float).reshape(len(times), -1),
-        jtimes=np.asarray(jtimes, dtype=float),
-        jpre=np.asarray(jpre, dtype=float).reshape(e, -1) if e else np.zeros((0, 1)),
-        jpost=np.asarray(jpost, dtype=float).reshape(e, -1) if e else np.zeros((0, 1)),
-    )
-
-
-def test_path_sup_distance_trivial():
-    p = _record([0, 1, 2], [0.0, 0.5, 1.0])
-    assert path_sup_distance(p, p) == 0.0
-    q = _record([0, 1, 2], [0.3, 0.8, 1.3])
-    assert path_sup_distance(p, q) == pytest.approx(0.3, abs=1e-12)
-
-
-def test_path_sup_distance_step_function():
-    # p identically 0, q a unit step at t=1 on [0, 2]
-    p = _record([0, 2], [0.0, 0.0])
-    q = _record([0, 2], [0.0, 1.0], jtimes=[1.0], jpre=[0.0], jpost=[1.0])
-    assert path_sup_distance(p, q) == pytest.approx(1.0, abs=1e-12)
-    # the sup is attained at the jump evaluation point, not the grid
-    assert float(np.linalg.norm(q.eval(1.0) - q.eval_left(1.0))) == pytest.approx(1.0)
-
-
-def test_path_sup_distance_horizon_mismatch():
-    p = _record([0, 1], [0.0, 0.0])
-    q = _record([0, 2], [0.0, 0.0])
-    with pytest.raises(InvalidInputError):
-        path_sup_distance(p, q)
-
-
-def test_path_record_cadlag_reconstruction():
-    rec = _record([0, 1, 2], [0.0, 0.5, 1.5], jtimes=[0.5], jpre=[0.2], jpost=[0.4])
-    assert rec.eval(0.5)[0] == pytest.approx(0.4)
-    assert rec.eval_left(0.5)[0] == pytest.approx(0.2)
-    # linear interpolation inside segments
-    assert rec.eval(0.25)[0] == pytest.approx(0.1)
-    assert rec.eval(0.75)[0] == pytest.approx(0.45)
-    # right of the horizon clamps
-    assert rec.eval(3.0)[0] == pytest.approx(1.5)
-
-
 def test_wilson_interval_basics():
     lo, hi = wilson_interval(0, 50)
     assert lo == 0.0 and hi < 0.1
@@ -328,13 +281,3 @@ def test_moment_diagnostics_constant_rate_and_power_range():
         assert series.trend_slope == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(InvalidInputError):
         moment_diagnostics(paths, spec, 5)
-
-
-def test_path_sup_distance_dominates_pointwise_distance():
-    rng = _rng(61)
-    times = np.asarray([0.0, 0.5, 1.0, 1.5, 2.0])
-    p = _record(times, rng.uniforms(5))
-    q = _record(times, rng.uniforms(5))
-    sup = path_sup_distance(p, q)
-    for t in times:
-        assert sup >= float(np.linalg.norm(p.eval(t) - q.eval(t))) - 1e-15

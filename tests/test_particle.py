@@ -14,7 +14,6 @@ from mfjump.particle import (
     NumericalBlowupError,
     RateBoundViolation,
     StepPolicy,
-    SystemState,
     Observable,
     _collateral_drift_y,
     _frozen_coefficients,
@@ -25,8 +24,6 @@ from mfjump.particle import (
     simulate,
     simulate_coupled,
     single_step_weak_estimate,
-    step_X,
-    step_Y,
 )
 from mfjump.zoo import build
 
@@ -59,6 +56,12 @@ def _spec(drift, rate, main, collateral=_zero_collateral, dim=1, sigma=None,
     )
 
 
+def _one_step(system, spec, x0, h, bundle, policy=None):
+    """One Euler step from t=0: ``T = dt = h`` gives one output cell ending at h."""
+    return simulate(system, spec, bundle.n, h, h, bundle, initial_positions=x0,
+                    scheme="euler", policy=policy).positions[-1]
+
+
 def test_step_x_euler_arithmetic():
     # null jumps: one Euler step of F(x) = -x from 1 gives 0.9 regardless of
     # how many candidate events were accepted
@@ -69,9 +72,8 @@ def test_step_x_euler_arithmetic():
         cap=5.0,
     )
     for seed in range(5):
-        st = step_X(SystemState(t=0.0, positions=np.asarray([[1.0]])), spec, 0.1,
-                    make_driver_bundle(seed, 0, 1))
-        assert st.positions[0, 0] == pytest.approx(0.9, abs=0)
+        pos = _one_step("X", spec, np.asarray([[1.0]]), 0.1, make_driver_bundle(seed, 0, 1))
+        assert pos[0, 0] == pytest.approx(0.9, abs=0)
 
 
 def test_forced_collateral_jump_shifts_by_theta_over_n():
@@ -132,10 +134,10 @@ def test_step_y_equals_step_x_bitwise_when_no_collateral():
     x0 = np.asarray([[0.4], [-0.2], [1.1]])
     bx = make_driver_bundle(9, 0, 3)
     by = make_driver_bundle(9, 0, 3)
-    sx = step_X(SystemState(t=0.0, positions=x0.copy()), spec, 0.25, bx)
-    sy = step_Y(SystemState(t=0.0, positions=x0.copy()), spec, 0.25, by)
-    assert sx.positions.tobytes() == sy.positions.tobytes()
-    assert sx.jump_times == sy.jump_times
+    sx = simulate("X", spec, 3, 0.25, 0.25, bx, initial_positions=x0.copy(), scheme="euler")
+    sy = simulate("Y", spec, 3, 0.25, 0.25, by, initial_positions=x0.copy(), scheme="euler")
+    assert sx.positions[-1].tobytes() == sy.positions[-1].tobytes()
+    assert sx.jump_times.tolist() == sy.jump_times.tolist()
 
 
 def test_y_collateral_drift_constant():
@@ -150,9 +152,8 @@ def test_y_collateral_drift_constant():
             cap=lam0,
             collateral_mean=np.asarray([cbar]),
         )
-        st = step_Y(SystemState(t=0.0, positions=np.zeros((n, 1))), spec, 0.1,
-                    make_driver_bundle(n, 0, n))
-        assert np.allclose(st.positions, 0.1 * lam0 * cbar, atol=1e-15)
+        pos = _one_step("Y", spec, np.zeros((n, 1)), 0.1, make_driver_bundle(n, 0, n))
+        assert np.allclose(pos, 0.1 * lam0 * cbar, atol=1e-15)
 
 
 def test_y_collateral_drift_state_dependent_rate():
@@ -168,15 +169,14 @@ def test_y_collateral_drift_state_dependent_rate():
     )
     y = np.asarray([[1.0], [-3.0]])
     # keep candidate bounds from seeing any accepted jumps: psi = 0 anyway
-    st = step_Y(SystemState(t=0.0, positions=y.copy()), spec, 0.01,
-                make_driver_bundle(4, 0, 2))
+    pos = _one_step("Y", spec, y.copy(), 0.01, make_driver_bundle(4, 0, 2))
     expected = y + 0.01 * ((1.0 + 3.0) / 2.0) * theta_bar
-    assert np.allclose(st.positions, expected, atol=1e-14)
+    assert np.allclose(pos, expected, atol=1e-14)
     # the 'target' reading uses each particle's own rate instead
-    st2 = step_Y(SystemState(t=0.0, positions=y.copy()), spec, 0.01,
-                 make_driver_bundle(4, 0, 2), policy=StepPolicy(ysystem_rate_arg="target"))
+    pos2 = _one_step("Y", spec, y.copy(), 0.01, make_driver_bundle(4, 0, 2),
+                     policy=StepPolicy(ysystem_rate_arg="target"))
     expected2 = y + 0.01 * np.abs(y) * theta_bar
-    assert np.allclose(st2.positions, expected2, atol=1e-14)
+    assert np.allclose(pos2, expected2, atol=1e-14)
 
 
 def test_exact_integrator_ou_decay():
@@ -229,19 +229,6 @@ def test_jump_bookkeeping_counts_match():
     assert np.all(paths.jump_times <= 1.0 + 1e-12)
 
 
-def test_path_record_grid_values_match_stepper():
-    spec = build("lipschitz-demo", {})
-    paths = simulate("X", spec, 5, 1.0, 0.1, make_driver_bundle(10, 0, 5),
-                     init=InitSampler(mean=(0.5,), std=0.5))
-    rec = paths.record(2)
-    for gi, t in enumerate(paths.times):
-        assert np.allclose(rec.eval(float(t)), paths.positions[gi, 2], atol=0)
-    # cadlag: just after an own jump the record equals the post value
-    own = paths.jump_particles == 2
-    for t, post in zip(paths.jump_times[own], paths.jump_post[own]):
-        assert np.allclose(rec.eval(float(t)), post, atol=0)
-
-
 def test_rate_bound_violation_surfaces():
     # the declared global bound is a lie: the first candidate evaluation sees
     # rate 2 above bound 1, retries cannot fix it, and the error surfaces
@@ -290,8 +277,7 @@ def test_numerical_blowup_carries_state():
 def test_invalid_dt_rejected():
     spec = build("lipschitz-demo", {})
     with pytest.raises(InvalidInputError):
-        step_X(SystemState(t=0.0, positions=np.zeros((1, 1))), spec, 0.0,
-               make_driver_bundle(0, 0, 1))
+        _one_step("X", spec, np.zeros((1, 1)), 0.0, make_driver_bundle(0, 0, 1))
 
 
 class _ReferenceSimulator(CoupledSimulator):
@@ -568,8 +554,7 @@ def test_weak_kernel_matches_reference_stepper():
                                     replica_base=1 << 41, return_positions=True)
     for r in (0, 1, 7, 33, 63):
         b = make_driver_bundle(9, (1 << 41) + r, 2)
-        st = step_X(SystemState(t=0.0, positions=x0.copy()), spec, h, b)
-        assert np.array_equal(st.positions, pos[r])
+        assert np.array_equal(_one_step("X", spec, x0.copy(), h, b), pos[r])
 
 
 def test_weak_kernel_with_diffusion_matches_reference_stepper():
@@ -580,8 +565,7 @@ def test_weak_kernel_with_diffusion_matches_reference_stepper():
                                     replica_base=1 << 42, return_positions=True)
     for r in (0, 5, 15):
         b = make_driver_bundle(4, (1 << 42) + r, 2)
-        st = step_X(SystemState(t=0.0, positions=x0.copy()), spec, 2.0**-5, b)
-        assert np.allclose(st.positions, pos[r], rtol=0, atol=1e-15)
+        assert np.allclose(_one_step("X", spec, x0.copy(), 2.0**-5, b), pos[r], rtol=0, atol=1e-15)
 
 
 def test_weak_error_first_order_slope():
