@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .drivers import make_driver_bundle
+from .drivers import InvalidInputError, make_driver_bundle
 from .harness import SimConfig, SweepError, run_chaos_sweep, run_diagnostics, run_validate, save_jumplog_csv, save_paths_csv
 from .metrics import w1_1d, w1_assignment
 from .models import ProbeConfig
@@ -126,10 +126,10 @@ def _cmd_wasserstein(args) -> int:
     b = _read_samples(args.file_b)
     if a.shape != b.shape:
         raise SystemExit(f"sample shapes differ: {a.shape} vs {b.shape}")
-    if a.shape[1] == 1:
-        dist = w1_1d(a[:, 0], b[:, 0])
-    else:
-        dist = w1_assignment(a, b)
+    try:
+        dist = w1_1d(a[:, 0], b[:, 0]) if a.shape[1] == 1 else w1_assignment(a, b)
+    except InvalidInputError as exc:
+        raise SystemExit(f"W1 between {args.file_a} and {args.file_b}: {exc}") from None
     print(repr(dist))
     return 0
 

@@ -5,16 +5,14 @@ criterion.  Budgets are sized for a laptop-scale machine; the chaos-rate
 sweep is the longest item.
 """
 
-import json
 from itertools import permutations
 
 import numpy as np
-import pytest
 
 from mfjump.drivers import make_driver_bundle, StreamKey, StreamState
 from mfjump.harness import SimConfig, run_chaos_sweep, run_diagnostics
 from mfjump.limit import solve_limit
-from mfjump.metrics import fit_rate, jump_count_stats, w1_1d, w1_assignment, wilson_interval
+from mfjump.metrics import fit_rate, jump_count_stats, w1_1d, w1_assignment
 from mfjump.models import AssumptionMeta, ModelSpec
 from mfjump.particle import (
     InitSampler,

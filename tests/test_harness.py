@@ -1,6 +1,5 @@
 import json
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -252,6 +251,16 @@ def test_cli_wasserstein(tmp_path, capsys):
     ragged.write_text("0.1,0.2\n0.3\n")
     with pytest.raises(SystemExit, match=r"ragged\.csv, line 2"):
         cli_main(["wasserstein", str(ragged), str(b)])
+    # samples the library rejects exit with both file names and its reason
+    big_a, big_b = tmp_path / "big_a.csv", tmp_path / "big_b.csv"
+    big_a.write_text("0.0 1.0\n" * 600)
+    big_b.write_text("1.0 0.0\n" * 600)
+    with pytest.raises(SystemExit, match=r"big_a\.csv and .*big_b\.csv: n=600 exceeds assignment cap 512"):
+        cli_main(["wasserstein", str(big_a), str(big_b)])
+    nan = tmp_path / "nan.csv"
+    nan.write_text("x\nnan\n0.0\n3.0\n")
+    with pytest.raises(SystemExit, match=r"nan\.csv and .*b\.csv: .*1 rows of a and 0 rows of b hold NaN or inf"):
+        cli_main(["wasserstein", str(nan), str(b)])
 
 
 def test_cli_simulate_writes_versioned_files(tmp_path):

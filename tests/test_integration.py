@@ -2,14 +2,13 @@
 multi-dimensional runs, thinning law."""
 
 import numpy as np
-import pytest
 import yaml
 from scipy.stats import kstest
 
 from mfjump.cli import main as cli_main
 from mfjump.drivers import make_driver_bundle, StreamKey, StreamState
 from mfjump.limit import constant_flow, coupled_chaos_run, solve_limit
-from mfjump.models import AssumptionMeta, ModelSpec, collateral_drift, make_empirical
+from mfjump.models import AssumptionMeta, ModelSpec, collateral_drift
 from mfjump.particle import InitSampler, simulate, simulate_coupled
 from mfjump.zoo import build
 from scalar_walk import next_candidate_event

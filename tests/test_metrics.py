@@ -1,11 +1,17 @@
+import os
+import subprocess
+import sys
+import textwrap
 from itertools import permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mfjump
 from mfjump.drivers import InvalidInputError, StreamKey, StreamState
 from mfjump.metrics import (
-    _lap_solve,
+    _linear_sum_assignment,
     fit_rate,
     jump_count_stats,
     subsample_indices,
@@ -31,7 +37,7 @@ def _rng(seed):
 
 
 def reference_lap_solve(cost: np.ndarray) -> np.ndarray:
-    """The assignment solver that the lazy-dual one replaced, kept as an oracle.
+    """A plain-numpy assignment solver, kept as the oracle for the compiled one.
 
     Augments one row at a time along shortest reduced-cost paths, updating
     the dual potentials u, v on every step of the path search.  Ties in the
@@ -129,8 +135,8 @@ def test_w1_assignment_agrees_with_scipy():
 
 @pytest.mark.parametrize("case", ["independent", "near-identity", "identical", "n=1", "d=3"])
 def test_lap_solve_matches_replaced_solver(case):
-    # clouds in general position have one optimal permutation, so the new
-    # solver must return exactly the replaced one's and W1 the same bits
+    # clouds in general position have one optimal permutation, so the library
+    # solver must return exactly the oracle's and W1 the same bits
     rng = np.random.default_rng(2016)
     n, d = {"n=1": (1, 2), "d=3": (200, 3)}.get(case, (512, 2))
     a = rng.normal(size=(n, d))
@@ -141,26 +147,63 @@ def test_lap_solve_matches_replaced_solver(case):
     }.get(case, rng.normal(size=(n, d)))
     cost = _cost(a, b)
     ref = reference_lap_solve(cost)
-    assert np.array_equal(_lap_solve(cost), ref)
+    rows, cols = _linear_sum_assignment()(cost)
+    assert np.array_equal(rows, np.arange(n))
+    assert np.array_equal(cols, ref)
     assert w1_assignment(a, b) == float(cost[np.arange(n), ref].mean())
 
 
 def test_lap_solve_with_ties_is_an_optimal_permutation():
     # duplicate and rounded points admit several optimal permutations: any
-    # of them will do, at scipy's optimal cost
-    from scipy.optimize import linear_sum_assignment
-
+    # of them will do, at the oracle's optimal cost
     rng = np.random.default_rng(7)
     for n, d in [(300, 2), (66, 3), (9, 2)]:
         a = np.round(rng.normal(size=(n, d)), 0)
         b = np.repeat(rng.normal(size=(n // 3, d)), 3, axis=0)[rng.permutation(n)]
         for x, y in [(a, b), (a, a[rng.permutation(n)]), (b, b)]:
             cost = _cost(x, y)
-            cols = _lap_solve(cost)
+            rows, cols = _linear_sum_assignment()(cost)
             assert np.array_equal(np.sort(cols), np.arange(n))
-            r, c = linear_sum_assignment(cost)
-            best = cost[r, c].sum()
-            assert cost[np.arange(n), cols].sum() == pytest.approx(best, rel=1e-12, abs=1e-12)
+            best = cost[np.arange(n), reference_lap_solve(cost)].sum()
+            assert cost[rows, cols].sum() == pytest.approx(best, rel=1e-12, abs=1e-12)
+
+
+_SOLVER_PROBE = textwrap.dedent("""
+    import importlib.machinery, sys
+    import numpy as np
+    from mfjump.metrics import _linear_sum_assignment, w1_assignment
+    if sys.argv[1] == "fallback":
+        importlib.machinery.EXTENSION_SUFFIXES.clear()  # no _lsap file is found
+    rng = np.random.default_rng(11)
+    a, b = rng.normal(size=(200, 2)), rng.normal(size=(200, 2))
+    w1 = w1_assignment(a, b)
+    package_loaded = "scipy.optimize" in sys.modules
+    cost = np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
+    cols = _linear_sum_assignment()(cost)[1]
+    from scipy.optimize import linear_sum_assignment
+    later = linear_sum_assignment(cost)[1]
+    print(package_loaded, w1.hex(), np.array_equal(later, cols), " ".join(map(str, cols)))
+""")
+
+
+def test_solver_loads_without_importing_scipy_optimize():
+    # the compiled solver comes from its extension file, not through
+    # scipy.optimize's __init__ (~22 MB); a later import of the package and
+    # the package-import fallback give the same columns
+    src = str(Path(mfjump.__file__).resolve().parents[1])
+    out = {}
+    for mode in ("direct", "fallback"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _SOLVER_PROBE, mode],
+            capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
+        out[mode] = proc.stdout.split(maxsplit=3)
+    assert out["direct"][0] == "False"
+    assert out["fallback"][0] == "True"
+    assert out["direct"][2] == out["fallback"][2] == "True"
+    assert out["direct"][1] == out["fallback"][1]
+    assert out["direct"][3] == out["fallback"][3]
 
 
 def test_w1_rejects_non_finite_samples():
