@@ -34,7 +34,9 @@ Gaussians are ``ndtri(uniform)``; exponential inter-arrival times are
 Mark coordinates are addressed statelessly: the mark for particle index
 ``m`` attached to candidate event number ``k`` of a given marks stream is
 uniform number ``(k << 32) | m`` of that stream.  Only the coordinates a
-jump actually touches are ever materialized.
+jump actually touches are ever materialized.  Because ``m`` fills the low
+32 bits of that address, particle ids are distinct integers in
+[0, 2**32); ``DriverBundle`` and ``make_driver_bundle`` reject others.
 
 Reference vectors for ``(seed=42, replica=0, particle=0, kind="brownian")``
 are frozen in ``tests/data/stream_vectors.json``.
@@ -43,6 +45,7 @@ are frozen in ``tests/data/stream_vectors.json``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.special import ndtri
@@ -80,10 +83,10 @@ def mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _mix64_inplace(z: np.ndarray) -> np.ndarray:
-    """mix64 on a uint64 array, overwriting it, with one temporary buffer."""
+def _mix64_inplace(z: np.ndarray, tmp: np.ndarray | None = None) -> np.ndarray:
+    """mix64 on a uint64 array, overwriting it, with one scratch buffer ``tmp``."""
     # uint64 array ops wrap mod 2**64, matching mix64 on scalars
-    tmp = np.empty_like(z)
+    tmp = np.empty_like(z) if tmp is None else tmp
     np.right_shift(z, _U64_30, out=tmp)
     z ^= tmp
     z *= _U64_MIX1
@@ -95,20 +98,26 @@ def _mix64_inplace(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _raw_from_counters(key: int | np.ndarray, counters: np.ndarray) -> np.ndarray:
-    """Raw draw #c of the stream ``key``: mix64(key + (c + 1) * GOLD), mod 2**64."""
+def _counter_offsets(counters) -> np.ndarray:
+    """(c + 1) * GOLD mod 2**64: the counter's part of a raw draw's address."""
     z = np.array(counters, dtype=np.uint64)
     z += _U64_ONE
     z *= _U64_GOLD
-    z += np.asarray(key, dtype=np.uint64)
-    return _mix64_inplace(z)
+    return z
 
 
-def _uniform_from_raw(raw: np.ndarray) -> np.ndarray:
-    """((raw >> 11) + 0.5) * 2**-53 as float64; overwrites ``raw``."""
+def _raw_from_counters(key: int | np.ndarray, counters, offsets=None, out=None, tmp=None) -> np.ndarray:
+    """Raw draw #c of the stream ``key``: mix64(key + (c + 1) * GOLD), mod 2**64; ``offsets``
+    may hold ``_counter_offsets(counters)``, and then ``out`` and ``tmp`` uint64 buffers to hash in."""
+    if offsets is None:
+        offsets = out = _counter_offsets(counters)
+    return _mix64_inplace(np.add(offsets, np.asarray(key, dtype=np.uint64), out=out), tmp)
+
+
+def _uniform_from_raw(raw: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """((raw >> 11) + 0.5) * 2**-53 as float64, into ``out``; overwrites ``raw``."""
     raw >>= _U64_11
-    u = raw.astype(np.float64)
-    u += 0.5
+    u = np.add(raw, 0.5, out=out)
     u *= 2.0**-53
     return u
 
@@ -158,15 +167,16 @@ class StreamState:
         return ndtri(self.uniforms(n))
 
 
-def marks_uniforms(marks_key: int, event_index: int, particle_indices: np.ndarray) -> np.ndarray:
+def marks_uniforms(marks_key: int, event_index: int, particle_indices, *, offsets=None, out=None, scratch=(None, None)):
     """Mark coordinates for one event: uniform #((k << 32) | m) of the marks stream.
 
     For m < 2**32, key + ((k << 32 | m) + 1) * GOLD equals
     (key + (k << 32) * GOLD) + (m + 1) * GOLD mod 2**64, so the event's
     part is one scalar added to the per-particle part.
+    ``offsets`` may hold that part (``DriverBundle.mark_offsets``), ``out`` a float64 and ``scratch`` a (2, n) uint64 buffer.
     """
     base = (int(marks_key) + (int(event_index) << 32) * _GOLD) & _MASK
-    return _uniform_from_raw(_raw_from_counters(base, particle_indices))
+    return _uniform_from_raw(_raw_from_counters(base, particle_indices, offsets, *scratch), out)
 
 
 def marks_uniforms_batch(marks_keys: np.ndarray, event_indices: np.ndarray, particle_indices: np.ndarray) -> np.ndarray:
@@ -236,9 +246,9 @@ class DriverBundle:
 
     The same bundle is handed to every process of a coupled set so all of
     them consume identical drivers particle by particle.  ``cand_counts``
-    tracks each particle's candidate-event counter, which addresses marks.
-    ``replica`` is one id for every row, or an array with one id per row
-    (independent replicas batched into one bundle).
+    counts each particle's candidate events and ``mark_offsets`` holds its
+    part of every mark address.  ``replica`` is one id for every row, or an
+    array with one id per row (batched replicas, which may repeat ids).
     """
 
     master_seed: int
@@ -252,6 +262,8 @@ class DriverBundle:
 
     def __post_init__(self):
         ids = np.asarray(self.particle_ids)
+        if ids.size and (ids.dtype.kind not in "iu" or ids.min() < 0 or ids.max() >= 1 << 32):
+            raise InvalidInputError("particle ids must be integers in [0, 2**32): the mark address is (k << 32) | id")
         self.particle_ids = ids
         reps = np.broadcast_to(self.replica, ids.shape)
         self.brownian = StreamArray(stream_keys(self.master_seed, reps, ids, "brownian"))
@@ -263,6 +275,10 @@ class DriverBundle:
     @property
     def n(self) -> int:
         return len(self.particle_ids)
+
+    @cached_property
+    def mark_offsets(self) -> np.ndarray:  # only bundles that hash mark rows pay for it
+        return _counter_offsets(self.particle_ids)
 
     def snapshot(self) -> dict:
         return {
@@ -283,6 +299,8 @@ def make_driver_bundle(master_seed: int, replica: int, n: int, particle_ids=None
     ids = np.arange(n) if particle_ids is None else np.asarray(particle_ids)
     if len(ids) != n:
         raise InvalidInputError("particle_ids length must equal n")
+    if particle_ids is not None and np.ndim(replica) == 0 and len(np.unique(ids)) != n:
+        raise InvalidInputError("particle_ids of one replica must be distinct: equal ids share every stream")
     return DriverBundle(master_seed, replica, ids)
 
 

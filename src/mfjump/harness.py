@@ -81,6 +81,8 @@ class RunSection:
         if not self.dt > 0:
             raise ConfigError("run.dt must be positive")
         ns = list(self.Ns)
+        if not all(isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1 for n in ns):
+            raise ConfigError(f"run.Ns entries must be integers >= 1, got {ns}")
         if any(b <= a for a, b in zip(ns, ns[1:])):
             raise ConfigError("run.Ns must be strictly increasing")
         if self.replicas < 1:
@@ -109,6 +111,10 @@ class LimitSection:
     picard_tol: float = 1e-3
     picard_max_iter: int = 10
 
+    def __post_init__(self):
+        if self.ensemble < 0:
+            raise ConfigError(f"limit.ensemble must be >= 0 (0 = automatic), got {self.ensemble}")
+
 
 @dataclass(frozen=True)
 class SteppingSection:
@@ -117,6 +123,12 @@ class SteppingSection:
     candidate_cap: float = 1.0
     max_retries: int = 8
     ysystem_rate_arg: str = "jumper"
+
+    def __post_init__(self):
+        try:
+            self.policy()
+        except InvalidInputError as exc:
+            raise ConfigError(f"stepping.{exc}") from exc
 
     def policy(self) -> StepPolicy:
         return StepPolicy(

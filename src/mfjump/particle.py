@@ -12,9 +12,9 @@ j by the main amplitude and every other particle by the collateral
 amplitude over N, both evaluated at the pre-jump state.  The marks of a
 candidate are hashed once: an accepted X jump hashes the collateral row
 and takes its element j as the main mark, which Y and LIMIT reuse.  The
-running sup distances of coupled pairs are updated only on rows that
-moved: row j after a Y or LIMIT jump, every row after an X jump, after
-each decay of the exact scheme and at the end of every sub-step.
+running sup distances of coupled pairs fold only rows that moved: a
+pair folds every row after an X jump in it, row j after a Y or LIMIT
+jump in it, and every row after each exact-scheme decay and sub-step.
 
 For the pull-to-origin, diffusion-free class an exact integrator replaces
 Euler: between events positions follow the closed-form exponential decay,
@@ -76,6 +76,10 @@ class StepPolicy:
     def __post_init__(self):
         if self.ysystem_rate_arg not in ("jumper", "target"):
             raise InvalidInputError("ysystem_rate_arg must be 'jumper' or 'target'")
+        if not (math.isfinite(self.candidate_cap) and self.candidate_cap > 0):
+            raise InvalidInputError(f"candidate_cap must be positive and finite, got {self.candidate_cap!r}")
+        if self.max_retries < 0:
+            raise InvalidInputError(f"max_retries must be >= 0, got {self.max_retries!r}")
 
 
 @dataclass(frozen=True)
@@ -111,25 +115,22 @@ def apply_jump(
     measure: EmpiricalMeasure,
     h_main: float,
     h_collateral: np.ndarray | None,
+    kick: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One main jump plus its simultaneous collateral kicks, written into ``positions``.
 
     All amplitudes are evaluated at the pre-jump positions and measure.
     ``h_collateral is None`` means the jump has no collateral channel (the
-    intermediate system and limit copies).  Returns (positions,
-    main_amplitude); the caller invalidates any measure built on them.
+    intermediate system and limit copies); ``kick`` may hold an (n, d) buffer for the kicks.
+    Returns (positions, main_amplitude); the caller invalidates any measure built on them.
     """
     n = positions.shape[0]
     xj = positions[jumper].copy()
     psi = spec.main_jump(xj[None, :], measure, np.asarray([h_main]))[0]
-    delta = None
     if h_collateral is not None:
         theta = np.asarray(spec.collateral_jump(xj, positions, measure, h_main, h_collateral))
-        if np.any(theta):
-            delta = theta / n
-            delta[jumper] = 0.0
-    if delta is not None:
-        positions += delta
+        if theta.any():
+            positions += np.divide(theta, n, out=kick)  # the jumper's row is overwritten below
     positions[jumper] = xj + psi
     return positions, psi
 
@@ -166,12 +167,6 @@ class _LiveSystem:
 
     def set_positions(self, new: np.ndarray) -> None:
         self.pos[:] = new
-        self._measure.mark_dirty()
-
-    def scale_shift(self, factor: float, g: np.ndarray | None, one_minus: float) -> None:
-        self.pos *= factor
-        if g is not None:
-            self.pos += g * one_minus
         self._measure.mark_dirty()
 
     def snapshot(self) -> dict:
@@ -318,6 +313,9 @@ class CoupledSimulator:
         self.t = 0.0
         self.retry_count = 0
         self.sup: dict[str, np.ndarray] = {}
+        self._marks = np.empty(drivers.n)  # buffers for every accepted X jump
+        self._mark_scratch = np.empty((2, drivers.n), dtype=np.uint64)
+        self._kick = np.empty((drivers.n, spec.dim))
         self._pairs = []  # (system a, system b, sup array) per coupled pair
         for (a, b), key in self.PAIR_KEYS.items():
             if a in systems and b in systems:
@@ -361,9 +359,12 @@ class CoupledSimulator:
         for k in self.sup:
             self.sup[k][:] = snap["sup"][k]
 
-    def _update_sup(self, rows: slice = slice(None)) -> None:
-        """Fold the current distances of ``rows`` into each pair's running sup."""
-        for a, b, sup in self._pairs:
+    def _update_sup(self, jumped: list | None = None, j: int = 0) -> None:
+        """Fold current distances into each pair's sup; after a jump of particle j, only rows ``jumped`` systems moved."""
+        for a, b, sup in self._pairs:  # X comes first in its pairs
+            if jumped is not None and a not in jumped and b not in jumped:
+                continue
+            rows = slice(None) if jumped is None or (a.kind == "X" and a in jumped) else slice(j, j + 1)
             diff = a.pos[rows] - b.pos[rows]
             np.maximum(sup[rows], np.sqrt(np.add.reduce(diff * diff, axis=1)), out=sup[rows])
 
@@ -412,7 +413,7 @@ class CoupledSimulator:
                 self._decay_all(tau - t_last, drifts)
                 t_last = tau
                 self._update_sup()  # left limits move in the exact scheme
-            h_main = h_coll = moved = None
+            h_main, h_coll, jumped = None, None, []
             bound = float(bounds[j])
             for s in self.systems:
                 mu = s.measure_now(tau)
@@ -426,19 +427,20 @@ class CoupledSimulator:
                     continue
                 # one mark hash per candidate: the main mark is element j of X's row
                 if s.kind == "X":
-                    h_coll = marks_uniforms(int(keys[j]), k, pids)
+                    h_coll = marks_uniforms(int(keys[j]), k, pids, offsets=self.bundle.mark_offsets,
+                                            out=self._marks, scratch=self._mark_scratch)
                     h_main = float(h_coll[j])
                 elif h_main is None:
                     h_main = float(marks_uniforms(int(keys[j]), k, pids[j : j + 1])[0])
                 s.jump_times.append(tau)
                 s.jump_particles.append(j)
                 s.jump_pre.append(s.pos[j].copy())
-                apply_jump(spec, s.pos, j, mu, h_main, h_coll if s.kind == "X" else None)
+                apply_jump(spec, s.pos, j, mu, h_main, h_coll if s.kind == "X" else None, self._kick)
                 s.jump_post.append(s.pos[j].copy())
                 s._measure.mark_dirty()
-                moved = slice(None) if s.kind == "X" else moved or slice(j, j + 1)
-            if moved is not None:
-                self._update_sup(moved)
+                jumped.append(s)
+            if jumped:
+                self._update_sup(jumped, j)
 
         if euler:
             for s, f, sig in zip(self.systems, drifts, diffs):
@@ -460,7 +462,10 @@ class CoupledSimulator:
         factor = math.exp(-s_dt)
         one_minus = 1.0 - factor
         for s, g in zip(self.systems, drifts):
-            s.scale_shift(factor, g, one_minus)
+            s.pos *= factor
+            if g is not None:
+                s.pos += g * one_minus
+            s._measure.mark_dirty()
 
 
 @dataclass

@@ -27,11 +27,9 @@ from .drivers import InvalidInputError
 from .models import AssumptionMeta, EmpiricalMeasure, ModelSpec
 
 
-def _as_h2_column(h2: np.ndarray | float, n: int) -> np.ndarray:
-    h = np.asarray(h2, dtype=np.float64)
-    if h.ndim == 0:
-        h = np.full(n, float(h))
-    return h[:, None]
+def _as_rows(col: np.ndarray, d: int) -> np.ndarray:
+    """An (n, 1) kick column as the (n, d) collateral amplitude; in d=1 it already is one."""
+    return col if d == 1 else np.broadcast_to(col, (col.shape[0], d))
 
 
 @dataclass(frozen=True)
@@ -75,8 +73,7 @@ def build_lipschitz_demo(params: LipschitzDemoParams) -> ModelSpec:
         return -p.jump_scale * x * h[:, None]
 
     def collateral_jump(xj, targets, m, h1, h2):
-        n = targets.shape[0]
-        return np.broadcast_to(p.collateral_amp * (2.0 * _as_h2_column(h2, n) - 1.0), (n, d))
+        return _as_rows(p.collateral_amp * (2.0 * np.asarray(h2, dtype=np.float64)[:, None] - 1.0), d)
 
     def main_jump_mean(x, m):
         return -0.5 * p.jump_scale * x
@@ -152,8 +149,7 @@ def build_convex_potential(params: ConvexPotentialParams) -> ModelSpec:
         return -p.jump_scale * x * h[:, None]
 
     def collateral_jump(xj, targets, m, h1, h2):
-        n = targets.shape[0]
-        return np.broadcast_to(p.collateral_amp * (2.0 * _as_h2_column(h2, n) - 1.0), (n, d))
+        return _as_rows(p.collateral_amp * (2.0 * np.asarray(h2, dtype=np.float64)[:, None] - 1.0), d)
 
     def main_jump_mean(x, m):
         return -0.5 * p.jump_scale * x
@@ -250,8 +246,7 @@ def build_neuronal(params: NeuronalParams) -> ModelSpec:
         return p.reset_max * h[:, None] * np.ones((x.shape[0], d)) - x
 
     def collateral_jump(xj, targets, m, h1, h2):
-        n = targets.shape[0]
-        return np.broadcast_to(p.collateral_amp * _as_h2_column(h2, n), (n, d))
+        return _as_rows(p.collateral_amp * np.asarray(h2, dtype=np.float64)[:, None], d)
 
     def main_jump_mean(x, m):
         return 0.5 * p.reset_max * np.ones_like(x) - x

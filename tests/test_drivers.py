@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from mfjump.drivers import (
+    DriverBundle,
     InvalidInputError,
     StreamKey,
     StreamState,
@@ -175,6 +176,12 @@ def test_mark_row_element_is_the_single_mark_and_the_scalar_uniform(key, k, pids
     row = marks_uniforms(key, k, ids)
     for i, m in enumerate(pids):
         assert row[i] == marks_uniforms(key, k, ids[i : i + 1])[0] == _scalar_uniform(key, (k << 32) | m)
+    # the stepper's form: cached per-particle offsets, hashed in reused buffers
+    out, scratch = np.empty(len(ids)), np.empty((2, len(ids)), dtype=np.uint64)
+    offsets = DriverBundle(0, 0, ids).mark_offsets
+    for _ in range(2):
+        got = marks_uniforms(key, k, ids, offsets=offsets, out=out, scratch=scratch)
+        assert got is out and got.tobytes() == row.tobytes()
 
 
 @settings(max_examples=200, deadline=None)
@@ -186,6 +193,29 @@ def test_mark_batch_equals_per_row_marks(rows):
     )
     for i, (key, k, m) in enumerate(rows):
         assert batch[i] == marks_uniforms(key, k, np.asarray([m]))[0]
+
+
+@pytest.mark.parametrize(
+    "ids",
+    [[7 + 2**32, 1], [2**32], [-1, 0], [0.0, 1.0], [0.5, 1.5], [True, False]],
+    ids=["above-2**32", "2**32", "negative", "integral-floats", "floats", "bools"],
+)
+def test_bundle_rejects_ids_outside_the_mark_address_space(ids):
+    # id 7 + 2**32 at event 3 would read the marks of id 7 at event 4
+    assert marks_uniforms(12345, 3, np.asarray([7 + 2**32])) == marks_uniforms(12345, 4, np.asarray([7]))
+    with pytest.raises(InvalidInputError, match="2\\*\\*32"):
+        DriverBundle(1, 0, np.asarray(ids))
+    with pytest.raises(InvalidInputError, match="2\\*\\*32"):
+        make_driver_bundle(1, 0, len(ids), particle_ids=ids)
+
+
+def test_bundle_ids_distinct_within_one_replica():
+    with pytest.raises(InvalidInputError, match="distinct"):
+        make_driver_bundle(1, 0, 3, particle_ids=[4, 0, 4])
+    # batched replicas repeat ids: rows (2, 0) and (7, 0) are different streams
+    bundle = make_driver_bundle(1, np.asarray([2, 2, 7]), 3, particle_ids=[0, 1, 0])
+    assert bundle.marks_keys[0] != bundle.marks_keys[2]
+    assert make_driver_bundle(1, 0, 3, particle_ids=np.asarray([2**32 - 1, 0, 5], dtype=np.uint64)).n == 3
 
 
 def test_poisson_event_lazy_marks():

@@ -71,6 +71,27 @@ def test_config_invariants(tmp_path):
         SimConfig.from_dict(_config_dict(tmp_path, Ns=[16, 8]))
 
 
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("stepping", "candidate_cap", 0),  # was a ZeroDivisionError mid-run
+        ("stepping", "candidate_cap", -1.0),  # ran one sub-step per cell
+        ("stepping", "candidate_cap", float("nan")),  # was a bare ValueError mid-run
+        ("stepping", "candidate_cap", float("inf")),
+        ("stepping", "max_retries", -1),
+        ("run", "Ns", [0, 8, 16]),
+        ("run", "Ns", [-4, 8, 16]),
+        ("run", "Ns", [1.5, 8, 16]),
+        ("limit", "ensemble", -1),
+    ],
+)
+def test_config_rejects_values_that_would_fail_mid_run(tmp_path, section, key, value):
+    d = _config_dict(tmp_path)
+    d.setdefault(section, {})[key] = value
+    with pytest.raises(ConfigError, match=f"{section}.{key}"):
+        SimConfig.from_dict(d)
+
+
 def test_sweep_zero_collateral_and_rerun_identical(tmp_path):
     cfg = SimConfig.from_dict(_config_dict(tmp_path / "a"))
     report = run_chaos_sweep(cfg)

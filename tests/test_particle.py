@@ -285,10 +285,11 @@ class _ReferenceSimulator(CoupledSimulator):
 
     Every candidate re-hashes the main mark on its own, hashes the
     collateral row again for X, and folds every row of every pair into the
-    sup after every candidate.
+    sup after every candidate.  Jumps and decays write new position arrays
+    instead of updating them in place.
     """
 
-    def _update_sup(self, rows=None) -> None:
+    def _update_sup(self, jumped=None, j=0) -> None:
         for (a, b), key in self.PAIR_KEYS.items():
             if key in self.sup:
                 d = np.linalg.norm(self.system(a).pos - self.system(b).pos, axis=1)
@@ -354,6 +355,16 @@ class _ReferenceSimulator(CoupledSimulator):
                 raise NumericalBlowupError(t + h, s.pos.copy(), s.kind)
         self._update_sup()
 
+    def _decay_all(self, s_dt, drifts):
+        if s_dt <= 0:
+            return
+        factor = math.exp(-s_dt)
+        for s, g in zip(self.systems, drifts):
+            new = s.pos * factor
+            if g is not None:
+                new += g * (1.0 - factor)
+            s.set_positions(new)
+
 
 def _run_cells(cls, systems, spec, x0, T, dt, seed, particle_ids, **kw):
     sim = cls(spec, make_driver_bundle(seed, 0, len(x0), particle_ids=particle_ids), systems, **kw)
@@ -392,10 +403,12 @@ def _assert_same_run(systems, spec, x0, T, dt, seed, particle_ids=None, **kw):
 _STRONG_KICKS = {"collateral_amp": 3.0, "rate_slope": 3.0, "rate_cap_radius": 3.0}
 
 
-@pytest.mark.parametrize("dim", [1, 2])
-def test_event_loop_matches_reference_lipschitz_triple(dim):
+@pytest.mark.parametrize("dim, n", [(1, 16), (2, 16), (2, 257)], ids=["1", "2", "2-n257"])
+def test_event_loop_matches_reference_lipschitz_triple(dim, n):
+    # N=257: the reused mark and kick buffers and the per-pair sup fold at a
+    # size where most rows do not move on a Y or LIMIT jump
     spec = build("lipschitz-demo", dict(_STRONG_KICKS, dim=dim))
-    n, T, dt = 16, 2.0, 0.1
+    T, dt = 2.0, 0.1
     flow = solve_limit(spec, 96, T, dt, seed=5, tol=1e-12, max_iter=1)
     x0 = np.random.default_rng(dim).normal(0.3, 0.8, size=(n, dim))
     # relabeled particle ids: element j of the collateral row is then mark pids[j]
@@ -428,11 +441,26 @@ def test_event_loop_matches_reference_with_halving_retries():
     assert sim.retry_count > 0
 
 
-def test_event_loop_matches_reference_x_only():
-    spec = build("lipschitz-demo", {})
-    x0 = np.linspace(-1.0, 1.0, 16).reshape(16, 1)
-    sim = _assert_same_run(("X",), spec, x0, 1.0, 0.1, 3)
+@pytest.mark.parametrize(
+    "model, n, low, relabel",
+    [("lipschitz-demo", 16, -1.0, False), ("neuronal", 257, 0.0, True)],
+    ids=["lipschitz-demo-n16", "neuronal-n257"],
+)
+def test_event_loop_matches_reference_x_only(model, n, low, relabel):
+    # neuronal: the exact scheme's in-place decays; ids spread over [0, 2**32)
+    # check the cached per-particle mark offsets
+    spec = build(model, {})
+    x0 = np.linspace(low, 1.0, n).reshape(n, 1)
+    pids = np.random.default_rng(n).choice(2**32, n, replace=False) if relabel else None
+    sim = _assert_same_run(("X",), spec, x0, 1.0, 0.1, 3, pids)
     assert sim.sup == {}
+    assert sim.scheme == ("exact" if model == "neuronal" else "euler")
+
+
+def test_step_policy_rejects_unusable_values():
+    for bad in ({"candidate_cap": 0.0}, {"candidate_cap": float("nan")}, {"max_retries": -1}):
+        with pytest.raises(InvalidInputError, match=next(iter(bad))):
+            StepPolicy(**bad)
 
 
 # -- generator -------------------------------------------------------------
