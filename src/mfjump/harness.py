@@ -85,8 +85,8 @@ class RunSection:
             raise ConfigError(f"run.Ns entries must be integers >= 1, got {ns}")
         if any(b <= a for a, b in zip(ns, ns[1:])):
             raise ConfigError("run.Ns must be strictly increasing")
-        if self.replicas < 1:
-            raise ConfigError("run.replicas must be >= 1")
+        if not isinstance(self.replicas, (int, np.integer)) or isinstance(self.replicas, bool) or self.replicas < 1:
+            raise ConfigError(f"run.replicas must be an integer >= 1, got {self.replicas!r}")
 
 
 @dataclass(frozen=True)

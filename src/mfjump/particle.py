@@ -80,6 +80,9 @@ class StepPolicy:
             raise InvalidInputError(f"candidate_cap must be positive and finite, got {self.candidate_cap!r}")
         if self.max_retries < 0:
             raise InvalidInputError(f"max_retries must be >= 0, got {self.max_retries!r}")
+        for name, value in (("bound_mult", self.bound_mult), ("bound_add", self.bound_add)):
+            if not (math.isfinite(value) and value >= 0):
+                raise InvalidInputError(f"{name} must be finite and >= 0, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -83,6 +83,11 @@ def test_config_invariants(tmp_path):
         ("run", "Ns", [-4, 8, 16]),
         ("run", "Ns", [1.5, 8, 16]),
         ("limit", "ensemble", -1),
+        ("run", "replicas", 1.5),  # was a raw TypeError in run_diagnostics
+        ("run", "replicas", 0),
+        ("stepping", "bound_mult", -1.0),  # every cell failed
+        ("stepping", "bound_mult", float("inf")),
+        ("stepping", "bound_add", float("nan")),  # was "thresholds must be positive"
     ],
 )
 def test_config_rejects_values_that_would_fail_mid_run(tmp_path, section, key, value):

@@ -2,16 +2,20 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from itertools import permutations
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mfjump
 from mfjump.drivers import InvalidInputError, StreamKey, StreamState
 from mfjump.metrics import (
     _linear_sum_assignment,
+    _pairwise_cost,
     fit_rate,
     jump_count_stats,
     subsample_indices,
@@ -84,6 +88,7 @@ def reference_lap_solve(cost: np.ndarray) -> np.ndarray:
 
 
 def _cost(a, b):
+    """The one-line cost ``w1_assignment`` used to build, kept as the oracle."""
     return np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2)
 
 
@@ -168,6 +173,66 @@ def test_lap_solve_with_ties_is_an_optimal_permutation():
             assert cost[rows, cols].sum() == pytest.approx(best, rel=1e-12, abs=1e-12)
 
 
+# magnitudes from 1e-300 (squares underflow) to 1e150 (squares near the top
+# of float64), either sign; rows are drawn from a smaller pool, so they repeat
+_COORD = st.builds(lambda m, s: s * m, st.floats(1e-300, 1e150), st.sampled_from([1.0, -1.0]))
+
+
+@st.composite
+def _cloud_pair(draw):
+    d, n = draw(st.integers(2, 7)), draw(st.integers(1, 64))
+    pool = np.asarray(draw(st.lists(st.lists(_COORD, min_size=d, max_size=d), min_size=1, max_size=n)))
+    rows = st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n)
+    return pool[draw(rows)], pool[draw(rows)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair=_cloud_pair())
+def test_pairwise_cost_is_bit_identical_to_norm(pair):
+    a, b = pair
+    assert np.array_equal(_pairwise_cost(a, b), _cost(a, b))
+
+
+def test_w1_assignment_matches_replaced_cost():
+    # the old one-line cost fed to the same solver gives the same float
+    rng = np.random.default_rng(2024)
+    a, b = rng.normal(size=(512, 2)), rng.normal(size=(512, 2)) + 0.2
+    cost = _cost(a, b)
+    rows, cols = _linear_sum_assignment()(cost)
+    assert w1_assignment(a, b) == float(cost[rows, cols].mean())
+
+
+def test_identical_samples_skip_the_solve(monkeypatch):
+    def no_solve():
+        raise AssertionError("identical samples reached the solver")
+
+    monkeypatch.setattr("mfjump.metrics._linear_sum_assignment", no_solve)
+    rng = np.random.default_rng(5)
+    a = np.repeat(rng.normal(size=(40, 3)), 3, axis=0)[rng.permutation(120)]
+    assert w1_assignment(a, a.copy()) == 0.0
+    assert w1_capped(a, a.copy()) == 0.0
+    # finite rows whose pairwise distances overflow: 0.0 instead of the
+    # overflow error, which distinct samples still get
+    huge = np.asarray([[1e200, -1e200], [-1e200, 1e200], [1e200, -1e200]])
+    assert w1_assignment(huge, huge.copy()) == 0.0
+    with pytest.raises(InvalidInputError, match="overflow"), np.errstate(over="ignore"):
+        w1_assignment(huge, huge[[1, 0, 2]])
+
+
+def test_w1_assignment_peak_memory():
+    n = 512
+    rng = np.random.default_rng(9)
+    a, b = rng.normal(size=(n, 2)), rng.normal(size=(n, 2))
+    w1_assignment(a, b)  # loads the solver outside the measurement
+    tracemalloc.start()
+    try:
+        w1_assignment(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * n * n * 8, peak
+
+
 _SOLVER_PROBE = textwrap.dedent("""
     import importlib.machinery, sys
     import numpy as np
@@ -215,6 +280,9 @@ def test_w1_rejects_non_finite_samples():
         w1_assignment(a, b)
     with pytest.raises(InvalidInputError, match=r"0 rows of a and 2 rows of b"):
         w1_capped(a, b)
+    # identical samples are checked before they skip the solve
+    with pytest.raises(InvalidInputError, match=r"2 rows of a and 2 rows of b"):
+        w1_assignment(b, b.copy())
     with pytest.raises(InvalidInputError, match=r"1 rows of a and 0 rows of b"):
         w1_1d([0.0, np.nan, 1.0], [0.0, 1.0, 2.0])
     with pytest.raises(InvalidInputError, match=r"1 rows of a and 2 rows of b"):

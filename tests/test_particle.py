@@ -458,7 +458,10 @@ def test_event_loop_matches_reference_x_only(model, n, low, relabel):
 
 
 def test_step_policy_rejects_unusable_values():
-    for bad in ({"candidate_cap": 0.0}, {"candidate_cap": float("nan")}, {"max_retries": -1}):
+    for bad in (
+        {"candidate_cap": 0.0}, {"candidate_cap": float("nan")}, {"max_retries": -1},
+        {"bound_mult": -1.0}, {"bound_mult": float("inf")}, {"bound_add": float("nan")}, {"bound_add": -0.5},
+    ):
         with pytest.raises(InvalidInputError, match=next(iter(bad))):
             StepPolicy(**bad)
 
