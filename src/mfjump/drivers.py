@@ -44,11 +44,52 @@ are frozen in ``tests/data/stream_vectors.json``.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import sys
+import types
 from dataclasses import dataclass, field
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
-from scipy.special import ndtri
+import scipy
+
+
+def scipy_extension(name: str) -> types.ModuleType:
+    """scipy's compiled extension ``name`` (``scipy.special._ufuncs``), loaded from its file.
+
+    This skips the package ``__init__``: ``scipy.special``'s costs ~0.28 s and
+    ~20 MB (it imports ``numpy.f2py`` and ``numpy.testing``), ``scipy.optimize``'s
+    ~0.26 s and ~22 MB, and neither ``_ufuncs`` (``ndtri``, ``stdtrit``) nor
+    ``_lsap`` (``linear_sum_assignment``) needs them.  While the extension's init
+    imports its siblings, a transient module with the package's ``__path__``
+    stands in for the package.  The extension and its siblings stay registered
+    under their real names, so a later package import re-exports these objects.  An imported package is
+    returned as is; a missing file or a failed load removes every module it added
+    and returns the package import.
+    """
+    package, _, leaf = name.rpartition(".")
+    if (loaded := sys.modules.get(package) or sys.modules.get(name)) is not None:
+        return loaded
+    folder = Path(scipy.__file__).parent.joinpath(*package.split(".")[1:])
+    before = set(sys.modules)
+    sys.modules[package] = stand_in = types.ModuleType(package)
+    stand_in.__path__ = [str(folder)]
+    try:
+        path = next(p for s in importlib.machinery.EXTENSION_SUFFIXES if (p := folder / f"{leaf}{s}").is_file())
+        spec = importlib.util.spec_from_file_location(name, path)
+        module = sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    except Exception:  # noqa: BLE001 - any failure falls back to the package import
+        for added in set(sys.modules) - before:
+            del sys.modules[added]
+        return importlib.import_module(package)
+    del sys.modules[package]
+    return module
+
+
+ndtri = scipy_extension("scipy.special._ufuncs").ndtri
 
 _MASK = (1 << 64) - 1
 _GOLD = 0x9E3779B97F4A7C15

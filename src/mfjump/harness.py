@@ -20,14 +20,13 @@ from pathlib import Path
 
 import numpy as np
 import yaml
-from scipy.special import stdtrit
 
-from .drivers import InvalidInputError, make_driver_bundle
+from .drivers import InvalidInputError, make_driver_bundle, scipy_extension
 from .limit import FlowApproximation, coupled_chaos_run, solve_limit
 from .metrics import ChaosReport, fit_rate, jump_count_stats, moment_diagnostics
 from .models import AssumptionReport, ProbeConfig, validate_model
 from .particle import InitSampler, StepPolicy, simulate
-from .zoo import build
+from .zoo import build, default_params
 
 PKG_VERSION = "0.1.0"
 SCHEMA_VERSION = 1
@@ -35,6 +34,8 @@ DISTANCES_HEADER = "# mfjump-distances-v1"
 DIAGNOSTICS_HEADER = "# mfjump-diagnostics-v1"
 PATHS_HEADER = "# mfjump-paths-v1"
 JUMPLOG_HEADER = "# mfjump-jumplog-v1"
+
+stdtrit = scipy_extension("scipy.special._ufuncs").stdtrit
 
 
 class ConfigError(InvalidInputError):
@@ -47,6 +48,10 @@ class SweepError(RuntimeError):
     def __init__(self, message: str, failures: list[dict]):
         super().__init__(message)
         self.failures = failures
+
+
+def _integer(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 def _parse_section(cls, data: dict, path: str):
@@ -80,13 +85,17 @@ class RunSection:
             raise ConfigError("run.T must be positive")
         if not self.dt > 0:
             raise ConfigError("run.dt must be positive")
+        if self.scheme not in ("auto", "euler", "exact"):
+            raise ConfigError(f"run.scheme must be auto, euler or exact, got {self.scheme!r}")
         ns = list(self.Ns)
-        if not all(isinstance(n, (int, np.integer)) and not isinstance(n, bool) and n >= 1 for n in ns):
+        if not all(_integer(n) and n >= 1 for n in ns):
             raise ConfigError(f"run.Ns entries must be integers >= 1, got {ns}")
         if any(b <= a for a, b in zip(ns, ns[1:])):
             raise ConfigError("run.Ns must be strictly increasing")
-        if not isinstance(self.replicas, (int, np.integer)) or isinstance(self.replicas, bool) or self.replicas < 1:
+        if not _integer(self.replicas) or self.replicas < 1:
             raise ConfigError(f"run.replicas must be an integer >= 1, got {self.replicas!r}")
+        if not _integer(self.workers) or self.workers < 0:
+            raise ConfigError(f"run.workers must be an integer >= 0, got {self.workers!r}")
 
 
 @dataclass(frozen=True)
@@ -97,6 +106,10 @@ class InitSection:
     low: float = 0.0
     high: float = 1.0
     point: tuple = (0.0,)
+
+    def __post_init__(self):
+        if self.kind not in ("gauss", "uniform", "point"):
+            raise ConfigError(f"init.kind must be gauss, uniform or point, got {self.kind!r}")
 
     def sampler(self) -> InitSampler:
         return InitSampler(
@@ -114,6 +127,11 @@ class LimitSection:
     def __post_init__(self):
         if self.ensemble < 0:
             raise ConfigError(f"limit.ensemble must be >= 0 (0 = automatic), got {self.ensemble}")
+        tol = self.picard_tol
+        if not (_integer(tol) or isinstance(tol, (float, np.floating))) or not 0 < tol < np.inf:
+            raise ConfigError(f"limit.picard_tol must be a finite number > 0, got {tol!r}")
+        if not _integer(self.picard_max_iter) or self.picard_max_iter < 1:
+            raise ConfigError(f"limit.picard_max_iter must be an integer >= 1, got {self.picard_max_iter!r}")
 
 
 @dataclass(frozen=True)
@@ -158,6 +176,15 @@ class SimConfig:
     stepping: SteppingSection = field(default_factory=SteppingSection)
     diagnostics: DiagnosticsSection = field(default_factory=DiagnosticsSection)
     output: OutputSection = field(default_factory=OutputSection)
+
+    def __post_init__(self):
+        try:
+            dim = {**default_params(self.model.id), **(self.model.params or {})}["dim"]
+        except InvalidInputError as exc:
+            raise ConfigError(f"model.id: {exc}") from exc
+        key = {"gauss": "mean", "point": "point"}.get(self.init.kind)
+        if key and np.shape(getattr(self.init, key)) != (dim,):
+            raise ConfigError(f"init.{key} must hold {dim} coordinates (model dim), got {getattr(self.init, key)!r}")
 
     @staticmethod
     def from_dict(data: dict) -> "SimConfig":

@@ -8,16 +8,11 @@ cost built in place coordinate by coordinate: ``np.linalg.norm``'s bits, d <= 7.
 
 from __future__ import annotations
 
-import functools
-import importlib.machinery
-import importlib.util
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
-import scipy
 
-from .drivers import InvalidInputError, StreamKey, StreamState
+from .drivers import InvalidInputError, StreamKey, StreamState, scipy_extension
 
 ASSIGNMENT_CAP = 512
 
@@ -38,26 +33,8 @@ def w1_1d(a, b) -> float:
     return float(np.mean(np.abs(np.sort(a) - np.sort(b))))
 
 
-@functools.cache
 def _linear_sum_assignment():
-    """scipy's compiled assignment solver, loaded without importing scipy.optimize.
-
-    The package ``__init__`` costs ~22 MB of RSS and ~0.26 s; the ``_lsap``
-    extension that holds the solver is self-contained.  It registers itself
-    as ``scipy.optimize._lsap``, so a later ``import scipy.optimize`` reuses
-    it.  A scipy that ships no such file gets the package import instead.
-    """
-    folder = Path(scipy.__file__).parent / "optimize"
-    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-        path = folder / f"_lsap{suffix}"
-        if path.is_file():
-            spec = importlib.util.spec_from_file_location("scipy.optimize._lsap", path)
-            module = importlib.util.module_from_spec(spec)
-            spec.loader.exec_module(module)
-            return module.linear_sum_assignment
-    from scipy.optimize import linear_sum_assignment
-
-    return linear_sum_assignment
+    return scipy_extension("scipy.optimize._lsap").linear_sum_assignment
 
 
 def _pairwise_cost(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -1,4 +1,9 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
+import mfjump
 from mfjump.drivers import (
     DriverBundle,
     InvalidInputError,
@@ -264,3 +270,77 @@ def test_bundle_snapshot_rewinds_exactly():
     b = collect_candidates(bundle, 0.0, 2.0, np.full(3, 2.0))
     for x, y in zip(a, b):
         assert np.array_equal(x, y)
+
+
+_LOADER_PROBE = textwrap.dedent("""
+    import hashlib, importlib.machinery, sys
+    from pathlib import Path
+    mode, out = sys.argv[1:]
+    if mode == "raising":
+        # _ufuncs runs its init (loading its siblings), then raises while the stand-in is in place
+        exec_module = importlib.machinery.ExtensionFileLoader.exec_module
+        def exec_then_raise(self, module):
+            exec_module(self, module)
+            if module.__name__ == "scipy.special._ufuncs" and not hasattr(sys.modules["scipy.special"], "__file__"):
+                raise ImportError("injected")
+        importlib.machinery.ExtensionFileLoader.exec_module = exec_then_raise
+    import numpy as np
+    import mfjump
+    from mfjump.drivers import StreamState, scipy_extension
+    normals = StreamState(12345).normals(1000)
+    rng = np.random.default_rng(3)
+    w1 = mfjump.w1_assignment(rng.normal(size=(64, 2)), rng.normal(size=(64, 2)))
+    cfg = mfjump.SimConfig.from_dict({
+        "schema": 1, "model": {"id": "neuronal"}, "init": {"kind": "uniform"},
+        "run": {"T": 0.2, "dt": 0.05, "Ns": [4, 8], "replicas": 3, "seed": 5, "workers": 0},
+        "output": {"dir": out},
+    })
+    mfjump.run_diagnostics(cfg)
+    loaded = sorted(m for m in ("scipy.special", "scipy.optimize") if m in sys.modules)
+    assert all(hasattr(sys.modules[m], "__file__") for m in loaded)  # no stand-in left
+    if mode == "missing":
+        package = scipy_extension("scipy.special._no_such_kernel")
+        assert package is sys.modules["scipy.special"] and hasattr(package, "__file__")
+        assert package.ndtri is mfjump.drivers.ndtri
+        assert "scipy.special._no_such_kernel" not in sys.modules
+    if mode == "raising":
+        import scipy.special
+        assert mfjump.drivers.ndtri is scipy.special.ndtri and mfjump.harness.stdtrit is scipy.special.stdtrit
+    csv = hashlib.sha256(Path(out, "diagnostics.csv").read_bytes()).hexdigest()
+    print(",".join(loaded) or "-", hashlib.sha256(normals.tobytes()).hexdigest(), w1.hex(), csv)
+""")
+
+
+def _run_loader_probe(mode: str, out: Path) -> list[str]:
+    src = str(Path(mfjump.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADER_PROBE, mode, str(out)],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+def test_scipy_kernels_load_without_package_inits(tmp_path):
+    # a fresh interpreter draws normals, solves a d=2 assignment and runs the
+    # diagnostics (Student t quantile) without scipy.special's or
+    # scipy.optimize's __init__; the package-import fallback, taken when the
+    # extension's load raises, gives the same bits
+    direct = _run_loader_probe("direct", tmp_path / "direct")
+    fallback = _run_loader_probe("raising", tmp_path / "raising")
+    assert direct[0] == "-"
+    assert fallback[0] == "scipy.special"
+    assert direct[1:] == fallback[1:]
+    assert direct[1] == hashlib.sha256(StreamState(12345).normals(1000).tobytes()).hexdigest()
+
+
+def test_scipy_extension_falls_back_for_a_missing_file(tmp_path):
+    # no such extension file: the package import is returned and no stand-in is left behind
+    assert _run_loader_probe("missing", tmp_path)[0] == "-"
+
+
+def test_loaded_kernels_are_the_ones_scipy_special_exports():
+    import scipy.special
+
+    assert scipy.special.ndtri is mfjump.drivers.ndtri
+    assert scipy.special.stdtrit is mfjump.harness.stdtrit

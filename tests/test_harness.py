@@ -88,12 +88,36 @@ def test_config_invariants(tmp_path):
         ("stepping", "bound_mult", -1.0),  # every cell failed
         ("stepping", "bound_mult", float("inf")),
         ("stepping", "bound_add", float("nan")),  # was "thresholds must be positive"
+        ("limit", "picard_tol", 0),  # was "tol must be positive" after validate_model and config.echo
+        ("limit", "picard_tol", float("nan")),
+        ("limit", "picard_max_iter", 1.5),  # was a raw TypeError
+        ("run", "workers", 1.5),  # was a raw TypeError
+        ("run", "scheme", "bogus"),  # failed inside solve_limit
+        ("init", "kind", "bogus"),  # failed inside solve_limit
+        ("init", "mean", [0, 1]),  # d=1 model: was a raw reshape ValueError
+        ("limit", "picard_tol", float("inf")),
+        ("limit", "picard_max_iter", 0),
+        ("run", "workers", -1),
     ],
 )
 def test_config_rejects_values_that_would_fail_mid_run(tmp_path, section, key, value):
     d = _config_dict(tmp_path)
     d.setdefault(section, {})[key] = value
     with pytest.raises(ConfigError, match=f"{section}.{key}"):
+        SimConfig.from_dict(d)
+
+
+def test_config_checks_the_init_vector_its_kind_reads(tmp_path):
+    # only the vector the init kind reads must match the model's dim
+    d = _config_dict(tmp_path)
+    d["model"]["params"]["dim"] = 2
+    d["init"] = {"kind": "gauss", "mean": [0.5, 0.5]}  # point keeps its 1-d default
+    assert SimConfig.from_dict(d).init.point == (0.0,)
+    d["init"] = {"kind": "point", "point": [0.5]}
+    with pytest.raises(ConfigError, match=r"init.point must hold 2 coordinates"):
+        SimConfig.from_dict(d)
+    d["model"]["id"] = "no-such-model"
+    with pytest.raises(ConfigError, match="model.id"):
         SimConfig.from_dict(d)
 
 
@@ -314,10 +338,12 @@ def test_cli_chaos_sweep_and_seed_override(tmp_path, capsys):
 
 
 def test_stdtrit_equals_scipy_stats_t_ppf():
-    # the moment verdict's Student t quantile comes from scipy.special, which
-    # avoids importing scipy.stats; it must keep the bits of the ppf it replaced
-    from scipy.special import stdtrit
+    # the moment verdict's Student t quantile is scipy.special's compiled
+    # stdtrit, which avoids importing scipy.stats; it must keep the bits of
+    # the ppf it replaced
     from scipy.stats import t as student_t
+
+    from mfjump.harness import stdtrit
 
     for df in range(1, 200):
         for level in (0.9, 0.95, 0.975, 0.995):
