@@ -100,10 +100,9 @@ KIND_CODES = {"brownian": 1, "poisson": 2, "marks": 3, "init": 4}
 
 # Reserved replica namespaces so auxiliary consumers never collide with
 # experiment replicas (which are small integers, or (n_index << 20) | r in
-# sweep cells).
+# sweep cells).  (1 << 40) + 2 is taken by the generator in tests/weak_step.py.
 PICARD_REPLICA = 1 << 40
 PROBE_REPLICA = (1 << 40) + 1
-WEAK_TEST_REPLICA = (1 << 40) + 2
 
 _U64_GOLD = np.uint64(_GOLD)
 _U64_MIX1 = np.uint64(_MIX1)

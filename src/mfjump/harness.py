@@ -26,7 +26,7 @@ from .limit import FlowApproximation, coupled_chaos_run, solve_limit
 from .metrics import ChaosReport, fit_rate, jump_count_stats, moment_diagnostics
 from .models import AssumptionReport, ProbeConfig, validate_model
 from .particle import InitSampler, StepPolicy, simulate
-from .zoo import build, default_params
+from .zoo import build, model_ids
 
 PKG_VERSION = "0.1.0"
 SCHEMA_VERSION = 1
@@ -140,7 +140,6 @@ class SteppingSection:
     bound_add: float = 1.0
     candidate_cap: float = 1.0
     max_retries: int = 8
-    ysystem_rate_arg: str = "jumper"
 
     def __post_init__(self):
         try:
@@ -152,7 +151,6 @@ class SteppingSection:
         return StepPolicy(
             bound_mult=self.bound_mult, bound_add=self.bound_add,
             candidate_cap=self.candidate_cap, max_retries=self.max_retries,
-            ysystem_rate_arg=self.ysystem_rate_arg,
         )
 
 
@@ -179,12 +177,15 @@ class SimConfig:
 
     def __post_init__(self):
         try:
-            dim = {**default_params(self.model.id), **(self.model.params or {})}["dim"]
-        except InvalidInputError as exc:
-            raise ConfigError(f"model.id: {exc}") from exc
+            spec = build(self.model.id, self.model.params)
+        except (TypeError, ValueError) as exc:  # InvalidInputError is a ValueError
+            where = "model.params" if self.model.id in model_ids() else "model.id"
+            raise ConfigError(f"{where}: {exc}") from exc
+        if self.run.scheme == "exact" and not spec.exact_linear_ok:
+            raise ConfigError(f"run.scheme: exact needs a pull-to-origin, diffusion-free model; {self.model.id} is not one")
         key = {"gauss": "mean", "point": "point"}.get(self.init.kind)
-        if key and np.shape(getattr(self.init, key)) != (dim,):
-            raise ConfigError(f"init.{key} must hold {dim} coordinates (model dim), got {getattr(self.init, key)!r}")
+        if key and np.shape(getattr(self.init, key)) != (spec.dim,):
+            raise ConfigError(f"init.{key} must hold {spec.dim} coordinates (model dim), got {getattr(self.init, key)!r}")
 
     @staticmethod
     def from_dict(data: dict) -> "SimConfig":

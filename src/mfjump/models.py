@@ -349,19 +349,6 @@ def validate_model(spec: ModelSpec, probe: ProbeConfig | None = None) -> Assumpt
                 note=quantifier_note,
             )
         )
-        conditions.append(
-            run_pairs(
-                lambda x, y, mx, my: float(
-                    np.linalg.norm(
-                        np.asarray(spec.diffusion(x[None, :], mx))
-                        - np.asarray(spec.diffusion(y[None, :], my))
-                    )
-                ),
-                "diffusion-lipschitz",
-                spec.meta.lipschitz_diffusion,
-                note=quantifier_note,
-            )
-        )
 
     if spec.class_tag == "convex_potential":
         grad = spec.meta.potential_grad
@@ -414,6 +401,8 @@ def validate_model(spec: ModelSpec, probe: ProbeConfig | None = None) -> Assumpt
                     note="boundedness over all measures probed on empirical measures only",
                 )
             )
+
+    if spec.class_tag in ("lipschitz", "convex_potential"):
         conditions.append(
             run_pairs(
                 lambda x, y, mx, my: float(
@@ -427,8 +416,6 @@ def validate_model(spec: ModelSpec, probe: ProbeConfig | None = None) -> Assumpt
                 note=quantifier_note,
             )
         )
-
-    if spec.class_tag in ("lipschitz", "convex_potential"):
         marks = new_sampler().marks(probe.mark_draws)
         conditions.append(
             run_pairs(

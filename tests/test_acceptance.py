@@ -14,15 +14,9 @@ from mfjump.harness import SimConfig, run_chaos_sweep, run_diagnostics
 from mfjump.limit import solve_limit
 from mfjump.metrics import fit_rate, jump_count_stats, w1_1d, w1_assignment
 from mfjump.models import AssumptionMeta, ModelSpec
-from mfjump.particle import (
-    InitSampler,
-    coordinate_function,
-    generator_apply,
-    simulate,
-    simulate_coupled,
-    single_step_weak_estimate,
-)
+from mfjump.particle import InitSampler, simulate, simulate_coupled
 from mfjump.zoo import build
+from weak_step import coordinate_function, generator_apply, single_step_weak_estimate
 
 DEMO_INIT = InitSampler(kind="gauss", mean=(0.5,), std=0.5)
 NEURONAL_INIT = InitSampler(kind="uniform", low=0.0, high=1.0)

@@ -69,6 +69,11 @@ def test_config_invariants(tmp_path):
         SimConfig.from_dict(_config_dict(tmp_path, Ns=[8, 8]))
     with pytest.raises(ConfigError):
         SimConfig.from_dict(_config_dict(tmp_path, Ns=[16, 8]))
+    # the exact scheme parses for a model that allows it
+    d = _config_dict(tmp_path, scheme="exact")
+    d["model"] = {"id": "neuronal", "params": {}}
+    d["init"] = {"kind": "uniform"}
+    assert SimConfig.from_dict(d).run.scheme == "exact"
 
 
 @pytest.mark.parametrize(
@@ -98,6 +103,8 @@ def test_config_invariants(tmp_path):
         ("limit", "picard_tol", float("inf")),
         ("limit", "picard_max_iter", 0),
         ("run", "workers", -1),
+        ("run", "scheme", "exact"),  # lipschitz-demo has diffusion: failed inside solve_limit
+        ("model", "params", {"jump_scale": 2.0}),
     ],
 )
 def test_config_rejects_values_that_would_fail_mid_run(tmp_path, section, key, value):

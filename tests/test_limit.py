@@ -302,6 +302,26 @@ def test_coupled_run_triangle_inequality_and_degeneracy():
     assert np.all(s0.sup_xy == 0.0)
 
 
+def test_synchronous_coupling_is_optimal_on_grid_paths():
+    # on lipschitz-demo the optimal assignment between the X and LIMIT grid
+    # paths is the identity the coupling uses, so the coupling's grid distance
+    # is the path-space W1; d_xlimit also folds event times and bounds it
+    from scipy.optimize import linear_sum_assignment
+
+    spec = build("lipschitz-demo", {})
+    init = InitSampler(mean=(0.5,), std=0.5)
+    T, dt, N = 2.0, 0.01, 64
+    flow = solve_limit(spec, 1024, T, dt, seed=3, max_iter=8, init=init)
+    for r in range(4):
+        res = simulate_coupled(("X", "LIMIT"), spec, N, T, dt, make_driver_bundle(3, r, N),
+                               flow=flow, init=init, record_paths=True)
+        x, lim = res["paths"]["X"].positions, res["paths"]["LIMIT"].positions  # (G, N, d)
+        cost = np.linalg.norm(x[:, :, None, :] - lim[:, None, :, :], axis=3).max(axis=0)
+        rows, cols = linear_sum_assignment(cost)
+        assert np.array_equal(cols, rows)
+        assert cost[rows, cols].mean() <= np.diag(cost).mean() <= res["sup"]["xlimit"].mean()
+
+
 def test_coupled_run_measure_free_dynamics_degenerates():
     # measure-independent coefficients with mean-zero collateral: the
     # intermediate system and the limit copies follow identical dynamics on

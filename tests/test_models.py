@@ -14,7 +14,6 @@ from mfjump.models import (
     make_empirical,
     validate_model,
 )
-from mfjump.particle import _collateral_drift_y
 from mfjump.zoo import build
 
 
@@ -193,18 +192,13 @@ def test_validate_indeterminate_on_nonfinite_coefficient():
 # The per-module formulas that collateral_drift replaced, kept as oracles.
 
 
-def _oracle_y(spec, pos, mu, rate_arg):
-    kind = spec.collateral_mean_kind()
+def _oracle_y(spec, pos, mu):
     lam = np.asarray(spec.rate(pos, mu), dtype=np.float64)
-    if kind == "constant":
+    if spec.collateral_mean_kind() == "constant":
         ev = np.asarray(spec.collateral_mean, dtype=np.float64)
-        if rate_arg == "jumper":
-            return np.broadcast_to(float(lam.mean()) * ev, pos.shape).copy()
-        return lam[:, None] * ev[None, :]
+        return np.broadcast_to(float(lam.mean()) * ev, pos.shape).copy()
     cm = np.asarray(spec.collateral_mean(pos, pos, mu))
-    if rate_arg == "jumper":
-        return np.mean(lam[:, None, None] * cm, axis=0)
-    return lam[:, None] * np.mean(cm, axis=0)
+    return np.mean(lam[:, None, None] * cm, axis=0)
 
 
 def _oracle_limit(spec, pos, flow, t, trunc_c):
@@ -227,7 +221,7 @@ def _oracle_field(spec, x, m):
 
 
 def _pairwise_mean_spec():
-    # state-dependent rate, so the jumper and target readings differ
+    # state-dependent rate: the mean over jumpers differs from any one rate
     return ModelSpec(
         drift=lambda x, m: -x,
         diffusion=lambda x, m: np.zeros((x.shape[0], 2, 0)),
@@ -247,10 +241,8 @@ def test_collateral_drift_matches_replaced_formulas(name):
     s = StreamState(StreamKey(17, 0, 0, "init").hash64())
     pos = 2.0 * s.uniforms(7 * spec.dim).reshape(7, spec.dim)
     mu = EmpiricalMeasure(pos)
-    # intermediate system, both readings of the jump rate
-    assert np.array_equal(collateral_drift(spec, pos, mu), _oracle_y(spec, pos, mu, "jumper"))
-    assert np.array_equal(_collateral_drift_y(spec, pos, mu, "jumper"), _oracle_y(spec, pos, mu, "jumper"))
-    assert np.array_equal(_collateral_drift_y(spec, pos, mu, "target"), _oracle_y(spec, pos, mu, "target"))
+    # intermediate system
+    assert np.array_equal(collateral_drift(spec, pos, mu), _oracle_y(spec, pos, mu))
     # limit copies against a frozen flow larger than the quadrature cap
     ens = 2.0 * s.uniforms(3 * 600 * spec.dim).reshape(3, 600, spec.dim)
     flow = FlowApproximation(times=np.asarray([0.0, 0.5, 1.0]), ensemble=ens,

@@ -9,23 +9,24 @@ from mfjump.limit import solve_limit
 from mfjump.models import AssumptionMeta, ModelSpec, collateral_drift, make_empirical
 from mfjump.particle import (
     CoupledSimulator,
-    GeneratorQuadratureError,
     InitSampler,
     NumericalBlowupError,
     RateBoundViolation,
     StepPolicy,
-    Observable,
-    _collateral_drift_y,
     _frozen_coefficients,
     apply_jump,
-    coordinate_function,
     output_grid,
-    generator_apply,
     simulate,
     simulate_coupled,
-    single_step_weak_estimate,
 )
 from mfjump.zoo import build
+from weak_step import (
+    GeneratorQuadratureError,
+    Observable,
+    coordinate_function,
+    generator_apply,
+    single_step_weak_estimate,
+)
 
 
 def _zero_collateral(xj, tg, m, h1, h2):
@@ -157,7 +158,7 @@ def test_y_collateral_drift_constant():
 
 
 def test_y_collateral_drift_state_dependent_rate():
-    # N=2, lambda(x) = |x|, constant mark mean: the jumper-rate reading gives
+    # N=2, lambda(x) = |x|, constant mark mean: the mean jumper rate gives
     # drift (|Y1| + |Y2|) * theta_bar / 2 for both particles
     theta_bar = 0.4
     spec = _spec(
@@ -172,11 +173,6 @@ def test_y_collateral_drift_state_dependent_rate():
     pos = _one_step("Y", spec, y.copy(), 0.01, make_driver_bundle(4, 0, 2))
     expected = y + 0.01 * ((1.0 + 3.0) / 2.0) * theta_bar
     assert np.allclose(pos, expected, atol=1e-14)
-    # the 'target' reading uses each particle's own rate instead
-    pos2 = _one_step("Y", spec, y.copy(), 0.01, make_driver_bundle(4, 0, 2),
-                     policy=StepPolicy(ysystem_rate_arg="target"))
-    expected2 = y + 0.01 * np.abs(y) * theta_bar
-    assert np.allclose(pos2, expected2, atol=1e-14)
 
 
 def test_exact_integrator_ou_decay():
@@ -302,7 +298,7 @@ class _ReferenceSimulator(CoupledSimulator):
         for s in self.systems:
             mu = s.measure_now(t)
             if s.kind == "Y":
-                g = _collateral_drift_y(spec, s.pos, mu, self.policy.ysystem_rate_arg)
+                g = collateral_drift(spec, s.pos, mu)
             elif s.kind == "LIMIT":
                 g = collateral_drift(spec, s.pos, s.flow.quad_measure_for(t), min(s.flow.lam_mean_for(t), s.flow.trunc_c))
             else:
@@ -417,16 +413,12 @@ def test_event_loop_matches_reference_lipschitz_triple(dim, n):
     assert all(np.all(v > 0) for v in sim.sup.values())
 
 
-@pytest.mark.parametrize("rate_arg", ["jumper", "target"])
-def test_event_loop_matches_reference_neuronal_triple(rate_arg):
+def test_event_loop_matches_reference_neuronal_triple():
     spec = build("neuronal", {"collateral_amp": 1.9})
     n, T, dt = 16, 2.0, 0.1
     flow = solve_limit(spec, 96, T, dt, seed=2, tol=1e-12, max_iter=1, init=InitSampler(kind="uniform"))
     x0 = InitSampler(kind="uniform").sample(make_driver_bundle(4, 1, n), 1)
-    _assert_same_run(
-        ("X", "Y", "LIMIT"), spec, x0, T, dt, 4,
-        flow=flow, scheme="exact", policy=StepPolicy(ysystem_rate_arg=rate_arg),
-    )
+    _assert_same_run(("X", "Y", "LIMIT"), spec, x0, T, dt, 4, flow=flow, scheme="exact")
 
 
 def test_event_loop_matches_reference_with_halving_retries():

@@ -50,11 +50,22 @@ def test_envelope_c_closed_form():
     assert np.max(3 * r**2 - gamma * r**3) >= c * (1 - 1e-9)
 
 
+# the conditions each model class is probed for, in report order
+_CONDITIONS = {
+    "lipschitz": ["rate-nonnegative", "drift-lipschitz", "diffusion-lipschitz",
+                  "main-jump-l1-lipschitz", "collateral-field-l1-lipschitz"],
+    "convex_potential": ["rate-nonnegative", "potential-monotone", "interaction-bounded", "diffusion-lipschitz",
+                         "main-jump-l1-lipschitz", "collateral-field-l1-lipschitz"],
+    "superlinear_rate": ["rate-nonnegative", "collateral-margin", "rate-envelope"],
+}
+
+
 def test_all_zoo_models_validate_at_default_budget():
     for mid in model_ids():
         report = validate_model(build(mid), ProbeConfig(budget=120, seed=9))
         assert report.verdict in ("pass", "indeterminate"), report.summary()
         assert not any(c.verdict == "fail" for c in report.conditions), report.summary()
+        assert [c.name for c in report.conditions] == _CONDITIONS[report.model_class]
 
 
 def test_demo_with_zero_amplitudes_reduces_to_diffusion():
