@@ -2,14 +2,17 @@
 
 Configs are strict YAML trees with a schema version; unknown keys are
 errors, because silent config drift is the main reproducibility hazard.
-Work cells (N, replica) are statically partitioned over a process pool
-and merged in deterministic cell order, so worker count never changes any
-output byte.  Every report embeds the full config and seed it was run
-with and can be regenerated from that manifest alone.
+With ``run.workers > 1`` a sweep opens one process pool: the assumption
+probes run in it beside the limit solve, then the work cells (N, replica)
+are handed out one at a time, largest N first, and merged in cell order,
+so worker count never changes any output byte.  Every report embeds the
+full config and seed it was run with and can be regenerated from that
+manifest alone.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import time
@@ -285,11 +288,12 @@ def replica_stream_key(n_index: int, replica: int) -> int:
 
 
 def _chaos_cell(args: tuple) -> dict:
-    cfg_dict, flow_path, n_index, N, replica = args
+    cfg_dict, flow, n_index, N, replica = args  # flow: the solved flow, or its file in a pool worker
     try:
         config = SimConfig.from_dict(cfg_dict)
         spec = build(config.model.id, config.model.params)
-        flow = _load_flow_cached(flow_path)
+        if not isinstance(flow, FlowApproximation):
+            flow = _load_flow_cached(flow)
         bundle = make_driver_bundle(config.run.seed, replica_stream_key(n_index, replica), N)
         sample = coupled_chaos_run(
             spec, N, config.run.T, config.run.dt, bundle, flow,
@@ -308,11 +312,31 @@ def _chaos_cell(args: tuple) -> dict:
         return {"N": N, "replica": replica, "error": f"{type(exc).__name__}: {exc}"}
 
 
-def _map_cells(fn, args: list, workers: int) -> list:
-    if workers <= 1:
+def _pool(workers: int):
+    """The sweep's process pool, or no pool (``None``) for ``workers <= 1``."""
+    return ProcessPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext()
+
+
+def _map_cells(fn, args: list, pool=None) -> list:
+    """``fn`` over cell args ``(..., N, replica)``, results in args order.
+
+    A pool gets one cell at a time, largest N first (ties in args order),
+    so the long cells do not end up last on one worker.
+    """
+    if pool is None:
         return [fn(a) for a in args]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, args, chunksize=1))
+    futures = {i: pool.submit(fn, args[i]) for i in sorted(range(len(args)), key=lambda i: -args[i][-2])}
+    return [futures[i].result() for i in range(len(args))]
+
+
+def _gate(report: AssumptionReport, force: bool) -> None:
+    if report.verdict == "fail":
+        if not force:
+            raise InvalidInputError(
+                "model failed assumption validation (pass force=True to run anyway):\n"
+                + report.summary()
+            )
+        warnings.warn("running a model that failed assumption validation", stacklevel=3)
 
 
 def _aggregate_distances(Ns: list[int], cells: list[dict]) -> dict:
@@ -361,42 +385,39 @@ def _write_plotdata(plot_dir: Path, Ns: list[int], distances: dict) -> None:
 def run_chaos_sweep(config: SimConfig, force: bool = False) -> ChaosReport:
     """Solve the limit once, run every (N, replica) coupled cell, fit rates.
 
-    Deterministic given the config (including worker count).  A failing
-    cell persists all other cells' outputs and raises ``SweepError`` with
-    the report flagged partial.
+    Deterministic given the config (including worker count).  A model
+    that fails assumption validation raises ``InvalidInputError`` before
+    any file is written, unless ``force``.  A failing cell persists all
+    other cells' outputs and raises ``SweepError`` with the report flagged
+    partial.
     """
     spec = build(config.model.id, config.model.params)
-    report = validate_model(spec)
-    if report.verdict == "fail":
-        if not force:
-            raise InvalidInputError(
-                "model failed assumption validation (pass force=True to run anyway):\n"
-                + report.summary()
-            )
-        warnings.warn("running a model that failed assumption validation", stacklevel=2)
-
-    outdir = Path(config.output.dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "config.echo").write_text(yaml.safe_dump(config.to_dict(), sort_keys=True))
-
     Ns = [int(n) for n in config.run.Ns]
-    M = config.limit.ensemble or 16 * max(Ns)
-    flow = solve_limit(
-        spec, M, config.run.T, config.run.dt,
-        seed=config.run.seed, tol=config.limit.picard_tol,
-        max_iter=config.limit.picard_max_iter, scheme=config.run.scheme,
-        policy=config.stepping.policy(), init=config.init.sampler(),
-    )
-    flow_path = outdir / "flow.npz"
-    flow.save(flow_path)
-
+    outdir = Path(config.output.dir)
     cfg_dict = config.to_dict()
-    args = [
-        (cfg_dict, str(flow_path), ni, N, r)
-        for ni, N in enumerate(Ns)
-        for r in range(config.run.replicas)
-    ]
-    cells = _map_cells(_chaos_cell, args, config.run.workers)
+    with _pool(config.run.workers) as pool:
+        if pool is None:
+            _gate(validate_model(spec), force)
+        else:  # the probes run in a worker beside the limit solve
+            verdict = pool.submit(run_validate, config.model.id, config.model.params)
+        try:
+            flow = solve_limit(
+                spec, config.limit.ensemble or 16 * max(Ns), config.run.T, config.run.dt,
+                seed=config.run.seed, tol=config.limit.picard_tol,
+                max_iter=config.limit.picard_max_iter, scheme=config.run.scheme,
+                policy=config.stepping.policy(), init=config.init.sampler(),
+            )
+        finally:  # a failed verdict wins over a failed solve
+            if pool is not None:
+                _gate(verdict.result(), force)
+
+        outdir.mkdir(parents=True, exist_ok=True)
+        (outdir / "config.echo").write_text(yaml.safe_dump(cfg_dict, sort_keys=True))
+        flow.save(outdir / "flow.npz")
+        # in-process cells share the solved flow; pool workers load its file
+        flow_ref = flow if pool is None else str(outdir / "flow.npz")
+        args = [(cfg_dict, flow_ref, ni, N, r) for ni, N in enumerate(Ns) for r in range(config.run.replicas)]
+        cells = _map_cells(_chaos_cell, args, pool)
     failures = [c for c in cells if "error" in c]
 
     distances = _aggregate_distances(Ns, cells)
@@ -512,7 +533,8 @@ def run_diagnostics(config: SimConfig) -> DiagnosticsBundle:
         for ni, N in enumerate(Ns)
         for r in range(config.run.replicas)
     ]
-    cells = _map_cells(_diag_cell, args, config.run.workers)
+    with _pool(config.run.workers) as pool:
+        cells = _map_cells(_diag_cell, args, pool)
     failures = [c for c in cells if "error" in c]
     if failures:
         raise SweepError(f"{len(failures)} diagnostics cells failed", failures)

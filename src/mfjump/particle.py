@@ -137,7 +137,7 @@ def apply_jump(
 class _LiveSystem:
     """One process in a coupled set: positions plus measure bookkeeping."""
 
-    def __init__(self, kind: str, spec: ModelSpec, positions: np.ndarray, flow=None):
+    def __init__(self, kind: str, spec: ModelSpec, positions: np.ndarray, flow=None, record: bool = True):
         if kind not in ("X", "Y", "LIMIT"):
             raise InvalidInputError(f"unknown system kind {kind!r}")
         if kind == "LIMIT" and flow is None:
@@ -147,14 +147,12 @@ class _LiveSystem:
         self.pos = np.array(positions, dtype=np.float64)
         self.flow = flow
         self._measure = EmpiricalMeasure(self.pos)
+        self.record = record  # False: count the jumps, log none
+        self.jump_count = 0
         self.jump_times: list[float] = []
         self.jump_particles: list[int] = []
         self.jump_pre: list[np.ndarray] = []
         self.jump_post: list[np.ndarray] = []
-
-    @property
-    def jump_count(self) -> int:
-        return len(self.jump_times)
 
     def measure_now(self, t: float) -> EmpiricalMeasure:
         if self.kind == "LIMIT":
@@ -169,11 +167,11 @@ class _LiveSystem:
         self._measure.mark_dirty()
 
     def snapshot(self) -> dict:
-        return {"pos": self.pos.copy(), "nlog": len(self.jump_times)}
+        return {"pos": self.pos.copy(), "jumps": self.jump_count}
 
     def restore(self, snap: dict) -> None:
         self.pos[:] = snap["pos"]
-        k = snap["nlog"]
+        k = self.jump_count = snap["jumps"]
         del self.jump_times[k:]
         del self.jump_particles[k:]
         del self.jump_pre[k:]
@@ -264,7 +262,8 @@ class CoupledSimulator:
     All listed systems consume identical drivers particle by particle:
     one Brownian block per sub-step, one candidate stream per particle
     under a shared thinning bound, and the same lazily drawn marks.  That
-    is the synchronous coupling the distance estimators rely on.
+    is the synchronous coupling the distance estimators rely on.  With
+    ``record=False`` the systems count their jumps and keep no jump log.
     """
 
     PAIR_KEYS = {("X", "Y"): "xy", ("Y", "LIMIT"): "ylimit", ("X", "LIMIT"): "xlimit"}
@@ -277,12 +276,13 @@ class CoupledSimulator:
         flow=None,
         policy: StepPolicy | None = None,
         scheme: str = "auto",
+        record: bool = True,
     ):
         self.spec = spec
         self.bundle = drivers
         self.policy = policy or StepPolicy()
         self.scheme = _resolve_scheme(spec, scheme)
-        self.systems = [_LiveSystem(k, spec, np.zeros((drivers.n, spec.dim)), flow) for k in systems]
+        self.systems = [_LiveSystem(k, spec, np.zeros((drivers.n, spec.dim)), flow, record) for k in systems]
         self.t = 0.0
         self.retry_count = 0
         self.sup: dict[str, np.ndarray] = {}
@@ -405,11 +405,14 @@ class CoupledSimulator:
                     h_main = float(h_coll[j])
                 elif h_main is None:
                     h_main = float(marks_uniforms(int(keys[j]), k, pids[j : j + 1])[0])
-                s.jump_times.append(tau)
-                s.jump_particles.append(j)
-                s.jump_pre.append(s.pos[j].copy())
+                if s.record:
+                    s.jump_times.append(tau)
+                    s.jump_particles.append(j)
+                    s.jump_pre.append(s.pos[j].copy())
                 apply_jump(spec, s.pos, j, mu, h_main, h_coll if s.kind == "X" else None, self._kick)
-                s.jump_post.append(s.pos[j].copy())
+                if s.record:
+                    s.jump_post.append(s.pos[j].copy())
+                s.jump_count += 1
                 s._measure.mark_dirty()
                 jumped.append(s)
             if jumped:
@@ -533,7 +536,7 @@ def simulate_coupled(
     event time, per-system jump counts and the number of halved sub-step
     retries.
     """
-    sim = CoupledSimulator(spec, drivers, systems=systems, flow=flow, policy=policy, scheme=scheme)
+    sim = CoupledSimulator(spec, drivers, systems=systems, flow=flow, policy=policy, scheme=scheme, record=record_paths)
     if initial_positions is not None:
         x0 = np.asarray(initial_positions, dtype=np.float64).reshape(N, spec.dim)
     else:

@@ -1,5 +1,7 @@
 import json
+import multiprocessing
 import warnings
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -151,10 +153,15 @@ def test_sweep_zero_collateral_and_rerun_identical(tmp_path):
 
 
 def test_sweep_worker_count_does_not_change_bytes(tmp_path):
+    # in-process cells use the solved flow and cache no copy of its file;
+    # pool workers load the file, and the bytes agree
+    harness._FLOW_CACHE.clear()
     cfg1 = SimConfig.from_dict(_config_dict(tmp_path / "w1", workers=0))
     run_chaos_sweep(cfg1)
+    assert harness._FLOW_CACHE == {}
     cfg2 = SimConfig.from_dict(_config_dict(tmp_path / "w2", workers=2))
     run_chaos_sweep(cfg2)
+    assert multiprocessing.active_children() == []
     w1, w2 = tmp_path / "w1", tmp_path / "w2"
     plots = sorted(p.name for p in (w1 / "plotdata").glob("*.dat"))
     assert plots and plots == sorted(p.name for p in (w2 / "plotdata").glob("*.dat"))
@@ -250,24 +257,102 @@ def test_run_validate_wrapper():
     assert report.verdict == "pass"
 
 
-def test_sweep_force_gates_failed_validation(tmp_path, monkeypatch):
-    from mfjump.drivers import InvalidInputError
+@pytest.fixture
+def forked_pool(monkeypatch):
+    # the pool tests patch harness functions; forked workers see the patches
+    # under any default start method
+    from concurrent.futures import ProcessPoolExecutor
+    from functools import partial
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor",
+                        partial(ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")))
+
+
+def _failed_verdict():
     from mfjump.models import AssumptionReport, ConditionResult
 
-    canned = AssumptionReport(
+    return AssumptionReport(
         model_class="lipschitz",
         conditions=(ConditionResult("drift-lipschitz", "fail"),),
         probe_budget=1,
     )
+
+
+def test_sweep_force_gates_failed_validation(tmp_path, monkeypatch, forked_pool):
+    # with a pool the probes run in a worker beside the limit solve; either
+    # way the verdict gates the sweep before any file is written
+    from mfjump.drivers import InvalidInputError
+
+    canned = _failed_verdict()
     monkeypatch.setattr(harness, "validate_model", lambda *a, **k: canned)
-    cfg = SimConfig.from_dict(_config_dict(tmp_path / "f"))
+    for workers in (0, 2):
+        out = tmp_path / f"f{workers}"
+        cfg = SimConfig.from_dict(_config_dict(out, workers=workers))
+        with pytest.raises(InvalidInputError, match="force"):
+            run_chaos_sweep(cfg)
+        assert not (out / "config.echo").exists()
+        assert not (out / "flow.npz").exists()
+        assert multiprocessing.active_children() == []
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run_chaos_sweep(cfg, force=True)
+        assert any("failed assumption validation" in str(w.message) for w in caught)
+        assert (out / "distances.csv").exists()
+        assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("workers", [0, 2])
+def test_failed_verdict_wins_over_failed_limit_solve(tmp_path, monkeypatch, forked_pool, workers):
+    from mfjump.drivers import InvalidInputError
+
+    def broken_solve(*a, **k):
+        raise RuntimeError("injected solve failure")
+
+    monkeypatch.setattr(harness, "solve_limit", broken_solve)
+    cfg = SimConfig.from_dict(_config_dict(tmp_path / "s", workers=workers))
+    with pytest.raises(RuntimeError, match="injected solve failure"):
+        run_chaos_sweep(cfg)  # the model passes: the solve's own error surfaces
+    canned = _failed_verdict()
+    monkeypatch.setattr(harness, "validate_model", lambda *a, **k: canned)
     with pytest.raises(InvalidInputError, match="force"):
         run_chaos_sweep(cfg)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        run_chaos_sweep(cfg, force=True)
-    assert any("failed assumption validation" in str(w.message) for w in caught)
-    assert (tmp_path / "f" / "distances.csv").exists()
+    assert not (tmp_path / "s" / "config.echo").exists()
+    assert multiprocessing.active_children() == []
+
+
+def test_map_cells_submits_largest_n_first_and_returns_cell_order():
+    class RecordingPool:
+        def __init__(self):
+            self.submitted = []
+
+        def submit(self, fn, arg):
+            self.submitted.append(arg)
+            future = Future()
+            future.set_result(fn(arg))
+            return future
+
+    args = [("cfg", ni, N, r) for ni, N in enumerate([4, 8, 16]) for r in range(2)]
+    pool = RecordingPool()
+    out = harness._map_cells(lambda a: a[2:], args, pool)
+    assert [a[2:] for a in pool.submitted] == [(16, 0), (16, 1), (8, 0), (8, 1), (4, 0), (4, 1)]
+    assert out == [(4, 0), (4, 1), (8, 0), (8, 1), (16, 0), (16, 1)]
+    assert harness._map_cells(lambda a: a[2:], args) == out  # no pool: in process, in cell order
+
+
+def test_diagnostics_worker_count_does_not_change_bytes(tmp_path):
+    outs = []
+    for workers in (0, 2):
+        d = {
+            "schema": 1,
+            "model": {"id": "neuronal", "params": {}},
+            "run": {"T": 0.5, "dt": 0.05, "Ns": [8, 32], "replicas": 3, "seed": 7, "workers": workers},
+            "init": {"kind": "uniform", "low": 0.0, "high": 1.0},
+            "output": {"dir": str(tmp_path / f"w{workers}")},
+        }
+        run_diagnostics(SimConfig.from_dict(d))
+        outs.append((tmp_path / f"w{workers}" / "diagnostics.csv").read_bytes())
+    assert outs[0] == outs[1]
+    assert multiprocessing.active_children() == []
 
 
 # -- CLI ---------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from scipy.stats import ks_2samp
 
 from mfjump.drivers import InvalidInputError, collect_candidates, make_driver_bundle, marks_uniforms
-from mfjump.limit import solve_limit
+from mfjump.limit import constant_flow, solve_limit
 from mfjump.models import AssumptionMeta, ModelSpec, collateral_drift, make_empirical
 from mfjump.particle import (
     CoupledSimulator,
@@ -336,6 +336,7 @@ class _ReferenceSimulator(CoupledSimulator):
                     s.jump_particles.append(j)
                     s.jump_pre.append(s.pos[j].copy())
                     s.jump_post.append(new_pos[j].copy())
+                    s.jump_count += 1
                     s.set_positions(new_pos)
             self._update_sup()
         if euler:
@@ -431,6 +432,30 @@ def test_event_loop_matches_reference_with_halving_retries():
     policy = StepPolicy(bound_mult=1.0, bound_add=0.05, candidate_cap=8.0, max_retries=16)
     sim = _assert_same_run(("X", "Y"), spec, np.full((4, 1), 1.0), 3.0, 0.5, 6, policy=policy)
     assert sim.retry_count > 0
+
+
+def test_unrecorded_triple_counts_jumps_across_retries():
+    # without a jump log the systems only count their jumps; a halved retry
+    # must rewind the count exactly as it rewinds the log
+    spec = _spec(
+        drift=lambda x, m: np.zeros_like(x),
+        rate=lambda x, m: np.abs(x[:, 0]),
+        main=lambda x, m, h: np.ones_like(x),
+        cap=None,
+    )
+    policy = StepPolicy(bound_mult=1.0, bound_add=0.05, candidate_cap=8.0, max_retries=16)
+    flow = constant_flow(np.ones((4, 1)), 3.0)
+    runs = [
+        simulate_coupled(("X", "Y", "LIMIT"), spec, 4, 3.0, 0.5, make_driver_bundle(6, 0, 4), flow=flow,
+                         initial_positions=np.ones((4, 1)), policy=policy, record_paths=record)
+        for record in (False, True)
+    ]
+    assert runs[0]["retries"] == runs[1]["retries"] > 0
+    assert runs[0]["jump_counts"] == runs[1]["jump_counts"]
+    assert all(runs[1]["jump_counts"][k] == len(runs[1]["paths"][k].jump_times) > 0 for k in ("X", "Y", "LIMIT"))
+    assert runs[0]["sup"].keys() == runs[1]["sup"].keys()
+    assert all(np.array_equal(runs[0]["sup"][k], runs[1]["sup"][k]) for k in runs[0]["sup"])
+    assert "paths" not in runs[0]
 
 
 @pytest.mark.parametrize(
