@@ -15,7 +15,7 @@ import yaml
 
 from .drivers import InvalidInputError, make_driver_bundle
 from .harness import SimConfig, SweepError, run_chaos_sweep, run_diagnostics, run_validate, save_jumplog_csv, save_paths_csv
-from .metrics import w1_1d, w1_assignment
+from .metrics import w1_assignment
 from .models import ProbeConfig
 from .particle import simulate
 from .zoo import build, model_ids
@@ -33,7 +33,7 @@ def _cmd_validate(args) -> int:
         if not sep:
             raise SystemExit(f"--param expects key=value, got {kv!r}")
         params[key] = yaml.safe_load(val)
-    probe = ProbeConfig(budget=args.budget) if args.budget else None
+    probe = ProbeConfig(budget=args.budget) if args.budget is not None else None
     report = run_validate(args.model, params, probe)
     print(report.summary())
     return {"pass": 0, "fail": 2, "indeterminate": 3}[report.verdict]
@@ -127,7 +127,7 @@ def _cmd_wasserstein(args) -> int:
     if a.shape != b.shape:
         raise SystemExit(f"sample shapes differ: {a.shape} vs {b.shape}")
     try:
-        dist = w1_1d(a[:, 0], b[:, 0]) if a.shape[1] == 1 else w1_assignment(a, b)
+        dist = w1_assignment(a, b)
     except InvalidInputError as exc:
         raise SystemExit(f"W1 between {args.file_a} and {args.file_b}: {exc}") from None
     print(repr(dist))

@@ -462,7 +462,7 @@ def run_chaos_sweep(config: SimConfig, force: bool = False) -> ChaosReport:
     payload = {
         "format": "mfjump-report-v1",
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "report": chaos.to_dict(),
+        "report": dataclasses.asdict(chaos),
     }
     _write_json(outdir / "report.json", payload)
 

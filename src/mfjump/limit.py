@@ -43,6 +43,7 @@ from .particle import (
 )
 
 _QUAD_CAP = 512
+SATURATION_FRACTION = 0.01  # share of grid times above trunc_c that doubles it
 
 
 @dataclass
@@ -147,7 +148,6 @@ def simulate_ensemble(
     trunc_c: float = math.inf,
     scheme: str = "auto",
     policy: StepPolicy | None = None,
-    record: bool = True,
 ) -> EnsembleResult:
     """M independent copies of the frozen-flow SDE, fully vectorized.
 
@@ -162,7 +162,7 @@ def simulate_ensemble(
     pos = np.asarray(initial_positions, dtype=np.float64).reshape(m, d).copy()
     ncells, dt_eff = output_grid(T, dt)
     times = [0.0]
-    snaps = [pos.copy()] if record else None
+    snaps = [pos.copy()]
     jumps = 0
 
     def rates(t):
@@ -183,12 +183,11 @@ def simulate_ensemble(
         start, end = dt_eff * cell, dt_eff * (cell + 1)
         _advance_substeps(spec, policy, start, end, rates, substep, snapshot, restore)
         times.append(end)
-        if record:
-            snaps.append(pos.copy())
+        snaps.append(pos.copy())
 
     return EnsembleResult(
         times=np.asarray(times),
-        snapshots=np.asarray(snaps) if record else np.empty((0, m, d)),
+        snapshots=np.asarray(snaps),
         jump_count=jumps,
         final=pos,
     )
@@ -292,23 +291,16 @@ def picard_iterate(
     trunc_c: float = math.inf,
     scheme: str = "auto",
     policy: StepPolicy | None = None,
-    init: InitSampler | None = None,
-    initial_positions: np.ndarray | None = None,
+    initial_positions: np.ndarray,
 ) -> tuple[FlowApproximation, float]:
     """One frozen-flow sweep: simulate M copies against flow_k, measure the move.
 
     Every sweep addresses the same driver namespace, so the returned delta
     is a pathwise contraction measure, not fresh-sample noise.
     """
-    bundle = make_driver_bundle(seed, PICARD_REPLICA, M)
-    if initial_positions is None:
-        sampler = init or InitSampler(mean=tuple([0.0] * spec.dim))
-        x0 = sampler.sample(bundle, spec.dim)
-    else:
-        x0 = np.asarray(initial_positions, dtype=np.float64).reshape(M, spec.dim)
     res = simulate_ensemble(
-        spec, T, dt, bundle, flow_k,
-        initial_positions=x0, trunc_c=trunc_c, scheme=scheme, policy=policy,
+        spec, T, dt, make_driver_bundle(seed, PICARD_REPLICA, M), flow_k,
+        initial_positions=initial_positions, trunc_c=trunc_c, scheme=scheme, policy=policy,
     )
     flow_next = _flow_from_snapshots(spec, res.times, res.snapshots, trunc_c, meta={})
     if len(flow_k.times) == len(flow_next.times):
@@ -351,7 +343,6 @@ def solve_limit(
     policy: StepPolicy | None = None,
     init: InitSampler | None = None,
     trunc_factor: float = 4.0,
-    saturation_fraction: float = 0.01,
 ) -> FlowApproximation:
     """Iterate frozen-flow sweeps until the flow moves less than tol.
 
@@ -377,7 +368,7 @@ def solve_limit(
         deltas.append(delta)
         if math.isfinite(trunc_c):
             saturated = float(np.mean(flow.lam_mean > trunc_c))
-            if saturated > saturation_fraction:
+            if saturated > SATURATION_FRACTION:
                 trunc_c *= 2.0
                 trunc_events.append(trunc_c)
         if delta < tol:

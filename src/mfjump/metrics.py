@@ -49,9 +49,10 @@ def w1_assignment(a, b, cap: int = ASSIGNMENT_CAP) -> float:
     """Exact W1 between equal-size empirical measures in R^d.
 
     Euclidean ground cost, squared differences summed in place in coordinate
-    order, then rooted: ``np.linalg.norm``'s bits for d <= 7.  n above ``cap``
-    is rejected (callers subsample explicitly via ``subsample_indices``).
-    Duplicate points are fine; identical samples give 0.0 without a solve.
+    order, then rooted: ``np.linalg.norm``'s bits for d <= 7.  In d = 1 the
+    sorted matching is exact at any n; in d >= 2, n above ``cap`` is rejected
+    (callers subsample explicitly via ``subsample_indices``).  Duplicate
+    points are fine; identical samples give 0.0 without a solve.
     """
     a = np.atleast_2d(np.asarray(a, dtype=np.float64))
     b = np.atleast_2d(np.asarray(b, dtype=np.float64))
@@ -60,13 +61,13 @@ def w1_assignment(a, b, cap: int = ASSIGNMENT_CAP) -> float:
     n = a.shape[0]
     if n == 0:
         raise InvalidInputError("empty sample")
+    if a.shape[1] == 1:
+        return w1_1d(a[:, 0], b[:, 0])
     if n > cap:
         raise InvalidInputError(f"n={n} exceeds assignment cap {cap}; subsample first")
     _require_finite("w1_assignment", a, b)
     if np.array_equal(a, b):
         return 0.0
-    if a.shape[1] == 1:
-        return w1_1d(a[:, 0], b[:, 0])
     cost = _pairwise_cost(a, b)
     if not np.isfinite(cost).all():
         raise InvalidInputError("w1_assignment: pairwise distances overflow float64")
@@ -263,31 +264,3 @@ class ChaosReport:
     fits: dict  # pair -> RateFit
     diagnostics: dict = field(default_factory=dict)
     manifest: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        out = {
-            "model_id": self.model_id,
-            "Ns": list(map(int, self.Ns)),
-            "replica_count": self.replica_count,
-            "distances": {
-                k: {
-                    "mean": [float(x) for x in v["mean"]],
-                    "se": [float(x) for x in v["se"]],
-                    "per_replica": [[float(x) for x in row] for row in v["per_replica"]],
-                }
-                for k, v in self.distances.items()
-            },
-            "fits": {
-                k: {
-                    "slope": f.slope,
-                    "intercept": f.intercept,
-                    "r2": f.r2,
-                    "slope_se": f.slope_se,
-                    "slope_ci": list(f.slope_ci),
-                }
-                for k, f in self.fits.items()
-            },
-            "diagnostics": self.diagnostics,
-            "manifest": self.manifest,
-        }
-        return out

@@ -14,7 +14,7 @@ violation found at this budget" and the report says so.
 
 from __future__ import annotations
 
-
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -88,9 +88,7 @@ class AssumptionMeta:
     rate_h_bound: float | None = None        # sup of the bounded rate part
     rate_margin_factor: float = 5.0          # admissibility: factor*gamma*E||V|| < 1
     mean_collateral_norm: float | None = None  # E||V||
-    mean_reset_norm: float | None = None       # E||U||
     rate_global_bound: float | None = None   # sup lambda if finite
-    support_radius: float | None = None
     rate_radial: Callable[[np.ndarray], np.ndarray] | None = None  # b(r)
     potential_grad: Callable[[np.ndarray], np.ndarray] | None = None
     interaction: Callable[[np.ndarray, EmpiricalMeasure], np.ndarray] | None = None
@@ -106,7 +104,7 @@ class ModelSpec:
     - ``drift(x, m) -> (n, d)`` for x of shape (n, d)
     - ``diffusion(x, m) -> (n, d, d1)`` (or broadcastable to it)
     - ``rate(x, m) -> (n,)`` nonnegative
-    - ``main_jump(x, m, h1) -> (n, d)`` with h1 of shape (n,) or scalar
+    - ``main_jump(x, m, h1) -> (n, d)`` with h1 of shape (n,)
     - ``collateral_jump(xj, targets, m, h1, h2) -> (n, d)`` with xj the
       jumper's point (d,), h1 scalar or (n,), h2 of shape (n,)
 
@@ -178,15 +176,21 @@ def collateral_drift(
     return np.mean(lam[:, None, None] * cm, axis=0)
 
 
+PROBE_RADIUS = 3.0  # probe points and measure atoms are uniform on [-R, R]^d
+PROBE_ATOMS = 8  # atoms per probe measure
+PROBE_MARK_DRAWS = 64  # mark draws averaged by the main-jump L1 probe
+FD_STEP = 1e-5  # finite-difference step of the rate-envelope check
+REL_TOL = 0.05  # relative slack allowed over a declared constant
+
+
 @dataclass(frozen=True)
 class ProbeConfig:
     budget: int = 200
-    radius: float = 3.0
-    measure_points: int = 8
-    fd_step: float = 1e-5
-    mark_draws: int = 64
     seed: int = 0
-    rel_tol: float = 0.05
+
+    def __post_init__(self):
+        if self.budget < 1:  # a report with no probes would read "pass" on no evidence
+            raise InvalidInputError(f"probe budget must be at least 1, got {self.budget}")
 
 
 @dataclass(frozen=True)
@@ -230,29 +234,23 @@ class AssumptionReport:
         return "\n".join(lines)
 
 
-class _ProbeSampler:
-    """Deterministic probe sequence, one independent channel per condition.
+def _probe_stream(probe: ProbeConfig, channel: int) -> StreamState:
+    return StreamState(StreamKey(probe.seed, PROBE_REPLICA, channel, "init").hash64())
 
-    Because every condition owns its own stream, the probes seen at budget
-    B' <= B are a prefix of those seen at budget B for the same seed.
+
+def _probe_draws(dim: int, probe: ProbeConfig, channel: int, points: int, measures: int):
+    """All probes of one condition from one draw of its channel's stream.
+
+    Probe b takes ``points`` points, then ``measures`` measures of
+    PROBE_ATOMS atoms, from the stream in that order, so the probes at
+    budget B' <= B are a prefix of those at budget B for the same seed.
+    Returns points (budget, points, d) and atoms (budget, measures, PROBE_ATOMS, d).
     """
-
-    def __init__(self, dim: int, probe: ProbeConfig, channel: int = 0):
-        self.dim = dim
-        self.probe = probe
-        self.stream = StreamState(StreamKey(probe.seed, PROBE_REPLICA, channel, "init").hash64())
-
-    def point(self) -> np.ndarray:
-        u = self.stream.uniforms(self.dim)
-        return self.probe.radius * (2.0 * u - 1.0)
-
-    def measure(self) -> EmpiricalMeasure:
-        k = self.probe.measure_points
-        u = self.stream.uniforms(k * self.dim).reshape(k, self.dim)
-        return make_empirical(self.probe.radius * (2.0 * u - 1.0))
-
-    def marks(self, n: int) -> np.ndarray:
-        return self.stream.uniforms(n)
+    width = (points + measures * PROBE_ATOMS) * dim
+    u = PROBE_RADIUS * (2.0 * _probe_stream(probe, channel).uniforms(probe.budget * width) - 1.0)
+    u = u.reshape(probe.budget, width)
+    split = points * dim
+    return u[:, :split].reshape(probe.budget, points, dim), u[:, split:].reshape(probe.budget, measures, PROBE_ATOMS, dim)
 
 
 def _jump_l1_gap(spec: ModelSpec, x, y, mx, my, marks) -> float:
@@ -282,19 +280,21 @@ def validate_model(spec: ModelSpec, probe: ProbeConfig | None = None) -> Assumpt
     """
     probe = probe or ProbeConfig()
     conditions: list[ConditionResult] = []
-    tol = 1.0 + probe.rel_tol
-    channels = iter(range(1000))
+    tol = 1.0 + REL_TOL
+    channels = itertools.count()  # stream channels in report order; the main-jump marks take their own
+    quantifier_note = "probed over empirical measures within the probe radius only"
 
-    def new_sampler() -> _ProbeSampler:
-        return _ProbeSampler(spec.dim, probe, channel=next(channels))
+    def probes(points, measures):
+        """(b, *points, *measures) per probe, drawn from the next channel now."""
+        pts, atoms = _probe_draws(spec.dim, probe, next(channels), points, measures)
+        return ((b, *pts[b], *map(make_empirical, atoms[b])) for b in range(probe.budget))
 
-    def run_pairs(fn, name, declared, note=""):
-        sampler = new_sampler()
-        worst = 0.0
-        witness = None
-        for b in range(probe.budget):
-            x, y = sampler.point(), sampler.point()
-            mx, my = sampler.measure(), sampler.measure()
+    def first_violation(witnesses):
+        return next(filter(None, witnesses), None)
+
+    def run_pairs(fn, name, declared):
+        worst, witness = 0.0, None
+        for b, x, y, mx, my in probes(2, 2):
             den = float(np.linalg.norm(x - y)) + w1_assignment(mx.points, my.points)
             if den < 1e-9:
                 continue
@@ -312,31 +312,20 @@ def validate_model(spec: ModelSpec, probe: ProbeConfig | None = None) -> Assumpt
                 )
             if q > worst:
                 worst = q
-                witness = {
-                    "x": x.tolist(), "y": y.tolist(), "quotient": q,
-                    "probe_index": b,
-                }
+                witness = {"x": x.tolist(), "y": y.tolist(), "quotient": q, "probe_index": b}
         if declared is None:
             return ConditionResult(name, "indeterminate", estimate=worst, note="no declared constant")
         if worst <= declared * tol + 1e-12:
-            return ConditionResult(name, "pass", estimate=worst, declared=declared, note=note)
-        return ConditionResult(name, "fail", estimate=worst, declared=declared, witness=witness, note=note)
+            return ConditionResult(name, "pass", estimate=worst, declared=declared, note=quantifier_note)
+        return ConditionResult(name, "fail", estimate=worst, declared=declared, witness=witness, note=quantifier_note)
 
     # rate nonnegativity, every class
-    sampler = new_sampler()
-    neg_witness = None
-    for _ in range(probe.budget):
-        x = sampler.point()
-        m = sampler.measure()
+    def negative_rate(b, x, m):
         lam = float(spec.rate(x[None, :], m)[0])
-        if not (np.isfinite(lam) and lam >= 0):
-            neg_witness = {"x": x.tolist(), "rate": lam}
-            break
-    conditions.append(
-        ConditionResult("rate-nonnegative", "fail" if neg_witness else "pass", witness=neg_witness)
-    )
+        return None if np.isfinite(lam) and lam >= 0 else {"x": x.tolist(), "rate": lam}
 
-    quantifier_note = "probed over empirical measures within the probe radius only"
+    witness = first_violation(negative_rate(*p) for p in probes(1, 1))
+    conditions.append(ConditionResult("rate-nonnegative", "fail" if witness else "pass", witness=witness))
 
     if spec.class_tag == "lipschitz":
         conditions.append(
@@ -346,7 +335,6 @@ def validate_model(spec: ModelSpec, probe: ProbeConfig | None = None) -> Assumpt
                 ),
                 "drift-lipschitz",
                 spec.meta.lipschitz_drift,
-                note=quantifier_note,
             )
         )
 
@@ -357,16 +345,13 @@ def validate_model(spec: ModelSpec, probe: ProbeConfig | None = None) -> Assumpt
                 ConditionResult("potential-monotone", "indeterminate", note="no potential gradient declared")
             )
         else:
-            sampler = new_sampler()
-            worst = 0.0
-            witness = None
-            for b in range(probe.budget):
-                x, y = sampler.point(), sampler.point()
+            def non_monotone(b, x, y):
                 g = float(np.dot(x - y, grad(x[None, :])[0] - grad(y[None, :])[0]))
                 if g < -1e-9 * (1.0 + float(np.linalg.norm(x - y)) ** 2):
-                    witness = {"x": x.tolist(), "y": y.tolist(), "inner": g, "probe_index": b}
-                    break
-                worst = min(worst, g)
+                    return {"x": x.tolist(), "y": y.tolist(), "inner": g, "probe_index": b}
+                return None
+
+            witness = first_violation(non_monotone(*p) for p in probes(2, 0))
             conditions.append(
                 ConditionResult(
                     "potential-monotone", "fail" if witness else "pass", witness=witness,
@@ -382,12 +367,8 @@ def validate_model(spec: ModelSpec, probe: ProbeConfig | None = None) -> Assumpt
                 )
             )
         else:
-            sampler = new_sampler()
-            sup = 0.0
-            witness = None
-            for b in range(probe.budget):
-                x = sampler.point()
-                m = sampler.measure()
+            sup, witness = 0.0, None
+            for b, x, m in probes(1, 1):
                 v = float(np.max(np.abs(inter(x[None, :], m)[0])))
                 if v > sup:
                     sup = v
@@ -413,16 +394,14 @@ def validate_model(spec: ModelSpec, probe: ProbeConfig | None = None) -> Assumpt
                 ),
                 "diffusion-lipschitz",
                 spec.meta.lipschitz_diffusion,
-                note=quantifier_note,
             )
         )
-        marks = new_sampler().marks(probe.mark_draws)
+        marks = _probe_stream(probe, next(channels)).uniforms(PROBE_MARK_DRAWS)
         conditions.append(
             run_pairs(
                 lambda x, y, mx, my: _jump_l1_gap(spec, x, y, mx, my, marks),
                 "main-jump-l1-lipschitz",
                 spec.meta.lipschitz_jump_l1,
-                note=quantifier_note,
             )
         )
 
@@ -431,12 +410,7 @@ def validate_model(spec: ModelSpec, probe: ProbeConfig | None = None) -> Assumpt
             return 0.0 if gx is None else float(np.linalg.norm(gx - collateral_drift(spec, y[None, :], my)))
 
         conditions.append(
-            run_pairs(
-                collateral_gap,
-                "collateral-field-l1-lipschitz",
-                spec.meta.lipschitz_jump_l1,
-                note=quantifier_note,
-            )
+            run_pairs(collateral_gap, "collateral-field-l1-lipschitz", spec.meta.lipschitz_jump_l1)
         )
 
     if spec.class_tag == "superlinear_rate":
@@ -460,7 +434,7 @@ def validate_model(spec: ModelSpec, probe: ProbeConfig | None = None) -> Assumpt
             )
         else:
             rs = np.logspace(-3, 3, 61)
-            eps = probe.fd_step
+            eps = FD_STEP
             db = (np.asarray(b(rs + eps)) - np.asarray(b(np.maximum(rs - eps, 0.0)))) / (
                 rs + eps - np.maximum(rs - eps, 0.0)
             )

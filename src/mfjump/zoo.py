@@ -67,10 +67,7 @@ def build_lipschitz_demo(params: LipschitzDemoParams) -> ModelSpec:
         return p.rate_base + p.rate_slope * np.minimum(r, p.rate_cap_radius)
 
     def main_jump(x, m, h1):
-        h = np.asarray(h1, dtype=np.float64)
-        if h.ndim == 0:
-            h = np.full(x.shape[0], float(h))
-        return -p.jump_scale * x * h[:, None]
+        return -p.jump_scale * x * np.asarray(h1, dtype=np.float64)[:, None]
 
     def collateral_jump(xj, targets, m, h1, h2):
         return _as_rows(p.collateral_amp * (2.0 * np.asarray(h2, dtype=np.float64)[:, None] - 1.0), d)
@@ -143,10 +140,7 @@ def build_convex_potential(params: ConvexPotentialParams) -> ModelSpec:
         return p.rate_base + p.rate_slope * np.minimum(r, p.rate_cap_radius)
 
     def main_jump(x, m, h1):
-        h = np.asarray(h1, dtype=np.float64)
-        if h.ndim == 0:
-            h = np.full(x.shape[0], float(h))
-        return -p.jump_scale * x * h[:, None]
+        return -p.jump_scale * x * np.asarray(h1, dtype=np.float64)[:, None]
 
     def collateral_jump(xj, targets, m, h1, h2):
         return _as_rows(p.collateral_amp * (2.0 * np.asarray(h2, dtype=np.float64)[:, None] - 1.0), d)
@@ -240,10 +234,7 @@ def build_neuronal(params: NeuronalParams) -> ModelSpec:
 
     def main_jump(x, m, h1):
         # reset: x + psi = U(h1) in [0, u_max]^d
-        h = np.asarray(h1, dtype=np.float64)
-        if h.ndim == 0:
-            h = np.full(x.shape[0], float(h))
-        return p.reset_max * h[:, None] * np.ones((x.shape[0], d)) - x
+        return p.reset_max * np.asarray(h1, dtype=np.float64)[:, None] * np.ones((x.shape[0], d)) - x
 
     def collateral_jump(xj, targets, m, h1, h2):
         return _as_rows(p.collateral_amp * np.asarray(h2, dtype=np.float64)[:, None], d)
@@ -257,8 +248,6 @@ def build_neuronal(params: NeuronalParams) -> ModelSpec:
         rate_h_bound=p.rate_offset,
         rate_margin_factor=p.margin_factor,
         mean_collateral_norm=e_v_norm,
-        mean_reset_norm=0.5 * p.reset_max * math.sqrt(d),
-        support_radius=p.reset_max * math.sqrt(d),
         rate_radial=b_radial,
     )
     return ModelSpec(

@@ -399,6 +399,11 @@ def test_cli_wasserstein(tmp_path, capsys):
     big_b.write_text("1.0 0.0\n" * 600)
     with pytest.raises(SystemExit, match=r"big_a\.csv and .*big_b\.csv: n=600 exceeds assignment cap 512"):
         cli_main(["wasserstein", str(big_a), str(big_b)])
+    # 1-D samples above the cap need no assignment
+    big_a.write_text("0.0\n" * 600)
+    big_b.write_text("1.0\n" * 600)
+    assert cli_main(["wasserstein", str(big_a), str(big_b)]) == 0
+    assert capsys.readouterr().out == "1.0\n"
     nan = tmp_path / "nan.csv"
     nan.write_text("x\nnan\n0.0\n3.0\n")
     with pytest.raises(SystemExit, match=r"nan\.csv and .*b\.csv: .*1 rows of a and 0 rows of b hold NaN or inf"):

@@ -329,6 +329,20 @@ def test_w1_assignment_cap():
     assert w1_capped(a, a) == 0.0
 
 
+def test_w1_assignment_in_1d_has_no_cap():
+    # 1-D samples take the sorted matching at any n; only d >= 2 solves an assignment
+    a = np.zeros((600, 1))
+    b = np.ones((600, 1))
+    assert w1_assignment(a, b) == w1_1d(a[:, 0], b[:, 0]) == 1.0
+    assert w1_assignment(a, a.copy()) == 0.0
+    bad = a.copy()
+    bad[3] = np.nan
+    with pytest.raises(InvalidInputError, match=r"w1_1d: 1 rows of a and 0 rows of b"):
+        w1_assignment(bad, b)
+    with pytest.raises(InvalidInputError, match="equal-shape"):
+        w1_assignment(a, b[:-1])
+
+
 def test_fit_rate_synthetic():
     Ns = [32, 64, 128, 256, 512, 1024]
     f = fit_rate(Ns, [3.0 / np.sqrt(n) for n in Ns])
