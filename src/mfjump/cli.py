@@ -1,7 +1,9 @@
 """Command line entry points.
 
 Exit codes: 0 success; 1 error or partial sweep; validate maps its verdict
-to 0 (pass), 2 (fail), 3 (indeterminate).
+to 0 (pass), 2 (fail), 3 (indeterminate).  Input the library rejects
+(``InvalidInputError``, ``ConfigError``) exits 1 with the one-line message
+``mfjump <command>: <reason>``.
 """
 
 from __future__ import annotations
@@ -126,11 +128,7 @@ def _cmd_wasserstein(args) -> int:
     b = _read_samples(args.file_b)
     if a.shape != b.shape:
         raise SystemExit(f"sample shapes differ: {a.shape} vs {b.shape}")
-    try:
-        dist = w1_assignment(a, b)
-    except InvalidInputError as exc:
-        raise SystemExit(f"W1 between {args.file_a} and {args.file_b}: {exc}") from None
-    print(repr(dist))
+    print(repr(w1_assignment(a, b)))
     return 0
 
 
@@ -177,7 +175,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except InvalidInputError as exc:  # ConfigError included: the reason, not a traceback
+        raise SystemExit(f"mfjump {args.command}: {exc}") from None
 
 
 if __name__ == "__main__":

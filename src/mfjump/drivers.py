@@ -363,11 +363,12 @@ def collect_candidates(
     us_acc: list[np.ndarray] = []
     ks_acc: list[np.ndarray] = []
 
-    active = np.flatnonzero(r > 0)
+    # a slice when every bound is positive: index arrays over all rows cost ~3x
+    active = slice(None) if np.all(r > 0) else np.flatnonzero(r > 0)
     cur = np.full(n, np.inf)
     w = bundle.poisson.uniforms_at(active)
     cur[active] = t0 - np.log(w) / r[active]
-    live = active[cur[active] <= t1]
+    live = np.flatnonzero(cur <= t1)
     while live.size > 0:
         u = bundle.poisson.uniforms_at(live) * r[live]
         k = bundle.cand_counts[live].astype(np.int64)

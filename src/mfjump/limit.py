@@ -7,6 +7,15 @@ iteration's contraction is measured as the sup over the grid of the W1
 distance between successive ensembles.  All sweeps reuse the same drivers
 (same replica namespace), so successive flows converge pathwise.
 
+For a model with a declared global rate bound every sub-step's thinning
+bound is that constant, so the sub-step grid and every number drawn on it
+(Brownian blocks and Poisson candidates) are the same in each sweep.
+``solve_limit`` records them in the first sweep and later sweeps replay
+them, advancing the bundle's counters as the draws would; a sub-step off
+the recorded grid (after a retry) draws and rewrites the rest of the tape.
+The replayed numbers are the ones a draw would return, so the flow is
+bit-identical to drawing in every sweep.
+
 For the superlinear-rate class the only flow dependence is the scalar
 summary t -> <mu_t, rate>, which enters the drift truncated at a constant
 C; C starts at four times the initial summary's sup and doubles whenever
@@ -148,46 +157,58 @@ def simulate_ensemble(
     trunc_c: float = math.inf,
     scheme: str = "auto",
     policy: StepPolicy | None = None,
+    tape: list | None = None,
 ) -> EnsembleResult:
     """M independent copies of the frozen-flow SDE, fully vectorized.
 
     Copies never interact: within a sub-step their candidate events are
     processed in per-copy time order (vectorized round by round across
     copies).  The measure argument is the frozen flow of the cell.
+    ``tape`` holds the sub-step draws of an earlier run on a fresh bundle
+    of the same streams (see ``_substep_draws``); it needs a model with a
+    declared global rate bound, whose thinning bounds never change.
     """
+    if tape is not None and spec.meta.rate_global_bound is None:
+        raise InvalidInputError("a draw tape needs a declared global rate bound: other bounds vary by sweep")
     policy = policy or StepPolicy()
     euler = _resolve_scheme(spec, scheme) == "euler"
+    bdim = spec.brownian_dim if euler and spec.has_diffusion() else None
     m = drivers.n
     d = spec.dim
     pos = np.asarray(initial_positions, dtype=np.float64).reshape(m, d).copy()
     ncells, dt_eff = output_grid(T, dt)
     times = [0.0]
-    snaps = [pos.copy()]
-    jumps = 0
+    snaps = np.empty((ncells + 1, m, d))
+    snaps[0] = pos
+    jumps = step = 0
 
     def rates(t):
         return np.asarray(spec.rate(pos, flow.measure_for(t)), dtype=np.float64)
 
     def substep(t, h, bounds):
-        nonlocal jumps
-        jumps += _ensemble_substep(spec, pos, drivers, flow, t, h, bounds, trunc_c, euler)
+        nonlocal jumps, step
+        draws = _substep_draws(drivers, tape, step, t, h, bounds, bdim)
+        step += 1
+        jumps += _ensemble_substep(spec, pos, drivers, flow, t, h, bounds, trunc_c, euler, draws)
 
     def snapshot():
-        return pos.copy(), drivers.snapshot()
+        return pos.copy(), drivers.snapshot(), step
 
     def restore(snap):
+        nonlocal step
         pos[:, :] = snap[0]
         drivers.restore(snap[1])
+        step = snap[2]
 
     for cell in range(ncells):
         start, end = dt_eff * cell, dt_eff * (cell + 1)
         _advance_substeps(spec, policy, start, end, rates, substep, snapshot, restore)
         times.append(end)
-        snaps.append(pos.copy())
+        snaps[cell + 1] = pos
 
     return EnsembleResult(
         times=np.asarray(times),
-        snapshots=np.asarray(snaps),
+        snapshots=snaps,
         jump_count=jumps,
         final=pos,
     )
@@ -207,17 +228,38 @@ def _event_rounds(block: np.ndarray, time: np.ndarray, row: np.ndarray) -> list[
     return [order[seq == r] for r in range(int(seq.max()) + 1)] if len(b) else []
 
 
-def _ensemble_substep(spec, pos, drivers, flow, t, h, bounds, trunc_c, euler) -> int:
-    """One sub-step of every copy in place; returns its accepted jumps, raises if a copy blows up."""
+def _substep_draws(drivers, tape, i, t, h, bounds, bdim):
+    """Sub-step i's Brownian increments (None when ``bdim`` is) and candidates.
+
+    With a ``tape``, entry i is replayed when its (t, h) are this sub-step's
+    and entries 0..i-1 were replayed or drawn in this run: the bundle then
+    stands where it stood when entry i was drawn, and its counters advance
+    exactly as the draw advanced them.  Otherwise the sub-step draws and
+    rewrites the tape from entry i on.
+    """
+    if tape is not None and i < len(tape) and tape[i][:2] == (t, h):
+        dW, cands = tape[i][2:]
+        if dW is not None:
+            drivers.brownian.counters += np.uint64(bdim)
+        per_row = np.bincount(cands[1], minlength=drivers.n).astype(np.uint64)
+        drivers.poisson.counters += (bounds > 0) + 2 * per_row
+        drivers.cand_counts += per_row
+        return dW, cands
+    dW = None if bdim is None else drivers.brownian.normals_block(bdim) * math.sqrt(h)
+    cands = collect_candidates(drivers, t, t + h, bounds)
+    if tape is not None:
+        del tape[i:]
+        tape.append((t, h, dW, cands))
+    return dW, cands
+
+
+def _ensemble_substep(spec, pos, drivers, flow, t, h, bounds, trunc_c, euler, draws) -> int:
+    """One sub-step of every copy in place on ``draws`` (``_substep_draws``); returns its
+    accepted jumps, raises if a copy blows up."""
     mu = flow.measure_for(t)
     g = collateral_drift(spec, pos, flow.quad_measure_for(t), min(flow.lam_mean_for(t), trunc_c))
     f, sig = _frozen_coefficients(spec, pos, mu, g, euler)
-
-    dW = None
-    if euler and spec.has_diffusion():
-        dW = drivers.brownian.normals_block(spec.brownian_dim) * math.sqrt(h)
-
-    times, copies, us, ks = collect_candidates(drivers, t, t + h, bounds)
+    dW, (times, copies, us, ks) = draws
     t_last = np.full(pos.shape[0], t)
 
     def decay(rows, until):
@@ -292,15 +334,17 @@ def picard_iterate(
     scheme: str = "auto",
     policy: StepPolicy | None = None,
     initial_positions: np.ndarray,
+    tape: list | None = None,
 ) -> tuple[FlowApproximation, float]:
     """One frozen-flow sweep: simulate M copies against flow_k, measure the move.
 
     Every sweep addresses the same driver namespace, so the returned delta
-    is a pathwise contraction measure, not fresh-sample noise.
+    is a pathwise contraction measure, not fresh-sample noise.  ``tape``
+    records or replays the sweep's draws (``simulate_ensemble``).
     """
     res = simulate_ensemble(
         spec, T, dt, make_driver_bundle(seed, PICARD_REPLICA, M), flow_k,
-        initial_positions=initial_positions, trunc_c=trunc_c, scheme=scheme, policy=policy,
+        initial_positions=initial_positions, trunc_c=trunc_c, scheme=scheme, policy=policy, tape=tape,
     )
     flow_next = _flow_from_snapshots(spec, res.times, res.snapshots, trunc_c, meta={})
     if len(flow_k.times) == len(flow_next.times):
@@ -360,10 +404,11 @@ def solve_limit(
     deltas: list[float] = []
     trunc_events: list[float] = []
     converged = False
+    tape = [] if spec.meta.rate_global_bound is not None else None
     for _ in range(max_iter):
         flow, delta = picard_iterate(
             flow, spec, M, T, dt,
-            seed=seed, trunc_c=trunc_c, scheme=scheme, policy=policy, initial_positions=x0,
+            seed=seed, trunc_c=trunc_c, scheme=scheme, policy=policy, initial_positions=x0, tape=tape,
         )
         deltas.append(delta)
         if math.isfinite(trunc_c):

@@ -1,12 +1,17 @@
 import json
 import multiprocessing
+import os
+import subprocess
+import sys
 import warnings
 from concurrent.futures import Future
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import mfjump
 import mfjump.harness as harness
 from mfjump.cli import main as cli_main
 from mfjump.harness import (
@@ -393,11 +398,11 @@ def test_cli_wasserstein(tmp_path, capsys):
     ragged.write_text("0.1,0.2\n0.3\n")
     with pytest.raises(SystemExit, match=r"ragged\.csv, line 2"):
         cli_main(["wasserstein", str(ragged), str(b)])
-    # samples the library rejects exit with both file names and its reason
+    # samples the library rejects exit with the command and its reason
     big_a, big_b = tmp_path / "big_a.csv", tmp_path / "big_b.csv"
     big_a.write_text("0.0 1.0\n" * 600)
     big_b.write_text("1.0 0.0\n" * 600)
-    with pytest.raises(SystemExit, match=r"big_a\.csv and .*big_b\.csv: n=600 exceeds assignment cap 512"):
+    with pytest.raises(SystemExit, match=r"^mfjump wasserstein: n=600 exceeds assignment cap 512"):
         cli_main(["wasserstein", str(big_a), str(big_b)])
     # 1-D samples above the cap need no assignment
     big_a.write_text("0.0\n" * 600)
@@ -406,8 +411,30 @@ def test_cli_wasserstein(tmp_path, capsys):
     assert capsys.readouterr().out == "1.0\n"
     nan = tmp_path / "nan.csv"
     nan.write_text("x\nnan\n0.0\n3.0\n")
-    with pytest.raises(SystemExit, match=r"nan\.csv and .*b\.csv: .*1 rows of a and 0 rows of b hold NaN or inf"):
+    with pytest.raises(SystemExit, match=r"^mfjump wasserstein: .*1 rows of a and 0 rows of b hold NaN or inf"):
         cli_main(["wasserstein", str(nan), str(b)])
+
+
+def test_cli_validate_rejected_input_exits_with_one_line():
+    # input the library rejects ends the installed command with its reason
+    # and exit status 1, not a traceback
+    src = str(Path(mfjump.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "mfjump.cli", "validate", "--model", "neuronal", "--budget", "-3"],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == "mfjump validate: probe budget must be at least 1, got -3\n"
+
+
+def test_cli_chaos_sweep_bad_config_exits_with_its_reason(tmp_path):
+    cfg = _config_dict(tmp_path / "out")
+    cfg["run"]["dtt"] = 0.1
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(yaml.safe_dump(cfg))
+    with pytest.raises(SystemExit, match=r"^mfjump chaos-sweep: unknown keys in config section 'run': \['dtt'\]$"):
+        cli_main(["chaos-sweep", "--config", str(cfg_path)])
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_simulate_writes_versioned_files(tmp_path):

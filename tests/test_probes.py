@@ -59,7 +59,7 @@ def test_batched_probe_draws_equal_scalar_sampler(points, measures, dim, budget)
 def test_probe_budget_below_one_is_rejected(budget):
     with pytest.raises(InvalidInputError, match="probe budget must be at least 1"):
         ProbeConfig(budget=budget)
-    with pytest.raises(InvalidInputError, match="probe budget must be at least 1"):
+    with pytest.raises(SystemExit, match=f"^mfjump validate: probe budget must be at least 1, got {budget}$"):
         cli_main(["validate", "--model", "neuronal", "--budget", str(budget)])
 
 
