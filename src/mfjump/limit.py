@@ -313,12 +313,10 @@ def _flow_from_snapshots(spec: ModelSpec, times: np.ndarray, snaps: np.ndarray, 
 
 
 def flow_delta(flow_a: FlowApproximation, flow_b: FlowApproximation, seed: int = 0) -> float:
-    """sup over the grid of W1 between two flows' ensembles."""
-    if len(flow_a.times) != len(flow_b.times):
-        raise InvalidInputError("flows live on different grids")
+    """sup over flow_b's grid of W1 between its ensemble and flow_a's ensemble in force at that time."""
     worst = 0.0
-    for i in range(len(flow_a.times)):
-        worst = max(worst, w1_capped(flow_a.ensemble[i], flow_b.ensemble[i], seed=seed))
+    for t, ens in zip(flow_b.times, flow_b.ensemble):
+        worst = max(worst, w1_capped(flow_a.ensemble[flow_a.cell_index(t)], ens, seed=seed))
     return worst
 
 
@@ -347,17 +345,7 @@ def picard_iterate(
         initial_positions=initial_positions, trunc_c=trunc_c, scheme=scheme, policy=policy, tape=tape,
     )
     flow_next = _flow_from_snapshots(spec, res.times, res.snapshots, trunc_c, meta={})
-    if len(flow_k.times) == len(flow_next.times):
-        delta = flow_delta(flow_k, flow_next, seed=seed)
-    else:
-        # iteration-0 flows are constant-in-time on a 2-point grid
-        worst = 0.0
-        for i in range(len(flow_next.times)):
-            worst = max(
-                worst, w1_capped(flow_k.ensemble[0], flow_next.ensemble[i], seed=seed)
-            )
-        delta = worst
-    return flow_next, delta
+    return flow_next, flow_delta(flow_k, flow_next, seed=seed)
 
 
 def ensemble_noise_floor(flow: FlowApproximation, seed: int = 0) -> float:

@@ -85,7 +85,6 @@ class AssumptionMeta:
     lipschitz_jump_l1: float | None = None
     rate_gamma: float | None = None          # envelope b' <= gamma*b + c
     rate_c: float | None = None
-    rate_h_bound: float | None = None        # sup of the bounded rate part
     rate_margin_factor: float = 5.0          # admissibility: factor*gamma*E||V|| < 1
     mean_collateral_norm: float | None = None  # E||V||
     rate_global_bound: float | None = None   # sup lambda if finite
@@ -136,6 +135,8 @@ class ModelSpec:
             ev = self.meta.mean_collateral_norm
             if g is None or ev is None:
                 raise InvalidInputError("superlinear_rate models must declare rate_gamma and E||V||")
+            if not ev >= 0:
+                raise InvalidInputError(f"superlinear_rate models need E||V|| >= 0, got {ev:.6g}")
             k = self.meta.rate_margin_factor
             if not k * g * ev < 1.0:
                 raise InvalidInputError(
@@ -287,7 +288,7 @@ def validate_model(spec: ModelSpec, probe: ProbeConfig | None = None) -> Assumpt
     def probes(points, measures):
         """(b, *points, *measures) per probe, drawn from the next channel now."""
         pts, atoms = _probe_draws(spec.dim, probe, next(channels), points, measures)
-        return ((b, *pts[b], *map(make_empirical, atoms[b])) for b in range(probe.budget))
+        return ((b, *pts[b], *map(EmpiricalMeasure, atoms[b])) for b in range(probe.budget))
 
     def first_violation(witnesses):
         return next(filter(None, witnesses), None)

@@ -11,6 +11,11 @@ Three families, selectable by string id:
   b(r) = r**alpha plus a constant bounded term, main jump resets the state
   into [0, u_max]^d, collateral kicks of bounded random amplitude.
 
+The first two are the capped-jump families: they share one parameter
+base with one check (nonnegative rate, diffusion and kick parameters,
+``jump_scale`` in [0, 1]) and one builder of everything but the drift.
+The neuronal margin 5 * gamma * E||V|| < 1 is checked by ``ModelSpec``.
+
 Default parameters are sized so desk-scale runs (N <= 1024, T <= 5) finish
 in minutes.
 """
@@ -33,10 +38,11 @@ def _as_rows(col: np.ndarray, d: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class LipschitzDemoParams:
+class _CappedJumpParams:
+    """Parameters shared by the two capped-jump families."""
+
     dim: int = 1
-    mean_reversion: float = 1.0      # a >= 0
-    interaction: float = 0.5         # pull toward the empirical mean
+    interaction: float = 0.5         # pull toward the empirical mean (theta in theta * tanh(mean - x))
     sigma0: float = 0.4
     rate_base: float = 1.0           # lambda0
     rate_slope: float = 0.5          # lambda1
@@ -45,19 +51,18 @@ class LipschitzDemoParams:
     collateral_amp: float = 0.4      # v0 in Theta = v0 * (2 h2 - 1) * ones
 
     def __post_init__(self):
-        if self.mean_reversion < 0 or self.sigma0 < 0 or self.rate_base < 0 or self.rate_slope < 0:
-            raise InvalidInputError("demo parameters must be nonnegative")
+        for name in ("sigma0", "rate_base", "rate_slope", "rate_cap_radius", "collateral_amp"):
+            if not getattr(self, name) >= 0:
+                raise InvalidInputError(f"{name} must be nonnegative, got {getattr(self, name)!r}")
         if not 0.0 <= self.jump_scale <= 1.0:
-            raise InvalidInputError("jump_scale must lie in [0, 1]")
+            raise InvalidInputError(f"jump_scale must lie in [0, 1], got {self.jump_scale!r}")
 
 
-def build_lipschitz_demo(params: LipschitzDemoParams) -> ModelSpec:
-    p = params
+def _capped_jump_model(p: _CappedJumpParams, drift, class_tag: str, **meta) -> ModelSpec:
+    """A family's drift with the shared coefficients: diffusion sigma0 * I,
+    the capped-linear rate, main jump -beta * x * h1 and mean-zero kicks."""
     d = p.dim
     sig = p.sigma0 * np.eye(d)
-
-    def drift(x, m: EmpiricalMeasure):
-        return -p.mean_reversion * x + p.interaction * (m.mean - x)
 
     def diffusion(x, m):
         return np.broadcast_to(sig, (x.shape[0], d, d))
@@ -76,15 +81,6 @@ def build_lipschitz_demo(params: LipschitzDemoParams) -> ModelSpec:
         return -0.5 * p.jump_scale * x
 
     rate_max = p.rate_base + p.rate_slope * p.rate_cap_radius
-    meta = AssumptionMeta(
-        lipschitz_drift=p.mean_reversion + p.interaction,
-        lipschitz_diffusion=0.0,
-        # thinned-jump L1 constant on the probe domain (radius 3):
-        # rate_max * beta * E[h] + rate_slope * beta * E[h] * radius
-        lipschitz_jump_l1=0.5 * p.jump_scale * (rate_max + 3.0 * p.rate_slope) + p.rate_slope * p.collateral_amp * math.sqrt(d),
-        rate_global_bound=rate_max,
-        mean_collateral_norm=0.5 * p.collateral_amp * math.sqrt(d),
-    )
     return ModelSpec(
         drift=drift,
         diffusion=diffusion,
@@ -93,35 +89,51 @@ def build_lipschitz_demo(params: LipschitzDemoParams) -> ModelSpec:
         collateral_jump=collateral_jump,
         dim=d,
         brownian_dim=d if p.sigma0 > 0 else 0,
-        class_tag="lipschitz",
-        meta=meta,
+        class_tag=class_tag,
+        meta=AssumptionMeta(
+            lipschitz_diffusion=0.0,
+            # thinned-jump L1 constant on the probe domain (radius 3):
+            # rate_max * beta * E[h] + rate_slope * beta * E[h] * radius
+            lipschitz_jump_l1=0.5 * p.jump_scale * (rate_max + 3.0 * p.rate_slope) + p.rate_slope * p.collateral_amp * math.sqrt(d),
+            rate_global_bound=rate_max,
+            mean_collateral_norm=0.5 * p.collateral_amp * math.sqrt(d),
+            **meta,
+        ),
         collateral_mean=None,  # E[2 h2 - 1] = 0
         main_jump_mean=main_jump_mean,
     )
 
 
 @dataclass(frozen=True)
-class ConvexPotentialParams:
-    dim: int = 1
-    exponent: int = 2                # m >= 1 in U(x) = sum |x_k|^(2m) / (2m)
-    interaction: float = 0.5         # theta in b = theta * tanh(mean - x)
-    sigma0: float = 0.3
-    rate_base: float = 1.0
-    rate_slope: float = 0.5
-    rate_cap_radius: float = 2.0
-    jump_scale: float = 0.3
-    collateral_amp: float = 0.4
+class LipschitzDemoParams(_CappedJumpParams):
+    mean_reversion: float = 1.0      # a >= 0
 
     def __post_init__(self):
-        if self.exponent < 1:
-            raise InvalidInputError("exponent must be >= 1")
+        super().__post_init__()
+        if not self.mean_reversion >= 0:
+            raise InvalidInputError(f"mean_reversion must be nonnegative, got {self.mean_reversion!r}")
 
 
-def build_convex_potential(params: ConvexPotentialParams) -> ModelSpec:
-    p = params
-    d = p.dim
+def build_lipschitz_demo(p: LipschitzDemoParams) -> ModelSpec:
+    def drift(x, m: EmpiricalMeasure):
+        return -p.mean_reversion * x + p.interaction * (m.mean - x)
+
+    return _capped_jump_model(p, drift, "lipschitz", lipschitz_drift=p.mean_reversion + p.interaction)
+
+
+@dataclass(frozen=True)
+class ConvexPotentialParams(_CappedJumpParams):
+    sigma0: float = 0.3
+    exponent: int = 2                # m >= 1 in U(x) = sum |x_k|^(2m) / (2m)
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not self.exponent >= 1:
+            raise InvalidInputError(f"exponent must be >= 1, got {self.exponent!r}")
+
+
+def build_convex_potential(p: ConvexPotentialParams) -> ModelSpec:
     power = 2 * p.exponent - 1
-    sig = p.sigma0 * np.eye(d)
 
     def grad_potential(x):
         return np.sign(x) * np.abs(x) ** power
@@ -132,44 +144,9 @@ def build_convex_potential(params: ConvexPotentialParams) -> ModelSpec:
     def drift(x, m):
         return -grad_potential(x) + interaction(x, m)
 
-    def diffusion(x, m):
-        return np.broadcast_to(sig, (x.shape[0], d, d))
-
-    def rate(x, m):
-        r = np.sqrt(np.add.reduce(x * x, axis=-1))
-        return p.rate_base + p.rate_slope * np.minimum(r, p.rate_cap_radius)
-
-    def main_jump(x, m, h1):
-        return -p.jump_scale * x * np.asarray(h1, dtype=np.float64)[:, None]
-
-    def collateral_jump(xj, targets, m, h1, h2):
-        return _as_rows(p.collateral_amp * (2.0 * np.asarray(h2, dtype=np.float64)[:, None] - 1.0), d)
-
-    def main_jump_mean(x, m):
-        return -0.5 * p.jump_scale * x
-
-    rate_max = p.rate_base + p.rate_slope * p.rate_cap_radius
-    meta = AssumptionMeta(
-        lipschitz_diffusion=0.0,
-        lipschitz_jump_l1=0.5 * p.jump_scale * (rate_max + 3.0 * p.rate_slope) + p.rate_slope * p.collateral_amp * math.sqrt(d),
-        rate_global_bound=rate_max,
-        mean_collateral_norm=0.5 * p.collateral_amp * math.sqrt(d),
-        potential_grad=grad_potential,
-        interaction=interaction,
-        interaction_bound=p.interaction,
-    )
-    return ModelSpec(
-        drift=drift,
-        diffusion=diffusion,
-        rate=rate,
-        main_jump=main_jump,
-        collateral_jump=collateral_jump,
-        dim=d,
-        brownian_dim=d if p.sigma0 > 0 else 0,
-        class_tag="convex_potential",
-        meta=meta,
-        collateral_mean=None,
-        main_jump_mean=main_jump_mean,
+    return _capped_jump_model(
+        p, drift, "convex_potential",
+        potential_grad=grad_potential, interaction=interaction, interaction_bound=p.interaction,
     )
 
 
@@ -205,13 +182,7 @@ def derive_envelope_c(alpha: float, gamma: float) -> float:
 def build_neuronal(params: NeuronalParams) -> ModelSpec:
     p = params
     d = p.dim
-    e_v_norm = 0.5 * p.collateral_amp * math.sqrt(d)
-    margin = p.margin_factor * p.rate_gamma * e_v_norm
-    if margin >= 1.0:
-        raise InvalidInputError(
-            f"inadmissible rate envelope: {p.margin_factor:g} * gamma * E||V|| = {margin:.6g} >= 1"
-        )
-    if p.margin_factor < 5.0:
+    if p.margin_factor < 5.0:  # ModelSpec checks the margin itself
         warnings.warn(
             f"margin_factor {p.margin_factor:g} is weaker than the supported factor 5; "
             "moment and jump-count bounds are no longer guaranteed",
@@ -245,9 +216,8 @@ def build_neuronal(params: NeuronalParams) -> ModelSpec:
     meta = AssumptionMeta(
         rate_gamma=p.rate_gamma,
         rate_c=c,
-        rate_h_bound=p.rate_offset,
         rate_margin_factor=p.margin_factor,
-        mean_collateral_norm=e_v_norm,
+        mean_collateral_norm=0.5 * p.collateral_amp * math.sqrt(d),
         rate_radial=b_radial,
     )
     return ModelSpec(
@@ -266,37 +236,33 @@ def build_neuronal(params: NeuronalParams) -> ModelSpec:
     )
 
 
-PARAM_TYPES = {
-    "lipschitz-demo": LipschitzDemoParams,
-    "convex-potential": ConvexPotentialParams,
-    "neuronal": NeuronalParams,
-}
-
-_BUILDERS = {
-    "lipschitz-demo": build_lipschitz_demo,
-    "convex-potential": build_convex_potential,
-    "neuronal": build_neuronal,
+# id -> (parameter type, builder)
+_FAMILIES = {
+    "lipschitz-demo": (LipschitzDemoParams, build_lipschitz_demo),
+    "convex-potential": (ConvexPotentialParams, build_convex_potential),
+    "neuronal": (NeuronalParams, build_neuronal),
 }
 
 
 def model_ids() -> list[str]:
-    return sorted(_BUILDERS)
+    return sorted(_FAMILIES)
+
+
+def _family(model_id: str):
+    if model_id not in _FAMILIES:
+        raise InvalidInputError(f"unknown model id {model_id!r}; known: {model_ids()}")
+    return _FAMILIES[model_id]
 
 
 def default_params(model_id: str) -> dict:
-    if model_id not in PARAM_TYPES:
-        raise InvalidInputError(f"unknown model id {model_id!r}; known: {model_ids()}")
-    return asdict(PARAM_TYPES[model_id]())
+    return asdict(_family(model_id)[0]())
 
 
 def build(model_id: str, params: dict | None = None) -> ModelSpec:
     """Build a zoo model from its id and a (possibly partial) parameter dict."""
-    if model_id not in _BUILDERS:
-        raise InvalidInputError(f"unknown model id {model_id!r}; known: {model_ids()}")
-    ptype = PARAM_TYPES[model_id]
+    ptype, builder = _family(model_id)
     params = dict(params or {})
-    known = set(ptype.__dataclass_fields__)
-    unknown = set(params) - known
+    unknown = set(params) - set(ptype.__dataclass_fields__)
     if unknown:
         raise InvalidInputError(f"unknown parameters for {model_id}: {sorted(unknown)}")
-    return _BUILDERS[model_id](ptype(**params))
+    return builder(ptype(**params))

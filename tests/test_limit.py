@@ -11,6 +11,7 @@ from mfjump.limit import (
     constant_flow,
     coupled_chaos_run,
     ensemble_noise_floor,
+    flow_delta,
     picard_iterate,
     simulate_ensemble,
     solve_limit,
@@ -73,6 +74,20 @@ def test_picard_no_jumps_collapses_to_decay():
     assert d2 == 0.0
     decay = np.exp(-flow1.times)
     assert np.allclose(flow1.ensemble[:, :, 0], decay[:, None], rtol=1e-10)
+
+
+def test_flow_delta_reads_the_cell_in_force_across_grids():
+    # iteration 0's constant flow lives on the 2-point grid [0, T]; every
+    # time of the finer grid reads its one ensemble, and the other way round
+    # the fine flow's cell at each of the two times
+    spec = _reset_spec(lam0=0.0)
+    M, T = 64, 2.0
+    x0 = np.full((M, 1), 1.0)
+    flow0 = constant_flow(x0, T, spec)
+    flow1, d1 = picard_iterate(flow0, spec, M, T, 0.1, seed=1, initial_positions=x0)
+    assert len(flow1.times) == 21
+    assert d1 == flow_delta(flow0, flow1) == pytest.approx(1.0 - math.exp(-T), rel=1e-10)
+    assert flow_delta(flow1, flow0) == d1
 
 
 def test_picard_contraction_neuronal():

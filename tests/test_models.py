@@ -137,7 +137,7 @@ def test_rate_envelope_grid_check():
         brownian_dim=0,
         class_tag="superlinear_rate",
         meta=AssumptionMeta(
-            rate_gamma=0.05, rate_c=20.0, rate_h_bound=0.0,
+            rate_gamma=0.05, rate_c=20.0,
             mean_collateral_norm=0.1, rate_radial=lambda r: np.asarray(r) ** 2,
         ),
     )
@@ -160,7 +160,7 @@ def test_rate_envelope_grid_check_fails_when_c_too_small():
         brownian_dim=0,
         class_tag="superlinear_rate",
         meta=AssumptionMeta(
-            rate_gamma=0.05, rate_c=5.0, rate_h_bound=0.0,
+            rate_gamma=0.05, rate_c=5.0,
             mean_collateral_norm=0.1, rate_radial=lambda r: np.asarray(r) ** 2,
         ),
     )

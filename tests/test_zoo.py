@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mfjump.drivers import InvalidInputError, StreamKey, StreamState, make_driver_bundle
+from mfjump.harness import ConfigError, SimConfig
 from mfjump.models import ProbeConfig, make_empirical, validate_model
 from mfjump.particle import InitSampler, simulate
 from mfjump.zoo import build, default_params, derive_envelope_c, model_ids
@@ -11,9 +12,32 @@ from mfjump.zoo import build, default_params, derive_envelope_c, model_ids
 
 def test_model_ids_and_defaults():
     assert model_ids() == ["convex-potential", "lipschitz-demo", "neuronal"]
-    for mid in model_ids():
-        params = default_params(mid)
-        assert isinstance(params, dict) and params
+    capped = {"dim": 1, "interaction": 0.5, "rate_base": 1.0, "rate_slope": 0.5, "rate_cap_radius": 2.0,
+              "jump_scale": 0.3, "collateral_amp": 0.4}
+    assert default_params("lipschitz-demo") == {**capped, "sigma0": 0.4, "mean_reversion": 1.0}
+    assert default_params("convex-potential") == {**capped, "sigma0": 0.3, "exponent": 2}
+    assert default_params("neuronal") == {
+        "dim": 1, "rate_exponent": 2.0, "rate_gamma": 0.2, "rate_offset": 0.5, "reset_max": 1.0,
+        "collateral_amp": 0.5, "margin_factor": 5.0,
+    }
+
+
+@pytest.mark.parametrize("model", ["lipschitz-demo", "convex-potential"])
+@pytest.mark.parametrize("key,value", [
+    ("sigma0", -0.3),  # convex-potential used to build with its diffusion switched off
+    ("rate_base", -2.0),
+    ("rate_slope", -0.5),
+    ("rate_cap_radius", -1.0),
+    ("collateral_amp", -0.4),
+    ("jump_scale", 1.5),
+    ("jump_scale", -0.1),
+])
+def test_capped_jump_families_reject_bad_parameters(model, key, value):
+    with pytest.raises(InvalidInputError, match=key):
+        build(model, {key: value})
+    config = {"schema": 1, "model": {"id": model, "params": {key: value}}, "run": {"Ns": [4, 8]}}
+    with pytest.raises(ConfigError, match=f"^model.params: {key}"):
+        SimConfig.from_dict(config)
 
 
 def test_unknown_model_and_params_rejected():
@@ -29,6 +53,9 @@ def test_neuronal_margin_check():
     # gamma=0.3: 5*0.3*1 = 1.5 >= 1 is rejected with the violated inequality
     with pytest.raises(InvalidInputError, match="5"):
         build("neuronal", {"rate_gamma": 0.3, "collateral_amp": 2.0})
+    # a negative E||V|| = -2.5 would read as a margin of -0.25 < 1
+    with pytest.raises(InvalidInputError, match=r"E\|\|V\|\| >= 0, got -2.5"):
+        build("neuronal", {"collateral_amp": -5.0})
 
 
 def test_margin_factor_override_warns():
