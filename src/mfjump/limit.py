@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,6 +56,16 @@ _QUAD_CAP = 512
 SATURATION_FRACTION = 0.01  # share of grid times above trunc_c that doubles it
 
 
+class FlowCell(NamedTuple):
+    """A flow's grid cell: span [start, end), measure, capped quadrature sub-ensemble, rate summary."""
+
+    start: float
+    end: float
+    measure: EmpiricalMeasure
+    quad: EmpiricalMeasure
+    lam_mean: float
+
+
 @dataclass
 class FlowApproximation:
     """Time-marginal flow: per-grid-time ensemble plus scalar summaries."""
@@ -66,8 +77,7 @@ class FlowApproximation:
     meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self._measures: dict[int, EmpiricalMeasure] = {}
-        self._quad: dict[int, EmpiricalMeasure] = {}
+        self._cells: dict[int, FlowCell] = {}
         if self.ensemble.shape[0] != len(self.times):
             raise InvalidInputError("ensemble and grid sizes disagree")
 
@@ -83,25 +93,15 @@ class FlowApproximation:
         i = int(np.searchsorted(self.times, t, side="right")) - 1
         return min(max(i, 0), len(self.times) - 1)
 
-    def measure_for(self, t: float) -> EmpiricalMeasure:
+    def cell(self, t: float) -> FlowCell:
+        """The cell in force at t; the last cell ends at inf."""
         i = self.cell_index(t)
-        if i not in self._measures:
-            self._measures[i] = EmpiricalMeasure(self.ensemble[i])
-        return self._measures[i]
-
-    def quad_measure_for(self, t: float) -> EmpiricalMeasure:
-        """Capped sub-ensemble for pairwise quadrature in general models."""
-        i = self.cell_index(t)
-        if i not in self._quad:
-            if self.M <= _QUAD_CAP:
-                self._quad[i] = self.measure_for(t)
-            else:
-                stride = max(1, self.M // _QUAD_CAP)
-                self._quad[i] = EmpiricalMeasure(self.ensemble[i, ::stride][:_QUAD_CAP])
-        return self._quad[i]
-
-    def lam_mean_for(self, t: float) -> float:
-        return float(self.lam_mean[self.cell_index(t)])
+        if i not in self._cells:
+            mu = EmpiricalMeasure(self.ensemble[i])
+            quad = mu if self.M <= _QUAD_CAP else EmpiricalMeasure(self.ensemble[i, :: self.M // _QUAD_CAP][:_QUAD_CAP])
+            end = float(self.times[i + 1]) if i + 1 < len(self.times) else math.inf
+            self._cells[i] = FlowCell(float(self.times[i]), end, mu, quad, float(self.lam_mean[i]))
+        return self._cells[i]
 
     def save(self, path) -> None:
         # stored, not deflated: float64 samples shrink by under 5% and the
@@ -183,7 +183,7 @@ def simulate_ensemble(
     jumps = step = 0
 
     def rates(t):
-        return np.asarray(spec.rate(pos, flow.measure_for(t)), dtype=np.float64)
+        return np.asarray(spec.rate(pos, flow.cell(t).measure), dtype=np.float64)
 
     def substep(t, h, bounds):
         nonlocal jumps, step
@@ -256,8 +256,8 @@ def _substep_draws(drivers, tape, i, t, h, bounds, bdim):
 def _ensemble_substep(spec, pos, drivers, flow, t, h, bounds, trunc_c, euler, draws) -> int:
     """One sub-step of every copy in place on ``draws`` (``_substep_draws``); returns its
     accepted jumps, raises if a copy blows up."""
-    mu = flow.measure_for(t)
-    g = collateral_drift(spec, pos, flow.quad_measure_for(t), min(flow.lam_mean_for(t), trunc_c))
+    _, _, mu, quad, lam_mean = flow.cell(t)
+    g = collateral_drift(spec, pos, quad, min(lam_mean, trunc_c))
     f, sig = _frozen_coefficients(spec, pos, mu, g, euler)
     dW, (times, copies, us, ks) = draws
     t_last = np.full(pos.shape[0], t)

@@ -147,6 +147,7 @@ class _LiveSystem:
         self.pos = np.array(positions, dtype=np.float64)
         self.flow = flow
         self._measure = EmpiricalMeasure(self.pos)
+        self.cell = flow.cell(0.0) if kind == "LIMIT" else None  # the flow cell last read
         self.record = record  # False: count the jumps, log none
         self.jump_count = 0
         self.jump_times: list[float] = []
@@ -155,9 +156,9 @@ class _LiveSystem:
         self.jump_post: list[np.ndarray] = []
 
     def measure_now(self, t: float) -> EmpiricalMeasure:
-        if self.kind == "LIMIT":
-            return self.flow.measure_for(t)
-        return self._measure
+        if self.kind == "LIMIT" and not self.cell.start <= t < self.cell.end:
+            self.cell = self.flow.cell(t)
+        return self.cell.measure if self.kind == "LIMIT" else self._measure
 
     def rates(self, t: float) -> np.ndarray:
         return np.asarray(self.spec.rate(self.pos, self.measure_now(t)), dtype=np.float64)
@@ -363,7 +364,7 @@ class CoupledSimulator:
             if s.kind == "Y":
                 g = collateral_drift(spec, s.pos, mu)
             elif s.kind == "LIMIT":
-                g = collateral_drift(spec, s.pos, s.flow.quad_measure_for(t), min(s.flow.lam_mean_for(t), s.flow.trunc_c))
+                g = collateral_drift(spec, s.pos, s.cell.quad, min(s.cell.lam_mean, s.flow.trunc_c))
             else:
                 g = None
             f, sig = _frozen_coefficients(spec, s.pos, mu, g, euler)

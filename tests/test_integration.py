@@ -89,7 +89,7 @@ def test_general_collateral_mean_drives_y_drift():
 def test_general_collateral_mean_limit_drift_quadrature():
     spec = _pairwise_spec(2.0)
     flow = constant_flow(np.asarray([[1.0], [2.0], [3.0], [6.0]]), 1.0, spec)
-    g = collateral_drift(spec, np.zeros((5, 1)), flow.quad_measure_for(0.0))
+    g = collateral_drift(spec, np.zeros((5, 1)), flow.cell(0.0).quad)
     # <mu, lam * E[Theta](., x)> = 2.0 * mean(flow points) = 6.0
     assert np.allclose(g, 6.0, atol=1e-12)
 

@@ -357,7 +357,7 @@ def test_moment_bound_transfer_neuronal():
     for p in (1, 4):
         vals = []
         for i, t in enumerate(flow.times):
-            lam = spec.rate(flow.ensemble[i], flow.measure_for(float(t)))
+            lam = spec.rate(flow.ensemble[i], flow.cell(float(t)).measure)
             vals.append(float(np.mean(np.asarray(lam) ** p)))
         vals = np.asarray(vals)
         half = flow.times >= 3.0

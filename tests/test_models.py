@@ -203,10 +203,10 @@ def _oracle_y(spec, pos, mu):
 
 def _oracle_limit(spec, pos, flow, t, trunc_c):
     if spec.collateral_mean_kind() == "constant":
-        lm = min(flow.lam_mean_for(t), trunc_c)
+        lm = min(flow.cell(t).lam_mean, trunc_c)
         ev = np.asarray(spec.collateral_mean, dtype=np.float64)
         return np.broadcast_to(lm * ev, pos.shape).copy()
-    mu = flow.quad_measure_for(t)
+    mu = flow.cell(t).quad
     lam = np.asarray(spec.rate(mu.points, mu), dtype=np.float64)
     cm = np.asarray(spec.collateral_mean(mu.points, pos, mu))
     return np.mean(lam[:, None, None] * cm, axis=0)
@@ -249,7 +249,7 @@ def test_collateral_drift_matches_replaced_formulas(name):
                              lam_mean=np.asarray([1.3, 2.9, 2.1]), trunc_c=math.inf)
     for trunc_c in (math.inf, 2.0):
         for t in (0.0, 0.6, 1.0):
-            got = collateral_drift(spec, pos, flow.quad_measure_for(t), min(flow.lam_mean_for(t), trunc_c))
+            got = collateral_drift(spec, pos, flow.cell(t).quad, min(flow.cell(t).lam_mean, trunc_c))
             assert np.array_equal(got, _oracle_limit(spec, pos, flow, t, trunc_c))
     # the validator's field at a single target
     m = make_empirical(pos[:4])

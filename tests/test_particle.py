@@ -1,11 +1,14 @@
+import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
+from mfjump import particle
 from mfjump.drivers import InvalidInputError, collect_candidates, make_driver_bundle, marks_uniforms
-from mfjump.limit import constant_flow, solve_limit
+from mfjump.limit import FlowApproximation, constant_flow, solve_limit
 from mfjump.models import AssumptionMeta, ModelSpec, collateral_drift, make_empirical
 from mfjump.particle import (
     CoupledSimulator,
@@ -282,8 +285,13 @@ class _ReferenceSimulator(CoupledSimulator):
     Every candidate re-hashes the main mark on its own, hashes the
     collateral row again for X, and folds every row of every pair into the
     sup after every candidate.  Jumps and decays write new position arrays
-    instead of updating them in place.
+    instead of updating them in place.  LIMIT reads its flow cell and its
+    rate afresh at every candidate.
     """
+
+    @staticmethod
+    def _measure(s, t):
+        return s.flow.cell(t).measure if s.kind == "LIMIT" else s._measure
 
     def _update_sup(self, jumped=None, j=0) -> None:
         for (a, b), key in self.PAIR_KEYS.items():
@@ -296,11 +304,12 @@ class _ReferenceSimulator(CoupledSimulator):
         euler = self.scheme == "euler"
         drifts, diffs = [], []
         for s in self.systems:
-            mu = s.measure_now(t)
+            mu = self._measure(s, t)
             if s.kind == "Y":
                 g = collateral_drift(spec, s.pos, mu)
             elif s.kind == "LIMIT":
-                g = collateral_drift(spec, s.pos, s.flow.quad_measure_for(t), min(s.flow.lam_mean_for(t), s.flow.trunc_c))
+                cell = s.flow.cell(t)
+                g = collateral_drift(spec, s.pos, cell.quad, min(cell.lam_mean, s.flow.trunc_c))
             else:
                 g = None
             f, sig = _frozen_coefficients(spec, s.pos, mu, g, euler)
@@ -318,7 +327,7 @@ class _ReferenceSimulator(CoupledSimulator):
                 t_last = tau
                 self._update_sup()
             for s in self.systems:
-                mu = s.measure_now(tau)
+                mu = self._measure(s, tau)
                 lam_j = float(np.asarray(spec.rate(s.pos[j : j + 1], mu))[0])
                 if lam_j > bounds[j] * (1.0 + 1e-12) + 1e-12:
                     raise RateBoundViolation(
@@ -412,6 +421,41 @@ def test_event_loop_matches_reference_lipschitz_triple(dim, n):
     pids = np.random.default_rng(11).permutation(n) if dim == 2 else None
     sim = _assert_same_run(("X", "Y", "LIMIT"), spec, x0, T, dt, 7, pids, flow=flow, scheme="euler")
     assert all(np.all(v > 0) for v in sim.sup.values())
+
+
+def test_event_loop_matches_reference_candidate_at_flow_grid_time(monkeypatch):
+    # a flow grid time inside each sub-step, with means alternating +1 and -1
+    # by cell, and a rate that reads the mean: LIMIT's lies above 1 before the
+    # grid time and below 1 from it on.  The first candidate at or after it is
+    # moved onto it with u = 1, so LIMIT must read the next cell there
+    # (side="right") and reject
+    T, dt = 3.0, 0.1
+    ncells, dtf = output_grid(T, dt / 2)
+    times = dtf * np.arange(ncells + 1)
+    signs = np.where(np.arange(ncells + 1) % 2 == 0, 1.0, -1.0)
+    flow = FlowApproximation(times=times, ensemble=np.tile(signs[:, None, None], (1, 8, 1)),
+                             lam_mean=np.zeros(ncells + 1), trunc_c=math.inf)
+    base = build("lipschitz-demo", {"collateral_amp": 3.0, "rate_cap_radius": 2.0, "rate_slope": 0.5})  # bound 2
+    spec = dataclasses.replace(base, rate=lambda x, m: 1.0 + 0.5 * math.tanh(4.0 * float(m.mean[0])) + 0.4 * np.tanh(x[:, 0]))
+    placed, draw = [], collect_candidates
+
+    def candidates_on_grid(bundle, t0, t1, bounds):
+        ts, js, us, ks = draw(bundle, t0, t1, bounds)
+        ts, us = ts.copy(), us.copy()
+        for g in times[(times > t0) & (times < t1)]:
+            k = int(np.searchsorted(ts, g))
+            if k < len(ts):
+                ts[k], us[k] = g, 1.0
+                placed.append((float(g), int(js[k])))
+        return ts, js, us, ks
+
+    monkeypatch.setattr(particle, "collect_candidates", candidates_on_grid)
+    monkeypatch.setattr(sys.modules[__name__], "collect_candidates", candidates_on_grid)
+    x0 = np.random.default_rng(4).normal(0.0, 0.5, size=(16, 1))
+    sim = _assert_same_run(("X", "Y", "LIMIT"), spec, x0, T, dt, 9, flow=flow, scheme="euler")
+    lim = sim.system("LIMIT")
+    assert len(placed) >= 10  # both runs place the same candidates
+    assert not set(placed) & set(zip(lim.jump_times, lim.jump_particles))
 
 
 def test_event_loop_matches_reference_neuronal_triple():
