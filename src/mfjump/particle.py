@@ -16,7 +16,10 @@ Hybrid stepping: drift/diffusion advance by Euler using the start-of-step
 empirical measure, while candidate Poisson events inside the step are
 placed at their exact times and processed in time order (ties broken by
 particle index).  The measure seen by jump evaluations is live: it updates
-at every jump inside the step.  An accepted main jump of particle j moves
+at every jump inside the step; LIMIT's is the flow cell in force.  In the
+Euler scheme a LIMIT row moves only at its own jump, so until then, and
+until its cell ends, its thinning rate is read from its rate vector taken
+at the sub-step start.  An accepted main jump of particle j moves
 j by the main amplitude and every other particle by the collateral
 amplitude over N, both evaluated at the pre-jump state.  The marks of a
 candidate are hashed once: an accepted X jump hashes the collateral row
@@ -290,6 +293,7 @@ class CoupledSimulator:
         self._marks = np.empty(drivers.n)  # buffers for every accepted X jump
         self._mark_scratch = np.empty((2, drivers.n), dtype=np.uint64)
         self._kick = np.empty((drivers.n, spec.dim))
+        self._limit_rates = (math.nan, None)  # (t, LIMIT's rate vector at t), kept by _rates
         self._pairs = []  # (system a, system b, sup array) per coupled pair
         for (a, b), key in self.PAIR_KEYS.items():
             if a in systems and b in systems:
@@ -313,11 +317,10 @@ class CoupledSimulator:
     # -- stepping ---------------------------------------------------------
 
     def _rates(self, t: float) -> np.ndarray:
-        """Largest rate of each particle over the coupled systems."""
-        lam = self.systems[0].rates(t)
-        for s in self.systems[1:]:
-            lam = np.maximum(lam, s.rates(t))
-        return lam
+        """Largest rate of each particle over the coupled systems; LIMIT's own vector is kept for ``_substep``."""
+        rates = {s.kind: s.rates(t) for s in self.systems}
+        self._limit_rates = (t, rates.get("LIMIT"))
+        return np.maximum.reduce(list(rates.values()))
 
     def _snapshot(self) -> dict:
         return {
@@ -359,12 +362,15 @@ class CoupledSimulator:
         # frozen start-of-sub-step drift/diffusion
         drifts: list[np.ndarray | None] = []
         diffs: list[np.ndarray | None] = []
+        # Euler: LIMIT's rate is its entry in _rates(t)'s vector until its row jumps or its cell ends
+        lim_end, lim_lam, lim_moved = -math.inf, self._limit_rates[1], set()
         for s in self.systems:
             mu = s.measure_now(t)
             if s.kind == "Y":
                 g = collateral_drift(spec, s.pos, mu)
             elif s.kind == "LIMIT":
                 g = collateral_drift(spec, s.pos, s.cell.quad, min(s.cell.lam_mean, s.flow.trunc_c))
+                lim_end = s.cell.end if euler and self._limit_rates[0] == t else -math.inf
             else:
                 g = None
             f, sig = _frozen_coefficients(spec, s.pos, mu, g, euler)
@@ -391,7 +397,10 @@ class CoupledSimulator:
             bound = float(bounds[j])
             for s in self.systems:
                 mu = s.measure_now(tau)
-                lam_j = float(np.asarray(spec.rate(s.pos[j : j + 1], mu))[0])
+                if s.kind == "LIMIT" and tau < lim_end and j not in lim_moved:
+                    lam_j = float(lim_lam[j])
+                else:
+                    lam_j = float(np.asarray(spec.rate(s.pos[j : j + 1], mu))[0])
                 if lam_j > bound * (1.0 + 1e-12) + 1e-12:
                     raise RateBoundViolation(
                         f"rate {lam_j:.6g} above bound {bound:.6g} "
@@ -416,6 +425,8 @@ class CoupledSimulator:
                 s.jump_count += 1
                 s._measure.mark_dirty()
                 jumped.append(s)
+                if s.kind == "LIMIT":
+                    lim_moved.add(j)
             if jumped:
                 self._update_sup(jumped, j)
 

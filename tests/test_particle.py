@@ -423,6 +423,22 @@ def test_event_loop_matches_reference_lipschitz_triple(dim, n):
     assert all(np.all(v > 0) for v in sim.sup.values())
 
 
+def test_event_loop_matches_reference_limit_rates_across_flow_cells():
+    # Euler triple whose rate reads m.mean, on a flow solved on a grid 4x finer
+    # than the run's: every sub-step crosses three flow cell ends, so LIMIT's
+    # rate vector from the sub-step start goes stale at each; jump_scale 1 and
+    # four candidates per row per sub-step make a LIMIT row jump and meet a
+    # later candidate in the same sub-step
+    base = build("lipschitz-demo", dict(_STRONG_KICKS, jump_scale=1.0))
+    # the rate reads the measure's mean, under lipschitz-demo's global bound 10
+    spec = dataclasses.replace(base, rate=lambda x, m: 1.0 + 3.0 * np.minimum(np.abs(x[:, 0] - 2.0 * m.mean[0]), 3.0))
+    T, dt = 2.0, 0.4
+    flow = solve_limit(spec, 96, T, dt / 4, seed=5, tol=1e-12, max_iter=1)
+    x0 = np.random.default_rng(3).normal(0.3, 0.8, size=(16, 1))
+    policy = StepPolicy(candidate_cap=4.0)
+    _assert_same_run(("X", "Y", "LIMIT"), spec, x0, T, dt, 7, flow=flow, scheme="euler", policy=policy)
+
+
 def test_event_loop_matches_reference_candidate_at_flow_grid_time(monkeypatch):
     # a flow grid time inside each sub-step, with means alternating +1 and -1
     # by cell, and a rate that reads the mean: LIMIT's lies above 1 before the
@@ -475,6 +491,23 @@ def test_event_loop_matches_reference_with_halving_retries():
     )
     policy = StepPolicy(bound_mult=1.0, bound_add=0.05, candidate_cap=8.0, max_retries=16)
     sim = _assert_same_run(("X", "Y"), spec, np.full((4, 1), 1.0), 3.0, 0.5, 6, policy=policy)
+    assert sim.retry_count > 0
+
+
+def test_event_loop_matches_reference_triple_with_halving_retries():
+    # LIMIT's start-of-sub-step rates stay valid through a halved retry, which
+    # rewinds the positions they were taken at
+    spec = _spec(
+        drift=lambda x, m: np.zeros_like(x),
+        rate=lambda x, m: np.abs(x[:, 0] - 0.5 * m.mean[0]),
+        main=lambda x, m, h: np.ones_like(x),
+        collateral=lambda xj, tg, m, h1, h2: 4.0 * (np.asarray(h2)[:, None] - 0.5),
+        cap=None,
+    )
+    policy = StepPolicy(bound_mult=1.0, bound_add=0.05, candidate_cap=8.0, max_retries=16)
+    flow = constant_flow(np.linspace(-1.0, 3.0, 8).reshape(8, 1), 3.0)
+    sim = _assert_same_run(("X", "Y", "LIMIT"), spec, np.ones((6, 1)), 3.0, 0.5, 6, flow=flow, policy=policy,
+                           scheme="euler")
     assert sim.retry_count > 0
 
 
