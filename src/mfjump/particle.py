@@ -294,11 +294,11 @@ class CoupledSimulator:
         self._mark_scratch = np.empty((2, drivers.n), dtype=np.uint64)
         self._kick = np.empty((drivers.n, spec.dim))
         self._limit_rates = (math.nan, None)  # (t, LIMIT's rate vector at t), kept by _rates
-        self._pairs = []  # (system a, system b, sup array) per coupled pair
+        self._pairs = []  # (system a, system b, sup array, d=1 fold buffer) per coupled pair
         for (a, b), key in self.PAIR_KEYS.items():
             if a in systems and b in systems:
                 self.sup[key] = np.zeros(drivers.n)
-                self._pairs.append((self.system(a), self.system(b), self.sup[key]))
+                self._pairs.append((self.system(a), self.system(b), self.sup[key], np.empty((drivers.n, 1)) if spec.dim == 1 else None))
 
     def system(self, kind: str) -> _LiveSystem:
         for s in self.systems:
@@ -338,12 +338,21 @@ class CoupledSimulator:
 
     def _update_sup(self, jumped: list | None = None, j: int = 0) -> None:
         """Fold current distances into each pair's sup; after a jump of particle j, only rows ``jumped`` systems moved."""
-        for a, b, sup in self._pairs:  # X comes first in its pairs
+        for a, b, sup, buf in self._pairs:  # X comes first in its pairs
             if jumped is not None and a not in jumped and b not in jumped:
                 continue
-            rows = slice(None) if jumped is None or (a.kind == "X" and a in jumped) else slice(j, j + 1)
-            diff = a.pos[rows] - b.pos[rows]
-            np.maximum(sup[rows], np.sqrt(np.add.reduce(diff * diff, axis=1)), out=sup[rows])
+            every = jumped is None or (a.kind == "X" and a in jumped)
+            if buf is None:
+                rows = slice(None) if every else slice(j, j + 1)
+                diff = a.pos[rows] - b.pos[rows]
+                np.maximum(sup[rows], np.sqrt(np.add.reduce(diff * diff, axis=1)), out=sup[rows])
+            elif every:  # d=1: the same operations in place, as a length-1 reduce returns its element
+                np.multiply(np.subtract(a.pos, b.pos, out=buf), buf, out=buf)
+                np.maximum(sup, np.sqrt(buf, out=buf)[:, 0], out=sup)
+            else:  # d=1, row j in Python floats, keeping np.maximum's NaN propagation
+                dv = a.pos.item(j) - b.pos.item(j)
+                if (r := math.sqrt(dv * dv)) > sup.item(j) or r != r:
+                    sup[j] = r
 
     def advance(self, end: float) -> None:
         """Advance all systems to time ``end``, the end of one output cell."""
