@@ -454,7 +454,9 @@ def coupled_chaos_run(
     for the optimal-coupling path distance.  On lipschitz-demo the bound is
     attained at grid resolution: the optimal assignment between the X and
     limit grid paths is the identity, and ``sup_xlimit`` reads 2-3% above
-    that grid distance because it also folds event times.
+    that grid distance because it also folds event times.  On neuronal the
+    identity is not always optimal, and ``sup_xlimit`` is an upper bound
+    about 10% above the path-space W1.
     """
     res = simulate_coupled(
         ("X", "Y", "LIMIT"), spec, N, T, dt, drivers,

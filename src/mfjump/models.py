@@ -25,11 +25,7 @@ from .metrics import w1_assignment
 
 
 class EmpiricalMeasure:
-    """Uniform probability measure on n points in R^d.
-
-    ``integrate(g)`` is the mean of g over the points; the mean vector is
-    cached and recomputed on demand (steppers invalidate it after jumps).
-    """
+    """Uniform probability measure on n points in R^d; the mean is cached until ``mark_dirty``."""
 
     __slots__ = ("points", "_mean", "_dirty")
 
@@ -55,11 +51,6 @@ class EmpiricalMeasure:
 
     def mark_dirty(self) -> None:
         self._dirty = True
-
-    def integrate(self, g: Callable) -> np.ndarray | float:
-        vals = np.asarray(g(self.points))
-        out = vals.mean(axis=0)
-        return float(out) if np.ndim(out) == 0 else out
 
 
 def make_empirical(points) -> EmpiricalMeasure:
@@ -130,6 +121,8 @@ class ModelSpec:
     def __post_init__(self):
         if self.class_tag not in ("lipschitz", "convex_potential", "superlinear_rate"):
             raise InvalidInputError(f"unknown class_tag {self.class_tag!r}")
+        if not self.meta.rate_margin_factor > 0:
+            raise InvalidInputError(f"rate_margin_factor must be positive, got {self.meta.rate_margin_factor!r}")
         if self.class_tag == "superlinear_rate":
             g = self.meta.rate_gamma
             ev = self.meta.mean_collateral_norm

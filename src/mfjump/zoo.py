@@ -182,7 +182,7 @@ def derive_envelope_c(alpha: float, gamma: float) -> float:
 def build_neuronal(params: NeuronalParams) -> ModelSpec:
     p = params
     d = p.dim
-    if p.margin_factor < 5.0:  # ModelSpec checks the margin itself
+    if 0 < p.margin_factor < 5.0:  # ModelSpec rejects a nonpositive factor and checks the margin
         warnings.warn(
             f"margin_factor {p.margin_factor:g} is weaker than the supported factor 5; "
             "moment and jump-count bounds are no longer guaranteed",
@@ -205,13 +205,13 @@ def build_neuronal(params: NeuronalParams) -> ModelSpec:
 
     def main_jump(x, m, h1):
         # reset: x + psi = U(h1) in [0, u_max]^d
-        return p.reset_max * np.asarray(h1, dtype=np.float64)[:, None] * np.ones((x.shape[0], d)) - x
+        return p.reset_max * np.asarray(h1, dtype=np.float64)[:, None] - x
 
     def collateral_jump(xj, targets, m, h1, h2):
         return _as_rows(p.collateral_amp * np.asarray(h2, dtype=np.float64)[:, None], d)
 
     def main_jump_mean(x, m):
-        return 0.5 * p.reset_max * np.ones_like(x) - x
+        return 0.5 * p.reset_max - x
 
     meta = AssumptionMeta(
         rate_gamma=p.rate_gamma,
@@ -265,4 +265,7 @@ def build(model_id: str, params: dict | None = None) -> ModelSpec:
     unknown = set(params) - set(ptype.__dataclass_fields__)
     if unknown:
         raise InvalidInputError(f"unknown parameters for {model_id}: {sorted(unknown)}")
-    return builder(ptype(**params))
+    p = ptype(**params)
+    if isinstance(p.dim, bool) or not isinstance(p.dim, (int, np.integer)) or p.dim < 1:
+        raise InvalidInputError(f"dim must be an integer >= 1, got {p.dim!r}")
+    return builder(p)

@@ -337,6 +337,24 @@ def test_synchronous_coupling_is_optimal_on_grid_paths():
         assert cost[rows, cols].mean() <= np.diag(cost).mean() <= res["sup"]["xlimit"].mean()
 
 
+def test_neuronal_d_xlimit_bounds_the_grid_path_w1():
+    # on neuronal the identity need not be the optimal assignment between the
+    # X and LIMIT grid paths (it is not at this seed), so d_xlimit only bounds
+    # the path-space W1 from above; the exact scheme also folds the left
+    # limits at every candidate time into it
+    from scipy.optimize import linear_sum_assignment
+
+    spec = build("neuronal", {})
+    T, dt, N = 2.0, 0.05, 64
+    flow = solve_limit(spec, 1024, T, dt, seed=3, max_iter=4, init=UNIF)
+    res = simulate_coupled(("X", "Y", "LIMIT"), spec, N, T, dt, make_driver_bundle(3, 0, N),
+                           flow=flow, init=UNIF, scheme="exact", record_paths=True)
+    x, lim = res["paths"]["X"].positions, res["paths"]["LIMIT"].positions  # (G, N, d)
+    cost = np.linalg.norm(x[:, :, None, :] - lim[:, None, :, :], axis=3).max(axis=0)
+    rows, cols = linear_sum_assignment(cost)
+    assert cost[rows, cols].mean() <= np.diag(cost).mean() <= res["sup"]["xlimit"].mean()
+
+
 def test_coupled_run_measure_free_dynamics_degenerates():
     # measure-independent coefficients with mean-zero collateral: the
     # intermediate system and the limit copies follow identical dynamics on

