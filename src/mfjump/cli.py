@@ -2,8 +2,9 @@
 
 Exit codes: 0 success; 1 error or partial sweep; validate maps its verdict
 to 0 (pass), 2 (fail), 3 (indeterminate).  Input the library rejects
-(``InvalidInputError``, ``ConfigError``) exits 1 with the one-line message
-``mfjump <command>: <reason>``.
+(``InvalidInputError``, ``ConfigError``) and a partial sweep (``SweepError``:
+the good cells' outputs are written) print ``mfjump <command>: <reason>`` as
+one stderr line, and ``main`` returns 1.
 """
 
 from __future__ import annotations
@@ -64,11 +65,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_chaos_sweep(args) -> int:
     config = _load_config(args)
-    try:
-        report = run_chaos_sweep(config, force=args.force)
-    except SweepError as exc:
-        print(f"sweep incomplete: {exc}", file=sys.stderr)
-        return 1
+    report = run_chaos_sweep(config, force=args.force)
     for pair, f in report.fits.items():
         print(
             f"{pair}: slope={f.slope:+.3f} (se {f.slope_se:.3f})  R2={f.r2:.3f}  "
@@ -80,11 +77,7 @@ def _cmd_chaos_sweep(args) -> int:
 
 def _cmd_diagnostics(args) -> int:
     config = _load_config(args)
-    try:
-        bundle = run_diagnostics(config)
-    except SweepError as exc:
-        print(f"diagnostics incomplete: {exc}", file=sys.stderr)
-        return 1
+    bundle = run_diagnostics(config)
     for (n, p), v in bundle.moment_verdicts.items():
         print(
             f"N={n} moment p={p}: slope={v['slope_mean']:+.4g} "
@@ -177,8 +170,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except InvalidInputError as exc:  # ConfigError included: the reason, not a traceback
-        raise SystemExit(f"mfjump {args.command}: {exc}") from None
+    except (InvalidInputError, SweepError) as exc:  # ConfigError included: the reason, not a traceback
+        print(f"mfjump {args.command}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

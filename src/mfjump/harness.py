@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import json
-import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -46,15 +46,24 @@ class ConfigError(InvalidInputError):
 
 
 class SweepError(RuntimeError):
-    """A sweep cell failed; partial results were persisted and flagged."""
+    """Sweep cells failed; the other cells' results were persisted and flagged partial."""
 
-    def __init__(self, message: str, failures: list[dict]):
-        super().__init__(message)
+    def __init__(self, failures: list[dict], n_cells: int, outdir):
+        first = failures[0]
+        super().__init__(
+            f"{len(failures)} of {n_cells} cells failed, first N={first['N']} replica {first['replica']}: "
+            f"{first['error']}; partial results in {outdir}"
+        )
         self.failures = failures
 
 
 def _integer(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _positive(x) -> bool:
+    """A finite number > 0 (no bool, no string)."""
+    return (_integer(x) or isinstance(x, (float, np.floating))) and 0 < x < np.inf
 
 
 def _parse_section(cls, data: dict, path: str):
@@ -84,10 +93,10 @@ class RunSection:
     workers: int = 0
 
     def __post_init__(self):
-        if not self.T > 0:
-            raise ConfigError("run.T must be positive")
-        if not self.dt > 0:
-            raise ConfigError("run.dt must be positive")
+        if not _positive(self.T):
+            raise ConfigError(f"run.T must be a finite number > 0, got {self.T!r}")
+        if not _positive(self.dt):
+            raise ConfigError(f"run.dt must be a finite number > 0, got {self.dt!r}")
         if self.scheme not in ("auto", "euler", "exact"):
             raise ConfigError(f"run.scheme must be auto, euler or exact, got {self.scheme!r}")
         ns = list(self.Ns)
@@ -97,6 +106,8 @@ class RunSection:
             raise ConfigError("run.Ns must be strictly increasing")
         if not _integer(self.replicas) or self.replicas < 1:
             raise ConfigError(f"run.replicas must be an integer >= 1, got {self.replicas!r}")
+        if not _integer(self.seed):
+            raise ConfigError(f"run.seed must be an integer, got {self.seed!r}")
         if not _integer(self.workers) or self.workers < 0:
             raise ConfigError(f"run.workers must be an integer >= 0, got {self.workers!r}")
 
@@ -128,11 +139,10 @@ class LimitSection:
     picard_max_iter: int = 10
 
     def __post_init__(self):
-        if self.ensemble < 0:
-            raise ConfigError(f"limit.ensemble must be >= 0 (0 = automatic), got {self.ensemble}")
-        tol = self.picard_tol
-        if not (_integer(tol) or isinstance(tol, (float, np.floating))) or not 0 < tol < np.inf:
-            raise ConfigError(f"limit.picard_tol must be a finite number > 0, got {tol!r}")
+        if not _integer(self.ensemble) or self.ensemble < 0:
+            raise ConfigError(f"limit.ensemble must be an integer >= 0 (0 = automatic), got {self.ensemble!r}")
+        if not _positive(self.picard_tol):
+            raise ConfigError(f"limit.picard_tol must be a finite number > 0, got {self.picard_tol!r}")
         if not _integer(self.picard_max_iter) or self.picard_max_iter < 1:
             raise ConfigError(f"limit.picard_max_iter must be an integer >= 1, got {self.picard_max_iter!r}")
 
@@ -161,6 +171,14 @@ class SteppingSection:
 class DiagnosticsSection:
     moment_powers: tuple = (4,)
     jump_thresholds: tuple = ()  # empty = 2x the largest-N mean ratio
+
+    def __post_init__(self):
+        powers = self.moment_powers
+        if not isinstance(powers, (list, tuple)) or not all(_integer(p) and 1 <= p <= 4 for p in powers):
+            raise ConfigError(f"diagnostics.moment_powers must be a list of integers in 1..4, got {powers!r}")
+        hs = self.jump_thresholds
+        if not isinstance(hs, (list, tuple)) or not all(_positive(h) for h in hs):
+            raise ConfigError(f"diagnostics.jump_thresholds must be a list of finite numbers > 0, got {hs!r}")
 
 
 @dataclass(frozen=True)
@@ -196,19 +214,13 @@ class SimConfig:
         schema = data.pop("schema", None)
         if schema != SCHEMA_VERSION:
             raise ConfigError(f"config schema must be {SCHEMA_VERSION}, got {schema!r}")
-        sections = {
-            "model": ModelSection, "run": RunSection, "init": InitSection,
-            "limit": LimitSection, "stepping": SteppingSection,
-            "diagnostics": DiagnosticsSection, "output": OutputSection,
-        }
+        sections = {f.name: f.default_factory for f in dataclasses.fields(SimConfig)}
         unknown = set(data) - set(sections)
         if unknown:
             raise ConfigError(f"unknown top-level config sections: {sorted(unknown)}")
-        kwargs = {}
-        for name, cls in sections.items():
-            if name in data:
-                kwargs[name] = _parse_section(cls, data[name], name)
-        return SimConfig(**kwargs)
+        return SimConfig(**{
+            name: _parse_section(cls, data[name], name) for name, cls in sections.items() if name in data
+        })
 
     @staticmethod
     def from_file(path) -> "SimConfig":
@@ -220,12 +232,12 @@ class SimConfig:
 
     def to_dict(self) -> dict:
         out = {"schema": SCHEMA_VERSION}
-        for name in ("model", "run", "init", "limit", "stepping", "diagnostics", "output"):
-            section = dataclasses.asdict(getattr(self, name))
+        for f in dataclasses.fields(self):
+            section = dataclasses.asdict(getattr(self, f.name))
             for k, v in list(section.items()):
                 if isinstance(v, tuple):
                     section[k] = list(v)
-            out[name] = section
+            out[f.name] = section
         return out
 
     def with_overrides(self, seed=None, workers=None, out=None) -> "SimConfig":
@@ -287,29 +299,26 @@ def replica_stream_key(n_index: int, replica: int) -> int:
     return (n_index << 20) | replica
 
 
-def _chaos_cell(args: tuple) -> dict:
-    cfg_dict, flow, n_index, N, replica = args  # flow: the solved flow, or its file in a pool worker
+def _cell(values, args: tuple) -> dict:
+    """One (N, replica) cell: ``values(config, spec, bundle, flow)`` on the cell's own streams."""
+    cfg_dict, flow, n_index, N, replica = args  # flow: the solved flow, its file in a pool worker, or None
     try:
         config = SimConfig.from_dict(cfg_dict)
         spec = build(config.model.id, config.model.params)
-        if not isinstance(flow, FlowApproximation):
+        if isinstance(flow, str):
             flow = _load_flow_cached(flow)
         bundle = make_driver_bundle(config.run.seed, replica_stream_key(n_index, replica), N)
-        sample = coupled_chaos_run(
-            spec, N, config.run.T, config.run.dt, bundle, flow,
-            init=config.init.sampler(), scheme=config.run.scheme,
-            policy=config.stepping.policy(),
-        )
-        return {
-            "N": N,
-            "replica": replica,
-            "d_xy": float(np.mean(sample.sup_xy)),
-            "d_ylimit": float(np.mean(sample.sup_ylimit)),
-            "d_xlimit": float(np.mean(sample.sup_xlimit)),
-            "jumps_per_particle": sample.jump_count_x / N,
-        }
+        return {"N": N, "replica": replica, **values(config, spec, bundle, flow)}
     except Exception as exc:  # noqa: BLE001 - cell failures are data, not crashes
         return {"N": N, "replica": replica, "error": f"{type(exc).__name__}: {exc}"}
+
+
+def _manifest(config: SimConfig, failures: list[dict]) -> dict:
+    """What a sweep ran with, and whether every cell succeeded."""
+    return {
+        "config": config.to_dict(), "seed": config.run.seed, "package_version": PKG_VERSION,
+        "status": "partial" if failures else "complete", "failures": failures,
+    }
 
 
 def _pool(workers: int):
@@ -327,6 +336,16 @@ def _map_cells(fn, args: list, pool=None) -> list:
         return [fn(a) for a in args]
     futures = {i: pool.submit(fn, args[i]) for i in sorted(range(len(args)), key=lambda i: -args[i][-2])}
     return [futures[i].result() for i in range(len(args))]
+
+
+def _run_cells(values, config: SimConfig, pool, flow=None) -> tuple[list[dict], list[dict]]:
+    """Every (N, replica) cell of ``config`` through ``values``; returns the cells in order and the failed ones."""
+    cfg_dict = config.to_dict()
+    args = [
+        (cfg_dict, flow, ni, int(N), r) for ni, N in enumerate(config.run.Ns) for r in range(config.run.replicas)
+    ]
+    cells = _map_cells(functools.partial(_cell, values), args, pool)
+    return cells, [c for c in cells if "error" in c]
 
 
 def _gate(report: AssumptionReport, force: bool) -> None:
@@ -382,6 +401,20 @@ def _write_plotdata(plot_dir: Path, Ns: list[int], distances: dict) -> None:
         (plot_dir / f"{pair[2:]}.dat").write_text("\n".join(lines) + "\n")
 
 
+def _chaos_values(config: SimConfig, spec, bundle, flow) -> dict:
+    sample = coupled_chaos_run(
+        spec, bundle.n, config.run.T, config.run.dt, bundle, flow,
+        init=config.init.sampler(), scheme=config.run.scheme,
+        policy=config.stepping.policy(),
+    )
+    return {
+        "d_xy": float(np.mean(sample.sup_xy)),
+        "d_ylimit": float(np.mean(sample.sup_ylimit)),
+        "d_xlimit": float(np.mean(sample.sup_xlimit)),
+        "jumps_per_particle": sample.jump_count_x / bundle.n,
+    }
+
+
 def run_chaos_sweep(config: SimConfig, force: bool = False) -> ChaosReport:
     """Solve the limit once, run every (N, replica) coupled cell, fit rates.
 
@@ -394,7 +427,6 @@ def run_chaos_sweep(config: SimConfig, force: bool = False) -> ChaosReport:
     spec = build(config.model.id, config.model.params)
     Ns = [int(n) for n in config.run.Ns]
     outdir = Path(config.output.dir)
-    cfg_dict = config.to_dict()
     with _pool(config.run.workers) as pool:
         if pool is None:
             _gate(validate_model(spec), force)
@@ -412,13 +444,11 @@ def run_chaos_sweep(config: SimConfig, force: bool = False) -> ChaosReport:
                 _gate(verdict.result(), force)
 
         outdir.mkdir(parents=True, exist_ok=True)
-        (outdir / "config.echo").write_text(yaml.safe_dump(cfg_dict, sort_keys=True))
+        (outdir / "config.echo").write_text(yaml.safe_dump(config.to_dict(), sort_keys=True))
         flow.save(outdir / "flow.npz")
         # in-process cells share the solved flow; pool workers load its file
         flow_ref = flow if pool is None else str(outdir / "flow.npz")
-        args = [(cfg_dict, flow_ref, ni, N, r) for ni, N in enumerate(Ns) for r in range(config.run.replicas)]
-        cells = _map_cells(_chaos_cell, args, pool)
-    failures = [c for c in cells if "error" in c]
+        cells, failures = _run_cells(_chaos_values, config, pool, flow_ref)
 
     distances = _aggregate_distances(Ns, cells)
     fits = {}
@@ -448,63 +478,36 @@ def run_chaos_sweep(config: SimConfig, force: bool = False) -> ChaosReport:
             "limit_meta": flow.meta,
             "jumps_per_particle": {k: float(np.mean(v)) if v else float("nan") for k, v in jumps_by_n.items()},
         },
-        manifest={
-            "config": cfg_dict,
-            "seed": config.run.seed,
-            "package_version": PKG_VERSION,
-            "status": "partial" if failures else "complete",
-            "failures": failures,
-        },
+        manifest=_manifest(config, failures),
     )
 
     _write_distances_csv(outdir / "distances.csv", cells)
     _write_plotdata(outdir / "plotdata", Ns, distances)
-    payload = {
-        "format": "mfjump-report-v1",
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "report": dataclasses.asdict(chaos),
-    }
-    _write_json(outdir / "report.json", payload)
-
+    _write_json(outdir / "report.json", {"format": "mfjump-report-v1", "report": dataclasses.asdict(chaos)})
     if failures:
-        raise SweepError(
-            f"{len(failures)} of {len(cells)} cells failed; partial results in {outdir}", failures
-        )
+        raise SweepError(failures, len(cells), outdir)
     return chaos
 
 
 # -- diagnostics ------------------------------------------------------------
 
 
-def _diag_cell(args: tuple) -> dict:
-    cfg_dict, n_index, N, replica = args
-    try:
-        config = SimConfig.from_dict(cfg_dict)
-        spec = build(config.model.id, config.model.params)
-        bundle = make_driver_bundle(config.run.seed, replica_stream_key(n_index, replica), N)
-        paths = simulate(
-            "X", spec, N, config.run.T, config.run.dt, bundle,
-            init=config.init.sampler(), scheme=config.run.scheme,
-            policy=config.stepping.policy(),
-        )
-        moments = {}
-        for p in config.diagnostics.moment_powers:
-            series = moment_diagnostics(paths, spec, int(p))
-            moments[int(p)] = {
-                "mean": float(series.values.mean()),
-                "second_half_mean": float(series.values[series.times >= config.run.T / 2].mean()),
-                "trend_slope": series.trend_slope,
-                "trend_se": series.trend_se,
-            }
-        return {
-            "N": N,
-            "replica": replica,
-            "jump_count": paths.jump_count,
-            "jumps_per_particle": paths.jump_count / N,
-            "moments": moments,
+def _diag_values(config: SimConfig, spec, bundle, flow) -> dict:
+    paths = simulate(
+        "X", spec, bundle.n, config.run.T, config.run.dt, bundle,
+        init=config.init.sampler(), scheme=config.run.scheme,
+        policy=config.stepping.policy(),
+    )
+    moments = {}
+    for p in config.diagnostics.moment_powers:
+        series = moment_diagnostics(paths, spec, p)
+        moments[p] = {
+            "mean": float(series.values.mean()),
+            "second_half_mean": float(series.values[series.times >= config.run.T / 2].mean()),
+            "trend_slope": series.trend_slope,
+            "trend_se": series.trend_se,
         }
-    except Exception as exc:  # noqa: BLE001
-        return {"N": N, "replica": replica, "error": f"{type(exc).__name__}: {exc}"}
+    return {"jump_count": paths.jump_count, "jumps_per_particle": paths.jump_count / bundle.n, "moments": moments}
 
 
 @dataclass
@@ -522,28 +525,23 @@ def run_diagnostics(config: SimConfig) -> DiagnosticsBundle:
 
     The moment verdict is 'bounded' when the cross-replica CI of the
     second-half trend slope excludes growth faster than 5% of the series
-    mean per unit time.
+    mean per unit time.  A failing cell is left out of every table (an N
+    with no good cell gets no verdict and no tail row); the other cells'
+    outputs are written, the manifest is flagged partial and names the
+    failures, and then ``SweepError`` is raised.
     """
     Ns = [int(n) for n in config.run.Ns]
     if min(Ns) == 1:
         warnings.warn("N=1 runs: mean-field quantities are degenerate", stacklevel=2)
-    cfg_dict = config.to_dict()
-    args = [
-        (cfg_dict, ni, N, r)
-        for ni, N in enumerate(Ns)
-        for r in range(config.run.replicas)
-    ]
+    powers = config.diagnostics.moment_powers
     with _pool(config.run.workers) as pool:
-        cells = _map_cells(_diag_cell, args, pool)
-    failures = [c for c in cells if "error" in c]
-    if failures:
-        raise SweepError(f"{len(failures)} diagnostics cells failed", failures)
+        cells, failures = _run_cells(_diag_values, config, pool)
+    good = [c for c in cells if "error" not in c]
+    rows_by_n = {N: rows for N in Ns if (rows := [c for c in good if c["N"] == N])}
 
     moment_verdicts = {}
-    for N in Ns:
-        rows = [c for c in cells if c["N"] == N]
-        for p in config.diagnostics.moment_powers:
-            p = int(p)
+    for N, rows in rows_by_n.items():
+        for p in powers:
             slopes = np.asarray([r["moments"][p]["trend_slope"] for r in rows])
             means = np.asarray([r["moments"][p]["second_half_mean"] for r in rows])
             mean_slope = float(slopes.mean())
@@ -565,18 +563,12 @@ def run_diagnostics(config: SimConfig) -> DiagnosticsBundle:
                 "verdict": verdict,
             }
 
-    ratios_by_n = {
-        N: [c["jumps_per_particle"] for c in cells if c["N"] == N] for N in Ns
-    }
-    if config.diagnostics.jump_thresholds:
-        thresholds = [float(h) for h in config.diagnostics.jump_thresholds]
-    else:
-        thresholds = [2.0 * float(np.mean(ratios_by_n[max(Ns)]))]
+    thresholds = [float(h) for h in config.diagnostics.jump_thresholds]
+    if not thresholds and rows_by_n:  # 2x the mean ratio of the largest N with good cells
+        thresholds = [2.0 * float(np.mean([c["jumps_per_particle"] for c in rows_by_n[max(rows_by_n)]]))]
     jump_tails = {
-        N: jump_count_stats(
-            [c["jump_count"] for c in cells if c["N"] == N], N, config.run.T, thresholds
-        )
-        for N in Ns
+        N: jump_count_stats([c["jump_count"] for c in rows], N, config.run.T, thresholds)
+        for N, rows in rows_by_n.items()
     }
 
     bundle = DiagnosticsBundle(
@@ -585,18 +577,18 @@ def run_diagnostics(config: SimConfig) -> DiagnosticsBundle:
         moment_verdicts=moment_verdicts,
         jump_tails=jump_tails,
         thresholds=thresholds,
-        manifest={"config": cfg_dict, "seed": config.run.seed, "package_version": PKG_VERSION},
+        manifest=_manifest(config, failures),
     )
 
     outdir = Path(config.output.dir)
     outdir.mkdir(parents=True, exist_ok=True)
     lines = [DIAGNOSTICS_HEADER, "N,replica,jumps_per_particle," + ",".join(
-        f"m{int(p)}_mean,m{int(p)}_slope" for p in config.diagnostics.moment_powers
+        f"m{p}_mean,m{p}_slope" for p in powers
     )]
-    for c in cells:
+    for c in good:
         row = [str(c["N"]), str(c["replica"]), _fmt(c["jumps_per_particle"])]
-        for p in config.diagnostics.moment_powers:
-            row += [_fmt(c["moments"][int(p)]["mean"]), _fmt(c["moments"][int(p)]["trend_slope"])]
+        for p in powers:
+            row += [_fmt(c["moments"][p]["mean"]), _fmt(c["moments"][p]["trend_slope"])]
         lines.append(",".join(row))
     (outdir / "diagnostics.csv").write_text("\n".join(lines) + "\n")
     _write_json(
@@ -618,6 +610,8 @@ def run_diagnostics(config: SimConfig) -> DiagnosticsBundle:
             "manifest": bundle.manifest,
         },
     )
+    if failures:
+        raise SweepError(failures, len(cells), outdir)
     return bundle
 
 

@@ -182,12 +182,6 @@ def derive_envelope_c(alpha: float, gamma: float) -> float:
 def build_neuronal(params: NeuronalParams) -> ModelSpec:
     p = params
     d = p.dim
-    if 0 < p.margin_factor < 5.0:  # ModelSpec rejects a nonpositive factor and checks the margin
-        warnings.warn(
-            f"margin_factor {p.margin_factor:g} is weaker than the supported factor 5; "
-            "moment and jump-count bounds are no longer guaranteed",
-            stacklevel=2,
-        )
     c = derive_envelope_c(p.rate_exponent, p.rate_gamma)
 
     def b_radial(r):
@@ -220,7 +214,7 @@ def build_neuronal(params: NeuronalParams) -> ModelSpec:
         mean_collateral_norm=0.5 * p.collateral_amp * math.sqrt(d),
         rate_radial=b_radial,
     )
-    return ModelSpec(
+    spec = ModelSpec(
         drift=drift,
         diffusion=diffusion,
         rate=rate,
@@ -234,6 +228,13 @@ def build_neuronal(params: NeuronalParams) -> ModelSpec:
         main_jump_mean=main_jump_mean,
         exact_linear_ok=True,
     )
+    if p.margin_factor < 5.0:  # only a factor and margin that ModelSpec accepted
+        warnings.warn(
+            f"margin_factor {p.margin_factor:g} is weaker than the supported factor 5; "
+            "moment and jump-count bounds are no longer guaranteed",
+            stacklevel=2,
+        )
+    return spec
 
 
 # id -> (parameter type, builder)

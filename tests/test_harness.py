@@ -112,6 +112,12 @@ def test_config_invariants(tmp_path):
         ("run", "workers", -1),
         ("run", "scheme", "exact"),  # lipschitz-demo has diffusion: failed inside solve_limit
         ("model", "params", {"jump_scale": 2.0}),
+        ("run", "T", "abc"),  # was a raw TypeError from RunSection
+        ("diagnostics", "moment_powers", [7]),  # every cell failed
+        ("diagnostics", "moment_powers", 4),  # every cell failed
+        ("diagnostics", "jump_thresholds", [-1]),  # rejected only after every cell ran
+        ("limit", "ensemble", 1.5),
+        ("run", "seed", "abc"),  # every cell failed
     ],
 )
 def test_config_rejects_values_that_would_fail_mid_run(tmp_path, section, key, value):
@@ -149,10 +155,9 @@ def test_sweep_zero_collateral_and_rerun_identical(tmp_path):
     csv_b = (tmp_path / "b" / "distances.csv").read_bytes()
     assert csv_a == csv_b
 
-    # reports agree modulo the timestamp field
+    # reports agree but for the output dir they record
     ra = json.loads((tmp_path / "a" / "report.json").read_text())
     rb = json.loads((tmp_path / "b" / "report.json").read_text())
-    ra.pop("timestamp"), rb.pop("timestamp")
     ra["report"]["manifest"]["config"]["output"] = rb["report"]["manifest"]["config"]["output"] = None
     assert ra == rb
 
@@ -201,6 +206,7 @@ def test_sweep_partial_failure_persists_other_cells(tmp_path, monkeypatch):
     with pytest.raises(SweepError) as err:
         run_chaos_sweep(cfg)
     assert len(err.value.failures) == 1
+    assert str(err.value).startswith("1 of 9 cells failed, first N=8 replica 1: RuntimeError: injected cell failure;")
 
     text = (tmp_path / "p" / "distances.csv").read_text()
     lines = text.strip().splitlines()
@@ -242,6 +248,69 @@ def test_diagnostics_constant_rate_mean_jumps(tmp_path):
     assert v["verdict"] == "bounded"
     assert (tmp_path / "diag" / "diagnostics.csv").exists()
     assert (tmp_path / "diag" / "diagnostics.json").exists()
+
+
+def _diag_config(out_dir):
+    return {
+        "schema": 1,
+        "model": {"id": "neuronal", "params": {}},
+        "run": {"T": 0.5, "dt": 0.05, "Ns": [8, 32], "replicas": 3, "seed": 7, "workers": 0},
+        "init": {"kind": "uniform", "low": 0.0, "high": 1.0},
+        "output": {"dir": str(out_dir)},
+    }
+
+
+def _fail_diag_cells(monkeypatch, cells):
+    """``simulate`` raises in the given (N index, replica) cells."""
+    real = harness.simulate
+    keys = {harness.replica_stream_key(ni, r) for ni, r in cells}
+
+    def flaky(system, spec, N, T, dt, drivers, **kw):
+        if drivers.replica in keys:
+            raise RuntimeError("injected cell failure")
+        return real(system, spec, N, T, dt, drivers, **kw)
+
+    monkeypatch.setattr(harness, "simulate", flaky)
+
+
+def test_diagnostics_partial_failure_writes_other_cells(tmp_path, monkeypatch):
+    full = run_diagnostics(SimConfig.from_dict(_diag_config(tmp_path / "full")))
+    _fail_diag_cells(monkeypatch, [(1, 1)])
+    with pytest.raises(SweepError) as err:
+        run_diagnostics(SimConfig.from_dict(_diag_config(tmp_path / "p")))
+    assert len(err.value.failures) == 1
+    assert str(err.value).startswith("1 of 6 cells failed, first N=32 replica 1: RuntimeError: injected cell failure;")
+
+    lines = (tmp_path / "p" / "diagnostics.csv").read_text().splitlines()
+    full_lines = (tmp_path / "full" / "diagnostics.csv").read_text().splitlines()
+    assert len(lines) == 2 + 5  # header + column row + the 5 good cells
+    assert lines == [ln for ln in full_lines if not ln.startswith("32,1,")]
+    payload = json.loads((tmp_path / "p" / "diagnostics.json").read_text())
+    assert payload["manifest"]["status"] == "partial"
+    assert payload["manifest"]["failures"] == [
+        {"N": 32, "replica": 1, "error": "RuntimeError: injected cell failure"}
+    ]
+    # N=8 is untouched; N=32 is aggregated over its two good cells
+    assert payload["moment_verdicts"]["N8_p4"] == json.loads(
+        json.dumps(full.moment_verdicts[(8, 4)])
+    )
+    assert set(payload["jump_tails"]) == {"8", "32"}
+    assert full.manifest["status"] == "complete" and full.manifest["failures"] == []
+
+
+def test_diagnostics_without_good_cells_for_an_n(tmp_path, monkeypatch):
+    # an N with no good cell gets no verdict and no tail row; the default
+    # jump threshold comes from the largest N that has good cells
+    full = run_diagnostics(SimConfig.from_dict(_diag_config(tmp_path / "full")))
+    _fail_diag_cells(monkeypatch, [(1, r) for r in range(3)])
+    with pytest.raises(SweepError, match="^3 of 6 cells failed, first N=32 replica 0: "):
+        run_diagnostics(SimConfig.from_dict(_diag_config(tmp_path / "p")))
+    payload = json.loads((tmp_path / "p" / "diagnostics.json").read_text())
+    assert sorted(payload["moment_verdicts"]) == ["N8_p4"]
+    assert sorted(payload["jump_tails"]) == ["8"]
+    ratios_8 = [c["jumps_per_particle"] for c in full.cells if c["N"] == 8]
+    assert payload["jump_tails"]["8"]["thresholds"] == [2.0 * float(np.mean(ratios_8))]
+    assert len((tmp_path / "p" / "diagnostics.csv").read_text().splitlines()) == 2 + 3
 
 
 def test_diagnostics_single_particle_warns(tmp_path):
@@ -402,8 +471,9 @@ def test_cli_wasserstein(tmp_path, capsys):
     big_a, big_b = tmp_path / "big_a.csv", tmp_path / "big_b.csv"
     big_a.write_text("0.0 1.0\n" * 600)
     big_b.write_text("1.0 0.0\n" * 600)
-    with pytest.raises(SystemExit, match=r"^mfjump wasserstein: n=600 exceeds assignment cap 512"):
-        cli_main(["wasserstein", str(big_a), str(big_b)])
+    capsys.readouterr()
+    assert cli_main(["wasserstein", str(big_a), str(big_b)]) == 1
+    assert capsys.readouterr().err.startswith("mfjump wasserstein: n=600 exceeds assignment cap 512")
     # 1-D samples above the cap need no assignment
     big_a.write_text("0.0\n" * 600)
     big_b.write_text("1.0\n" * 600)
@@ -411,8 +481,9 @@ def test_cli_wasserstein(tmp_path, capsys):
     assert capsys.readouterr().out == "1.0\n"
     nan = tmp_path / "nan.csv"
     nan.write_text("x\nnan\n0.0\n3.0\n")
-    with pytest.raises(SystemExit, match=r"^mfjump wasserstein: .*1 rows of a and 0 rows of b hold NaN or inf"):
-        cli_main(["wasserstein", str(nan), str(b)])
+    assert cli_main(["wasserstein", str(nan), str(b)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("mfjump wasserstein: ") and "1 rows of a and 0 rows of b hold NaN or inf" in err
 
 
 def test_cli_validate_rejected_input_exits_with_one_line():
@@ -427,14 +498,43 @@ def test_cli_validate_rejected_input_exits_with_one_line():
     assert proc.stderr == "mfjump validate: probe budget must be at least 1, got -3\n"
 
 
-def test_cli_chaos_sweep_bad_config_exits_with_its_reason(tmp_path):
+def test_cli_chaos_sweep_bad_config_exits_with_its_reason(tmp_path, capsys):
     cfg = _config_dict(tmp_path / "out")
     cfg["run"]["dtt"] = 0.1
     cfg_path = tmp_path / "cfg.yaml"
     cfg_path.write_text(yaml.safe_dump(cfg))
-    with pytest.raises(SystemExit, match=r"^mfjump chaos-sweep: unknown keys in config section 'run': \['dtt'\]$"):
-        cli_main(["chaos-sweep", "--config", str(cfg_path)])
+    assert cli_main(["chaos-sweep", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err == "mfjump chaos-sweep: unknown keys in config section 'run': ['dtt']\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["chaos-sweep", "diagnostics"])
+def test_cli_partial_sweep_exits_1_with_one_line(tmp_path, monkeypatch, capsys, command):
+    # a failed cell: the good cells' outputs are written, and the command
+    # ends with status 1 and one stderr line naming the first failure
+    if command == "chaos-sweep":
+        cfg = _config_dict(tmp_path / "out")
+        real = harness.coupled_chaos_run
+
+        def flaky(spec, N, T, dt, drivers, flow, **kw):
+            if drivers.replica == harness.replica_stream_key(1, 1):
+                raise RuntimeError("injected cell failure")
+            return real(spec, N, T, dt, drivers, flow, **kw)
+
+        monkeypatch.setattr(harness, "coupled_chaos_run", flaky)
+        written = "distances.csv"
+    else:
+        cfg = _diag_config(tmp_path / "out")
+        _fail_diag_cells(monkeypatch, [(1, 1)])
+        written = "diagnostics.csv"
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(yaml.safe_dump(cfg))
+    assert cli_main([command, "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert err.startswith(f"mfjump {command}: 1 of ")
+    assert "replica 1: RuntimeError: injected cell failure" in err
+    assert (tmp_path / "out" / written).exists()
 
 
 def test_cli_simulate_writes_versioned_files(tmp_path):

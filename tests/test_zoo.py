@@ -78,6 +78,15 @@ def test_nonpositive_margin_factor_rejected_without_warning(factor):
             build("neuronal", {"margin_factor": factor})
 
 
+def test_rejected_margin_does_not_warn():
+    # a weak factor warns only once ModelSpec has accepted the margin:
+    # 4 * 0.3 * 1 = 1.2 >= 1 is rejected with no warning before the reason
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match="rate envelope inadmissible"):
+            build("neuronal", {"margin_factor": 4.0, "rate_gamma": 0.3, "collateral_amp": 2.0})
+
+
 def test_margin_factor_override_warns():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
