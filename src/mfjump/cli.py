@@ -49,8 +49,8 @@ def _cmd_simulate(args) -> int:
     bundle = make_driver_bundle(config.run.seed, 0, n)
     paths = simulate(
         args.system, spec, n, config.run.T, config.run.dt, bundle,
-        init=config.init.sampler(), scheme=config.run.scheme,
-        policy=config.stepping.policy(),
+        init=config.init, scheme=config.run.scheme,
+        policy=config.stepping,
     )
     outdir = Path(config.output.dir)
     outdir.mkdir(parents=True, exist_ok=True)

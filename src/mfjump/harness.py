@@ -28,7 +28,7 @@ from .drivers import InvalidInputError, make_driver_bundle, scipy_extension
 from .limit import FlowApproximation, coupled_chaos_run, solve_limit
 from .metrics import ChaosReport, fit_rate, jump_count_stats, moment_diagnostics
 from .models import AssumptionReport, ProbeConfig, validate_model
-from .particle import InitSampler, StepPolicy, simulate
+from .particle import InitSampler, StepPolicy, _integer, _positive, simulate
 from .zoo import build, model_ids
 
 PKG_VERSION = "0.1.0"
@@ -57,23 +57,20 @@ class SweepError(RuntimeError):
         self.failures = failures
 
 
-def _integer(x) -> bool:
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
-
-
-def _positive(x) -> bool:
-    """A finite number > 0 (no bool, no string)."""
-    return (_integer(x) or isinstance(x, (float, np.floating))) and 0 < x < np.inf
-
-
 def _parse_section(cls, data: dict, path: str):
+    """Section ``path`` as ``cls``, whose constructor checks it; its ``InvalidInputError`` names ``path.key``."""
     if not isinstance(data, dict):
         raise ConfigError(f"config section '{path}' must be a mapping")
     known = {f.name for f in dataclasses.fields(cls)}
     unknown = set(data) - known
     if unknown:
         raise ConfigError(f"unknown keys in config section '{path}': {sorted(unknown)}")
-    return cls(**data)
+    try:
+        return cls(**data)
+    except ConfigError:
+        raise
+    except InvalidInputError as exc:
+        raise ConfigError(f"{path}.{exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -99,6 +96,8 @@ class RunSection:
             raise ConfigError(f"run.dt must be a finite number > 0, got {self.dt!r}")
         if self.scheme not in ("auto", "euler", "exact"):
             raise ConfigError(f"run.scheme must be auto, euler or exact, got {self.scheme!r}")
+        if not isinstance(self.Ns, (list, tuple)):
+            raise ConfigError(f"run.Ns must be a list of integers, got {self.Ns!r}")
         ns = list(self.Ns)
         if not all(_integer(n) and n >= 1 for n in ns):
             raise ConfigError(f"run.Ns entries must be integers >= 1, got {ns}")
@@ -110,26 +109,6 @@ class RunSection:
             raise ConfigError(f"run.seed must be an integer, got {self.seed!r}")
         if not _integer(self.workers) or self.workers < 0:
             raise ConfigError(f"run.workers must be an integer >= 0, got {self.workers!r}")
-
-
-@dataclass(frozen=True)
-class InitSection:
-    kind: str = "gauss"
-    mean: tuple = (0.0,)
-    std: float = 1.0
-    low: float = 0.0
-    high: float = 1.0
-    point: tuple = (0.0,)
-
-    def __post_init__(self):
-        if self.kind not in ("gauss", "uniform", "point"):
-            raise ConfigError(f"init.kind must be gauss, uniform or point, got {self.kind!r}")
-
-    def sampler(self) -> InitSampler:
-        return InitSampler(
-            kind=self.kind, mean=tuple(self.mean), std=self.std,
-            low=self.low, high=self.high, point=tuple(self.point),
-        )
 
 
 @dataclass(frozen=True)
@@ -145,26 +124,6 @@ class LimitSection:
             raise ConfigError(f"limit.picard_tol must be a finite number > 0, got {self.picard_tol!r}")
         if not _integer(self.picard_max_iter) or self.picard_max_iter < 1:
             raise ConfigError(f"limit.picard_max_iter must be an integer >= 1, got {self.picard_max_iter!r}")
-
-
-@dataclass(frozen=True)
-class SteppingSection:
-    bound_mult: float = 2.0
-    bound_add: float = 1.0
-    candidate_cap: float = 1.0
-    max_retries: int = 8
-
-    def __post_init__(self):
-        try:
-            self.policy()
-        except InvalidInputError as exc:
-            raise ConfigError(f"stepping.{exc}") from exc
-
-    def policy(self) -> StepPolicy:
-        return StepPolicy(
-            bound_mult=self.bound_mult, bound_add=self.bound_add,
-            candidate_cap=self.candidate_cap, max_retries=self.max_retries,
-        )
 
 
 @dataclass(frozen=True)
@@ -185,14 +144,18 @@ class DiagnosticsSection:
 class OutputSection:
     dir: str = "runs/out"
 
+    def __post_init__(self):
+        if not isinstance(self.dir, str):
+            raise ConfigError(f"output.dir must be a string, got {self.dir!r}")
+
 
 @dataclass(frozen=True)
 class SimConfig:
     model: ModelSection = field(default_factory=ModelSection)
     run: RunSection = field(default_factory=RunSection)
-    init: InitSection = field(default_factory=InitSection)
+    init: InitSampler = field(default_factory=InitSampler)
     limit: LimitSection = field(default_factory=LimitSection)
-    stepping: SteppingSection = field(default_factory=SteppingSection)
+    stepping: StepPolicy = field(default_factory=StepPolicy)
     diagnostics: DiagnosticsSection = field(default_factory=DiagnosticsSection)
     output: OutputSection = field(default_factory=OutputSection)
 
@@ -300,10 +263,9 @@ def replica_stream_key(n_index: int, replica: int) -> int:
 
 
 def _cell(values, args: tuple) -> dict:
-    """One (N, replica) cell: ``values(config, spec, bundle, flow)`` on the cell's own streams."""
-    cfg_dict, flow, n_index, N, replica = args  # flow: the solved flow, its file in a pool worker, or None
+    """One (N, replica) cell of the parsed config: ``values(config, spec, bundle, flow)`` on its own streams."""
+    config, flow, n_index, N, replica = args  # flow: the solved flow, its file in a pool worker, or None
     try:
-        config = SimConfig.from_dict(cfg_dict)
         spec = build(config.model.id, config.model.params)
         if isinstance(flow, str):
             flow = _load_flow_cached(flow)
@@ -340,9 +302,8 @@ def _map_cells(fn, args: list, pool=None) -> list:
 
 def _run_cells(values, config: SimConfig, pool, flow=None) -> tuple[list[dict], list[dict]]:
     """Every (N, replica) cell of ``config`` through ``values``; returns the cells in order and the failed ones."""
-    cfg_dict = config.to_dict()
     args = [
-        (cfg_dict, flow, ni, int(N), r) for ni, N in enumerate(config.run.Ns) for r in range(config.run.replicas)
+        (config, flow, ni, int(N), r) for ni, N in enumerate(config.run.Ns) for r in range(config.run.replicas)
     ]
     cells = _map_cells(functools.partial(_cell, values), args, pool)
     return cells, [c for c in cells if "error" in c]
@@ -404,8 +365,8 @@ def _write_plotdata(plot_dir: Path, Ns: list[int], distances: dict) -> None:
 def _chaos_values(config: SimConfig, spec, bundle, flow) -> dict:
     sample = coupled_chaos_run(
         spec, bundle.n, config.run.T, config.run.dt, bundle, flow,
-        init=config.init.sampler(), scheme=config.run.scheme,
-        policy=config.stepping.policy(),
+        init=config.init, scheme=config.run.scheme,
+        policy=config.stepping,
     )
     return {
         "d_xy": float(np.mean(sample.sup_xy)),
@@ -437,7 +398,7 @@ def run_chaos_sweep(config: SimConfig, force: bool = False) -> ChaosReport:
                 spec, config.limit.ensemble or 16 * max(Ns), config.run.T, config.run.dt,
                 seed=config.run.seed, tol=config.limit.picard_tol,
                 max_iter=config.limit.picard_max_iter, scheme=config.run.scheme,
-                policy=config.stepping.policy(), init=config.init.sampler(),
+                policy=config.stepping, init=config.init,
             )
         finally:  # a failed verdict wins over a failed solve
             if pool is not None:
@@ -495,8 +456,8 @@ def run_chaos_sweep(config: SimConfig, force: bool = False) -> ChaosReport:
 def _diag_values(config: SimConfig, spec, bundle, flow) -> dict:
     paths = simulate(
         "X", spec, bundle.n, config.run.T, config.run.dt, bundle,
-        init=config.init.sampler(), scheme=config.run.scheme,
-        policy=config.stepping.policy(),
+        init=config.init, scheme=config.run.scheme,
+        policy=config.stepping,
     )
     moments = {}
     for p in config.diagnostics.moment_powers:
@@ -564,8 +525,9 @@ def run_diagnostics(config: SimConfig) -> DiagnosticsBundle:
             }
 
     thresholds = [float(h) for h in config.diagnostics.jump_thresholds]
-    if not thresholds and rows_by_n:  # 2x the mean ratio of the largest N with good cells
-        thresholds = [2.0 * float(np.mean([c["jumps_per_particle"] for c in rows_by_n[max(rows_by_n)]]))]
+    if not thresholds and rows_by_n:  # 2x the mean ratio of the largest N with good cells; none if it did not jump
+        mean_ratio = float(np.mean([c["jumps_per_particle"] for c in rows_by_n[max(rows_by_n)]]))
+        thresholds = [2.0 * mean_ratio] if mean_ratio > 0 else []
     jump_tails = {
         N: jump_count_stats([c["jump_count"] for c in rows], N, config.run.T, thresholds)
         for N, rows in rows_by_n.items()

@@ -65,9 +65,22 @@ class NumericalBlowupError(RuntimeError):
         self.system = system
 
 
+def _integer(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _finite(x) -> bool:
+    """A finite number (no bool, no string)."""
+    return (_integer(x) or isinstance(x, (float, np.floating))) and -np.inf < x < np.inf
+
+
+def _positive(x) -> bool:
+    return _finite(x) and x > 0
+
+
 @dataclass(frozen=True)
 class StepPolicy:
-    """Knobs of the stepping scheme (all deterministic)."""
+    """Knobs of the stepping scheme (all deterministic), and a config's ``stepping`` section; checked when built."""
 
     bound_mult: float = 2.0
     bound_add: float = 1.0
@@ -75,18 +88,21 @@ class StepPolicy:
     max_retries: int = 8
 
     def __post_init__(self):
-        if not (math.isfinite(self.candidate_cap) and self.candidate_cap > 0):
+        if not _positive(self.candidate_cap):
             raise InvalidInputError(f"candidate_cap must be positive and finite, got {self.candidate_cap!r}")
-        if self.max_retries < 0:
-            raise InvalidInputError(f"max_retries must be >= 0, got {self.max_retries!r}")
+        if not _integer(self.max_retries) or self.max_retries < 0:
+            raise InvalidInputError(f"max_retries must be an integer >= 0, got {self.max_retries!r}")
         for name, value in (("bound_mult", self.bound_mult), ("bound_add", self.bound_add)):
-            if not (math.isfinite(value) and value >= 0):
+            if not (_finite(value) and value >= 0):
                 raise InvalidInputError(f"{name} must be finite and >= 0, got {value!r}")
+
+    def policy(self) -> StepPolicy:
+        return self  # kept for bench/workloads.py, which calls config.stepping.policy()
 
 
 @dataclass(frozen=True)
 class InitSampler:
-    """Initial-condition sampler, drawing from the per-particle init streams."""
+    """Initial-condition sampler on the per-particle init streams, and a config's ``init`` section; checked when built."""
 
     kind: str = "gauss"  # gauss | uniform | point
     mean: tuple = (0.0,)
@@ -94,6 +110,20 @@ class InitSampler:
     low: float = 0.0
     high: float = 1.0
     point: tuple = (0.0,)
+
+    def __post_init__(self):
+        if self.kind not in ("gauss", "uniform", "point"):
+            raise InvalidInputError(f"kind must be gauss, uniform or point, got {self.kind!r}")
+        for name in ("std", "low", "high"):
+            if not _finite(getattr(self, name)):
+                raise InvalidInputError(f"{name} must be a finite number, got {getattr(self, name)!r}")
+        for name in ("mean", "point"):
+            v = getattr(self, name)
+            if not isinstance(v, (list, tuple)) or not all(_finite(c) for c in v):
+                raise InvalidInputError(f"{name} must be a list of finite numbers, got {v!r}")
+
+    def sampler(self) -> InitSampler:
+        return self  # kept for bench/workloads.py, which calls config.init.sampler()
 
     def sample(self, bundle: DriverBundle, dim: int) -> np.ndarray:
         n = bundle.n
@@ -103,11 +133,9 @@ class InitSampler:
         if self.kind == "uniform":
             u = np.column_stack([bundle.init.uniforms_all() for _ in range(dim)])
             return self.low + (self.high - self.low) * u
-        if self.kind == "gauss":
-            z = bundle.init.normals_block(dim)
-            mean = np.asarray(self.mean, dtype=np.float64).reshape(1, dim)
-            return mean + self.std * z
-        raise InvalidInputError(f"unknown init kind {self.kind!r}")
+        z = bundle.init.normals_block(dim)
+        mean = np.asarray(self.mean, dtype=np.float64).reshape(1, dim)
+        return mean + self.std * z
 
 
 def apply_jump(

@@ -118,6 +118,17 @@ def test_config_invariants(tmp_path):
         ("diagnostics", "jump_thresholds", [-1]),  # rejected only after every cell ran
         ("limit", "ensemble", 1.5),
         ("run", "seed", "abc"),  # every cell failed
+        ("stepping", "candidate_cap", "abc"),  # was a raw TypeError at parse time
+        ("stepping", "max_retries", "abc"),
+        ("stepping", "max_retries", 1.5),
+        ("init", "std", "abc"),  # parsed, then every cell failed
+        ("init", "low", "abc"),
+        ("init", "point", ["a"]),
+        ("init", "mean", 5),
+        ("output", "dir", 5),  # every cell ran, then a raw TypeError from Path(5)
+        ("output", "dir", None),
+        ("run", "Ns", 5),  # was a raw TypeError from list(5)
+        ("run", "Ns", None),
     ],
 )
 def test_config_rejects_values_that_would_fail_mid_run(tmp_path, section, key, value):
@@ -125,6 +136,21 @@ def test_config_rejects_values_that_would_fail_mid_run(tmp_path, section, key, v
     d.setdefault(section, {})[key] = value
     with pytest.raises(ConfigError, match=f"{section}.{key}"):
         SimConfig.from_dict(d)
+
+
+def test_default_config_dict_is_pinned():
+    # the shape of config.echo and of the report.json manifest: sections, keys, order, defaults
+    # (json.dumps keeps insertion order, so equal strings mean equal order)
+    assert json.dumps(SimConfig().to_dict()) == json.dumps({
+        "schema": 1,
+        "model": {"id": "lipschitz-demo", "params": {}},
+        "run": {"T": 1.0, "dt": 0.01, "scheme": "auto", "Ns": [64], "replicas": 4, "seed": 0, "workers": 0},
+        "init": {"kind": "gauss", "mean": [0.0], "std": 1.0, "low": 0.0, "high": 1.0, "point": [0.0]},
+        "limit": {"ensemble": 0, "picard_tol": 1e-3, "picard_max_iter": 10},
+        "stepping": {"bound_mult": 2.0, "bound_add": 1.0, "candidate_cap": 1.0, "max_retries": 8},
+        "diagnostics": {"moment_powers": [4], "jump_thresholds": []},
+        "output": {"dir": "runs/out"},
+    })
 
 
 def test_config_checks_the_init_vector_its_kind_reads(tmp_path):
@@ -311,6 +337,26 @@ def test_diagnostics_without_good_cells_for_an_n(tmp_path, monkeypatch):
     ratios_8 = [c["jumps_per_particle"] for c in full.cells if c["N"] == 8]
     assert payload["jump_tails"]["8"]["thresholds"] == [2.0 * float(np.mean(ratios_8))]
     assert len((tmp_path / "p" / "diagnostics.csv").read_text().splitlines()) == 2 + 3
+
+
+def test_diagnostics_without_jumps_sets_no_default_threshold(tmp_path, capsys):
+    # no cell of the largest N jumps: 2x its mean ratio would be 0, so no
+    # default threshold is set, the tail rows are empty and the files are written
+    d = {
+        "schema": 1,
+        "model": {"id": "neuronal", "params": {}},
+        "run": {"T": 0.01, "dt": 0.01, "Ns": [4], "replicas": 2, "seed": 0, "workers": 0},
+        "init": {"kind": "uniform"},
+        "output": {"dir": str(tmp_path / "quiet")},
+    }
+    path = tmp_path / "quiet.yaml"
+    path.write_text(yaml.safe_dump(d))
+    assert cli_main(["diagnostics", "--config", str(path)]) == 0
+    assert "P(jumps/N" not in capsys.readouterr().out
+    payload = json.loads((tmp_path / "quiet" / "diagnostics.json").read_text())
+    assert payload["jump_tails"] == {"4": {"thresholds": [], "tail_prob": [], "wilson_lo": [], "wilson_hi": []}}
+    rows = (tmp_path / "quiet" / "diagnostics.csv").read_text().splitlines()[2:]
+    assert [r.split(",")[2] for r in rows] == ["0.0", "0.0"]
 
 
 def test_diagnostics_single_particle_warns(tmp_path):

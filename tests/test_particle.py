@@ -555,9 +555,22 @@ def test_step_policy_rejects_unusable_values():
     for bad in (
         {"candidate_cap": 0.0}, {"candidate_cap": float("nan")}, {"max_retries": -1},
         {"bound_mult": -1.0}, {"bound_mult": float("inf")}, {"bound_add": float("nan")}, {"bound_add": -0.5},
+        {"candidate_cap": "abc"}, {"max_retries": 1.5}, {"bound_add": True},  # a TypeError, accepted, accepted
     ):
         with pytest.raises(InvalidInputError, match=next(iter(bad))):
             StepPolicy(**bad)
+
+
+def test_init_sampler_rejects_unusable_values_when_built():
+    # the config's init section is this type: a bad value fails at
+    # construction with the key's name, not inside sample or in every cell
+    for bad in (
+        {"kind": "bogus"}, {"std": "abc"}, {"low": None}, {"high": float("nan")}, {"mean": 5}, {"point": ("a",)},
+    ):
+        with pytest.raises(InvalidInputError, match=next(iter(bad))):
+            InitSampler(**bad)
+    init, policy = InitSampler(), StepPolicy()  # the shims bench/workloads.py calls
+    assert init.sampler() is init and policy.policy() is policy
 
 
 # -- generator -------------------------------------------------------------
