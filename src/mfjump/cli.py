@@ -17,7 +17,7 @@ import numpy as np
 import yaml
 
 from .drivers import InvalidInputError, make_driver_bundle
-from .harness import SimConfig, SweepError, run_chaos_sweep, run_diagnostics, run_validate, save_jumplog_csv, save_paths_csv
+from .harness import SimConfig, SweepError, _ConfigLoader, run_chaos_sweep, run_diagnostics, run_validate, save_jumplog_csv, save_paths_csv
 from .metrics import w1_assignment
 from .models import ProbeConfig
 from .particle import simulate
@@ -35,7 +35,7 @@ def _cmd_validate(args) -> int:
         key, sep, val = kv.partition("=")
         if not sep:
             raise SystemExit(f"--param expects key=value, got {kv!r}")
-        params[key] = yaml.safe_load(val)
+        params[key] = yaml.load(val, Loader=_ConfigLoader)
     probe = ProbeConfig(budget=args.budget) if args.budget is not None else None
     report = run_validate(args.model, params, probe)
     print(report.summary())
@@ -48,7 +48,7 @@ def _cmd_simulate(args) -> int:
     n = int(config.run.Ns[0])
     bundle = make_driver_bundle(config.run.seed, 0, n)
     paths = simulate(
-        args.system, spec, n, config.run.T, config.run.dt, bundle,
+        args.system, spec, config.run.T, config.run.dt, bundle,
         init=config.init, scheme=config.run.scheme,
         policy=config.stepping,
     )

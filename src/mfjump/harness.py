@@ -16,6 +16,7 @@ import contextlib
 import dataclasses
 import functools
 import json
+import re
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -43,6 +44,13 @@ stdtrit = scipy_extension("scipy.special._ufuncs").stdtrit
 
 class ConfigError(InvalidInputError):
     pass
+
+
+class _ConfigLoader(yaml.SafeLoader):
+    """Safe YAML that also reads an exponent without a dot (``1e-3``, a string in YAML 1.1) as a float."""
+
+
+_ConfigLoader.add_implicit_resolver("tag:yaml.org,2002:float", re.compile(r"[-+]?(\d+\.?\d*|\.\d+)[eE][-+]?\d+$"), "-+0123456789.")
 
 
 class SweepError(RuntimeError):
@@ -188,7 +196,7 @@ class SimConfig:
     @staticmethod
     def from_file(path) -> "SimConfig":
         with open(path) as fh:
-            data = yaml.safe_load(fh)
+            data = yaml.load(fh, Loader=_ConfigLoader)
         if not isinstance(data, dict):
             raise ConfigError(f"config file {path} must hold a mapping")
         return SimConfig.from_dict(data)
@@ -363,16 +371,16 @@ def _write_plotdata(plot_dir: Path, Ns: list[int], distances: dict) -> None:
 
 
 def _chaos_values(config: SimConfig, spec, bundle, flow) -> dict:
-    sample = coupled_chaos_run(
-        spec, bundle.n, config.run.T, config.run.dt, bundle, flow,
+    res = coupled_chaos_run(
+        spec, config.run.T, config.run.dt, bundle, flow,
         init=config.init, scheme=config.run.scheme,
         policy=config.stepping,
     )
     return {
-        "d_xy": float(np.mean(sample.sup_xy)),
-        "d_ylimit": float(np.mean(sample.sup_ylimit)),
-        "d_xlimit": float(np.mean(sample.sup_xlimit)),
-        "jumps_per_particle": sample.jump_count_x / bundle.n,
+        "d_xy": float(np.mean(res["sup"]["xy"])),
+        "d_ylimit": float(np.mean(res["sup"]["ylimit"])),
+        "d_xlimit": float(np.mean(res["sup"]["xlimit"])),
+        "jumps_per_particle": res["jump_counts"]["X"] / bundle.n,
     }
 
 
@@ -455,7 +463,7 @@ def run_chaos_sweep(config: SimConfig, force: bool = False) -> ChaosReport:
 
 def _diag_values(config: SimConfig, spec, bundle, flow) -> dict:
     paths = simulate(
-        "X", spec, bundle.n, config.run.T, config.run.dt, bundle,
+        "X", spec, config.run.T, config.run.dt, bundle,
         init=config.init, scheme=config.run.scheme,
         policy=config.stepping,
     )

@@ -85,10 +85,6 @@ class FlowApproximation:
     def M(self) -> int:
         return self.ensemble.shape[1]
 
-    @property
-    def dim(self) -> int:
-        return self.ensemble.shape[2]
-
     def cell_index(self, t: float) -> int:
         i = int(np.searchsorted(self.times, t, side="right")) - 1
         return min(max(i, 0), len(self.times) - 1)
@@ -143,7 +139,6 @@ class EnsembleResult:
     times: np.ndarray
     snapshots: np.ndarray  # (G, M, d)
     jump_count: int
-    final: np.ndarray
 
 
 def simulate_ensemble(
@@ -210,7 +205,6 @@ def simulate_ensemble(
         times=np.asarray(times),
         snapshots=snaps,
         jump_count=jumps,
-        final=pos,
     )
 
 
@@ -420,21 +414,8 @@ def solve_limit(
     return flow
 
 
-@dataclass(frozen=True)
-class CoupledDistanceSample:
-    """Per-index sup-path coupling distances of one (N, replica) run."""
-
-    N: int
-    sup_xy: np.ndarray
-    sup_ylimit: np.ndarray
-    sup_xlimit: np.ndarray
-    jump_count_x: int
-    jump_count_y: int
-
-
 def coupled_chaos_run(
     spec: ModelSpec,
-    N: int,
     T: float,
     dt: float,
     drivers: DriverBundle,
@@ -444,30 +425,25 @@ def coupled_chaos_run(
     initial_positions: np.ndarray | None = None,
     scheme: str = "auto",
     policy: StepPolicy | None = None,
-) -> CoupledDistanceSample:
-    """Triple (X, Y, limit copies) on shared drivers; per-index sup distances.
+) -> dict:
+    """Triple (X, Y, limit copies) of ``drivers.n`` particles on shared drivers.
 
+    Returns ``simulate_coupled``'s dict without ``paths``: ``sup`` of the
+    pairs xy, ylimit and xlimit, ``jump_counts`` of X, Y and LIMIT, and
+    ``retries``.  At most one of ``init``/``initial_positions`` may be given.
     The sup is evaluated over all grid points and all event times; limit
     copies are driven by the solved flow, index-coupled to the particles
     through the shared per-particle streams.  The reported values are
     distances of this specific synchronous coupling, hence upper bounds
     for the optimal-coupling path distance.  On lipschitz-demo the bound is
     attained at grid resolution: the optimal assignment between the X and
-    limit grid paths is the identity, and ``sup_xlimit`` reads 2-3% above
+    limit grid paths is the identity, and ``sup["xlimit"]`` reads 2-3% above
     that grid distance because it also folds event times.  On neuronal the
-    identity is not always optimal, and ``sup_xlimit`` is an upper bound
+    identity is not always optimal, and ``sup["xlimit"]`` is an upper bound
     about 10% above the path-space W1.
     """
-    res = simulate_coupled(
-        ("X", "Y", "LIMIT"), spec, N, T, dt, drivers,
+    return simulate_coupled(
+        ("X", "Y", "LIMIT"), spec, T, dt, drivers,
         flow=flow, init=init, initial_positions=initial_positions,
         scheme=scheme, policy=policy, record_paths=False,
-    )
-    return CoupledDistanceSample(
-        N=N,
-        sup_xy=res["sup"]["xy"],
-        sup_ylimit=res["sup"]["ylimit"],
-        sup_xlimit=res["sup"]["xlimit"],
-        jump_count_x=res["jump_counts"]["X"],
-        jump_count_y=res["jump_counts"]["Y"],
     )

@@ -159,12 +159,10 @@ def fit_rate(Ns, errors, std_errs=None, z: float = 1.96) -> RateFit:
 
 @dataclass(frozen=True)
 class MomentSeries:
-    power: int
     times: np.ndarray
     values: np.ndarray
     trend_slope: float
     trend_se: float
-    trend_ci: tuple[float, float]
 
 
 def _ols_slope(t: np.ndarray, y: np.ndarray) -> tuple[float, float]:
@@ -181,12 +179,12 @@ def _ols_slope(t: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     return slope, se
 
 
-def moment_diagnostics(paths, spec, p: int, z: float = 1.96) -> MomentSeries:
+def moment_diagnostics(paths, spec, p: int) -> MomentSeries:
     """Time series of the empirical p-th moment of the jump rate.
 
     For each grid time t computes the mean over particles of
     rate(x_i(t), mu^N(t))**p; the trend is an OLS slope over the second
-    half of the horizon with a normal-approximation CI.
+    half of the horizon with its standard error.
     """
     if p not in (1, 2, 3, 4):
         raise InvalidInputError("moment power must be in {1, 2, 3, 4}")
@@ -202,12 +200,10 @@ def moment_diagnostics(paths, spec, p: int, z: float = 1.96) -> MomentSeries:
     half = times >= (times[0] + 0.5 * (times[-1] - times[0]))
     slope, se = _ols_slope(times[half], vals[half])
     return MomentSeries(
-        power=p,
         times=times,
         values=vals,
         trend_slope=slope,
         trend_se=se,
-        trend_ci=(slope - z * se, slope + z * se),
     )
 
 

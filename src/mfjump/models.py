@@ -35,14 +35,6 @@ class EmpiricalMeasure:
         self._dirty = True
 
     @property
-    def n(self) -> int:
-        return self.points.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1]
-
-    @property
     def mean(self) -> np.ndarray:
         if self._dirty or self._mean is None:
             self._mean = self.points.mean(axis=0)

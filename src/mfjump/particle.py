@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .drivers import DriverBundle, InvalidInputError, collect_candidates, make_driver_bundle, marks_uniforms
+from .drivers import DriverBundle, InvalidInputError, collect_candidates, marks_uniforms
 from .models import EmpiricalMeasure, ModelSpec, collateral_drift
 
 
@@ -536,28 +536,22 @@ def output_grid(T: float, dt: float) -> tuple[int, float]:
 def simulate(
     system: str,
     spec: ModelSpec,
-    N: int,
     T: float,
     dt: float,
-    drivers: DriverBundle | None = None,
+    drivers: DriverBundle,
     *,
-    seed: int = 0,
-    replica: int = 0,
     init: InitSampler | None = None,
     initial_positions: np.ndarray | None = None,
     scheme: str = "auto",
     policy: StepPolicy | None = None,
 ) -> PathRecordSet:
-    """Full path record of one system; deterministic given (args, seed).
+    """Full path record of one system of ``drivers.n`` particles; deterministic given the args.
 
-    Exactly one of ``init``/``initial_positions`` decides the start; the
-    default is a standard Gaussian sampled from the init streams.
+    At most one of ``init``/``initial_positions`` may be given; the default
+    start is a standard Gaussian sampled from the init streams.
     """
-    bundle = drivers if drivers is not None else make_driver_bundle(seed, replica, N)
-    if bundle.n != N:
-        raise InvalidInputError("driver bundle size must match N")
     res = simulate_coupled(
-        (system,), spec, N, T, dt, bundle,
+        (system,), spec, T, dt, drivers,
         init=init, initial_positions=initial_positions, scheme=scheme, policy=policy,
     )
     return res["paths"][system]
@@ -566,7 +560,6 @@ def simulate(
 def simulate_coupled(
     systems: tuple[str, ...],
     spec: ModelSpec,
-    N: int,
     T: float,
     dt: float,
     drivers: DriverBundle,
@@ -578,16 +571,18 @@ def simulate_coupled(
     policy: StepPolicy | None = None,
     record_paths: bool = True,
 ) -> dict:
-    """Run several systems in lockstep on one driver bundle.
+    """Run several systems of ``drivers.n`` particles in lockstep on one driver bundle.
 
-    Returns a dict with per-system ``PathRecordSet`` (when recorded),
-    per-pair running sup distances evaluated at every grid point and every
-    event time, per-system jump counts and the number of halved sub-step
-    retries.
+    At most one of ``init``/``initial_positions`` may be given.  Returns a
+    dict: ``sup``, per pair, the per-index running sup distance at every
+    grid point and every event time; ``jump_counts`` per system; ``retries``,
+    the halved sub-steps; with ``record_paths``, ``paths`` per system.
     """
+    if init is not None and initial_positions is not None:
+        raise InvalidInputError("give at most one of init and initial_positions")
     sim = CoupledSimulator(spec, drivers, systems=systems, flow=flow, policy=policy, scheme=scheme, record=record_paths)
     if initial_positions is not None:
-        x0 = np.asarray(initial_positions, dtype=np.float64).reshape(N, spec.dim)
+        x0 = np.asarray(initial_positions, dtype=np.float64).reshape(drivers.n, spec.dim)
     else:
         x0 = (init or InitSampler(mean=tuple([0.0] * spec.dim))).sample(drivers, spec.dim)
     sim.set_initial(x0)

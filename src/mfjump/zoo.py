@@ -266,6 +266,9 @@ def build(model_id: str, params: dict | None = None) -> ModelSpec:
     unknown = set(params) - set(ptype.__dataclass_fields__)
     if unknown:
         raise InvalidInputError(f"unknown parameters for {model_id}: {sorted(unknown)}")
+    for name, value in params.items():
+        if name != "dim" and (isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))):
+            raise InvalidInputError(f"{name} must be a number, got {value!r}")
     p = ptype(**params)
     if isinstance(p.dim, bool) or not isinstance(p.dim, (int, np.integer)) or p.dim < 1:
         raise InvalidInputError(f"dim must be an integer >= 1, got {p.dim!r}")

@@ -63,7 +63,7 @@ def test_criterion_2_coupling_degeneracy():
     for N in (4, 32, 128):
         for seed in (0, 1, 2):
             res = simulate_coupled(
-                ("X", "Y"), spec, N, 1.0, 0.05, make_driver_bundle(seed, 0, N), init=DEMO_INIT
+                ("X", "Y"), spec, 1.0, 0.05, make_driver_bundle(seed, 0, N), init=DEMO_INIT
             )
             px, py = res["paths"]["X"], res["paths"]["Y"]
             same = (
@@ -197,7 +197,7 @@ def test_criterion_7_jump_count_concentration():
     counts = {}
     for ni, N in enumerate(Ns):
         counts[N] = [
-            simulate("X", spec, N, T, dt, make_driver_bundle(515, (ni << 20) | r, N),
+            simulate("X", spec, T, dt, make_driver_bundle(515, (ni << 20) | r, N),
                      init=NEURONAL_INIT).jump_count
             for r in range(reps)
         ]

@@ -138,6 +138,24 @@ def test_config_rejects_values_that_would_fail_mid_run(tmp_path, section, key, v
         SimConfig.from_dict(d)
 
 
+
+def test_config_file_reads_an_exponent_without_a_dot_as_a_number(tmp_path):
+    # YAML 1.1 reads 1e-3 as the string '1e-3', which limit.picard_tol rejected
+    d = _config_dict(tmp_path / "out")
+    del d["limit"]
+    base = yaml.safe_dump(d)
+    configs = {}
+    for name, tol in (("plain", "1e-3"), ("dotted", "1.0e-3"), ("quoted", "'1e-3'")):
+        path = tmp_path / f"{name}.yaml"
+        path.write_text(base + f"limit: {{picard_tol: {tol}}}\n")
+        configs[name] = path
+    cfg = SimConfig.from_file(configs["plain"])
+    assert cfg.limit.picard_tol == 0.001
+    assert cfg.to_dict() == SimConfig.from_file(configs["dotted"]).to_dict()
+    with pytest.raises(ConfigError, match="^limit.picard_tol must be a finite number > 0, got '1e-3'$"):
+        SimConfig.from_file(configs["quoted"])
+    assert yaml.safe_load("a: 1e-3") == {"a": "1e-3"}  # the global loader is left as it is
+
 def test_default_config_dict_is_pinned():
     # the shape of config.echo and of the report.json manifest: sections, keys, order, defaults
     # (json.dumps keeps insertion order, so equal strings mean equal order)
@@ -222,10 +240,10 @@ def test_sweep_report_regenerates_from_manifest(tmp_path):
 def test_sweep_partial_failure_persists_other_cells(tmp_path, monkeypatch):
     real = harness.coupled_chaos_run
 
-    def flaky(spec, N, T, dt, drivers, flow, **kw):
-        if N == 8 and drivers.replica == harness.replica_stream_key(1, 1):
+    def flaky(spec, T, dt, drivers, flow, **kw):
+        if drivers.n == 8 and drivers.replica == harness.replica_stream_key(1, 1):
             raise RuntimeError("injected cell failure")
-        return real(spec, N, T, dt, drivers, flow, **kw)
+        return real(spec, T, dt, drivers, flow, **kw)
 
     monkeypatch.setattr(harness, "coupled_chaos_run", flaky)
     cfg = SimConfig.from_dict(_config_dict(tmp_path / "p"))
@@ -291,10 +309,10 @@ def _fail_diag_cells(monkeypatch, cells):
     real = harness.simulate
     keys = {harness.replica_stream_key(ni, r) for ni, r in cells}
 
-    def flaky(system, spec, N, T, dt, drivers, **kw):
+    def flaky(system, spec, T, dt, drivers, **kw):
         if drivers.replica in keys:
             raise RuntimeError("injected cell failure")
-        return real(system, spec, N, T, dt, drivers, **kw)
+        return real(system, spec, T, dt, drivers, **kw)
 
     monkeypatch.setattr(harness, "simulate", flaky)
 
@@ -544,6 +562,27 @@ def test_cli_validate_rejected_input_exits_with_one_line():
     assert proc.stderr == "mfjump validate: probe budget must be at least 1, got -3\n"
 
 
+
+def test_cli_validate_reads_an_exponent_param_as_a_number(capsys):
+    # --param rate_gamma=2e-1 used to end in a TypeError traceback
+    reports = []
+    for value in ("2e-1", "0.2"):
+        assert cli_main(["validate", "--model", "neuronal", "--budget", "20", "--param", f"rate_gamma={value}"]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["neuronal", "--param", "rate_gamma=abc"],
+    ["neuronal", "--param", "reset_max=abc"],  # used to print "overall: pass"
+    ["lipschitz-demo", "--param", "interaction=abc"],
+    ["lipschitz-demo", "--param", "jump_scale=abc"],
+])
+def test_cli_validate_rejects_a_param_that_is_not_a_number(argv, capsys):
+    key = argv[2].partition("=")[0]
+    assert cli_main(["validate", "--model", *argv]) == 1
+    assert capsys.readouterr().err == f"mfjump validate: {key} must be a number, got 'abc'\n"
+
 def test_cli_chaos_sweep_bad_config_exits_with_its_reason(tmp_path, capsys):
     cfg = _config_dict(tmp_path / "out")
     cfg["run"]["dtt"] = 0.1
@@ -562,10 +601,10 @@ def test_cli_partial_sweep_exits_1_with_one_line(tmp_path, monkeypatch, capsys, 
         cfg = _config_dict(tmp_path / "out")
         real = harness.coupled_chaos_run
 
-        def flaky(spec, N, T, dt, drivers, flow, **kw):
+        def flaky(spec, T, dt, drivers, flow, **kw):
             if drivers.replica == harness.replica_stream_key(1, 1):
                 raise RuntimeError("injected cell failure")
-            return real(spec, N, T, dt, drivers, flow, **kw)
+            return real(spec, T, dt, drivers, flow, **kw)
 
         monkeypatch.setattr(harness, "coupled_chaos_run", flaky)
         written = "distances.csv"

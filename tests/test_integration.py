@@ -38,9 +38,9 @@ def test_x_marginal_unchanged_by_coupling():
     # is bit-identical whether it runs alone or inside the coupled triple
     spec = build("lipschitz-demo", {})
     init = InitSampler(mean=(0.5,), std=0.5)
-    solo = simulate("X", spec, 24, 1.0, 0.05, make_driver_bundle(55, 2, 24), init=init)
+    solo = simulate("X", spec, 1.0, 0.05, make_driver_bundle(55, 2, 24), init=init)
     flow = solve_limit(spec, 256, 1.0, 0.05, seed=55, tol=1e-2, max_iter=3, init=init)
-    res = simulate_coupled(("X", "Y", "LIMIT"), spec, 24, 1.0, 0.05,
+    res = simulate_coupled(("X", "Y", "LIMIT"), spec, 1.0, 0.05,
                            make_driver_bundle(55, 2, 24), flow=flow, init=init)
     assert solo.positions.tobytes() == res["paths"]["X"].positions.tobytes()
     assert np.array_equal(solo.jump_times, res["paths"]["X"].jump_times)
@@ -80,7 +80,7 @@ def test_general_collateral_mean_drives_y_drift():
     lam0 = 1.25
     spec = _pairwise_spec(lam0)
     y = np.asarray([[1.0], [3.0], [-1.0]])
-    st = simulate("Y", spec, 3, 0.01, 0.01, make_driver_bundle(5, 0, 3),
+    st = simulate("Y", spec, 0.01, 0.01, make_driver_bundle(5, 0, 3),
                   initial_positions=y.copy(), scheme="euler")
     expected = y + 0.01 * lam0 * y.mean()
     assert np.allclose(st.positions[-1], expected, atol=1e-14)
@@ -98,16 +98,17 @@ def test_two_dimensional_coupled_run():
     spec = build("lipschitz-demo", {"dim": 2})
     init = InitSampler(mean=(0.3, -0.2), std=0.4)
     flow = solve_limit(spec, 512, 0.8, 0.05, seed=66, tol=1e-2, max_iter=4, init=init)
-    assert flow.dim == 2
-    s = coupled_chaos_run(spec, 32, 0.8, 0.05, make_driver_bundle(66, 1, 32), flow, init=init)
-    assert np.all(np.isfinite(s.sup_xlimit))
-    assert np.all(s.sup_xlimit <= s.sup_xy + s.sup_ylimit + 1e-12)
-    assert s.jump_count_x > 0
+    assert flow.ensemble.shape[2] == 2
+    res = coupled_chaos_run(spec, 0.8, 0.05, make_driver_bundle(66, 1, 32), flow, init=init)
+    sup = res["sup"]
+    assert np.all(np.isfinite(sup["xlimit"]))
+    assert np.all(sup["xlimit"] <= sup["xy"] + sup["ylimit"] + 1e-12)
+    assert res["jump_counts"]["X"] > 0
 
 
 def test_convex_potential_simulates():
     spec = build("convex-potential", {})
-    paths = simulate("X", spec, 16, 1.0, 0.01, make_driver_bundle(77, 0, 16),
+    paths = simulate("X", spec, 1.0, 0.01, make_driver_bundle(77, 0, 16),
                      init=InitSampler(mean=(0.2,), std=0.4))
     assert np.all(np.isfinite(paths.positions))
     # the quartic well keeps trajectories confined at this scale
@@ -121,9 +122,9 @@ def test_neuronal_coupled_distances_shrink_with_n():
     means = []
     for ni, n in enumerate((32, 256)):
         vals = [
-            coupled_chaos_run(spec, n, 2.0, 0.05,
+            coupled_chaos_run(spec, 2.0, 0.05,
                               make_driver_bundle(91, (ni << 20) | r, n), flow, init=init
-                              ).sup_xlimit.mean()
+                              )["sup"]["xlimit"].mean()
             for r in range(6)
         ]
         means.append(np.mean(vals))

@@ -222,7 +222,7 @@ def test_coupled_limit_copies_read_the_flow_cell_of_each_grid_time():
     assert flow.trunc_c == math.inf and np.ptp(flow.lam_mean) > 0
     x0 = UNIF.sample(make_driver_bundle(9, 0, M), 1)
     ens = simulate_ensemble(spec, T, dt, make_driver_bundle(9, 0, M), flow, initial_positions=x0)
-    res = simulate_coupled(("LIMIT",), spec, M, T, dt, make_driver_bundle(9, 0, M),
+    res = simulate_coupled(("LIMIT",), spec, T, dt, make_driver_bundle(9, 0, M),
                            flow=flow, initial_positions=x0)
     path = res["paths"]["LIMIT"]
     assert np.array_equal(path.times, ens.times)
@@ -254,7 +254,7 @@ def test_ensemble_retry_recovers_and_surfaces():
         run(0)
     res = run(16)
     assert res.jump_count > 0
-    assert np.all(np.isfinite(res.final))
+    assert np.all(np.isfinite(res.snapshots[-1]))
 
 
 def test_ensemble_blowup_reports_the_first_non_finite_sub_step():
@@ -306,15 +306,15 @@ def test_coupled_run_triangle_inequality_and_degeneracy():
     spec = build("lipschitz-demo", {})
     init = InitSampler(mean=(0.5,), std=0.5)
     flow = solve_limit(spec, 1024, 1.0, 0.05, seed=21, tol=5e-3, max_iter=6, init=init)
-    s = coupled_chaos_run(spec, 64, 1.0, 0.05, make_driver_bundle(21, 3, 64), flow, init=init)
-    assert np.all(s.sup_xlimit <= s.sup_xy + s.sup_ylimit + 1e-12)
-    assert np.all(s.sup_xy >= 0) and s.sup_xy.max() > 0
+    s = coupled_chaos_run(spec, 1.0, 0.05, make_driver_bundle(21, 3, 64), flow, init=init)["sup"]
+    assert np.all(s["xlimit"] <= s["xy"] + s["ylimit"] + 1e-12)
+    assert np.all(s["xy"] >= 0) and s["xy"].max() > 0
 
     # collateral off: X and Y coincide exactly for every index
     spec0 = build("lipschitz-demo", {"collateral_amp": 0.0})
     flow0 = solve_limit(spec0, 1024, 1.0, 0.05, seed=21, tol=5e-3, max_iter=6, init=init)
-    s0 = coupled_chaos_run(spec0, 64, 1.0, 0.05, make_driver_bundle(21, 3, 64), flow0, init=init)
-    assert np.all(s0.sup_xy == 0.0)
+    s0 = coupled_chaos_run(spec0, 1.0, 0.05, make_driver_bundle(21, 3, 64), flow0, init=init)["sup"]
+    assert np.all(s0["xy"] == 0.0)
 
 
 def test_synchronous_coupling_is_optimal_on_grid_paths():
@@ -328,7 +328,7 @@ def test_synchronous_coupling_is_optimal_on_grid_paths():
     T, dt, N = 2.0, 0.01, 64
     flow = solve_limit(spec, 1024, T, dt, seed=3, max_iter=8, init=init)
     for r in range(4):
-        res = simulate_coupled(("X", "LIMIT"), spec, N, T, dt, make_driver_bundle(3, r, N),
+        res = simulate_coupled(("X", "LIMIT"), spec, T, dt, make_driver_bundle(3, r, N),
                                flow=flow, init=init, record_paths=True)
         x, lim = res["paths"]["X"].positions, res["paths"]["LIMIT"].positions  # (G, N, d)
         cost = np.linalg.norm(x[:, :, None, :] - lim[:, None, :, :], axis=3).max(axis=0)
@@ -347,7 +347,7 @@ def test_neuronal_d_xlimit_bounds_the_grid_path_w1():
     spec = build("neuronal", {})
     T, dt, N = 2.0, 0.05, 64
     flow = solve_limit(spec, 1024, T, dt, seed=3, max_iter=4, init=UNIF)
-    res = simulate_coupled(("X", "Y", "LIMIT"), spec, N, T, dt, make_driver_bundle(3, 0, N),
+    res = simulate_coupled(("X", "Y", "LIMIT"), spec, T, dt, make_driver_bundle(3, 0, N),
                            flow=flow, init=UNIF, scheme="exact", record_paths=True)
     x, lim = res["paths"]["X"].positions, res["paths"]["LIMIT"].positions  # (G, N, d)
     cost = np.linalg.norm(x[:, :, None, :] - lim[:, None, :, :], axis=3).max(axis=0)
@@ -362,10 +362,23 @@ def test_coupled_run_measure_free_dynamics_degenerates():
     spec = build("lipschitz-demo", {"interaction": 0.0})
     init = InitSampler(mean=(0.5,), std=0.5)
     flow = solve_limit(spec, 256, 1.0, 0.05, seed=33, tol=1e-3, max_iter=4, init=init)
-    s = coupled_chaos_run(spec, 32, 1.0, 0.05, make_driver_bundle(33, 0, 32), flow, init=init)
-    assert np.all(s.sup_ylimit == 0.0)
-    assert s.sup_xy.max() > 0  # collateral kicks still move the interacting system
+    s = coupled_chaos_run(spec, 1.0, 0.05, make_driver_bundle(33, 0, 32), flow, init=init)["sup"]
+    assert np.all(s["ylimit"] == 0.0)
+    assert s["xy"].max() > 0  # collateral kicks still move the interacting system
 
+
+
+@pytest.mark.parametrize("entry", ["simulate_coupled", "coupled_chaos_run"])
+def test_two_starts_are_rejected(entry):
+    # initial_positions used to win and init was dropped without a word
+    spec = build("lipschitz-demo", {})
+    flow = constant_flow(np.zeros((4, 1)), 1.0, spec)
+    kw = dict(flow=flow, init=InitSampler(mean=(0.5,)), initial_positions=np.ones((4, 1)))
+    with pytest.raises(InvalidInputError, match="at most one of init and initial_positions"):
+        if entry == "simulate_coupled":
+            simulate_coupled(("X", "Y", "LIMIT"), spec, 1.0, 0.5, make_driver_bundle(1, 0, 4), **kw)
+        else:
+            coupled_chaos_run(spec, 1.0, 0.5, make_driver_bundle(1, 0, 4), **kw)
 
 def test_moment_bound_transfer_neuronal():
     # ensemble estimates of E[rate^p] settle: no positive trend on the

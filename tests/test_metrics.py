@@ -398,7 +398,7 @@ def test_moment_diagnostics_constant_rate_and_power_range():
     from mfjump.zoo import build
 
     spec = build("lipschitz-demo", {"rate_slope": 0.0, "rate_base": 1.5})
-    paths = simulate("X", spec, 8, 1.0, 0.1, make_driver_bundle(40, 0, 8),
+    paths = simulate("X", spec, 1.0, 0.1, make_driver_bundle(40, 0, 8),
                      init=InitSampler(mean=(0.5,), std=0.5))
     for p in (1, 2, 3, 4):
         series = moment_diagnostics(paths, spec, p)

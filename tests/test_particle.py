@@ -62,7 +62,7 @@ def _spec(drift, rate, main, collateral=_zero_collateral, dim=1, sigma=None,
 
 def _one_step(system, spec, x0, h, bundle, policy=None):
     """One Euler step from t=0: ``T = dt = h`` gives one output cell ending at h."""
-    return simulate(system, spec, bundle.n, h, h, bundle, initial_positions=x0,
+    return simulate(system, spec, h, h, bundle, initial_positions=x0,
                     scheme="euler", policy=policy).positions[-1]
 
 
@@ -125,7 +125,7 @@ def test_compound_poisson_mean():
     )
     vals = []
     for r in range(200):
-        paths = simulate("X", spec, 4, T, 0.05, make_driver_bundle(77, r, 4),
+        paths = simulate("X", spec, T, 0.05, make_driver_bundle(77, r, 4),
                          initial_positions=np.zeros((4, 1)))
         vals.extend(paths.positions[-1, :, 0].tolist())
     vals = np.asarray(vals)
@@ -138,8 +138,8 @@ def test_step_y_equals_step_x_bitwise_when_no_collateral():
     x0 = np.asarray([[0.4], [-0.2], [1.1]])
     bx = make_driver_bundle(9, 0, 3)
     by = make_driver_bundle(9, 0, 3)
-    sx = simulate("X", spec, 3, 0.25, 0.25, bx, initial_positions=x0.copy(), scheme="euler")
-    sy = simulate("Y", spec, 3, 0.25, 0.25, by, initial_positions=x0.copy(), scheme="euler")
+    sx = simulate("X", spec, 0.25, 0.25, bx, initial_positions=x0.copy(), scheme="euler")
+    sy = simulate("Y", spec, 0.25, 0.25, by, initial_positions=x0.copy(), scheme="euler")
     assert sx.positions[-1].tobytes() == sy.positions[-1].tobytes()
     assert sx.jump_times.tolist() == sy.jump_times.tolist()
 
@@ -187,7 +187,7 @@ def test_exact_integrator_ou_decay():
         exact=True,
     )
     x0 = np.full((3, 1), 1.7)
-    paths = simulate("X", spec, 3, 4.0, 0.1, make_driver_bundle(1, 0, 3),
+    paths = simulate("X", spec, 4.0, 0.1, make_driver_bundle(1, 0, 3),
                      initial_positions=x0, scheme="exact")
     target = 1.7 * np.exp(-4.0)
     assert np.all(np.abs(paths.positions[-1] - target) / target < 1e-12)
@@ -198,9 +198,9 @@ def test_permutation_equivariance():
     n = 6
     perm = np.asarray([3, 0, 5, 1, 4, 2])
     x0 = np.linspace(-1.0, 1.0, n).reshape(n, 1)
-    a = simulate("X", spec, n, 0.5, 0.05, make_driver_bundle(31, 0, n),
+    a = simulate("X", spec, 0.5, 0.05, make_driver_bundle(31, 0, n),
                  initial_positions=x0)
-    b = simulate("X", spec, n, 0.5, 0.05,
+    b = simulate("X", spec, 0.5, 0.05,
                  make_driver_bundle(31, 0, n, particle_ids=perm),
                  initial_positions=x0[perm])
     # slot i of run b lives on the streams and start of particle perm[i]
@@ -211,7 +211,7 @@ def test_exchangeability_ks_across_seeds():
     spec = build("lipschitz-demo", {})
     first, third = [], []
     for r in range(200):
-        paths = simulate("X", spec, 4, 0.5, 0.05, make_driver_bundle(123, r, 4),
+        paths = simulate("X", spec, 0.5, 0.05, make_driver_bundle(123, r, 4),
                          init=InitSampler(mean=(0.5,), std=0.5))
         first.append(paths.positions[-1, 0, 0])
         third.append(paths.positions[-1, 2, 0])
@@ -220,7 +220,7 @@ def test_exchangeability_ks_across_seeds():
 
 def test_jump_bookkeeping_counts_match():
     spec = build("lipschitz-demo", {})
-    paths = simulate("X", spec, 16, 1.0, 0.05, make_driver_bundle(8, 0, 16),
+    paths = simulate("X", spec, 1.0, 0.05, make_driver_bundle(8, 0, 16),
                      init=InitSampler(mean=(0.5,), std=0.5))
     assert paths.jump_count == len(paths.jump_times) == len(paths.jump_particles)
     assert paths.jump_count > 0
@@ -238,7 +238,7 @@ def test_rate_bound_violation_surfaces():
         cap=1.0,
     )
     with pytest.raises(RateBoundViolation):
-        simulate("X", spec, 2, 4.0, 0.5, make_driver_bundle(3, 0, 2),
+        simulate("X", spec, 4.0, 0.5, make_driver_bundle(3, 0, 2),
                  initial_positions=np.zeros((2, 1)))
 
 
@@ -252,7 +252,7 @@ def test_rate_bound_retry_recovers():
         cap=None,
     )
     policy = StepPolicy(bound_mult=1.0, bound_add=0.05, candidate_cap=8.0, max_retries=16)
-    res = simulate_coupled(("X",), spec, 4, 5.0, 0.5, make_driver_bundle(6, 0, 4),
+    res = simulate_coupled(("X",), spec, 5.0, 0.5, make_driver_bundle(6, 0, 4),
                            initial_positions=np.full((4, 1), 1.0), policy=policy)
     assert res["retries"] > 0
     assert res["jump_counts"]["X"] > 0
@@ -267,7 +267,7 @@ def test_numerical_blowup_carries_state():
         cap=0.0,
     )
     with pytest.raises(NumericalBlowupError) as err, np.errstate(over="ignore", invalid="ignore"):
-        simulate("X", spec, 2, 40.0, 1.0, make_driver_bundle(2, 0, 2),
+        simulate("X", spec, 40.0, 1.0, make_driver_bundle(2, 0, 2),
                  initial_positions=np.full((2, 1), 3.0))
     assert err.value.positions.shape == (2, 1)
     assert err.value.system == "X"
@@ -523,7 +523,7 @@ def test_unrecorded_triple_counts_jumps_across_retries():
     policy = StepPolicy(bound_mult=1.0, bound_add=0.05, candidate_cap=8.0, max_retries=16)
     flow = constant_flow(np.ones((4, 1)), 3.0)
     runs = [
-        simulate_coupled(("X", "Y", "LIMIT"), spec, 4, 3.0, 0.5, make_driver_bundle(6, 0, 4), flow=flow,
+        simulate_coupled(("X", "Y", "LIMIT"), spec, 3.0, 0.5, make_driver_bundle(6, 0, 4), flow=flow,
                          initial_positions=np.ones((4, 1)), policy=policy, record_paths=record)
         for record in (False, True)
     ]

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -50,6 +51,26 @@ def test_every_family_rejects_a_dim_that_is_not_an_integer_of_at_least_1(model, 
     with pytest.raises(ConfigError, match="^model.params: dim"):
         SimConfig.from_dict(config)
 
+
+
+@pytest.mark.parametrize("model,key", [
+    (model, key) for model in model_ids() for key in default_params(model) if key != "dim"
+])
+def test_every_family_rejects_a_parameter_that_is_not_a_number(model, key):
+    # a string rate_gamma or interaction used to end in a raw TypeError, and a
+    # string reset_max built a model whose every simulation cell failed
+    with pytest.raises(InvalidInputError, match=f"^{key} must be a number, got 'abc'$"):
+        build(model, {key: "abc"})
+    config = {"schema": 1, "model": {"id": model, "params": {key: "abc"}}, "run": {"Ns": [4, 8]}}
+    with pytest.raises(ConfigError, match=f"^model.params: {key} must be a number, got 'abc'$"):
+        SimConfig.from_dict(config)
+
+
+@pytest.mark.parametrize("value", [True, None, [0.3]])
+def test_a_bool_or_other_non_number_parameter_is_rejected(value):
+    # jump_scale: true used to build as 1
+    with pytest.raises(InvalidInputError, match=f"^jump_scale must be a number, got {re.escape(repr(value))}$"):
+        build("lipschitz-demo", {"jump_scale": value})
 
 def test_unknown_model_and_params_rejected():
     with pytest.raises(InvalidInputError):
@@ -131,7 +152,7 @@ def test_demo_with_zero_amplitudes_reduces_to_diffusion():
     )
     report = validate_model(spec, ProbeConfig(budget=60, seed=1))
     assert report.verdict == "pass"
-    paths = simulate("X", spec, 8, 1.0, 0.1, make_driver_bundle(3, 0, 8))
+    paths = simulate("X", spec, 1.0, 0.1, make_driver_bundle(3, 0, 8))
     assert paths.jump_count == 0
 
 
@@ -167,7 +188,7 @@ def test_neuronal_reset_lands_in_box():
     spec = build("neuronal", {})
     bundle = make_driver_bundle(21, 0, 64)
     paths = simulate(
-        "X", spec, 64, 4.0, 0.05, bundle, init=InitSampler(kind="uniform", low=0.0, high=1.0)
+        "X", spec, 4.0, 0.05, bundle, init=InitSampler(kind="uniform", low=0.0, high=1.0)
     )
     assert paths.jump_count > 50
     # post-jump value of the jumper is independent of its pre-jump state and
