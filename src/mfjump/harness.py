@@ -253,16 +253,10 @@ def _write_json(path: Path, payload: dict) -> None:
 
 # -- chaos sweep ------------------------------------------------------------
 
-_FLOW_CACHE: dict[tuple, FlowApproximation] = {}
-
-
-def _load_flow_cached(path: str) -> FlowApproximation:
-    # keyed by (path, mtime) so a rewritten flow file is never served stale
-    key = (path, Path(path).stat().st_mtime_ns)
-    if key not in _FLOW_CACHE:
-        _FLOW_CACHE.clear()
-        _FLOW_CACHE[key] = FlowApproximation.load(path)
-    return _FLOW_CACHE[key]
+@functools.lru_cache(maxsize=1)
+def _load_flow(path: str) -> FlowApproximation:
+    # a pool worker lives for one sweep, whose flow file does not change
+    return FlowApproximation.load(path)
 
 
 def replica_stream_key(n_index: int, replica: int) -> int:
@@ -276,7 +270,7 @@ def _cell(values, args: tuple) -> dict:
     try:
         spec = build(config.model.id, config.model.params)
         if isinstance(flow, str):
-            flow = _load_flow_cached(flow)
+            flow = _load_flow(flow)
         bundle = make_driver_bundle(config.run.seed, replica_stream_key(n_index, replica), N)
         return {"N": N, "replica": replica, **values(config, spec, bundle, flow)}
     except Exception as exc:  # noqa: BLE001 - cell failures are data, not crashes
@@ -365,8 +359,7 @@ def _write_plotdata(plot_dir: Path, Ns: list[int], distances: dict) -> None:
         for N, mean, se in zip(Ns, stats["mean"], stats["se"]):
             if not np.isfinite(mean) or mean <= 0:
                 continue
-            yerr = se / mean if mean > 0 else 0.0
-            lines.append(f"{_fmt(np.log2(N))} {_fmt(np.log(mean))} {_fmt(yerr)}")
+            lines.append(f"{_fmt(np.log2(N))} {_fmt(np.log(mean))} {_fmt(se / mean)}")
         (plot_dir / f"{pair[2:]}.dat").write_text("\n".join(lines) + "\n")
 
 
@@ -426,7 +419,7 @@ def run_chaos_sweep(config: SimConfig, force: bool = False) -> ChaosReport:
             i for i, N in enumerate(Ns)
             if len(stats["per_replica"][i]) >= 2 and np.isfinite(stats["mean"][i]) and stats["mean"][i] > 0
         ]
-        if len({Ns[i] for i in ok}) >= 3:
+        if len(ok) >= 3:
             fits[pair] = fit_rate(
                 [Ns[i] for i in ok],
                 [stats["mean"][i] for i in ok],

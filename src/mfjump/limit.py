@@ -131,7 +131,7 @@ def constant_flow(points: np.ndarray, T: float, spec: ModelSpec | None = None) -
     ens = np.stack([pts, pts])
     if spec is None:
         return FlowApproximation(times=times, ensemble=ens, lam_mean=np.zeros(2), trunc_c=math.inf)
-    return _flow_from_snapshots(spec, times, ens, math.inf, meta={})
+    return _flow_from_snapshots(spec, times, ens, math.inf)
 
 
 @dataclass
@@ -298,12 +298,12 @@ def _ensemble_substep(spec, pos, drivers, flow, t, h, bounds, trunc_c, euler, dr
     return jumps
 
 
-def _flow_from_snapshots(spec: ModelSpec, times: np.ndarray, snaps: np.ndarray, trunc_c: float, meta: dict) -> FlowApproximation:
+def _flow_from_snapshots(spec: ModelSpec, times: np.ndarray, snaps: np.ndarray, trunc_c: float) -> FlowApproximation:
     lam_mean = np.empty(len(times))
     for i in range(len(times)):
         mu = make_empirical(snaps[i])
         lam_mean[i] = float(np.mean(np.asarray(spec.rate(snaps[i], mu))))
-    return FlowApproximation(times=times, ensemble=snaps, lam_mean=lam_mean, trunc_c=trunc_c, meta=meta)
+    return FlowApproximation(times=times, ensemble=snaps, lam_mean=lam_mean, trunc_c=trunc_c)
 
 
 def flow_delta(flow_a: FlowApproximation, flow_b: FlowApproximation, seed: int = 0) -> float:
@@ -338,7 +338,7 @@ def picard_iterate(
         spec, T, dt, make_driver_bundle(seed, PICARD_REPLICA, M), flow_k,
         initial_positions=initial_positions, trunc_c=trunc_c, scheme=scheme, policy=policy, tape=tape,
     )
-    flow_next = _flow_from_snapshots(spec, res.times, res.snapshots, trunc_c, meta={})
+    flow_next = _flow_from_snapshots(spec, res.times, res.snapshots, trunc_c)
     return flow_next, flow_delta(flow_k, flow_next, seed=seed)
 
 

@@ -15,6 +15,7 @@ import numpy as np
 from .drivers import InvalidInputError, StreamKey, StreamState, scipy_extension
 
 ASSIGNMENT_CAP = 512
+_Z95 = 1.96  # two-sided 95% normal quantile
 
 
 def _require_finite(fn: str, a: np.ndarray, b: np.ndarray) -> None:
@@ -45,14 +46,14 @@ def _pairwise_cost(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.sqrt(cost, out=cost)
 
 
-def w1_assignment(a, b, cap: int = ASSIGNMENT_CAP) -> float:
+def w1_assignment(a, b) -> float:
     """Exact W1 between equal-size empirical measures in R^d.
 
     Euclidean ground cost, squared differences summed in place in coordinate
     order, then rooted: ``np.linalg.norm``'s bits for d <= 7.  In d = 1 the
-    sorted matching is exact at any n; in d >= 2, n above ``cap`` is rejected
-    (callers subsample explicitly via ``subsample_indices``).  Duplicate
-    points are fine; identical samples give 0.0 without a solve.
+    sorted matching is exact at any n; in d >= 2, n above ``ASSIGNMENT_CAP``
+    is rejected (callers subsample explicitly via ``subsample_indices``).
+    Duplicate points are fine; identical samples give 0.0 without a solve.
     """
     a = np.atleast_2d(np.asarray(a, dtype=np.float64))
     b = np.atleast_2d(np.asarray(b, dtype=np.float64))
@@ -63,8 +64,8 @@ def w1_assignment(a, b, cap: int = ASSIGNMENT_CAP) -> float:
         raise InvalidInputError("empty sample")
     if a.shape[1] == 1:
         return w1_1d(a[:, 0], b[:, 0])
-    if n > cap:
-        raise InvalidInputError(f"n={n} exceeds assignment cap {cap}; subsample first")
+    if n > ASSIGNMENT_CAP:
+        raise InvalidInputError(f"n={n} exceeds assignment cap {ASSIGNMENT_CAP}; subsample first")
     _require_finite("w1_assignment", a, b)
     if np.array_equal(a, b):
         return 0.0
@@ -88,14 +89,14 @@ def subsample_indices(n: int, cap: int, seed: int) -> np.ndarray:
     return np.sort(order[:cap])
 
 
-def w1_capped(a, b, cap: int = ASSIGNMENT_CAP, seed: int = 0) -> float:
-    """W1 with the documented deterministic subsample when n exceeds cap."""
+def w1_capped(a, b, seed: int = 0) -> float:
+    """W1 with the documented deterministic subsample when n exceeds ``ASSIGNMENT_CAP``."""
     a = np.atleast_2d(np.asarray(a, dtype=np.float64))
     b = np.atleast_2d(np.asarray(b, dtype=np.float64))
     if a.shape[1] == 1:
         return w1_1d(a[:, 0], b[:, 0])
-    idx = subsample_indices(a.shape[0], cap, seed)
-    return w1_assignment(a[idx], b[idx], cap=cap)
+    idx = subsample_indices(a.shape[0], ASSIGNMENT_CAP, seed)
+    return w1_assignment(a[idx], b[idx])
 
 
 @dataclass(frozen=True)
@@ -107,7 +108,7 @@ class RateFit:
     slope_ci: tuple[float, float]
 
 
-def fit_rate(Ns, errors, std_errs=None, z: float = 1.96) -> RateFit:
+def fit_rate(Ns, errors, std_errs=None) -> RateFit:
     """Least squares of log error against log N.
 
     When per-point standard errors are given the fit is weighted by the
@@ -153,7 +154,7 @@ def fit_rate(Ns, errors, std_errs=None, z: float = 1.96) -> RateFit:
         intercept=intercept,
         r2=r2,
         slope_se=slope_se,
-        slope_ci=(slope - z * slope_se, slope + z * slope_se),
+        slope_ci=(slope - _Z95 * slope_se, slope + _Z95 * slope_se),
     )
 
 
@@ -207,14 +208,14 @@ def moment_diagnostics(paths, spec, p: int) -> MomentSeries:
     )
 
 
-def wilson_interval(k: int, n: int, z: float = 1.96) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(k: int, n: int) -> tuple[float, float]:
+    """Wilson score interval for a binomial proportion, at 95%."""
     if n == 0:
         return (0.0, 1.0)
     phat = k / n
-    denom = 1.0 + z**2 / n
-    center = (phat + z**2 / (2 * n)) / denom
-    half = z * np.sqrt(phat * (1 - phat) / n + z**2 / (4 * n**2)) / denom
+    denom = 1.0 + _Z95**2 / n
+    center = (phat + _Z95**2 / (2 * n)) / denom
+    half = _Z95 * np.sqrt(phat * (1 - phat) / n + _Z95**2 / (4 * n**2)) / denom
     return (max(0.0, center - half), min(1.0, center + half))
 
 

@@ -25,24 +25,22 @@ from .metrics import w1_assignment
 
 
 class EmpiricalMeasure:
-    """Uniform probability measure on n points in R^d; the mean is cached until ``mark_dirty``."""
+    """Uniform probability measure on n points in R^d that do not move while it is in use.
 
-    __slots__ = ("points", "_mean", "_dirty")
+    The mean is computed at its first read and kept.
+    """
+
+    __slots__ = ("points", "_mean")
 
     def __init__(self, points: np.ndarray):
         self.points = points
         self._mean = None
-        self._dirty = True
 
     @property
     def mean(self) -> np.ndarray:
-        if self._dirty or self._mean is None:
+        if self._mean is None:
             self._mean = self.points.mean(axis=0)
-            self._dirty = False
         return self._mean
-
-    def mark_dirty(self) -> None:
-        self._dirty = True
 
 
 def make_empirical(points) -> EmpiricalMeasure:

@@ -152,7 +152,7 @@ def apply_jump(
     All amplitudes are evaluated at the pre-jump positions and measure.
     ``h_collateral is None`` means the jump has no collateral channel (the
     intermediate system and limit copies); ``kick`` may hold an (n, d) buffer for the kicks.
-    Returns (positions, main_amplitude); the caller invalidates any measure built on them.
+    Returns (positions, main_amplitude); a measure over ``positions`` is stale after it.
     """
     n = positions.shape[0]
     xj = positions[jumper].copy()
@@ -166,7 +166,7 @@ def apply_jump(
 
 
 class _LiveSystem:
-    """One process in a coupled set: positions plus measure bookkeeping."""
+    """One process in a coupled set: positions, jump log and, for LIMIT, the flow cell last read."""
 
     def __init__(self, kind: str, spec: ModelSpec, positions: np.ndarray, flow=None, record: bool = True):
         if kind not in ("X", "Y", "LIMIT"):
@@ -177,7 +177,6 @@ class _LiveSystem:
         self.spec = spec
         self.pos = np.array(positions, dtype=np.float64)
         self.flow = flow
-        self._measure = EmpiricalMeasure(self.pos)
         self.cell = flow.cell(0.0) if kind == "LIMIT" else None  # the flow cell last read
         self.record = record  # False: count the jumps, log none
         self.jump_count = 0
@@ -187,16 +186,15 @@ class _LiveSystem:
         self.jump_post: list[np.ndarray] = []
 
     def measure_now(self, t: float) -> EmpiricalMeasure:
-        if self.kind == "LIMIT" and not self.cell.start <= t < self.cell.end:
+        """The measure at time t: the flow cell's for LIMIT, else one over the current positions."""
+        if self.kind != "LIMIT":
+            return EmpiricalMeasure(self.pos)
+        if not self.cell.start <= t < self.cell.end:
             self.cell = self.flow.cell(t)
-        return self.cell.measure if self.kind == "LIMIT" else self._measure
+        return self.cell.measure
 
     def rates(self, t: float) -> np.ndarray:
         return np.asarray(self.spec.rate(self.pos, self.measure_now(t)), dtype=np.float64)
-
-    def set_positions(self, new: np.ndarray) -> None:
-        self.pos[:] = new
-        self._measure.mark_dirty()
 
     def snapshot(self) -> dict:
         return {"pos": self.pos.copy(), "jumps": self.jump_count}
@@ -208,7 +206,6 @@ class _LiveSystem:
         del self.jump_particles[k:]
         del self.jump_pre[k:]
         del self.jump_post[k:]
-        self._measure.mark_dirty()
 
 
 def _resolve_scheme(spec: ModelSpec, scheme: str) -> str:
@@ -339,7 +336,7 @@ class CoupledSimulator:
         if pos.shape != (self.bundle.n, self.spec.dim):
             raise InvalidInputError(f"initial positions must have shape {(self.bundle.n, self.spec.dim)}")
         for s in self.systems:
-            s.set_positions(pos)
+            s.pos[:] = pos
         self._update_sup()
 
     # -- stepping ---------------------------------------------------------
@@ -460,7 +457,6 @@ class CoupledSimulator:
                 if s.record:
                     s.jump_post.append(s.pos[j].copy())
                 s.jump_count += 1
-                s._measure.mark_dirty()
                 jumped.append(s)
                 if s.kind == "LIMIT":
                     lim_moved.add(j)
@@ -472,7 +468,6 @@ class CoupledSimulator:
                 s.pos += h * f
                 if dW is not None and sig is not None and sig.shape[-1] > 0:
                     s.pos += np.einsum("nij,nj->ni", sig, dW)
-                s._measure.mark_dirty()
         else:
             self._decay_all(t + h - t_last, drifts)
 
@@ -490,7 +485,6 @@ class CoupledSimulator:
             s.pos *= factor
             if g is not None:
                 s.pos += g * one_minus
-            s._measure.mark_dirty()
 
 
 @dataclass

@@ -209,10 +209,10 @@ def test_sweep_zero_collateral_and_rerun_identical(tmp_path):
 def test_sweep_worker_count_does_not_change_bytes(tmp_path):
     # in-process cells use the solved flow and cache no copy of its file;
     # pool workers load the file, and the bytes agree
-    harness._FLOW_CACHE.clear()
+    harness._load_flow.cache_clear()
     cfg1 = SimConfig.from_dict(_config_dict(tmp_path / "w1", workers=0))
     run_chaos_sweep(cfg1)
-    assert harness._FLOW_CACHE == {}
+    assert harness._load_flow.cache_info().currsize == 0
     cfg2 = SimConfig.from_dict(_config_dict(tmp_path / "w2", workers=2))
     run_chaos_sweep(cfg2)
     assert multiprocessing.active_children() == []

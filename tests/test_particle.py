@@ -9,7 +9,7 @@ from scipy.stats import ks_2samp
 from mfjump import particle
 from mfjump.drivers import InvalidInputError, collect_candidates, make_driver_bundle, marks_uniforms
 from mfjump.limit import FlowApproximation, constant_flow, solve_limit
-from mfjump.models import AssumptionMeta, ModelSpec, collateral_drift, make_empirical
+from mfjump.models import AssumptionMeta, EmpiricalMeasure, ModelSpec, collateral_drift, make_empirical
 from mfjump.particle import (
     CoupledSimulator,
     InitSampler,
@@ -290,8 +290,8 @@ class _ReferenceSimulator(CoupledSimulator):
     """
 
     @staticmethod
-    def _measure(s, t):
-        return s.flow.cell(t).measure if s.kind == "LIMIT" else s._measure
+    def _measure_at(s, t):
+        return s.flow.cell(t).measure if s.kind == "LIMIT" else EmpiricalMeasure(s.pos)
 
     def _update_sup(self, jumped=None, j=0) -> None:
         for (a, b), key in self.PAIR_KEYS.items():
@@ -304,7 +304,7 @@ class _ReferenceSimulator(CoupledSimulator):
         euler = self.scheme == "euler"
         drifts, diffs = [], []
         for s in self.systems:
-            mu = self._measure(s, t)
+            mu = self._measure_at(s, t)
             if s.kind == "Y":
                 g = collateral_drift(spec, s.pos, mu)
             elif s.kind == "LIMIT":
@@ -327,7 +327,7 @@ class _ReferenceSimulator(CoupledSimulator):
                 t_last = tau
                 self._update_sup()
             for s in self.systems:
-                mu = self._measure(s, tau)
+                mu = self._measure_at(s, tau)
                 lam_j = float(np.asarray(spec.rate(s.pos[j : j + 1], mu))[0])
                 if lam_j > bounds[j] * (1.0 + 1e-12) + 1e-12:
                     raise RateBoundViolation(
@@ -346,14 +346,13 @@ class _ReferenceSimulator(CoupledSimulator):
                     s.jump_pre.append(s.pos[j].copy())
                     s.jump_post.append(new_pos[j].copy())
                     s.jump_count += 1
-                    s.set_positions(new_pos)
+                    s.pos[:] = new_pos
             self._update_sup()
         if euler:
             for s, f, sig in zip(self.systems, drifts, diffs):
                 s.pos += h * f
                 if dW is not None and sig is not None and sig.shape[-1] > 0:
                     s.pos += np.einsum("nij,nj->ni", sig, dW)
-                s._measure.mark_dirty()
         else:
             self._decay_all(t + h - t_last, drifts)
         for s in self.systems:
@@ -369,7 +368,7 @@ class _ReferenceSimulator(CoupledSimulator):
             new = s.pos * factor
             if g is not None:
                 new += g * (1.0 - factor)
-            s.set_positions(new)
+            s.pos[:] = new
 
 
 def _run_cells(cls, systems, spec, x0, T, dt, seed, particle_ids, **kw):

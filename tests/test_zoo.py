@@ -72,6 +72,24 @@ def test_a_bool_or_other_non_number_parameter_is_rejected(value):
     with pytest.raises(InvalidInputError, match=f"^jump_scale must be a number, got {re.escape(repr(value))}$"):
         build("lipschitz-demo", {"jump_scale": value})
 
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")], ids=str)
+@pytest.mark.parametrize("model,key", [
+    (model, key) for model in model_ids() for key in default_params(model) if key != "dim"
+])
+def test_every_family_rejects_a_parameter_that_is_not_finite(model, key, value):
+    # rate_exponent: nan ran diagnostics to nan moments, reset_max: inf
+    # validated "pass", rate_base: inf built and failed in simulate with an
+    # OverflowError; margin_factor: nan is rejected here, before any warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match=f"^{key} must be finite, got {value}$"):
+            build(model, {key: value})
+    config = {"schema": 1, "model": {"id": model, "params": {key: value}}, "run": {"Ns": [4, 8]}}
+    with pytest.raises(ConfigError, match=f"^model.params: {key} must be finite, got {value}$"):
+        SimConfig.from_dict(config)
+
+
 def test_unknown_model_and_params_rejected():
     with pytest.raises(InvalidInputError):
         build("no-such-model")
@@ -90,7 +108,7 @@ def test_neuronal_margin_check():
         build("neuronal", {"collateral_amp": -5.0})
 
 
-@pytest.mark.parametrize("factor", [0.0, -1.0, float("nan")])
+@pytest.mark.parametrize("factor", [0.0, -1.0])
 def test_nonpositive_margin_factor_rejected_without_warning(factor):
     # -1 used to build and validate "pass" on a negative margin estimate
     with warnings.catch_warnings():
