@@ -5,7 +5,8 @@ on the output grid.  One Picard sweep simulates M independent copies of
 the SDE whose measure argument is frozen to the previous flow; the
 iteration's contraction is measured as the sup over the grid of the W1
 distance between successive ensembles.  All sweeps reuse the same drivers
-(same replica namespace), so successive flows converge pathwise.
+(same replica namespace), so successive flows converge pathwise.  This sup and
+the noise floor's solve W1 only where it can raise them (``metrics.w1_sup``).
 
 For a model with a declared global rate bound every sub-step's thinning
 bound is that constant, so the sub-step grid and every number drawn on it
@@ -38,7 +39,7 @@ from .drivers import (
     make_driver_bundle,
     marks_uniforms_batch,
 )
-from .metrics import w1_capped
+from .metrics import w1_sup
 from .models import EmpiricalMeasure, ModelSpec, collateral_drift, make_empirical
 from .particle import (
     InitSampler,
@@ -307,11 +308,12 @@ def _flow_from_snapshots(spec: ModelSpec, times: np.ndarray, snaps: np.ndarray, 
 
 
 def flow_delta(flow_a: FlowApproximation, flow_b: FlowApproximation, seed: int = 0) -> float:
-    """sup over flow_b's grid of W1 between its ensemble and flow_a's ensemble in force at that time."""
-    worst = 0.0
-    for t, ens in zip(flow_b.times, flow_b.ensemble):
-        worst = max(worst, w1_capped(flow_a.ensemble[flow_a.cell_index(t)], ens, seed=seed))
-    return worst
+    """sup over flow_b's grid of W1 between its ensemble and flow_a's ensemble in force at that time.
+
+    Exact, though ``w1_sup`` solves only the times whose identity-matching cost can reach the running sup.
+    """
+    pairs = ((flow_a.ensemble[flow_a.cell_index(t)], ens) for t, ens in zip(flow_b.times, flow_b.ensemble))
+    return w1_sup(pairs, seed)
 
 
 def picard_iterate(
@@ -347,13 +349,10 @@ def ensemble_noise_floor(flow: FlowApproximation, seed: int = 0) -> float:
 
     Splits each grid ensemble into even/odd halves (independent copies of
     the same law at size M/2) and takes the sup over the grid of their W1
-    over sqrt(2), the square-root size correction back to M.
+    over sqrt(2), the square-root size correction back to M.  ``w1_sup`` solves only the
+    halves that can raise the sup; one division of it is exact, as division by sqrt(2) is monotone.
     """
-    worst = 0.0
-    for i in range(len(flow.times)):
-        ens = flow.ensemble[i]
-        worst = max(worst, w1_capped(ens[0::2], ens[1::2], seed=seed) / math.sqrt(2.0))
-    return worst
+    return w1_sup(((ens[0::2], ens[1::2]) for ens in flow.ensemble), seed) / math.sqrt(2.0)
 
 
 def solve_limit(
@@ -433,14 +432,9 @@ def coupled_chaos_run(
     ``retries``.  At most one of ``init``/``initial_positions`` may be given.
     The sup is evaluated over all grid points and all event times; limit
     copies are driven by the solved flow, index-coupled to the particles
-    through the shared per-particle streams.  The reported values are
-    distances of this specific synchronous coupling, hence upper bounds
-    for the optimal-coupling path distance.  On lipschitz-demo the bound is
-    attained at grid resolution: the optimal assignment between the X and
-    limit grid paths is the identity, and ``sup["xlimit"]`` reads 2-3% above
-    that grid distance because it also folds event times.  On neuronal the
-    identity is not always optimal, and ``sup["xlimit"]`` is an upper bound
-    about 10% above the path-space W1.
+    through the shared per-particle streams.  The values are distances of
+    this synchronous coupling, hence upper bounds for the path-space W1
+    (README says how tight, per model).
     """
     return simulate_coupled(
         ("X", "Y", "LIMIT"), spec, T, dt, drivers,

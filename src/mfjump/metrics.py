@@ -8,6 +8,7 @@ cost built in place coordinate by coordinate: ``np.linalg.norm``'s bits, d <= 7.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -97,6 +98,30 @@ def w1_capped(a, b, seed: int = 0) -> float:
         return w1_1d(a[:, 0], b[:, 0])
     idx = subsample_indices(a.shape[0], ASSIGNMENT_CAP, seed)
     return w1_assignment(a[idx], b[idx])
+
+
+def w1_sup(pairs, seed: int = 0) -> float:
+    """``max(w1_capped(a, b, seed) for a, b in pairs)`` (0.0 for none), bit for bit, with fewer solves.
+
+    A pair's identity-matching cost on the rows ``w1_capped`` uses bounds its W1 from above, so pairs
+    are solved by descending bound while the bound, widened by 1e-9 for rounding, reaches the running
+    max.  Pairs of unequal shapes or with a point not finite or above 1e150 are always solved, so they
+    raise as in ``w1_capped``.  The subsample is drawn once per call.
+    """
+    sub = functools.cache(lambda n: subsample_indices(n, ASSIGNMENT_CAP, seed))
+    work = []
+    for a, b in pairs:
+        a, b = (np.atleast_2d(np.asarray(x, dtype=np.float64)) for x in (a, b))
+        if a.shape == b.shape and a.size and a.shape[1] > 1:
+            a, b = a[sub(len(a))], b[sub(len(a))]
+        safe = a.shape == b.shape and a.size and np.abs(a).max() <= 1e150 and np.abs(b).max() <= 1e150
+        work.append((float(np.mean(np.linalg.norm(a - b, axis=1))) if safe else np.inf, a, b))
+    worst = 0.0
+    for bound, a, b in sorted(work, key=lambda w: -w[0]):  # stable: ties stay in order
+        if bound * (1.0 + 1e-9) < worst:
+            break
+        worst = max(worst, w1_capped(a, b, seed))
+    return worst
 
 
 @dataclass(frozen=True)

@@ -269,7 +269,8 @@ def build(model_id: str, params: dict | None = None) -> ModelSpec:
     for name, value in params.items():
         if name != "dim" and (isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))):
             raise InvalidInputError(f"{name} must be a number, got {value!r}")
-        if name != "dim" and isinstance(value, (float, np.floating)) and not math.isfinite(value):
+        beyond_floats = isinstance(value, int) and abs(value) > float(np.finfo(np.float64).max)  # above every float
+        if name != "dim" and (beyond_floats or not math.isfinite(value)):
             raise InvalidInputError(f"{name} must be finite, got {value}")
     p = ptype(**params)
     if isinstance(p.dim, bool) or not isinstance(p.dim, (int, np.integer)) or p.dim < 1:

@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from mfjump.drivers import InvalidInputError, make_driver_bundle
+from mfjump.metrics import w1_capped
 from mfjump.limit import (
     FlowApproximation,
     constant_flow,
@@ -88,6 +89,69 @@ def test_flow_delta_reads_the_cell_in_force_across_grids():
     assert len(flow1.times) == 21
     assert d1 == flow_delta(flow0, flow1) == pytest.approx(1.0 - math.exp(-T), rel=1e-10)
     assert flow_delta(flow1, flow0) == d1
+
+
+def _plain_flow_delta(flow_a, flow_b, seed):
+    # the per-grid-time loop that flow_delta replaced: the oracle
+    worst = 0.0
+    for t, ens in zip(flow_b.times, flow_b.ensemble):
+        worst = max(worst, w1_capped(flow_a.ensemble[flow_a.cell_index(t)], ens, seed=seed))
+    return worst
+
+
+def _plain_noise_floor(flow, seed):
+    worst = 0.0
+    for ens in flow.ensemble:
+        worst = max(worst, w1_capped(ens[0::2], ens[1::2], seed=seed) / math.sqrt(2.0))
+    return worst
+
+
+def _picard_flows(spec, M, seed, sweeps, T=0.3, dt=0.1):
+    x0 = InitSampler(mean=(0.5,) * spec.dim, std=0.5).sample(make_driver_bundle(seed, 0, M), spec.dim)
+    flows = [constant_flow(x0, T, spec)]
+    for _ in range(sweeps):
+        flows.append(picard_iterate(flows[-1], spec, M, T, dt, seed=seed, initial_positions=x0)[0])
+    return flows
+
+
+@pytest.mark.parametrize("model,d,M", [
+    ("lipschitz-demo", 1, 4096), ("lipschitz-demo", 2, 1030), ("convex-potential", 3, 1030), ("neuronal", 1, 2048),
+])
+def test_flow_delta_and_noise_floor_equal_the_plain_loop(model, d, M):
+    # first-sweep and converged pairs, and the even/odd halves: every bit
+    spec = build(model, {"dim": d} if model != "neuronal" else {})
+    for seed in (3, 11):
+        flows = _picard_flows(spec, M, seed, sweeps=4)
+        for flow_a, flow_b in zip(flows, flows[1:]):
+            assert flow_delta(flow_a, flow_b, seed=seed) == _plain_flow_delta(flow_a, flow_b, seed)
+        for flow in flows[1:]:
+            assert ensemble_noise_floor(flow, seed=seed) == _plain_noise_floor(flow, seed)
+
+
+def test_converged_flow_delta_solves_fewer_assignments(monkeypatch):
+    import mfjump.metrics
+
+    spec = build("lipschitz-demo", {"dim": 2})
+    flows = _picard_flows(spec, 1030, 5, sweeps=2)
+    solver = mfjump.metrics._linear_sum_assignment()
+    solves = []
+
+    def counting():
+        def solve(cost):
+            solves.append(cost.shape)
+            return solver(cost)
+        return solve
+
+    monkeypatch.setattr(mfjump.metrics, "_linear_sum_assignment", counting)
+    delta = flow_delta(flows[-2], flows[-1], seed=5)
+    fast = len(solves)
+    assert delta == _plain_flow_delta(flows[-2], flows[-1], 5)
+    plain = len(solves) - fast
+    # times 0 and 0.1 hold the same ensembles on both sides (the first cell
+    # reads the start ensemble in every sweep) and need no solve; of 0.2 and
+    # 0.3 only the one with the larger identity bound is solved
+    assert len(flows[-1].times) == 4
+    assert (fast, plain) == (1, 2)
 
 
 def test_picard_contraction_neuronal():

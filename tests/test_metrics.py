@@ -22,6 +22,7 @@ from mfjump.metrics import (
     w1_1d,
     w1_assignment,
     w1_capped,
+    w1_sup,
     wilson_interval,
 )
 
@@ -327,6 +328,65 @@ def test_w1_assignment_cap():
     assert np.array_equal(idx1, idx2)
     assert len(idx1) == 512 and len(np.unique(idx1)) == 512
     assert w1_capped(a, a) == 0.0
+
+
+def plain_w1_sup(pairs, seed=0):
+    """Oracle for ``w1_sup``: solve every pair, keep the largest."""
+    worst = 0.0
+    for a, b in pairs:
+        worst = max(worst, w1_capped(a, b, seed=seed))
+    return worst
+
+
+def _pair_sets(d, n, rng):
+    """Pair lists that make the bounds order, tie and nearly tie."""
+    base = rng.normal(size=(n, d))
+    moved = [base + scale * rng.normal(size=(n, d)) for scale in (1.0, 0.3, 0.3, 0.01, 0.0)]
+    shuffled = base[rng.permutation(n)]  # identity bound far above W1 = 0
+    far = base + 0.5  # identity matching optimal: bound == W1
+    return [
+        [(base, m) for m in moved],
+        [(base, shuffled), (base, moved[3]), (base, moved[1])],
+        [(base, far), (base, far.copy()), (far, base), (base, moved[1])],
+        [(base, moved[2]), (base, moved[1])] * 2,
+        [(m[0::2], m[1::2]) for m in [base, *moved]],
+    ]
+
+
+@pytest.mark.parametrize("d,n", [(1, 40), (1, 2000), (2, 30), (2, 700), (3, 24), (3, 600)])
+def test_w1_sup_equals_the_plain_loop(d, n):
+    rng = np.random.default_rng(100 * d + n)
+    for seed in (0, 7):
+        for pairs in _pair_sets(d, n, rng):
+            assert w1_sup(pairs, seed=seed) == plain_w1_sup(pairs, seed=seed)
+    assert w1_sup([]) == plain_w1_sup([]) == 0.0
+
+
+def test_w1_sup_of_identical_pairs_is_zero():
+    rng = np.random.default_rng(4)
+    for d in (1, 2):
+        a = rng.normal(size=(600, d))
+        assert w1_sup([(a, a.copy()), (a, a), (a[::2], a[::2].copy())]) == 0.0
+
+
+def test_w1_sup_raises_on_a_non_finite_row_whatever_its_bound():
+    # the bad pair would otherwise sort after the near pair, past the point
+    # where the far pair's W1 ends the visit
+    rng = np.random.default_rng(6)
+    for d in (1, 2):
+        a = rng.normal(size=(50, d))
+        bad = a.copy()
+        bad[7, 0] = np.nan
+        for b in (bad, np.where(np.isnan(bad), np.inf, bad)):
+            with pytest.raises(InvalidInputError, match="rows of a and 1 rows of b hold NaN or inf"):
+                w1_sup([(a, a + 10.0), (a, a + 0.1), (a, b)])
+    # unequal sizes, and distances that overflow off the identity matching,
+    # raise as in w1_capped
+    with pytest.raises(InvalidInputError, match="equal size"):
+        w1_sup([(a[:, :1] + 10.0, a[:, :1]), (a[:5, :1], a[:4, :1])])
+    spread = np.asarray([[1e200, 0.0], [-1e200, 0.0], [0.0, 0.0]])
+    with pytest.raises(InvalidInputError, match="overflow"), np.errstate(over="ignore"):
+        w1_sup([(a[:3] + 10.0, a[:3]), (spread, spread + [0.0, 1e-3])])
 
 
 def test_w1_assignment_in_1d_has_no_cap():

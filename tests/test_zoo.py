@@ -90,6 +90,25 @@ def test_every_family_rejects_a_parameter_that_is_not_finite(model, key, value):
         SimConfig.from_dict(config)
 
 
+@pytest.mark.parametrize("model,key", [("lipschitz-demo", "rate_base"), ("neuronal", "reset_max")])
+def test_an_integer_parameter_above_every_float_is_rejected(model, key, capsys):
+    # rate_base=1e400 as an integer ended in an OverflowError traceback from
+    # the builder's float arithmetic, and reset_max=<the same> validated "pass"
+    from mfjump.cli import main as cli_main
+
+    huge = 10**400
+    for value in (huge, -huge, 2**1024 - 2**970):  # the last is above the largest float too
+        with pytest.raises(InvalidInputError, match=f"^{key} must be finite, got {value}$"):
+            build(model, {key: value})
+    config = {"schema": 1, "model": {"id": model, "params": {key: huge}}, "run": {"Ns": [4, 8]}}
+    with pytest.raises(ConfigError, match=f"^model.params: {key} must be finite, got {huge}$"):
+        SimConfig.from_dict(config)
+    assert cli_main(["validate", "--model", model, "--param", f"{key}={huge}"]) == 1
+    assert capsys.readouterr().err == f"mfjump validate: {key} must be finite, got {huge}\n"
+    # an integer that fits in a float still builds
+    build(model, {key: 10**300})
+
+
 def test_unknown_model_and_params_rejected():
     with pytest.raises(InvalidInputError):
         build("no-such-model")
