@@ -47,6 +47,7 @@ from __future__ import annotations
 import importlib.machinery
 import importlib.util
 import sys
+import threading
 import types
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -54,6 +55,9 @@ from pathlib import Path
 
 import numpy as np
 import scipy
+
+
+_EXTENSION_LOCK = threading.Lock()
 
 
 def scipy_extension(name: str) -> types.ModuleType:
@@ -67,26 +71,27 @@ def scipy_extension(name: str) -> types.ModuleType:
     stands in for the package.  The extension and its siblings stay registered
     under their real names, so a later package import re-exports these objects.  An imported package is
     returned as is; a missing file or a failed load removes every module it added
-    and returns the package import.
+    and returns the package import.  A module lock makes concurrent first calls safe.
     """
-    package, _, leaf = name.rpartition(".")
-    if (loaded := sys.modules.get(package) or sys.modules.get(name)) is not None:
-        return loaded
-    folder = Path(scipy.__file__).parent.joinpath(*package.split(".")[1:])
-    before = set(sys.modules)
-    sys.modules[package] = stand_in = types.ModuleType(package)
-    stand_in.__path__ = [str(folder)]
-    try:
-        path = next(p for s in importlib.machinery.EXTENSION_SUFFIXES if (p := folder / f"{leaf}{s}").is_file())
-        spec = importlib.util.spec_from_file_location(name, path)
-        module = sys.modules[name] = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-    except Exception:  # noqa: BLE001 - any failure falls back to the package import
-        for added in set(sys.modules) - before:
-            del sys.modules[added]
-        return importlib.import_module(package)
-    del sys.modules[package]
-    return module
+    with _EXTENSION_LOCK:  # another thread must not see the stand-in package
+        package, _, leaf = name.rpartition(".")
+        if (loaded := sys.modules.get(package) or sys.modules.get(name)) is not None:
+            return loaded
+        folder = Path(scipy.__file__).parent.joinpath(*package.split(".")[1:])
+        before = set(sys.modules)
+        sys.modules[package] = stand_in = types.ModuleType(package)
+        stand_in.__path__ = [str(folder)]
+        try:
+            path = next(p for s in importlib.machinery.EXTENSION_SUFFIXES if (p := folder / f"{leaf}{s}").is_file())
+            spec = importlib.util.spec_from_file_location(name, path)
+            module = sys.modules[name] = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+        except Exception:  # noqa: BLE001 - any failure falls back to the package import
+            for added in set(sys.modules) - before:
+                del sys.modules[added]
+            return importlib.import_module(package)
+        del sys.modules[package]
+        return module
 
 
 ndtri = scipy_extension("scipy.special._ufuncs").ndtri

@@ -126,8 +126,8 @@ class LimitSection:
     picard_max_iter: int = 10
 
     def __post_init__(self):
-        if not _integer(self.ensemble) or self.ensemble < 0:
-            raise ConfigError(f"limit.ensemble must be an integer >= 0 (0 = automatic), got {self.ensemble!r}")
+        if not _integer(self.ensemble) or self.ensemble < 0 or self.ensemble % 2:
+            raise ConfigError(f"limit.ensemble must be an even integer >= 0 (0 = automatic), got {self.ensemble!r}")
         if not _positive(self.picard_tol):
             raise ConfigError(f"limit.picard_tol must be a finite number > 0, got {self.picard_tol!r}")
         if not _integer(self.picard_max_iter) or self.picard_max_iter < 1:

@@ -377,6 +377,8 @@ def solve_limit(
     """
     if not tol > 0:
         raise InvalidInputError("tol must be positive")
+    if not (M >= 2 and M % 2 == 0):  # the noise floor compares the even and odd halves
+        raise InvalidInputError(f"ensemble size M must be even and >= 2, got {M!r}")
     bundle0 = make_driver_bundle(seed, PICARD_REPLICA, M)
     sampler = init or InitSampler(mean=tuple([0.0] * spec.dim))
     x0 = sampler.sample(bundle0, spec.dim)

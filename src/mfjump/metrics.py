@@ -4,11 +4,15 @@ W1 between equal-size empirical measures is exact: sorted matching in 1D,
 optimal assignment in R^d (uniform empirical measures couple optimally by a
 permutation) by scipy's compiled ``linear_sum_assignment`` (Crouse 2016) on a
 cost built in place coordinate by coordinate: ``np.linalg.norm``'s bits, d <= 7.
+A sup over pairs (``w1_sup``) runs its d >= 2 solves on up to one thread per
+CPU in the process's affinity, with the same bits for any count.
 """
 
 from __future__ import annotations
 
 import functools
+import os
+from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,12 +43,32 @@ def _linear_sum_assignment():
     return scipy_extension("scipy.optimize._lsap").linear_sum_assignment
 
 
+def _solver_threads() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
 def _pairwise_cost(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    diff = np.subtract.outer(a[:, 0], b[:, 0])
-    cost = np.square(diff)
+    cost = np.subtract.outer(a[:, 0], b[:, 0])
+    np.square(cost, out=cost)
+    scratch = np.empty((min(64, len(a)), len(b)))  # 64 rows at a time, not a second n x n
     for k in range(1, a.shape[1]):
-        cost += np.square(np.subtract.outer(a[:, k], b[:, k], out=diff), out=diff)
+        for r in range(0, len(a), 64):
+            block = np.subtract.outer(a[r : r + 64, k], b[:, k], out=scratch[: len(a) - r])
+            cost[r : r + 64] += np.square(block, out=block)
     return np.sqrt(cost, out=cost)
+
+
+def _checked_cost(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+    """``w1_assignment``'s checks and cost matrix for equal-shape (n, d >= 2) samples; None if identical."""
+    if len(a) > ASSIGNMENT_CAP:
+        raise InvalidInputError(f"n={len(a)} exceeds assignment cap {ASSIGNMENT_CAP}; subsample first")
+    _require_finite("w1_assignment", a, b)
+    if np.array_equal(a, b):
+        return None
+    cost = _pairwise_cost(a, b)
+    if not np.isfinite(cost).all():
+        raise InvalidInputError("w1_assignment: pairwise distances overflow float64")
+    return cost
 
 
 def w1_assignment(a, b) -> float:
@@ -60,19 +84,12 @@ def w1_assignment(a, b) -> float:
     b = np.atleast_2d(np.asarray(b, dtype=np.float64))
     if a.shape[1] == 0 or a.shape != b.shape:
         raise InvalidInputError("w1_assignment needs equal-shape (n, d) samples")
-    n = a.shape[0]
-    if n == 0:
+    if a.shape[0] == 0:
         raise InvalidInputError("empty sample")
     if a.shape[1] == 1:
         return w1_1d(a[:, 0], b[:, 0])
-    if n > ASSIGNMENT_CAP:
-        raise InvalidInputError(f"n={n} exceeds assignment cap {ASSIGNMENT_CAP}; subsample first")
-    _require_finite("w1_assignment", a, b)
-    if np.array_equal(a, b):
+    if (cost := _checked_cost(a, b)) is None:
         return 0.0
-    cost = _pairwise_cost(a, b)
-    if not np.isfinite(cost).all():
-        raise InvalidInputError("w1_assignment: pairwise distances overflow float64")
     rows, cols = _linear_sum_assignment()(cost)
     return float(cost[rows, cols].mean())
 
@@ -94,8 +111,10 @@ def w1_capped(a, b, seed: int = 0) -> float:
     """W1 with the documented deterministic subsample when n exceeds ``ASSIGNMENT_CAP``."""
     a = np.atleast_2d(np.asarray(a, dtype=np.float64))
     b = np.atleast_2d(np.asarray(b, dtype=np.float64))
-    if a.shape[1] == 1:
+    if a.shape[1] == 1 == b.shape[1]:
         return w1_1d(a[:, 0], b[:, 0])
+    if a.shape != b.shape:
+        raise InvalidInputError("w1_capped needs equal-shape (n, d) samples")
     idx = subsample_indices(a.shape[0], ASSIGNMENT_CAP, seed)
     return w1_assignment(a[idx], b[idx])
 
@@ -107,6 +126,11 @@ def w1_sup(pairs, seed: int = 0) -> float:
     are solved by descending bound while the bound, widened by 1e-9 for rounding, reaches the running
     max.  Pairs of unequal shapes or with a point not finite or above 1e150 are always solved, so they
     raise as in ``w1_capped``.  The subsample is drawn once per call.
+
+    In d >= 2 the calling thread builds and checks each cost matrix, and up to ``_solver_threads()``
+    compiled solves run at once on threads that end with the call.  A pair is submitted only while its
+    bound also reaches each submitted pair's lower bound |mean(a - b)| (Jensen) less 1e-9 of that pair's
+    bound, so the pairs solved include the one-at-a-time visit's and the max has the same bits.
     """
     sub = functools.cache(lambda n: subsample_indices(n, ASSIGNMENT_CAP, seed))
     work = []
@@ -114,14 +138,27 @@ def w1_sup(pairs, seed: int = 0) -> float:
         a, b = (np.atleast_2d(np.asarray(x, dtype=np.float64)) for x in (a, b))
         if a.shape == b.shape and a.size and a.shape[1] > 1:
             a, b = a[sub(len(a))], b[sub(len(a))]
-        safe = a.shape == b.shape and a.size and np.abs(a).max() <= 1e150 and np.abs(b).max() <= 1e150
-        work.append((float(np.mean(np.linalg.norm(a - b, axis=1))) if safe else np.inf, a, b))
-    worst = 0.0
-    for bound, a, b in sorted(work, key=lambda w: -w[0]):  # stable: ties stay in order
-        if bound * (1.0 + 1e-9) < worst:
-            break
-        worst = max(worst, w1_capped(a, b, seed))
-    return worst
+        bound, low = np.inf, 0.0
+        if a.shape == b.shape and a.size and np.abs(a).max() <= 1e150 and np.abs(b).max() <= 1e150:
+            diff = a - b
+            bound = float(np.mean(np.linalg.norm(diff, axis=1)))
+            low = float(np.linalg.norm(diff.mean(axis=0))) - 1e-9 * bound if a.shape[1] > 1 else 0.0
+        work.append((bound, low, a, b))
+    w1s, lows, running = [0.0], [0.0], {}  # running: in-flight solve -> its cost matrix
+    with ThreadPoolExecutor(threads := _solver_threads()) as pool:
+        for bound, low, a, b in sorted(work, key=lambda w: -w[0]):  # stable: ties stay in order
+            while len(running) >= threads and bound * (1.0 + 1e-9) >= max(w1s + lows):
+                done = wait(running, return_when=FIRST_COMPLETED).done
+                w1s += [float(running.pop(f)[f.result()].mean()) for f in done]
+            if bound * (1.0 + 1e-9) < max(w1s + lows):
+                break
+            if a.shape[1] == 1 or bound == np.inf:
+                w1s.append(w1_capped(a, b, seed))
+            elif (cost := _checked_cost(a, b)) is not None:
+                running[pool.submit(_linear_sum_assignment(), cost)] = cost
+                lows.append(low)
+        w1s += [float(cost[f.result()].mean()) for f, cost in running.items()]
+    return max(w1s)
 
 
 @dataclass(frozen=True)

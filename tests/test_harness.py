@@ -117,6 +117,8 @@ def test_config_invariants(tmp_path):
         ("diagnostics", "moment_powers", 4),  # every cell failed
         ("diagnostics", "jump_thresholds", [-1]),  # rejected only after every cell ran
         ("limit", "ensemble", 1.5),
+        ("limit", "ensemble", 1001),  # the noise floor's halves differ: failed after every sweep
+        ("limit", "ensemble", 1),
         ("run", "seed", "abc"),  # every cell failed
         ("stepping", "candidate_cap", "abc"),  # was a raw TypeError at parse time
         ("stepping", "max_retries", "abc"),

@@ -188,6 +188,19 @@ def test_solve_limit_rejects_bad_tol():
         solve_limit(spec, 100, 1.0, 0.1, tol=0.0)
 
 
+@pytest.mark.parametrize("M", [1001, 1, 0])
+def test_solve_limit_rejects_an_odd_or_tiny_ensemble_before_the_first_sweep(monkeypatch, M):
+    # the noise floor compares the even and odd halves; an odd M used to fail
+    # only after every sweep, and in d=2 with a raw IndexError
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a sweep ran")
+
+    monkeypatch.setattr("mfjump.limit.picard_iterate", no_sweep)
+    for d in (1, 2):
+        with pytest.raises(InvalidInputError, match=f"ensemble size M must be even and >= 2, got {M}"):
+            solve_limit(build("lipschitz-demo", {"dim": d}), M, 0.3, 0.1, seed=1, max_iter=2)
+
+
 def test_solve_limit_ou_mean():
     # pure Ornstein-Uhlenbeck: ensemble mean at T matches x0 e^{-T}
     s0, x0, T = 0.5, 1.0, 1.0

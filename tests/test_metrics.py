@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
 import tracemalloc
 from itertools import permutations
 from pathlib import Path
@@ -194,6 +195,14 @@ def test_pairwise_cost_is_bit_identical_to_norm(pair):
     assert np.array_equal(_pairwise_cost(a, b), _cost(a, b))
 
 
+def test_pairwise_cost_in_64_row_blocks_is_bit_identical_to_norm():
+    # rows past the first 64 go through the scratch block, a short last block included
+    rng = np.random.default_rng(64)
+    for n, m, d in [(512, 512, 2), (200, 150, 3), (65, 3, 7), (130, 64, 2)]:
+        a, b = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-3, 4, size=(n, d)), rng.normal(size=(m, d))
+        assert np.array_equal(_pairwise_cost(a, b), _cost(a, b))
+
+
 def test_w1_assignment_matches_replaced_cost():
     # the old one-line cost fed to the same solver gives the same float
     rng = np.random.default_rng(2024)
@@ -231,7 +240,8 @@ def test_w1_assignment_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3 * n * n * 8, peak
+    # one n x n cost, a 64-row scratch and the finiteness mask
+    assert peak < 1.5 * n * n * 8, peak
 
 
 _SOLVER_PROBE = textwrap.dedent("""
@@ -250,6 +260,39 @@ _SOLVER_PROBE = textwrap.dedent("""
     later = linear_sum_assignment(cost)[1]
     print(package_loaded, w1.hex(), np.array_equal(later, cols), " ".join(map(str, cols)))
 """)
+
+
+_CONCURRENT_FIRST_LOADS = textwrap.dedent("""
+    import sys, threading
+    from mfjump.metrics import _linear_sum_assignment
+    sys.setswitchinterval(1e-6)
+    barrier, errors = threading.Barrier(4), []
+    def first_load():
+        barrier.wait(timeout=60)
+        try:
+            _linear_sum_assignment()
+        except Exception as exc:
+            errors.append(repr(exc))
+    threads = [threading.Thread(target=first_load) for _ in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors, errors
+""")
+
+
+def test_concurrent_first_solver_loads_never_see_the_stand_in_package():
+    # four threads load the solver at once in a fresh interpreter: none may
+    # read the transient scipy.optimize that stands in while _lsap loads
+    src = str(Path(mfjump.__file__).resolve().parents[1])
+    for _ in range(6):
+        proc = subprocess.run(
+            [sys.executable, "-c", _CONCURRENT_FIRST_LOADS],
+            capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 def test_solver_loads_without_importing_scipy_optimize():
@@ -350,16 +393,70 @@ def _pair_sets(d, n, rng):
         [(base, far), (base, far.copy()), (far, base), (base, moved[1])],
         [(base, moved[2]), (base, moved[1])] * 2,
         [(m[0::2], m[1::2]) for m in [base, *moved]],
+        # a shuffled translation: identity bound far above W1 = the lower bound |mean(a - b)|,
+        # and a plain translation whose W1 is 1% above it
+        [(base, shuffled + 0.5), (base, base + 0.505)],
     ]
 
 
+@pytest.mark.parametrize("threads", [1, 2, 4])
 @pytest.mark.parametrize("d,n", [(1, 40), (1, 2000), (2, 30), (2, 700), (3, 24), (3, 600)])
-def test_w1_sup_equals_the_plain_loop(d, n):
+def test_w1_sup_equals_the_plain_loop(monkeypatch, d, n, threads):
+    monkeypatch.setattr("mfjump.metrics._solver_threads", lambda: threads)
     rng = np.random.default_rng(100 * d + n)
     for seed in (0, 7):
         for pairs in _pair_sets(d, n, rng):
             assert w1_sup(pairs, seed=seed) == plain_w1_sup(pairs, seed=seed)
     assert w1_sup([]) == plain_w1_sup([]) == 0.0
+
+
+def test_w1_sup_equals_the_plain_loop_when_later_solves_finish_first(monkeypatch):
+    # the first solve of each call waits until a later one has finished, so
+    # the W1s arrive out of visit order; the sup must not notice
+    solver = _linear_sum_assignment()
+    monkeypatch.setattr("mfjump.metrics._solver_threads", lambda: 4)
+    overtaken = 0
+    rng = np.random.default_rng(22)
+    for d, n in [(2, 700), (3, 100)]:
+        for pairs in _pair_sets(d, n, rng):
+            submitted, finished, later_done = [], [], threading.Event()
+
+            def delaying():
+                k = len(submitted)
+                submitted.append(k)
+
+                def solve(cost):
+                    if k == 0:
+                        later_done.wait(timeout=0.5)
+                    out = solver(cost)
+                    finished.append(k)
+                    if k:
+                        later_done.set()
+                    return out
+
+                return solve
+
+            monkeypatch.setattr("mfjump.metrics._linear_sum_assignment", delaying)
+            assert w1_sup(pairs, seed=3) == plain_w1_sup(pairs, seed=3)
+            overtaken += bool(finished) and finished[0] != 0
+    assert overtaken >= 3
+
+
+def test_w1_sup_leaves_no_thread_behind(monkeypatch):
+    monkeypatch.setattr("mfjump.metrics._solver_threads", lambda: 4)
+    before = set(threading.enumerate())
+    pairs = _pair_sets(2, 200, np.random.default_rng(8))[0]
+    assert w1_sup(pairs) == plain_w1_sup(pairs)
+    assert set(threading.enumerate()) == before
+
+
+def test_w1_capped_rejects_unequal_shapes_before_it_subsamples():
+    # 501 against 500 rows was a raw IndexError, 700 against 600 solved the
+    # shared 512-row subsample of both, and (5, 1) against (5, 2) compared first columns
+    rng = np.random.default_rng(12)
+    for na, nb, d in [(501, 500, 2), (700, 600, 2), (700, 600, 3), (5, 5, 1)]:
+        with pytest.raises(InvalidInputError, match="w1_capped needs equal-shape"):
+            w1_capped(rng.normal(size=(na, d)), rng.normal(size=(nb, d + (na == nb))))
 
 
 def test_w1_sup_of_identical_pairs_is_zero():
