@@ -120,6 +120,24 @@ class InvalidInputError(ValueError):
     """Raised when an operation is called with out-of-contract arguments."""
 
 
+def _integer(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _number(x) -> bool:
+    """An integer or a float (no bool, no string)."""
+    return _integer(x) or isinstance(x, (float, np.floating))
+
+
+def _finite(x) -> bool:
+    """A number that a float holds: no NaN, no inf, no integer above the largest float."""
+    return abs(x) <= sys.float_info.max if _integer(x) else _number(x) and -np.inf < x < np.inf
+
+
+def _positive(x) -> bool:
+    return _finite(x) and x > 0
+
+
 def mix64(z: int) -> int:
     """Splitmix64 finalizer on python ints (mod 2**64)."""
     z &= _MASK

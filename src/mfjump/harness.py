@@ -25,11 +25,11 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .drivers import InvalidInputError, make_driver_bundle, scipy_extension
+from .drivers import InvalidInputError, _integer, _positive, make_driver_bundle, scipy_extension
 from .limit import FlowApproximation, coupled_chaos_run, solve_limit
 from .metrics import ChaosReport, fit_rate, jump_count_stats, moment_diagnostics
 from .models import AssumptionReport, ProbeConfig, validate_model
-from .particle import InitSampler, StepPolicy, _integer, _positive, simulate
+from .particle import InitSampler, StepPolicy, simulate
 from .zoo import build, model_ids
 
 PKG_VERSION = "0.1.0"
@@ -545,9 +545,8 @@ def run_diagnostics(config: SimConfig) -> DiagnosticsBundle:
 
     outdir = Path(config.output.dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    lines = [DIAGNOSTICS_HEADER, "N,replica,jumps_per_particle," + ",".join(
-        f"m{p}_mean,m{p}_slope" for p in powers
-    )]
+    columns = ["N", "replica", "jumps_per_particle", *(f"m{p}_mean,m{p}_slope" for p in powers)]
+    lines = [DIAGNOSTICS_HEADER, ",".join(columns)]
     for c in good:
         row = [str(c["N"]), str(c["replica"]), _fmt(c["jumps_per_particle"])]
         for p in powers:

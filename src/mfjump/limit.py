@@ -48,6 +48,7 @@ from .particle import (
     StepPolicy,
     _advance_substeps,
     _frozen_coefficients,
+    _rate_ceiling,
     _resolve_scheme,
     output_grid,
     simulate_coupled,
@@ -126,8 +127,8 @@ class FlowApproximation:
 
 
 def constant_flow(points: np.ndarray, T: float, spec: ModelSpec | None = None) -> FlowApproximation:
-    """Flow frozen at one ensemble for all times (the iteration's start)."""
-    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    """Flow frozen at one ensemble of finite points for all times (the iteration's start)."""
+    pts = make_empirical(points).points
     times = np.asarray([0.0, T])
     ens = np.stack([pts, pts])
     if spec is None:
@@ -271,7 +272,7 @@ def _ensemble_substep(spec, pos, drivers, flow, t, h, bounds, trunc_c, euler, dr
         if not euler:
             decay(ec, et)
         lam_e = np.asarray(spec.rate(pos[ec], mu), dtype=np.float64)
-        over = lam_e > bounds[ec] * (1.0 + 1e-12) + 1e-12
+        over = lam_e > _rate_ceiling(bounds[ec])
         if np.any(over):
             i = int(np.flatnonzero(over)[0])
             raise RateBoundViolation(
@@ -300,9 +301,10 @@ def _ensemble_substep(spec, pos, drivers, flow, t, h, bounds, trunc_c, euler, dr
 
 
 def _flow_from_snapshots(spec: ModelSpec, times: np.ndarray, snaps: np.ndarray, trunc_c: float) -> FlowApproximation:
+    """The flow of grid ensembles ``snaps``, finite as the engine's sub-steps or ``constant_flow`` checked them."""
     lam_mean = np.empty(len(times))
     for i in range(len(times)):
-        mu = make_empirical(snaps[i])
+        mu = EmpiricalMeasure(snaps[i])
         lam_mean[i] = float(np.mean(np.asarray(spec.rate(snaps[i], mu))))
     return FlowApproximation(times=times, ensemble=snaps, lam_mean=lam_mean, trunc_c=trunc_c)
 

@@ -273,8 +273,15 @@ def validate_model(spec: ModelSpec, probe: ProbeConfig | None = None) -> Assumpt
         pts, atoms = _probe_draws(spec.dim, probe, next(channels), points, measures)
         return ((b, *pts[b], *map(EmpiricalMeasure, atoms[b])) for b in range(probe.budget))
 
-    def first_violation(witnesses):
-        return next(filter(None, witnesses), None)
+    def first_witness_fails(name, witnesses, note=""):
+        witness = next(filter(None, witnesses), None)
+        return ConditionResult(name, "fail" if witness else "pass", witness=witness, note=note)
+
+    def within_declared(name, worst, declared, witness, note):
+        """Pass when the worst probe is within REL_TOL of the declared constant; a fail names its witness."""
+        ok = worst <= declared * tol + 1e-12
+        return ConditionResult(name, "pass" if ok else "fail", estimate=worst, declared=declared,
+                               witness=None if ok else witness, note=note)
 
     def run_pairs(fn, name, declared):
         worst, witness = 0.0, None
@@ -284,32 +291,24 @@ def validate_model(spec: ModelSpec, probe: ProbeConfig | None = None) -> Assumpt
                 continue
             try:
                 q = fn(x, y, mx, my) / den
+                failure = None if np.isfinite(q) else "non-finite quotient"
             except Exception as exc:  # noqa: BLE001 - coefficient failures -> indeterminate
-                return ConditionResult(
-                    name, "indeterminate", note=f"coefficient evaluation failed: {exc}",
-                    witness={"x": x.tolist(), "y": y.tolist()},
-                )
-            if not np.isfinite(q):
-                return ConditionResult(
-                    name, "indeterminate", note="non-finite quotient",
-                    witness={"x": x.tolist(), "y": y.tolist()},
-                )
+                failure = f"coefficient evaluation failed: {exc}"
+            if failure:
+                return ConditionResult(name, "indeterminate", note=failure, witness={"x": x.tolist(), "y": y.tolist()})
             if q > worst:
                 worst = q
                 witness = {"x": x.tolist(), "y": y.tolist(), "quotient": q, "probe_index": b}
         if declared is None:
             return ConditionResult(name, "indeterminate", estimate=worst, note="no declared constant")
-        if worst <= declared * tol + 1e-12:
-            return ConditionResult(name, "pass", estimate=worst, declared=declared, note=quantifier_note)
-        return ConditionResult(name, "fail", estimate=worst, declared=declared, witness=witness, note=quantifier_note)
+        return within_declared(name, worst, declared, witness, quantifier_note)
 
     # rate nonnegativity, every class
     def negative_rate(b, x, m):
         lam = float(spec.rate(x[None, :], m)[0])
         return None if np.isfinite(lam) and lam >= 0 else {"x": x.tolist(), "rate": lam}
 
-    witness = first_violation(negative_rate(*p) for p in probes(1, 1))
-    conditions.append(ConditionResult("rate-nonnegative", "fail" if witness else "pass", witness=witness))
+    conditions.append(first_witness_fails("rate-nonnegative", (negative_rate(*p) for p in probes(1, 1))))
 
     if spec.class_tag == "lipschitz":
         conditions.append(
@@ -335,12 +334,8 @@ def validate_model(spec: ModelSpec, probe: ProbeConfig | None = None) -> Assumpt
                     return {"x": x.tolist(), "y": y.tolist(), "inner": g, "probe_index": b}
                 return None
 
-            witness = first_violation(non_monotone(*p) for p in probes(2, 0))
             conditions.append(
-                ConditionResult(
-                    "potential-monotone", "fail" if witness else "pass", witness=witness,
-                    note=quantifier_note,
-                )
+                first_witness_fails("potential-monotone", (non_monotone(*p) for p in probes(2, 0)), quantifier_note)
             )
         inter = spec.meta.interaction
         if inter is None or spec.meta.interaction_bound is None:
@@ -357,15 +352,10 @@ def validate_model(spec: ModelSpec, probe: ProbeConfig | None = None) -> Assumpt
                 if v > sup:
                     sup = v
                     witness = {"x": x.tolist(), "value": v, "probe_index": b}
-            ok = sup <= spec.meta.interaction_bound * tol + 1e-12
-            conditions.append(
-                ConditionResult(
-                    "interaction-bounded", "pass" if ok else "fail", estimate=sup,
-                    declared=spec.meta.interaction_bound,
-                    witness=None if ok else witness,
-                    note="boundedness over all measures probed on empirical measures only",
-                )
-            )
+            conditions.append(within_declared(
+                "interaction-bounded", sup, spec.meta.interaction_bound, witness,
+                "boundedness over all measures probed on empirical measures only",
+            ))
 
     if spec.class_tag in ("lipschitz", "convex_potential"):
         conditions.append(
@@ -426,22 +416,18 @@ def validate_model(spec: ModelSpec, probe: ProbeConfig | None = None) -> Assumpt
             slack = db - rhs
             fd_tol = 1e-6 * (1.0 + np.abs(rhs))
             bad = np.flatnonzero(slack > fd_tol)
+            note = "finite-difference b' vs gamma*b + c on log-spaced radii"
             if bad.size:
                 i = int(bad[np.argmax(slack[bad])])
                 conditions.append(
                     ConditionResult(
                         "rate-envelope", "fail", estimate=float(db[i]), declared=float(rhs[i]),
                         witness={"r": float(rs[i]), "b_prime": float(db[i]), "gamma_b_plus_c": float(rhs[i])},
-                        note="finite-difference b' vs gamma*b + c on log-spaced radii",
+                        note=note,
                     )
                 )
             else:
-                conditions.append(
-                    ConditionResult(
-                        "rate-envelope", "pass", estimate=float(np.max(slack)),
-                        note="finite-difference b' vs gamma*b + c on log-spaced radii",
-                    )
-                )
+                conditions.append(ConditionResult("rate-envelope", "pass", estimate=float(np.max(slack)), note=note))
 
     return AssumptionReport(
         model_class=spec.class_tag,

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .drivers import DriverBundle, InvalidInputError, collect_candidates, marks_uniforms
+from .drivers import DriverBundle, InvalidInputError, _finite, _integer, _positive, collect_candidates, marks_uniforms
 from .models import EmpiricalMeasure, ModelSpec, collateral_drift
 
 
@@ -63,19 +63,6 @@ class NumericalBlowupError(RuntimeError):
         self.t = t
         self.positions = positions
         self.system = system
-
-
-def _integer(x) -> bool:
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
-
-
-def _finite(x) -> bool:
-    """A finite number (no bool, no string)."""
-    return (_integer(x) or isinstance(x, (float, np.floating))) and -np.inf < x < np.inf
-
-
-def _positive(x) -> bool:
-    return _finite(x) and x > 0
 
 
 @dataclass(frozen=True)
@@ -233,6 +220,11 @@ def _frozen_coefficients(spec: ModelSpec, pos: np.ndarray, mu, g: np.ndarray | N
     return (f if g is None else f + g), sig
 
 
+def _rate_ceiling(bounds):
+    """The largest rate a thinning bound (a float or an array) covers: the bound plus rounding slack."""
+    return bounds * (1.0 + 1e-12) + 1e-12
+
+
 def _thinning_bounds(spec: ModelSpec, policy: StepPolicy, lam: np.ndarray, t: float) -> np.ndarray:
     """Per-row thinning bounds valid at the current rates ``lam``.
 
@@ -241,7 +233,7 @@ def _thinning_bounds(spec: ModelSpec, policy: StepPolicy, lam: np.ndarray, t: fl
     """
     cap = spec.meta.rate_global_bound
     bounds = np.full(lam.shape[0], float(cap)) if cap is not None else policy.bound_mult * lam + policy.bound_add
-    over = lam > bounds * (1.0 + 1e-12) + 1e-12
+    over = lam > _rate_ceiling(bounds)
     if np.any(over):
         j = int(np.flatnonzero(over)[0])
         raise RateBoundViolation(
@@ -416,6 +408,7 @@ class CoupledSimulator:
             dW = self.bundle.brownian.normals_block(spec.brownian_dim) * math.sqrt(h)
 
         times, jumpers, us, ks = collect_candidates(self.bundle, t, t + h, bounds)
+        ceilings = _rate_ceiling(bounds).tolist()
         keys = self.bundle.marks_keys
         # marks are addressed by particle id, so relabeling the bundle
         # permutes trajectories exactly
@@ -428,16 +421,15 @@ class CoupledSimulator:
                 t_last = tau
                 self._update_sup()  # left limits move in the exact scheme
             h_main, h_coll, jumped = None, None, []
-            bound = float(bounds[j])
             for s in self.systems:
                 mu = s.measure_now(tau)
                 if s.kind == "LIMIT" and tau < lim_end and j not in lim_moved:
                     lam_j = float(lim_lam[j])
                 else:
                     lam_j = float(np.asarray(spec.rate(s.pos[j : j + 1], mu))[0])
-                if lam_j > bound * (1.0 + 1e-12) + 1e-12:
+                if lam_j > ceilings[j]:
                     raise RateBoundViolation(
-                        f"rate {lam_j:.6g} above bound {bound:.6g} "
+                        f"rate {lam_j:.6g} above bound {float(bounds[j]):.6g} "
                         f"for particle {j} in system {s.kind} at t={tau:.6g}"
                     )
                 if u > lam_j:

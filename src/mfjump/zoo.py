@@ -28,7 +28,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .drivers import InvalidInputError
+from .drivers import InvalidInputError, _finite, _integer, _number
 from .models import AssumptionMeta, EmpiricalMeasure, ModelSpec
 
 
@@ -267,12 +267,11 @@ def build(model_id: str, params: dict | None = None) -> ModelSpec:
     if unknown:
         raise InvalidInputError(f"unknown parameters for {model_id}: {sorted(unknown)}")
     for name, value in params.items():
-        if name != "dim" and (isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))):
+        if name != "dim" and not _number(value):
             raise InvalidInputError(f"{name} must be a number, got {value!r}")
-        beyond_floats = isinstance(value, int) and abs(value) > float(np.finfo(np.float64).max)  # above every float
-        if name != "dim" and (beyond_floats or not math.isfinite(value)):
+        if name != "dim" and not _finite(value):
             raise InvalidInputError(f"{name} must be finite, got {value}")
     p = ptype(**params)
-    if isinstance(p.dim, bool) or not isinstance(p.dim, (int, np.integer)) or p.dim < 1:
+    if not _integer(p.dim) or p.dim < 1:
         raise InvalidInputError(f"dim must be an integer >= 1, got {p.dim!r}")
     return builder(p)

@@ -131,6 +131,12 @@ def test_config_invariants(tmp_path):
         ("output", "dir", None),
         ("run", "Ns", 5),  # was a raw TypeError from list(5)
         ("run", "Ns", None),
+        # an integer above the largest float: run.T parsed, then chaos-sweep ended in an OverflowError traceback
+        *(pytest.param(section, key, value, id=f"{section}-{key}-above-floats") for section, key, value in (
+            ("run", "T", 10**400), ("run", "dt", 10**400), ("init", "std", 10**400),
+            ("stepping", "candidate_cap", 10**400), ("limit", "picard_tol", 10**400),
+            ("diagnostics", "jump_thresholds", [10**400]),
+        )),
     ],
 )
 def test_config_rejects_values_that_would_fail_mid_run(tmp_path, section, key, value):
@@ -377,6 +383,16 @@ def test_diagnostics_without_jumps_sets_no_default_threshold(tmp_path, capsys):
     assert payload["jump_tails"] == {"4": {"thresholds": [], "tail_prob": [], "wilson_lo": [], "wilson_hi": []}}
     rows = (tmp_path / "quiet" / "diagnostics.csv").read_text().splitlines()[2:]
     assert [r.split(",")[2] for r in rows] == ["0.0", "0.0"]
+
+
+def test_diagnostics_csv_without_moment_powers_has_three_columns(tmp_path):
+    d = _diag_config(tmp_path / "plain")
+    d["run"].update(Ns=[4], replicas=2)
+    d["diagnostics"] = {"moment_powers": []}
+    run_diagnostics(SimConfig.from_dict(d))
+    lines = (tmp_path / "plain" / "diagnostics.csv").read_text().splitlines()
+    assert lines[1] == "N,replica,jumps_per_particle"
+    assert [len(row.split(",")) for row in lines[2:]] == [3, 3]
 
 
 def test_diagnostics_single_particle_warns(tmp_path):

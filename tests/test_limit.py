@@ -334,6 +334,13 @@ def test_ensemble_retry_recovers_and_surfaces():
     assert np.all(np.isfinite(res.snapshots[-1]))
 
 
+@pytest.mark.parametrize("model", [None, "lipschitz-demo"])
+def test_constant_flow_rejects_non_finite_points_with_or_without_a_model(model):
+    spec = build(model, {}) if model else None
+    with pytest.raises(InvalidInputError, match="points must be finite"):
+        constant_flow(np.asarray([[0.0], [np.nan]]), 1.0, spec)
+
+
 def test_ensemble_blowup_reports_the_first_non_finite_sub_step():
     # x' = x**5 from 10 under Euler: the rate bound 5 cuts each unit cell
     # into five sub-steps of 0.2, and the fourth already overflows, so the

@@ -8,7 +8,7 @@ from scipy.stats import ks_2samp
 
 from mfjump import particle
 from mfjump.drivers import InvalidInputError, collect_candidates, make_driver_bundle, marks_uniforms
-from mfjump.limit import FlowApproximation, constant_flow, solve_limit
+from mfjump.limit import FlowApproximation, constant_flow, simulate_ensemble, solve_limit
 from mfjump.models import AssumptionMeta, EmpiricalMeasure, ModelSpec, collateral_drift, make_empirical
 from mfjump.particle import (
     CoupledSimulator,
@@ -240,6 +240,50 @@ def test_rate_bound_violation_surfaces():
     with pytest.raises(RateBoundViolation):
         simulate("X", spec, 4.0, 0.5, make_driver_bundle(3, 0, 2),
                  initial_positions=np.zeros((2, 1)))
+
+
+EDGE = 2.0 * (1.0 + 1e-12) + 1e-12  # the largest rate a thinning bound of 2 covers
+PAST_EDGE = math.nextafter(EDGE, math.inf)
+
+
+def _rate_after_first_jump(rate):
+    """Global bound 2; a row's rate is 2 until its first +1 main jump and ``rate`` after it."""
+    return _spec(
+        drift=lambda x, m: np.zeros_like(x),
+        rate=lambda x, m: np.where(x[:, 0] < 0.5, 2.0, rate),
+        main=lambda x, m, h: np.ones_like(x),
+        cap=2.0,
+    )
+
+
+def test_thinning_bounds_cover_a_rate_up_to_the_rounding_slack():
+    spec = _rate_after_first_jump(EDGE)
+    assert particle._thinning_bounds(spec, StepPolicy(), np.asarray([EDGE]), 0.0).tolist() == [2.0]
+    with pytest.raises(RateBoundViolation, match=r"^rate 2 already above bound 2 for particle 0 at t=0; "):
+        particle._thinning_bounds(spec, StepPolicy(), np.asarray([PAST_EDGE]), 0.0)
+
+
+def test_event_loop_accepts_a_rate_up_to_the_rounding_slack():
+    # one sub-step per cell: each particle draws about 2 candidates in it, and
+    # the first jump lifts its rate from 2 to the value under test
+    policy = StepPolicy(candidate_cap=50.0, max_retries=0)
+    res = simulate_coupled(("X",), _rate_after_first_jump(EDGE), 1.0, 1.0, make_driver_bundle(1, 0, 8),
+                           initial_positions=np.zeros((8, 1)), policy=policy)
+    assert res["jump_counts"]["X"] > 8  # some particle jumped at the edge rate
+    with pytest.raises(RateBoundViolation, match=r"^rate 2 above bound 2 for particle \d+ in system X at t="):
+        simulate_coupled(("X",), _rate_after_first_jump(PAST_EDGE), 1.0, 1.0, make_driver_bundle(1, 0, 8),
+                         initial_positions=np.zeros((8, 1)), policy=policy)
+
+
+def test_limit_ensemble_accepts_a_rate_up_to_the_rounding_slack():
+    policy = StepPolicy(candidate_cap=50.0, max_retries=0)
+    x0 = np.zeros((8, 1))
+    res = simulate_ensemble(_rate_after_first_jump(EDGE), 1.0, 1.0, make_driver_bundle(1, 0, 8),
+                            constant_flow(x0, 1.0), initial_positions=x0, policy=policy)
+    assert res.jump_count > 8
+    with pytest.raises(RateBoundViolation, match=r"^rate 2 above bound 2 for copy \d+ in system LIMIT at t="):
+        simulate_ensemble(_rate_after_first_jump(PAST_EDGE), 1.0, 1.0, make_driver_bundle(1, 0, 8),
+                          constant_flow(x0, 1.0), initial_positions=x0, policy=policy)
 
 
 def test_rate_bound_retry_recovers():
@@ -565,6 +609,7 @@ def test_init_sampler_rejects_unusable_values_when_built():
     # construction with the key's name, not inside sample or in every cell
     for bad in (
         {"kind": "bogus"}, {"std": "abc"}, {"low": None}, {"high": float("nan")}, {"mean": 5}, {"point": ("a",)},
+        {"std": 10**400},  # an integer above the largest float
     ):
         with pytest.raises(InvalidInputError, match=next(iter(bad))):
             InitSampler(**bad)
