@@ -38,6 +38,7 @@ DISTANCES_HEADER = "# mfjump-distances-v1"
 DIAGNOSTICS_HEADER = "# mfjump-diagnostics-v1"
 PATHS_HEADER = "# mfjump-paths-v1"
 JUMPLOG_HEADER = "# mfjump-jumplog-v1"
+_KEY_FIELD = 1 << 20  # replica_stream_key's field per replica and per N: run.replicas and len(run.Ns) fit in it
 
 stdtrit = scipy_extension("scipy.special._ufuncs").stdtrit
 
@@ -107,12 +108,14 @@ class RunSection:
         if not isinstance(self.Ns, (list, tuple)):
             raise ConfigError(f"run.Ns must be a list of integers, got {self.Ns!r}")
         ns = list(self.Ns)
+        if len(ns) > _KEY_FIELD:
+            raise ConfigError(f"run.Ns must have at most {_KEY_FIELD} entries, got {len(ns)}")
         if not all(_integer(n) and n >= 1 for n in ns):
             raise ConfigError(f"run.Ns entries must be integers >= 1, got {ns}")
         if any(b <= a for a, b in zip(ns, ns[1:])):
             raise ConfigError("run.Ns must be strictly increasing")
-        if not _integer(self.replicas) or self.replicas < 1:
-            raise ConfigError(f"run.replicas must be an integer >= 1, got {self.replicas!r}")
+        if not (_integer(self.replicas) and 1 <= self.replicas <= _KEY_FIELD):
+            raise ConfigError(f"run.replicas must be an integer >= 1 and <= {_KEY_FIELD}, got {self.replicas!r}")
         if not _integer(self.seed):
             raise ConfigError(f"run.seed must be an integer, got {self.seed!r}")
         if not _integer(self.workers) or self.workers < 0:
@@ -260,8 +263,8 @@ def _load_flow(path: str) -> FlowApproximation:
 
 
 def replica_stream_key(n_index: int, replica: int) -> int:
-    """Distinct stream namespace per sweep cell (no reuse across N values)."""
-    return (n_index << 20) | replica
+    """Distinct stream namespace per sweep cell (no reuse across N values); below ``PICARD_REPLICA`` in a parsed config."""
+    return n_index * _KEY_FIELD | replica
 
 
 def _cell(values, args: tuple) -> dict:
@@ -530,7 +533,7 @@ def run_diagnostics(config: SimConfig) -> DiagnosticsBundle:
         mean_ratio = float(np.mean([c["jumps_per_particle"] for c in rows_by_n[max(rows_by_n)]]))
         thresholds = [2.0 * mean_ratio] if mean_ratio > 0 else []
     jump_tails = {
-        N: jump_count_stats([c["jump_count"] for c in rows], N, config.run.T, thresholds)
+        N: jump_count_stats([c["jump_count"] for c in rows], N, thresholds)
         for N, rows in rows_by_n.items()
     }
 

@@ -9,13 +9,12 @@ distance between successive ensembles.  All sweeps reuse the same drivers
 the noise floor's solve W1 only where it can raise them (``metrics.w1_sup``).
 
 For a model with a declared global rate bound every sub-step's thinning
-bound is that constant, so the sub-step grid and every number drawn on it
-(Brownian blocks and Poisson candidates) are the same in each sweep.
-``solve_limit`` records them in the first sweep and later sweeps replay
-them, advancing the bundle's counters as the draws would; a sub-step off
-the recorded grid (after a retry) draws and rewrites the rest of the tape.
-The replayed numbers are the ones a draw would return, so the flow is
-bit-identical to drawing in every sweep.
+bound is that constant, and a rate above it raises instead of halving the
+step, so the sub-step grid and every number drawn on it (Brownian blocks
+and Poisson candidates) are the same in each sweep.  ``solve_limit``
+records them in the first sweep and later sweeps replay them without
+drawing.  The replayed numbers are the ones a draw would return, so the
+flow is bit-identical to drawing in every sweep.
 
 For the superlinear-rate class the only flow dependence is the scalar
 summary t -> <mu_t, rate>, which enters the drift truncated at a constant
@@ -55,6 +54,7 @@ from .particle import (
 )
 
 _QUAD_CAP = 512
+TRUNC_FACTOR = 4.0  # trunc_c starts at this multiple of the initial rate summary's sup
 SATURATION_FRACTION = 0.01  # share of grid times above trunc_c that doubles it
 
 
@@ -161,9 +161,9 @@ def simulate_ensemble(
     Copies never interact: within a sub-step their candidate events are
     processed in per-copy time order (vectorized round by round across
     copies).  The measure argument is the frozen flow of the cell.
-    ``tape`` holds the sub-step draws of an earlier run on a fresh bundle
-    of the same streams (see ``_substep_draws``); it needs a model with a
-    declared global rate bound, whose thinning bounds never change.
+    An empty ``tape`` records the run's sub-step draws, and a later run on
+    the same grid and streams replays them (``_substep_draws``); it needs a
+    model with a declared global rate bound, whose thinning bounds never change.
     """
     if tape is not None and spec.meta.rate_global_bound is None:
         raise InvalidInputError("a draw tape needs a declared global rate bound: other bounds vary by sweep")
@@ -177,25 +177,23 @@ def simulate_ensemble(
     times = [0.0]
     snaps = np.empty((ncells + 1, m, d))
     snaps[0] = pos
-    jumps = step = 0
+    jumps = 0
+    replay = enumerate(tape) if tape else None  # a tape with entries is replayed, an empty one records
 
     def rates(t):
         return np.asarray(spec.rate(pos, flow.cell(t).measure), dtype=np.float64)
 
     def substep(t, h, bounds):
-        nonlocal jumps, step
-        draws = _substep_draws(drivers, tape, step, t, h, bounds, bdim)
-        step += 1
+        nonlocal jumps
+        draws = _substep_draws(drivers, tape, replay, t, h, bounds, bdim)
         jumps += _ensemble_substep(spec, pos, drivers, flow, t, h, bounds, trunc_c, euler, draws)
 
     def snapshot():
-        return pos.copy(), drivers.snapshot(), step
+        return pos.copy(), drivers.snapshot()
 
     def restore(snap):
-        nonlocal step
         pos[:, :] = snap[0]
         drivers.restore(snap[1])
-        step = snap[2]
 
     for cell in range(ncells):
         start, end = dt_eff * cell, dt_eff * (cell + 1)
@@ -224,27 +222,21 @@ def _event_rounds(block: np.ndarray, time: np.ndarray, row: np.ndarray) -> list[
     return [order[seq == r] for r in range(int(seq.max()) + 1)] if len(b) else []
 
 
-def _substep_draws(drivers, tape, i, t, h, bounds, bdim):
-    """Sub-step i's Brownian increments (None when ``bdim`` is) and candidates.
+def _substep_draws(drivers, tape, replay, t, h, bounds, bdim):
+    """A sub-step's Brownian increments (None when ``bdim`` is) and candidates.
 
-    With a ``tape``, entry i is replayed when its (t, h) are this sub-step's
-    and entries 0..i-1 were replayed or drawn in this run: the bundle then
-    stands where it stood when entry i was drawn, and its counters advance
-    exactly as the draw advanced them.  Otherwise the sub-step draws and
-    rewrites the tape from entry i on.
+    A ``replay`` (``enumerate(tape)``) returns the next tape entry, which must be for this sub-step's
+    (t, h), and leaves the bundle as it stands.  Otherwise the sub-step draws, and appends to the tape if any.
     """
-    if tape is not None and i < len(tape) and tape[i][:2] == (t, h):
-        dW, cands = tape[i][2:]
-        if dW is not None:
-            drivers.brownian.counters += np.uint64(bdim)
-        per_row = np.bincount(cands[1], minlength=drivers.n).astype(np.uint64)
-        drivers.poisson.counters += (bounds > 0) + 2 * per_row
-        drivers.cand_counts += per_row
-        return dW, cands
+    if replay is not None:
+        i, entry = next(replay, (len(tape), (None, None)))
+        if entry[:2] != (t, h):
+            raise InvalidInputError(f"draw tape entry {i} is not for the sub-step at t={t!r}, h={h!r}: "
+                                    "the tape was recorded on another grid")
+        return entry[2:]
     dW = None if bdim is None else drivers.brownian.normals_block(bdim) * math.sqrt(h)
     cands = collect_candidates(drivers, t, t + h, bounds)
     if tape is not None:
-        del tape[i:]
         tape.append((t, h, dW, cands))
     return dW, cands
 
@@ -369,7 +361,6 @@ def solve_limit(
     scheme: str = "auto",
     policy: StepPolicy | None = None,
     init: InitSampler | None = None,
-    trunc_factor: float = 4.0,
 ) -> FlowApproximation:
     """Iterate frozen-flow sweeps until the flow moves less than tol.
 
@@ -385,7 +376,7 @@ def solve_limit(
     sampler = init or InitSampler(mean=tuple([0.0] * spec.dim))
     x0 = sampler.sample(bundle0, spec.dim)
     flow = constant_flow(x0, T, spec)
-    trunc_c = trunc_factor * float(np.max(flow.lam_mean)) if np.max(flow.lam_mean) > 0 else math.inf
+    trunc_c = TRUNC_FACTOR * float(np.max(flow.lam_mean)) if np.max(flow.lam_mean) > 0 else math.inf
     deltas: list[float] = []
     trunc_events: list[float] = []
     converged = False

@@ -290,7 +290,7 @@ class JumpTailTable:
     per_replica: np.ndarray  # C_N(T)/N samples
 
 
-def jump_count_stats(jump_counts, N: int, T: float, thresholds) -> JumpTailTable:
+def jump_count_stats(jump_counts, N: int, thresholds) -> JumpTailTable:
     """Empirical tails P(C_N(T)/N >= H) across replicas with Wilson intervals.
 
     ``jump_counts`` holds one accepted-main-jump count per replica (the

@@ -34,10 +34,11 @@ with any piecewise-constant drift (the intermediate system's absorbed
 collateral term) folded in via an exponential integrator.
 
 Thinning bounds are local per particle: a declared global rate bound when
-the model has one, otherwise an affine envelope of the current rate.  If a
-rate evaluation exceeds its bound the sub-step aborts and is retried with
-a halved step, a bounded number of times; violations surface, they are
-never silently absorbed.
+the model has one, otherwise an affine envelope of the current rate.  A
+rate above an envelope aborts the sub-step, which is retried with a halved
+step a bounded number of times.  Halving cannot change a declared bound,
+so a rate above it raises at once.  Violations surface, they are never
+silently absorbed.
 """
 
 from __future__ import annotations
@@ -67,7 +68,8 @@ class NumericalBlowupError(RuntimeError):
 
 @dataclass(frozen=True)
 class StepPolicy:
-    """Knobs of the stepping scheme (all deterministic), and a config's ``stepping`` section; checked when built."""
+    """Knobs of the stepping scheme (all deterministic), and a config's ``stepping`` section; checked when built.
+    ``max_retries`` caps the halved retries under a rate-following bound: a declared global bound gets none."""
 
     bound_mult: float = 2.0
     bound_add: float = 1.0
@@ -248,9 +250,10 @@ def _advance_substeps(spec, policy, t, end, rates, substep, snapshot, restore) -
 
     ``rates(t)`` gives the rates the bounds must cover and
     ``substep(t, h, bounds)`` advances the state.  A sub-step that raises
-    ``RateBoundViolation`` is rewound with ``restore(snapshot())`` and
-    retried at half the step, at most ``policy.max_retries`` times before
-    the violation surfaces.  Returns the number of retries.
+    ``RateBoundViolation`` is rewound with ``restore(snapshot())`` and,
+    under a rate-following bound, retried at half the step at most
+    ``policy.max_retries`` times; a declared global bound, which halving
+    cannot change, raises at once.  Returns the number of retries.
     """
     retried = 0
     while True:
@@ -270,7 +273,7 @@ def _advance_substeps(spec, policy, t, end, rates, substep, snapshot, restore) -
             except RateBoundViolation:
                 restore(snap)
                 retries += 1
-                if retries > policy.max_retries:
+                if spec.meta.rate_global_bound is not None or retries > policy.max_retries:
                     raise
                 h /= 2.0
         retried += retries

@@ -237,6 +237,8 @@ def build_neuronal(params: NeuronalParams) -> ModelSpec:
     return spec
 
 
+MAX_DIM = 1024  # the largest dim a model builds with; its d x d diffusion matrix is 8 MB there
+
 # id -> (parameter type, builder)
 _FAMILIES = {
     "lipschitz-demo": (LipschitzDemoParams, build_lipschitz_demo),
@@ -272,6 +274,6 @@ def build(model_id: str, params: dict | None = None) -> ModelSpec:
         if name != "dim" and not _finite(value):
             raise InvalidInputError(f"{name} must be finite, got {value}")
     p = ptype(**params)
-    if not _integer(p.dim) or p.dim < 1:
-        raise InvalidInputError(f"dim must be an integer >= 1, got {p.dim!r}")
+    if not (_integer(p.dim) and 1 <= p.dim <= MAX_DIM):
+        raise InvalidInputError(f"dim must be an integer >= 1 and <= {MAX_DIM}, got {p.dim!r}")
     return builder(p)

@@ -202,7 +202,7 @@ def test_criterion_7_jump_count_concentration():
             for r in range(reps)
         ]
     h_t = 2.0 * float(np.mean(counts[1024])) / 1024
-    tables = {N: jump_count_stats(counts[N], N, T, [h_t]) for N in Ns}
+    tables = {N: jump_count_stats(counts[N], N, [h_t]) for N in Ns}
     ok = True
     detail = []
     for a, b in zip(Ns, Ns[1:]):

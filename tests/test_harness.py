@@ -14,6 +14,7 @@ import yaml
 import mfjump
 import mfjump.harness as harness
 from mfjump.cli import main as cli_main
+from mfjump.drivers import PICARD_REPLICA
 from mfjump.harness import (
     ConfigError,
     SimConfig,
@@ -97,6 +98,7 @@ def test_config_invariants(tmp_path):
         ("limit", "ensemble", -1),
         ("run", "replicas", 1.5),  # was a raw TypeError in run_diagnostics
         ("run", "replicas", 0),
+        ("run", "replicas", 2**20 + 1),  # replica_stream_key(0, 2**20) was replica_stream_key(1, 0)
         ("stepping", "bound_mult", -1.0),  # every cell failed
         ("stepping", "bound_mult", float("inf")),
         ("stepping", "bound_add", float("nan")),  # was "thresholds must be positive"
@@ -143,6 +145,14 @@ def test_config_rejects_values_that_would_fail_mid_run(tmp_path, section, key, v
     d = _config_dict(tmp_path)
     d.setdefault(section, {})[key] = value
     with pytest.raises(ConfigError, match=f"{section}.{key}"):
+        SimConfig.from_dict(d)
+
+
+def test_config_rejects_more_Ns_than_the_stream_keys_hold(tmp_path):
+    # the keys of 2**20 replicas of 2**20 Ns stay below the limit solve's streams; one more N reaches them
+    assert harness.replica_stream_key(2**20 - 1, 2**20 - 1) < PICARD_REPLICA == harness.replica_stream_key(2**20, 0)
+    d = _config_dict(tmp_path, Ns=list(range(1, 2**20 + 2)))
+    with pytest.raises(ConfigError, match=r"^run.Ns must have at most 1048576 entries, got 1048577$"):
         SimConfig.from_dict(d)
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+import mfjump.limit as limit
 from mfjump.drivers import InvalidInputError, make_driver_bundle
 from mfjump.metrics import w1_capped
 from mfjump.limit import (
@@ -248,32 +249,35 @@ def test_solve_limit_stationary_mean_vs_master_equation():
     assert abs(final.mean() - m_inf) < 3 * se
 
 
-def test_truncation_doubles_on_saturation():
+def test_truncation_doubles_on_saturation(monkeypatch):
+    monkeypatch.setattr(limit, "TRUNC_FACTOR", 0.2)
     spec = build("neuronal", {})
     flow = solve_limit(spec, 500, 2.0, 0.1, seed=3, tol=1e-12, max_iter=4,
-                       init=UNIF, trunc_factor=0.2)
+                       init=UNIF)
     assert flow.meta["trunc_doublings"]
 
 
-def test_solve_limit_records_the_truncation_it_simulated_with():
+def test_solve_limit_records_the_truncation_it_simulated_with(monkeypatch):
     # the single sweep saturates, so the truncation doubles for a sweep that
     # never runs; the returned flow keeps the value it was simulated with
+    monkeypatch.setattr(limit, "TRUNC_FACTOR", 0.2)
     spec = build("neuronal", {})
     flow = solve_limit(spec, 500, 2.0, 0.1, seed=3, tol=1e-12, max_iter=1,
-                       init=UNIF, trunc_factor=0.2)
+                       init=UNIF)
     assert 2 * flow.trunc_c == flow.meta["trunc_doublings"][-1]
     assert flow.meta["trunc_c"] == flow.trunc_c
 
 
-def test_coupled_limit_copies_follow_the_truncated_flow_drift():
+def test_coupled_limit_copies_follow_the_truncated_flow_drift(monkeypatch):
     # neuronal collateral marks have a constant mean, so the limit's absorbed
     # drift scales with the flow's rate summary, truncated at trunc_c.  With a
     # truncation that binds at every grid time, index-coupled limit copies on
     # the ensemble's drivers must reproduce the ensemble's paths
+    monkeypatch.setattr(limit, "TRUNC_FACTOR", 0.2)
     spec = build("neuronal", {})
     M, T, dt = 64, 1.0, 0.1
     flow = solve_limit(spec, 500, T, dt, seed=3, tol=1e-12, max_iter=1,
-                       init=UNIF, trunc_factor=0.2)
+                       init=UNIF)
     assert np.all(flow.lam_mean > flow.trunc_c)
     x0 = UNIF.sample(make_driver_bundle(9, 0, M), 1)
     ens = simulate_ensemble(spec, T, dt, make_driver_bundle(9, 0, M), flow,
@@ -288,14 +292,15 @@ def test_coupled_limit_copies_follow_the_truncated_flow_drift():
     np.testing.assert_allclose(np.asarray(coupled), ens.snapshots, rtol=0, atol=1e-12)
 
 
-def test_coupled_limit_copies_read_the_flow_cell_of_each_grid_time():
+def test_coupled_limit_copies_read_the_flow_cell_of_each_grid_time(monkeypatch):
     # an untruncated flow's rate summary changes from cell to cell, so a
     # cell that starts a hair before its grid time (0.7 accumulated as
     # 0.1 + ... + 0.1 against the grid's 7 * 0.1) reads the previous cell's
     # drift; coupled limit copies must match the ensemble at every grid time
+    monkeypatch.setattr(limit, "TRUNC_FACTOR", math.inf)
     spec = build("neuronal", {})
     M, T, dt = 64, 1.0, 0.1
-    flow = solve_limit(spec, 500, T, dt, seed=3, tol=1e-12, max_iter=1, init=UNIF, trunc_factor=math.inf)
+    flow = solve_limit(spec, 500, T, dt, seed=3, tol=1e-12, max_iter=1, init=UNIF)
     assert flow.trunc_c == math.inf and np.ptp(flow.lam_mean) > 0
     x0 = UNIF.sample(make_driver_bundle(9, 0, M), 1)
     ens = simulate_ensemble(spec, T, dt, make_driver_bundle(9, 0, M), flow, initial_positions=x0)

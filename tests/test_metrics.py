@@ -539,13 +539,13 @@ def test_wilson_interval_basics():
 
 def test_jump_count_stats():
     counts = [100, 110, 90, 105]
-    table = jump_count_stats(counts, N=10, T=1.0, thresholds=[5.0, 10.0, np.inf])
+    table = jump_count_stats(counts, N=10, thresholds=[5.0, 10.0, np.inf])
     assert table.tail_prob[0] == 1.0  # all ratios >= 5
     assert table.tail_prob[2] == 0.0  # tail at infinity is empty
     assert np.all(table.wilson_lo <= table.tail_prob)
     assert np.all(table.tail_prob <= table.wilson_hi)
     with pytest.raises(InvalidInputError):
-        jump_count_stats(counts, 10, 1.0, [-1.0])
+        jump_count_stats(counts, 10, [-1.0])
 
 
 def test_moment_diagnostics_constant_rate_and_power_range():

@@ -18,7 +18,7 @@ import mfjump.limit as limit
 from mfjump.drivers import PICARD_REPLICA, InvalidInputError, make_driver_bundle
 from mfjump.limit import constant_flow, simulate_ensemble, solve_limit
 from mfjump.models import AssumptionMeta, ModelSpec
-from mfjump.particle import InitSampler, StepPolicy
+from mfjump.particle import CoupledSimulator, InitSampler, RateBoundViolation, StepPolicy, simulate_coupled
 from mfjump.zoo import build
 
 GOLDEN = Path(__file__).parent / "data" / "limit_golden.json"
@@ -114,8 +114,8 @@ def test_tape_needs_a_global_rate_bound():
 
 class _SpikingRate:
     """Rate 1 under a declared bound of 2, except the first event-round
-    evaluation of sub-step ``spike_at`` reads 10: that sub-step aborts and is
-    retried at half its step."""
+    evaluation of sub-step ``spike_at`` reads 10, once: a halved retry of
+    that sub-step would read 1 and absorb the false declaration."""
 
     def __init__(self, m):
         self.m = m
@@ -145,45 +145,74 @@ def _spiking_spec(rate):
     )
 
 
-@pytest.mark.parametrize("spike_in_sweep,drawn_later", [(None, [0, 0]), (0, [2, 0]), (1, [3, 2])])
-def test_replayed_sweeps_equal_drawn_sweeps(spike_in_sweep, drawn_later, monkeypatch):
-    # three sweeps on a tape against three that draw: positions, jump counts
-    # and the bundle's counters agree after each, also when a sub-step of the
-    # recording or of a replaying sweep is retried at half its step and the
-    # tape is rewritten from there
-    M, T, dt = 64, 1.0, 0.25
-    x0 = np.linspace(-1.0, 1.0, M)[:, None]
-    flow = constant_flow(x0, T)
-    draws = []
-    counted = limit.collect_candidates
+M, T, DT = 64, 1.0, 0.25  # four sub-steps of 0.25, one per cell
+X0 = np.linspace(-1.0, 1.0, M)[:, None]
 
-    def counting(*args):
-        draws[-1] += 1
-        return counted(*args)
 
-    monkeypatch.setattr(limit, "collect_candidates", counting)
-    runs = {}
-    for tape in ([], None):
-        rate = _SpikingRate(M)
-        spec = _spiking_spec(rate)
-        runs[tape is None] = out = []
-        for sweep in range(3):
-            rate.substeps, rate.spike_at = 0, 2 if sweep == spike_in_sweep else None
-            bundle = make_driver_bundle(5, PICARD_REPLICA, M)
-            draws.append(0)
-            res = simulate_ensemble(spec, T, dt, bundle, flow, initial_positions=x0, tape=tape)
-            out.append((res, bundle.snapshot()))
-            assert rate.spike_at is None  # a spike fired, so a retry ran
-    # four sub-steps of 0.25; a spike splits the third into two of 0.125.
-    # Spiked recording: the next sweep replays two and draws two.  Spiked
-    # replay: it draws three from the spike on, and the next sweep two.
-    assert draws[1:3] == drawn_later
-    for (taped, snap_t), (drawn, snap_d) in zip(runs[False], runs[True]):
+def _sweep(spec, tape, T=T, dt=DT):
+    return simulate_ensemble(spec, T, dt, make_driver_bundle(5, PICARD_REPLICA, M), constant_flow(X0, T),
+                             initial_positions=X0, tape=tape)
+
+
+def test_replayed_sweeps_equal_drawn_sweeps():
+    # three sweeps on a tape against three that draw: positions and jump counts agree after each
+    spec = _spiking_spec(_SpikingRate(M))
+    tape = []
+    for _ in range(3):
+        taped, drawn = _sweep(spec, tape), _sweep(spec, None)
+        assert len(tape) == 4
         assert np.array_equal(taped.snapshots, drawn.snapshots)
         assert taped.jump_count == drawn.jump_count > 0
-        assert snap_t.keys() == snap_d.keys()
-        for key in snap_t:
-            assert np.array_equal(snap_t[key], snap_d[key])
+
+
+@pytest.mark.parametrize("replaying", [False, True])
+def test_a_rate_above_the_declared_bound_raises_on_the_first_attempt(replaying, monkeypatch):
+    # the default policy allows 8 halved retries, yet the spike in sub-step 2
+    # of a recording or a replaying sweep raises: that sub-step ran once
+    assert StepPolicy().max_retries == 8
+    rate = _SpikingRate(M)
+    spec = _spiking_spec(rate)
+    tape = []
+    if replaying:
+        _sweep(spec, tape)
+    calls = []
+    substep = limit._ensemble_substep
+    monkeypatch.setattr(limit, "_ensemble_substep", lambda *args: calls.append(args[4]) or substep(*args))
+    rate.substeps, rate.spike_at = 0, 2
+    with pytest.raises(RateBoundViolation, match=r"^rate 10 above bound 2 for copy \d+ in system LIMIT at t=0\.[5-7]"):
+        _sweep(spec, tape)
+    assert calls == [0.0, 0.25, 0.5]
+    assert len(tape) == (4 if replaying else 3)  # a recording sweep keeps the draws of the sub-step that raised
+
+
+def test_coupled_systems_raise_on_the_first_attempt_and_rewind_the_substep():
+    rate = _SpikingRate(M)
+    spec = _spiking_spec(rate)
+    rate.spike_at = 2
+    with pytest.raises(RateBoundViolation, match=r"^rate 10 above bound 2 for particle \d+ in system X at t=0\.[5-7]"):
+        simulate_coupled(("X",), spec, T, DT, make_driver_bundle(5, 0, M), initial_positions=X0)
+    # a spike in the first sub-step leaves the systems and the bundle as they started
+    rate.substeps, rate.spike_at = 0, 0
+    bundle = make_driver_bundle(5, 0, M)
+    fresh = bundle.snapshot()
+    sim = CoupledSimulator(spec, bundle, ("X",))
+    sim.set_initial(X0)
+    with pytest.raises(RateBoundViolation):
+        sim.advance(DT)
+    assert np.array_equal(sim.system("X").pos, X0) and sim.system("X").jump_count == 0
+    for key, value in bundle.snapshot().items():
+        assert np.array_equal(value, fresh[key])
+
+
+@pytest.mark.parametrize("T,dt,entry", [(T, 0.5, "0 is not for the sub-step at t=0.0, h=0.5"),
+                                        (2 * T, DT, "4 is not for the sub-step at t=1.0, h=0.25")])
+def test_a_tape_recorded_on_another_grid_raises(T, dt, entry):
+    # a tape of four sub-steps of 0.25 replayed on a grid of 0.5, and on one of eight sub-steps
+    spec = _spiking_spec(_SpikingRate(M))
+    tape = []
+    _sweep(spec, tape)
+    with pytest.raises(InvalidInputError, match=f"^draw tape entry {entry}: the tape was recorded on another grid$"):
+        _sweep(spec, tape, T, dt)
 
 
 if __name__ == "__main__":

@@ -8,7 +8,7 @@ from mfjump.drivers import InvalidInputError, StreamKey, StreamState, make_drive
 from mfjump.harness import ConfigError, SimConfig
 from mfjump.models import ProbeConfig, make_empirical, validate_model
 from mfjump.particle import InitSampler, simulate
-from mfjump.zoo import build, default_params, derive_envelope_c, model_ids
+from mfjump.zoo import MAX_DIM, build, default_params, derive_envelope_c, model_ids
 
 
 def test_model_ids_and_defaults():
@@ -51,6 +51,26 @@ def test_every_family_rejects_a_dim_that_is_not_an_integer_of_at_least_1(model, 
     with pytest.raises(ConfigError, match="^model.params: dim"):
         SimConfig.from_dict(config)
 
+
+@pytest.mark.parametrize("model", ["lipschitz-demo", "convex-potential", "neuronal"])
+@pytest.mark.parametrize("dim", [MAX_DIM + 1, 10**20, 10**400], ids=["ceiling+1", "1e20", "401-digits"])
+def test_every_family_rejects_a_dim_above_the_ceiling(model, dim, capsys):
+    # dim=10**20 ended in a ValueError traceback from np.eye (neuronal: an OverflowError
+    # from math.sqrt), and in a config in "model.params: Maximum allowed dimension exceeded"
+    from mfjump.cli import main as cli_main
+
+    reason = f"dim must be an integer >= 1 and <= {MAX_DIM}, got {dim}"
+    with pytest.raises(InvalidInputError, match=f"^{reason}$"):
+        build(model, {"dim": dim})
+    config = {"schema": 1, "model": {"id": model, "params": {"dim": dim}}, "run": {"Ns": [4, 8]}}
+    with pytest.raises(ConfigError, match=f"^model.params: {reason}$"):
+        SimConfig.from_dict(config)
+    assert cli_main(["validate", "--model", model, "--param", f"dim={dim}"]) == 1
+    assert capsys.readouterr().err == f"mfjump validate: {reason}\n"
+
+
+def test_a_model_builds_at_the_dim_ceiling():
+    assert build("lipschitz-demo", {"dim": MAX_DIM}).dim == MAX_DIM
 
 
 @pytest.mark.parametrize("model,key", [
