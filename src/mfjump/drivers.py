@@ -112,7 +112,8 @@ PROBE_REPLICA = (1 << 40) + 1
 _U64_GOLD = np.uint64(_GOLD)
 _U64_MIX1 = np.uint64(_MIX1)
 _U64_MIX2 = np.uint64(_MIX2)
-_U64_ONE = np.uint64(1)
+_U64_ONE, _U64_TWO = np.uint64(1), np.uint64(2)
+_U64_PAIR = np.asarray([[0], [1]], dtype=np.uint64)  # plus c: the counters c and c + 1 as two rows
 _U64_11, _U64_27, _U64_30, _U64_31 = (np.uint64(s) for s in (11, 27, 30, 31))
 
 
@@ -376,10 +377,13 @@ def collect_candidates(
     inter-arrival uniform w places the next candidate ``-log(w) / bound``
     later; if that lies in (t0, t1], a thinning-level uniform, scaled by
     the bound, follows.  The walk ends with the first candidate past t1.
+    Each round hashes a live particle's thinning level and next gap,
+    draws c and c + 1 of its stream, in one call.
     Returns (times, jumpers, u_levels, event_indices) sorted by time with
     ties broken by particle index.  Particles with zero bound emit nothing.
     """
     n = bundle.n
+    poisson = bundle.poisson
     r = np.asarray(rate_bounds, dtype=np.float64)
     times_acc: list[np.ndarray] = []
     jumps_acc: list[np.ndarray] = []
@@ -389,20 +393,24 @@ def collect_candidates(
     # a slice when every bound is positive: index arrays over all rows cost ~3x
     active = slice(None) if np.all(r > 0) else np.flatnonzero(r > 0)
     cur = np.full(n, np.inf)
-    w = bundle.poisson.uniforms_at(active)
+    w = poisson.uniforms_at(active)
     cur[active] = t0 - np.log(w) / r[active]
     live = np.flatnonzero(cur <= t1)
+    tl = cur[live]  # the live particles' candidate times; fancy indexes copy, so the lists own their arrays
     while live.size > 0:
-        u = bundle.poisson.uniforms_at(live) * r[live]
+        c = poisson.counters[live]
+        u, w = _uniform_from_raw(_raw_from_counters(poisson.keys[live], c + _U64_PAIR))
+        poisson.counters[live] = c + _U64_TWO
         k = bundle.cand_counts[live].astype(np.int64)
         bundle.cand_counts[live] += _U64_ONE
-        times_acc.append(cur[live].copy())
-        jumps_acc.append(live.copy())
-        us_acc.append(u)
+        rl = r[live]
+        times_acc.append(tl)
+        jumps_acc.append(live)
+        us_acc.append(u * rl)
         ks_acc.append(k)
-        w = bundle.poisson.uniforms_at(live)
-        cur[live] = cur[live] - np.log(w) / r[live]
-        live = live[cur[live] <= t1]
+        nxt = tl - np.log(w) / rl
+        keep = nxt <= t1
+        live, tl = live[keep], nxt[keep]
 
     if not times_acc:
         empty = np.empty(0)

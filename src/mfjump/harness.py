@@ -488,12 +488,13 @@ class DiagnosticsBundle:
 def run_diagnostics(config: SimConfig) -> DiagnosticsBundle:
     """Moment series and jump-count tails for the interacting system.
 
-    The moment verdict is 'bounded' when the cross-replica CI of the
-    second-half trend slope excludes growth faster than 5% of the series
-    mean per unit time.  A failing cell is left out of every table (an N
-    with no good cell gets no verdict and no tail row); the other cells'
-    outputs are written, the manifest is flagged partial and names the
-    failures, and then ``SweepError`` is raised.
+    The moment verdict compares the cross-replica CI of the second-half
+    trend slope with 5% of the series mean per unit time: 'bounded' when
+    the CI lies below it, 'growing' when it lies above it, and
+    'indeterminate' when it holds it.  A failing cell is left out of every
+    table (an N with no good cell gets no verdict and no tail row); the
+    other cells' outputs are written, the manifest is flagged partial and
+    names the failures, and then ``SweepError`` is raised.
     """
     Ns = [int(n) for n in config.run.Ns]
     if min(Ns) == 1:
@@ -519,7 +520,7 @@ def run_diagnostics(config: SimConfig) -> DiagnosticsBundle:
             hi = mean_slope + half
             lo = mean_slope - half
             threshold = 0.05 * float(means.mean())
-            verdict = "bounded" if hi < threshold else "growing"
+            verdict = "bounded" if hi < threshold else "growing" if lo > threshold else "indeterminate"
             moment_verdicts[(N, p)] = {
                 "slope_mean": mean_slope,
                 "slope_ci": (lo, hi),

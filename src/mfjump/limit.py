@@ -161,9 +161,10 @@ def simulate_ensemble(
     Copies never interact: within a sub-step their candidate events are
     processed in per-copy time order (vectorized round by round across
     copies).  The measure argument is the frozen flow of the cell.
-    An empty ``tape`` records the run's sub-step draws, and a later run on
-    the same grid and streams replays them (``_substep_draws``); it needs a
-    model with a declared global rate bound, whose thinning bounds never change.
+    An empty ``tape`` records the run's sub-step draws with their event
+    rounds, and a later run on the same grid and streams replays them
+    (``_substep_draws``) without sorting again; it needs a model with a
+    declared global rate bound, whose thinning bounds never change.
     """
     if tape is not None and spec.meta.rate_global_bound is None:
         raise InvalidInputError("a draw tape needs a declared global rate bound: other bounds vary by sweep")
@@ -223,7 +224,7 @@ def _event_rounds(block: np.ndarray, time: np.ndarray, row: np.ndarray) -> list[
 
 
 def _substep_draws(drivers, tape, replay, t, h, bounds, bdim):
-    """A sub-step's Brownian increments (None when ``bdim`` is) and candidates.
+    """A sub-step's Brownian increments (None when ``bdim`` is), candidates and their ``_event_rounds``.
 
     A ``replay`` (``enumerate(tape)``) returns the next tape entry, which must be for this sub-step's
     (t, h), and leaves the bundle as it stands.  Otherwise the sub-step draws, and appends to the tape if any.
@@ -236,9 +237,10 @@ def _substep_draws(drivers, tape, replay, t, h, bounds, bdim):
         return entry[2:]
     dW = None if bdim is None else drivers.brownian.normals_block(bdim) * math.sqrt(h)
     cands = collect_candidates(drivers, t, t + h, bounds)
+    rounds = _event_rounds(cands[1], cands[0], cands[1])
     if tape is not None:
-        tape.append((t, h, dW, cands))
-    return dW, cands
+        tape.append((t, h, dW, cands, rounds))
+    return dW, cands, rounds
 
 
 def _ensemble_substep(spec, pos, drivers, flow, t, h, bounds, trunc_c, euler, draws) -> int:
@@ -247,7 +249,7 @@ def _ensemble_substep(spec, pos, drivers, flow, t, h, bounds, trunc_c, euler, dr
     _, _, mu, quad, lam_mean = flow.cell(t)
     g = collateral_drift(spec, pos, quad, min(lam_mean, trunc_c))
     f, sig = _frozen_coefficients(spec, pos, mu, g, euler)
-    dW, (times, copies, us, ks) = draws
+    dW, (times, copies, us, ks), rounds = draws
     t_last = np.full(pos.shape[0], t)
 
     def decay(rows, until):
@@ -259,7 +261,7 @@ def _ensemble_substep(spec, pos, drivers, flow, t, h, bounds, trunc_c, euler, dr
         t_last[rows] = until
 
     jumps = 0
-    for sel in _event_rounds(copies, times, copies):
+    for sel in rounds:
         ec, eu, ek, et = copies[sel], us[sel], ks[sel], times[sel]
         if not euler:
             decay(ec, et)
@@ -287,7 +289,7 @@ def _ensemble_substep(spec, pos, drivers, flow, t, h, bounds, trunc_c, euler, dr
             pos += np.einsum("nij,nj->ni", sig, dW)
     else:
         decay(slice(None), t + h)
-    if not np.all(np.isfinite(pos)):
+    if not np.isfinite(pos).all():
         raise NumericalBlowupError(t + h, pos.copy(), "LIMIT")
     return jumps
 

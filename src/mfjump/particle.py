@@ -26,7 +26,10 @@ candidate are hashed once: an accepted X jump hashes the collateral row
 and takes its element j as the main mark, which Y and LIMIT reuse.  The
 running sup distances of coupled pairs fold only rows that moved: a
 pair folds every row after an X jump in it, row j after a Y or LIMIT
-jump in it, and every row after each exact-scheme decay and sub-step.
+jump in it, and every row at each sub-step end and, in the exact scheme,
+before each accepted jump.  Between two accepted events a difference of
+two exact-scheme rows moves along a straight segment, so its sup there
+is at an end and a rejected candidate needs no fold.
 
 For the pull-to-origin, diffusion-free class an exact integrator replaces
 Euler: between events positions follow the closed-form exponential decay,
@@ -418,11 +421,16 @@ class CoupledSimulator:
         pids = self.bundle.particle_ids
 
         t_last = t
+        decays = [(s.pos, g) for s, g in zip(self.systems, drifts)]
         for tau, j, u, k in zip(times.tolist(), jumpers.tolist(), us.tolist(), ks.tolist()):
-            if not euler and tau > t_last:
-                self._decay_all(tau - t_last, drifts)
+            if not euler and tau > t_last:  # _decay_all's operations, inline
+                factor = math.exp(-(tau - t_last))
+                one_minus = 1.0 - factor
+                for pos, g in decays:
+                    pos *= factor
+                    if g is not None:
+                        pos += g * one_minus
                 t_last = tau
-                self._update_sup()  # left limits move in the exact scheme
             h_main, h_coll, jumped = None, None, []
             for s in self.systems:
                 mu = s.measure_now(tau)
@@ -437,6 +445,8 @@ class CoupledSimulator:
                     )
                 if u > lam_j:
                     continue
+                if not euler and not jumped:
+                    self._update_sup()  # the left limits: a difference moves on a segment, so its sup is at an end
                 # one mark hash per candidate: the main mark is element j of X's row
                 if s.kind == "X":
                     h_coll = marks_uniforms(int(keys[j]), k, pids, offsets=self.bundle.mark_offsets,
@@ -467,7 +477,7 @@ class CoupledSimulator:
             self._decay_all(t + h - t_last, drifts)
 
         for s in self.systems:
-            if not np.all(np.isfinite(s.pos)):
+            if not np.isfinite(s.pos).all():
                 raise NumericalBlowupError(t + h, s.pos.copy(), s.kind)
         self._update_sup()
 

@@ -22,6 +22,7 @@ in minutes.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, asdict
@@ -30,6 +31,12 @@ import numpy as np
 
 from .drivers import InvalidInputError, _finite, _integer, _number
 from .models import AssumptionMeta, EmpiricalMeasure, ModelSpec
+
+
+def _radius(x: np.ndarray) -> np.ndarray:
+    """Row norms with the bits of ``np.linalg.norm(x, axis=-1)``; in d=1 it skips the length-1 sum, which returns its element."""
+    sq = x * x
+    return np.sqrt(sq[..., 0] if x.shape[-1] == 1 else np.add.reduce(sq, axis=-1))
 
 
 def _as_rows(col: np.ndarray, d: int) -> np.ndarray:
@@ -63,13 +70,13 @@ def _capped_jump_model(p: _CappedJumpParams, drift, class_tag: str, **meta) -> M
     the capped-linear rate, main jump -beta * x * h1 and mean-zero kicks."""
     d = p.dim
     sig = p.sigma0 * np.eye(d)
+    sig_rows = functools.lru_cache(maxsize=8)(lambda n: np.broadcast_to(sig, (n, d, d)))  # read-only views
 
     def diffusion(x, m):
-        return np.broadcast_to(sig, (x.shape[0], d, d))
+        return sig_rows(x.shape[0])
 
     def rate(x, m):
-        r = np.sqrt(np.add.reduce(x * x, axis=-1))
-        return p.rate_base + p.rate_slope * np.minimum(r, p.rate_cap_radius)
+        return p.rate_base + p.rate_slope * np.minimum(_radius(x), p.rate_cap_radius)
 
     def main_jump(x, m, h1):
         return -p.jump_scale * x * np.asarray(h1, dtype=np.float64)[:, None]
@@ -194,8 +201,7 @@ def build_neuronal(params: NeuronalParams) -> ModelSpec:
         return np.zeros((x.shape[0], d, 0))
 
     def rate(x, m):
-        r = np.sqrt(np.add.reduce(x * x, axis=-1))
-        return b_radial(r) + p.rate_offset
+        return b_radial(_radius(x)) + p.rate_offset
 
     def main_jump(x, m, h1):
         # reset: x + psi = U(h1) in [0, u_max]^d

@@ -262,6 +262,79 @@ def test_collect_candidates_matches_scalar_walk():
             assert list(ks[jumpers == i]) == list(range(len(expect)))
 
 
+def _two_call_candidates(bundle, t0, t1, rate_bounds):
+    """The candidate walk before it drew a round's thinning levels and gaps in one hash: two
+    ``uniforms_at`` calls a round, kept as the oracle of ``collect_candidates``."""
+    n = bundle.n
+    r = np.asarray(rate_bounds, dtype=np.float64)
+    times_acc, jumps_acc, us_acc, ks_acc = [], [], [], []
+    active = slice(None) if np.all(r > 0) else np.flatnonzero(r > 0)
+    cur = np.full(n, np.inf)
+    w = bundle.poisson.uniforms_at(active)
+    cur[active] = t0 - np.log(w) / r[active]
+    live = np.flatnonzero(cur <= t1)
+    while live.size > 0:
+        u = bundle.poisson.uniforms_at(live) * r[live]
+        k = bundle.cand_counts[live].astype(np.int64)
+        bundle.cand_counts[live] += np.uint64(1)
+        times_acc.append(cur[live].copy())
+        jumps_acc.append(live.copy())
+        us_acc.append(u)
+        ks_acc.append(k)
+        w = bundle.poisson.uniforms_at(live)
+        cur[live] = cur[live] - np.log(w) / r[live]
+        live = live[cur[live] <= t1]
+    if not times_acc:
+        empty = np.empty(0)
+        return empty, np.empty(0, dtype=np.int64), empty, np.empty(0, dtype=np.int64)
+    times, jumpers = np.concatenate(times_acc), np.concatenate(jumps_acc)
+    us, ks = np.concatenate(us_acc), np.concatenate(ks_acc)
+    order = np.lexsort((jumpers, times))
+    return times[order], jumpers[order], us[order], ks[order]
+
+
+def _same_candidate_walk(seed, bounds, pids, steps):
+    """``collect_candidates`` and the two-call oracle over ``steps`` successive windows, bit for bit;
+    returns the largest number of candidates one particle had in one window."""
+    new, old = (make_driver_bundle(seed, 3, len(bounds), particle_ids=pids) for _ in range(2))
+    most = 0
+    for t0, t1 in steps:
+        with np.errstate(over="ignore"):  # a subnormal bound puts the first gap at inf in both
+            got, want = collect_candidates(new, t0, t1, bounds), _two_call_candidates(old, t0, t1, bounds)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert np.array_equal(new.poisson.counters, old.poisson.counters)
+        assert np.array_equal(new.cand_counts, old.cand_counts)
+        most = max(most, int(np.bincount(got[1], minlength=1).max()))
+    return most
+
+
+_BOUND = st.one_of(st.sampled_from([0.0, 0.0, 25.0]), st.floats(0.0, 40.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=_U32,
+    bounds=st.lists(_BOUND, min_size=1, max_size=12),
+    relabel=st.booleans(),
+    widths=st.lists(st.floats(0.01, 0.6), min_size=1, max_size=3),
+)
+def test_collect_candidates_matches_the_two_call_walk(seed, bounds, relabel, widths):
+    # zero bounds emit nothing; relabeled ids address other streams
+    n = len(bounds)
+    pids = np.random.default_rng(seed).choice(2**32, n, replace=False) if relabel else None
+    ends = np.cumsum([0.0, *widths])
+    _same_candidate_walk(seed, np.asarray(bounds), pids, list(zip(ends[:-1], ends[1:])))
+
+
+def test_collect_candidates_matches_the_two_call_walk_over_many_rounds():
+    # bound 30 over windows of 0.5: about 15 candidates a particle, so 3 or more rounds
+    bounds = np.asarray([30.0, 0.0, 30.0, 2.0, 30.0, 0.0, 12.0])
+    pids = np.asarray([9, 2**32 - 1, 4, 70000, 0, 5, 123456789])
+    assert _same_candidate_walk(8, bounds, pids, [(0.0, 0.5), (0.5, 1.0)]) >= 3
+    assert _same_candidate_walk(8, bounds, None, [(2.0, 2.5)]) >= 3
+
+
 def test_bundle_snapshot_rewinds_exactly():
     bundle = make_driver_bundle(8, 0, 3)
     snap = bundle.snapshot()

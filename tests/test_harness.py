@@ -312,6 +312,33 @@ def test_diagnostics_constant_rate_mean_jumps(tmp_path):
     assert (tmp_path / "diag" / "diagnostics.json").exists()
 
 
+def test_moment_verdict_is_bounded_growing_or_indeterminate(tmp_path, monkeypatch, capsys):
+    # canned slopes of two replicas per N against a threshold of 0.05 (5% of
+    # a series mean of 1): the slope CI lies below it at N=4, above it at
+    # N=8, and holds it at N=16, whose mean slope is negative
+    slopes = {4: (0.0, 0.002), 8: (0.2, 0.202), 16: (-0.02, 0.0)}
+    replica = {harness.replica_stream_key(ni, r): r for ni in range(3) for r in range(2)}
+
+    def canned(config, spec, bundle, flow):
+        slope = slopes[bundle.n][replica[bundle.replica]]
+        moment = {"mean": 1.0, "second_half_mean": 1.0, "trend_slope": slope, "trend_se": 0.01}
+        return {"jump_count": bundle.n, "jumps_per_particle": 1.0, "moments": {4: moment}}
+
+    monkeypatch.setattr(harness, "_diag_values", canned)
+    d = _diag_config(tmp_path / "diag")
+    d["run"].update(Ns=[4, 8, 16], replicas=2)
+    d["diagnostics"] = {"moment_powers": [4]}
+    (tmp_path / "diag.yaml").write_text(yaml.safe_dump(d))
+    assert cli_main(["diagnostics", "--config", str(tmp_path / "diag.yaml")]) == 0
+    payload = json.loads((tmp_path / "diag" / "diagnostics.json").read_text())["moment_verdicts"]
+    verdicts = {"N4_p4": "bounded", "N8_p4": "growing", "N16_p4": "indeterminate"}
+    assert {k: v["verdict"] for k, v in payload.items()} == verdicts
+    lo, hi = payload["N16_p4"]["slope_ci"]
+    assert payload["N16_p4"]["slope_mean"] < 0 and lo < payload["N16_p4"]["threshold"] < hi
+    printed = [ln for ln in capsys.readouterr().out.splitlines() if " moment p=4: " in ln]
+    assert [ln.rsplit(" -> ", 1)[1] for ln in printed] == list(verdicts.values())
+
+
 def _diag_config(out_dir):
     return {
         "schema": 1,

@@ -525,6 +525,21 @@ def test_event_loop_matches_reference_neuronal_triple():
     _assert_same_run(("X", "Y", "LIMIT"), spec, x0, T, dt, 4, flow=flow, scheme="exact")
 
 
+def test_exact_triple_folds_left_limits_only_at_accepted_jumps():
+    # bound_add 20 lifts every thinning bound far above the rates, so most
+    # candidates are rejected between two jumps; the oracle folds every row at
+    # each of them, the engine only before an accepted jump and at sub-step ends
+    spec = build("neuronal", {"collateral_amp": 1.9})
+    n, T, dt = 24, 2.0, 0.1
+    flow = solve_limit(spec, 96, T, dt, seed=2, tol=1e-12, max_iter=1, init=InitSampler(kind="uniform"))
+    x0 = InitSampler(kind="uniform").sample(make_driver_bundle(4, 1, n), 1)
+    sim = _assert_same_run(("X", "Y", "LIMIT"), spec, x0, T, dt, 8, flow=flow, scheme="exact",
+                           policy=StepPolicy(bound_add=20.0))
+    candidates = int(sim.bundle.cand_counts.sum())
+    assert all(10 * s.jump_count < candidates for s in sim.systems)
+    assert all(np.all(v > 0) for v in sim.sup.values())
+
+
 def test_event_loop_matches_reference_with_halving_retries():
     spec = _spec(
         drift=lambda x, m: np.zeros_like(x),

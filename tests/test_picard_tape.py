@@ -112,6 +112,21 @@ def test_tape_needs_a_global_rate_bound():
                           constant_flow(x0, 0.1), initial_positions=x0, tape=[])
 
 
+def test_tape_entries_hold_the_event_rounds_of_their_candidates():
+    # replayed sweeps take each sub-step's rounds from the tape instead of sorting again
+    spec = build("lipschitz-demo")
+    x0 = np.linspace(-1.0, 2.0, 512)[:, None]
+    tape = []
+    simulate_ensemble(spec, 1.0, 0.5, make_driver_bundle(3, PICARD_REPLICA, 512), constant_flow(x0, 1.0),
+                      initial_positions=x0, tape=tape)
+    assert len(tape) == 2
+    for t, h, dW, cands, rounds in tape:
+        times, copies = cands[0], cands[1]
+        want = limit._event_rounds(copies, times, copies)
+        assert len(rounds) == len(want) >= 3
+        assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(rounds, want))
+
+
 class _SpikingRate:
     """Rate 1 under a declared bound of 2, except the first event-round
     evaluation of sub-step ``spike_at`` reads 10, once: a halved retry of

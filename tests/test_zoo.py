@@ -3,12 +3,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mfjump.drivers import InvalidInputError, StreamKey, StreamState, make_driver_bundle
 from mfjump.harness import ConfigError, SimConfig
 from mfjump.models import ProbeConfig, make_empirical, validate_model
 from mfjump.particle import InitSampler, simulate
-from mfjump.zoo import MAX_DIM, build, default_params, derive_envelope_c, model_ids
+from mfjump.zoo import MAX_DIM, _radius, build, default_params, derive_envelope_c, model_ids
 
 
 def test_model_ids_and_defaults():
@@ -272,3 +274,34 @@ def test_demo_collateral_mean_is_zero():
     mu = make_empirical(np.zeros((1, 1)))
     vals = spec.collateral_jump(np.zeros(1), np.zeros((len(h2), 1)), mu, 0.5, h2)
     assert abs(float(vals.mean())) < 1e-3
+
+
+# zeros of both signs, subnormals, squares that overflow near 1e154, infinities and NaN
+_EDGE = st.sampled_from([0.0, -0.0, 5e-324, -2.5e-320, 2.2e-308, 1.3e-154, 1e154, -1.4e154, 3e154,
+                         np.inf, -np.inf, np.nan])
+
+
+@settings(max_examples=300, deadline=None)
+@given(d=st.integers(1, 4), rows=st.integers(1, 5), data=st.data())
+def test_rate_radius_has_the_bits_of_the_linalg_norm(d, rows, data):
+    values = data.draw(st.lists(st.one_of(_EDGE, st.floats()), min_size=rows * d, max_size=rows * d))
+    x = np.asarray(values, dtype=np.float64).reshape(rows, d)
+    with np.errstate(over="ignore", invalid="ignore"):  # squares of 1e154 and above overflow in both
+        assert _radius(x).tobytes() == np.linalg.norm(x, axis=-1).tobytes()
+        assert _radius(x[0]).tobytes() == np.linalg.norm(x[0], axis=-1).tobytes()  # one point
+
+
+@pytest.mark.parametrize("model", ["lipschitz-demo", "convex-potential"])
+@pytest.mark.parametrize("d", [1, 3])
+def test_capped_jump_diffusion_is_a_read_only_broadcast_per_row_count(model, d):
+    sigma0 = 0.7
+    spec = build(model, {"dim": d, "sigma0": sigma0})
+    m = make_empirical(np.zeros((4, d)))
+    counts = [1, 5, 64, *range(100, 120), 5, 1]  # 1 and 5 again once twenty other counts have evicted them
+    for n in counts:
+        sig = spec.diffusion(np.ones((n, d)), m)
+        assert sig.shape == (n, d, d) and sig.dtype == np.float64
+        assert not sig.flags.writeable
+        assert np.array_equal(sig, np.broadcast_to(sigma0 * np.eye(d), (n, d, d)))
+    with pytest.raises(ValueError, match="read-only"):
+        sig[0, 0, 0] = 1.0
