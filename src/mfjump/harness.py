@@ -144,8 +144,9 @@ class DiagnosticsSection:
 
     def __post_init__(self):
         powers = self.moment_powers
-        if not isinstance(powers, (list, tuple)) or not all(_integer(p) and 1 <= p <= 4 for p in powers):
-            raise ConfigError(f"diagnostics.moment_powers must be a list of integers in 1..4, got {powers!r}")
+        if (not isinstance(powers, (list, tuple)) or not all(_integer(p) and 1 <= p <= 4 for p in powers)
+                or len(set(powers)) < len(powers)):
+            raise ConfigError(f"diagnostics.moment_powers must be a list of distinct integers in 1..4, got {powers!r}")
         hs = self.jump_thresholds
         if not isinstance(hs, (list, tuple)) or not all(_positive(h) for h in hs):
             raise ConfigError(f"diagnostics.jump_thresholds must be a list of finite numbers > 0, got {hs!r}")
@@ -270,12 +271,13 @@ def replica_stream_key(n_index: int, replica: int) -> int:
 def _cell(values, args: tuple) -> dict:
     """One (N, replica) cell of the parsed config: ``values(config, spec, bundle, flow)`` on its own streams."""
     config, flow, n_index, N, replica = args  # flow: the solved flow, its file in a pool worker, or None
-    try:
+    try:  # a rate or position that overflows raises in the engines, so numpy's warning would only repeat it
         spec = build(config.model.id, config.model.params)
         if isinstance(flow, str):
             flow = _load_flow(flow)
         bundle = make_driver_bundle(config.run.seed, replica_stream_key(n_index, replica), N)
-        return {"N": N, "replica": replica, **values(config, spec, bundle, flow)}
+        with np.errstate(over="ignore", invalid="ignore"):
+            return {"N": N, "replica": replica, **values(config, spec, bundle, flow)}
     except Exception as exc:  # noqa: BLE001 - cell failures are data, not crashes
         return {"N": N, "replica": replica, "error": f"{type(exc).__name__}: {exc}"}
 

@@ -47,7 +47,6 @@ from .particle import (
     StepPolicy,
     _advance_substeps,
     _frozen_coefficients,
-    _rate_ceiling,
     _resolve_scheme,
     output_grid,
     simulate_coupled,
@@ -184,10 +183,10 @@ def simulate_ensemble(
     def rates(t):
         return np.asarray(spec.rate(pos, flow.cell(t).measure), dtype=np.float64)
 
-    def substep(t, h, bounds):
+    def substep(t, h, bounds, ceilings):
         nonlocal jumps
         draws = _substep_draws(drivers, tape, replay, t, h, bounds, bdim)
-        jumps += _ensemble_substep(spec, pos, drivers, flow, t, h, bounds, trunc_c, euler, draws)
+        jumps += _ensemble_substep(spec, pos, drivers, flow, t, h, bounds, ceilings, trunc_c, euler, draws)
 
     def snapshot():
         return pos.copy(), drivers.snapshot()
@@ -243,7 +242,7 @@ def _substep_draws(drivers, tape, replay, t, h, bounds, bdim):
     return dW, cands, rounds
 
 
-def _ensemble_substep(spec, pos, drivers, flow, t, h, bounds, trunc_c, euler, draws) -> int:
+def _ensemble_substep(spec, pos, drivers, flow, t, h, bounds, ceilings, trunc_c, euler, draws) -> int:
     """One sub-step of every copy in place on ``draws`` (``_substep_draws``); returns its
     accepted jumps, raises if a copy blows up."""
     _, _, mu, quad, lam_mean = flow.cell(t)
@@ -266,7 +265,7 @@ def _ensemble_substep(spec, pos, drivers, flow, t, h, bounds, trunc_c, euler, dr
         if not euler:
             decay(ec, et)
         lam_e = np.asarray(spec.rate(pos[ec], mu), dtype=np.float64)
-        over = lam_e > _rate_ceiling(bounds[ec])
+        over = ~(lam_e <= ceilings[ec])
         if np.any(over):
             i = int(np.flatnonzero(over)[0])
             raise RateBoundViolation(
@@ -285,7 +284,7 @@ def _ensemble_substep(spec, pos, drivers, flow, t, h, bounds, trunc_c, euler, dr
 
     if euler:
         pos += h * f
-        if dW is not None and sig is not None and sig.shape[-1] > 0:
+        if dW is not None:
             pos += np.einsum("nij,nj->ni", sig, dW)
     else:
         decay(slice(None), t + h)

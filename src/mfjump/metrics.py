@@ -30,9 +30,11 @@ def _require_finite(fn: str, a: np.ndarray, b: np.ndarray) -> None:
 
 
 def w1_1d(a, b) -> float:
-    """Exact W1 between two equal-size 1D empirical measures."""
-    a = np.asarray(a, dtype=np.float64).reshape(-1)
-    b = np.asarray(b, dtype=np.float64).reshape(-1)
+    """Exact W1 between two equal-size 1D empirical measures, each given as a 1-D or (n, 1) array."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    if not all(x.ndim == 1 or x.shape[1:] == (1,) for x in (a, b)):
+        raise InvalidInputError(f"w1_1d needs 1-D or (n, 1) samples, got shapes {a.shape} and {b.shape}")
+    a, b = a.reshape(-1), b.reshape(-1)
     if a.size == 0 or a.size != b.size:
         raise InvalidInputError("w1_1d needs two nonempty samples of equal size")
     _require_finite("w1_1d", a, b)
@@ -287,7 +289,6 @@ class JumpTailTable:
     tail_prob: np.ndarray
     wilson_lo: np.ndarray
     wilson_hi: np.ndarray
-    per_replica: np.ndarray  # C_N(T)/N samples
 
 
 def jump_count_stats(jump_counts, N: int, thresholds) -> JumpTailTable:
@@ -309,7 +310,7 @@ def jump_count_stats(jump_counts, N: int, thresholds) -> JumpTailTable:
         k = int(np.sum(ratios >= h))
         tail[i] = k / n if n else 0.0
         lo[i], hi[i] = wilson_interval(k, n)
-    return JumpTailTable(thresholds=hs, tail_prob=tail, wilson_lo=lo, wilson_hi=hi, per_replica=ratios)
+    return JumpTailTable(thresholds=hs, tail_prob=tail, wilson_lo=lo, wilson_hi=hi)
 
 
 @dataclass

@@ -40,8 +40,9 @@ Thinning bounds are local per particle: a declared global rate bound when
 the model has one, otherwise an affine envelope of the current rate.  A
 rate above an envelope aborts the sub-step, which is retried with a halved
 step a bounded number of times.  Halving cannot change a declared bound,
-so a rate above it raises at once.  Violations surface, they are never
-silently absorbed.
+so a rate above it raises at once.  Both engines pass a rate only when it
+is at most its row's ceiling (``_thinning_bounds``), so a NaN or infinite
+rate raises too: violations surface, they are never silently absorbed.
 """
 
 from __future__ import annotations
@@ -225,34 +226,34 @@ def _frozen_coefficients(spec: ModelSpec, pos: np.ndarray, mu, g: np.ndarray | N
     return (f if g is None else f + g), sig
 
 
-def _rate_ceiling(bounds):
-    """The largest rate a thinning bound (a float or an array) covers: the bound plus rounding slack."""
-    return bounds * (1.0 + 1e-12) + 1e-12
+def _thinning_bounds(spec: ModelSpec, policy: StepPolicy, lam: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row thinning bounds valid at the current rates ``lam``, and their ceilings.
 
-
-def _thinning_bounds(spec: ModelSpec, policy: StepPolicy, lam: np.ndarray, t: float) -> np.ndarray:
-    """Per-row thinning bounds valid at the current rates ``lam``.
-
-    A rate already above its bound here is a declaration failure that
-    halving cannot repair, so it raises immediately.
+    A ceiling is its bound plus rounding slack, and a rate passes only when
+    ``lam <= ceiling``.  A start rate that fails or is not finite is a
+    declaration failure that halving cannot repair, so it raises here.
     """
     cap = spec.meta.rate_global_bound
     bounds = np.full(lam.shape[0], float(cap)) if cap is not None else policy.bound_mult * lam + policy.bound_add
-    over = lam > _rate_ceiling(bounds)
-    if np.any(over):
-        j = int(np.flatnonzero(over)[0])
+    ceilings = bounds * (1.0 + 1e-12) + 1e-12
+    bad = np.flatnonzero(~(np.isfinite(lam) & (lam <= ceilings)))
+    if bad.size:
+        j = int(bad[0])
+        if not math.isfinite(lam[j]):
+            raise RateBoundViolation(f"rate {lam[j]:.6g} for particle {j} at t={t:.6g} is not finite")
         raise RateBoundViolation(
             f"rate {lam[j]:.6g} already above bound {bounds[j]:.6g} for particle {j} "
             f"at t={t:.6g}; the declared rate bound does not hold"
         )
-    return bounds
+    return bounds, ceilings
 
 
 def _advance_substeps(spec, policy, t, end, rates, substep, snapshot, restore) -> int:
     """Step from t to end in sub-steps sized to the thinning bounds.
 
-    ``rates(t)`` gives the rates the bounds must cover and
-    ``substep(t, h, bounds)`` advances the state.  A sub-step that raises
+    ``rates(t)`` gives the rates the bounds must cover, and
+    ``substep(t, h, bounds, ceilings)`` advances the state on the bounds and
+    their ceilings, made once per sub-step.  A sub-step that raises
     ``RateBoundViolation`` is rewound with ``restore(snapshot())`` and,
     under a rate-following bound, retried at half the step at most
     ``policy.max_retries`` times; a declared global bound, which halving
@@ -263,7 +264,7 @@ def _advance_substeps(spec, policy, t, end, rates, substep, snapshot, restore) -
         rem = end - t
         if rem <= 1e-12 * max(1.0, abs(end)):
             return retried
-        bounds = _thinning_bounds(spec, policy, rates(t), t)
+        bounds, ceilings = _thinning_bounds(spec, policy, rates(t), t)
         rmax = float(bounds.max()) if bounds.size else 0.0
         nsub = max(1, int(math.ceil(rmax * rem / policy.candidate_cap))) if rmax > 0 else 1
         h = rem / nsub
@@ -271,7 +272,7 @@ def _advance_substeps(spec, policy, t, end, rates, substep, snapshot, restore) -
         while True:
             snap = snapshot()
             try:
-                substep(t, h, bounds)
+                substep(t, h, bounds, ceilings)
                 break
             except RateBoundViolation:
                 restore(snap)
@@ -386,7 +387,7 @@ class CoupledSimulator:
         )
         self.t = end
 
-    def _substep(self, t: float, h: float, bounds: np.ndarray) -> None:
+    def _substep(self, t: float, h: float, bounds: np.ndarray, ceilings: np.ndarray) -> None:
         spec = self.spec
         n = self.bundle.n
         euler = self.scheme == "euler"
@@ -413,8 +414,8 @@ class CoupledSimulator:
         if euler and spec.has_diffusion():
             dW = self.bundle.brownian.normals_block(spec.brownian_dim) * math.sqrt(h)
 
-        times, jumpers, us, ks = collect_candidates(self.bundle, t, t + h, bounds)
-        ceilings = _rate_ceiling(bounds).tolist()
+        cands = collect_candidates(self.bundle, t, t + h, bounds)
+        ceils = ceilings.tolist()
         keys = self.bundle.marks_keys
         # marks are addressed by particle id, so relabeling the bundle
         # permutes trajectories exactly
@@ -422,8 +423,9 @@ class CoupledSimulator:
 
         t_last = t
         decays = [(s.pos, g) for s, g in zip(self.systems, drifts)]
-        for tau, j, u, k in zip(times.tolist(), jumpers.tolist(), us.tolist(), ks.tolist()):
-            if not euler and tau > t_last:  # _decay_all's operations, inline
+        events = zip(*(c.tolist() + [e] for c, e in zip(cands, (t + h, -1, 0.0, 0))))
+        for tau, j, u, k in events:  # j = -1: the sub-step end, where the exact scheme decays too
+            if not euler and tau > t_last:
                 factor = math.exp(-(tau - t_last))
                 one_minus = 1.0 - factor
                 for pos, g in decays:
@@ -431,6 +433,8 @@ class CoupledSimulator:
                     if g is not None:
                         pos += g * one_minus
                 t_last = tau
+            if j < 0:
+                break
             h_main, h_coll, jumped = None, None, []
             for s in self.systems:
                 mu = s.measure_now(tau)
@@ -438,7 +442,7 @@ class CoupledSimulator:
                     lam_j = float(lim_lam[j])
                 else:
                     lam_j = float(np.asarray(spec.rate(s.pos[j : j + 1], mu))[0])
-                if lam_j > ceilings[j]:
+                if not lam_j <= ceils[j]:
                     raise RateBoundViolation(
                         f"rate {lam_j:.6g} above bound {float(bounds[j]):.6g} "
                         f"for particle {j} in system {s.kind} at t={tau:.6g}"
@@ -471,25 +475,13 @@ class CoupledSimulator:
         if euler:
             for s, f, sig in zip(self.systems, drifts, diffs):
                 s.pos += h * f
-                if dW is not None and sig is not None and sig.shape[-1] > 0:
+                if dW is not None:
                     s.pos += np.einsum("nij,nj->ni", sig, dW)
-        else:
-            self._decay_all(t + h - t_last, drifts)
 
         for s in self.systems:
             if not np.isfinite(s.pos).all():
                 raise NumericalBlowupError(t + h, s.pos.copy(), s.kind)
         self._update_sup()
-
-    def _decay_all(self, s_dt: float, drifts: list) -> None:
-        if s_dt <= 0:
-            return
-        factor = math.exp(-s_dt)
-        one_minus = 1.0 - factor
-        for s, g in zip(self.systems, drifts):
-            s.pos *= factor
-            if g is not None:
-                s.pos += g * one_minus
 
 
 @dataclass

@@ -117,6 +117,7 @@ def test_config_invariants(tmp_path):
         ("run", "T", "abc"),  # was a raw TypeError from RunSection
         ("diagnostics", "moment_powers", [7]),  # every cell failed
         ("diagnostics", "moment_powers", 4),  # every cell failed
+        ("diagnostics", "moment_powers", [4, 4]),  # diagnostics.csv got the m4 columns twice
         ("diagnostics", "jump_thresholds", [-1]),  # rejected only after every cell ran
         ("limit", "ensemble", 1.5),
         ("limit", "ensemble", 1001),  # the noise floor's halves differ: failed after every sweep
@@ -616,6 +617,24 @@ def test_cli_validate_rejected_input_exits_with_one_line():
     assert proc.returncode == 1
     assert proc.stderr == "mfjump validate: probe budget must be at least 1, got -3\n"
 
+
+
+def test_cli_diagnostics_with_an_infinite_start_rate_exits_with_one_line(tmp_path):
+    # neuronal's rate at a 1e160 point init overflows to inf; every cell used to end in an OverflowError
+    d = _diag_config(tmp_path / "out")
+    d["run"].update(T=0.1, Ns=[8], replicas=2)
+    d["init"] = {"kind": "point", "point": [1.0e160]}
+    (tmp_path / "big.yaml").write_text(yaml.safe_dump(d))
+    src = str(Path(mfjump.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "mfjump.cli", "diagnostics", "--config", str(tmp_path / "big.yaml")],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == (
+        "mfjump diagnostics: 2 of 2 cells failed, first N=8 replica 0: RateBoundViolation: "
+        f"rate inf for particle 0 at t=0 is not finite; partial results in {tmp_path / 'out'}\n"
+    )
 
 
 def test_cli_validate_reads_an_exponent_param_as_a_number(capsys):

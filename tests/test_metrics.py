@@ -112,6 +112,17 @@ def test_w1_1d_errors():
         w1_1d([], [])
 
 
+def test_w1_1d_rejects_samples_with_more_than_one_column():
+    # flattened, these R^2 samples read 1.75; their W1 is 2.5
+    a = [[0.0, 0.0], [3.0, 4.0]]
+    b = [[0.0, 0.0], [0.0, 0.0]]
+    assert w1_assignment(np.asarray(a), np.asarray(b)) == 2.5
+    for x, y in ((a, b), ([0.0, 1.0], np.zeros((2, 1, 1))), (0.0, 1.0)):
+        with pytest.raises(InvalidInputError, match=r"^w1_1d needs 1-D or \(n, 1\) samples, got shapes "):
+            w1_1d(x, y)
+    assert w1_1d(np.asarray([[0.0], [3.0]]), [1.0, 1.0]) == 1.5
+
+
 def test_w1_assignment_identity_and_duplicates():
     a = np.asarray([[0.0, 1.0], [2.0, 2.0], [0.0, 1.0]])
     assert w1_assignment(a, a) == 0.0

@@ -258,7 +258,7 @@ def _rate_after_first_jump(rate):
 
 def test_thinning_bounds_cover_a_rate_up_to_the_rounding_slack():
     spec = _rate_after_first_jump(EDGE)
-    assert particle._thinning_bounds(spec, StepPolicy(), np.asarray([EDGE]), 0.0).tolist() == [2.0]
+    assert particle._thinning_bounds(spec, StepPolicy(), np.asarray([EDGE]), 0.0)[0].tolist() == [2.0]
     with pytest.raises(RateBoundViolation, match=r"^rate 2 already above bound 2 for particle 0 at t=0; "):
         particle._thinning_bounds(spec, StepPolicy(), np.asarray([PAST_EDGE]), 0.0)
 
@@ -284,6 +284,41 @@ def test_limit_ensemble_accepts_a_rate_up_to_the_rounding_slack():
     with pytest.raises(RateBoundViolation, match=r"^rate 2 above bound 2 for copy \d+ in system LIMIT at t="):
         simulate_ensemble(_rate_after_first_jump(PAST_EDGE), 1.0, 1.0, make_driver_bundle(1, 0, 8),
                           constant_flow(x0, 1.0), initial_positions=x0, policy=policy)
+
+
+@pytest.mark.parametrize("cap", [2.0, None], ids=["global-bound", "rate-following"])
+def test_a_rate_that_is_not_a_number_from_the_start_raises_in_both_engines(cap):
+    # at the sub-step start, before any candidate: the coupled stepper used to accept
+    # every candidate at a NaN rate and the ensemble to reject every one
+    spec = _spec(drift=lambda x, m: np.zeros_like(x), rate=lambda x, m: np.full(x.shape[0], np.nan),
+                 main=lambda x, m, h: np.ones_like(x), cap=cap)
+    x0 = np.zeros((8, 1))
+    message = r"^rate nan for particle 0 at t=0 is not finite$"
+    with pytest.raises(RateBoundViolation, match=message):
+        simulate_coupled(("X",), spec, 1.0, 0.5, make_driver_bundle(1, 0, 8), initial_positions=x0)
+    with pytest.raises(RateBoundViolation, match=message):
+        simulate_ensemble(spec, 1.0, 0.5, make_driver_bundle(1, 0, 8), constant_flow(x0, 1.0), initial_positions=x0)
+
+
+def test_a_rate_that_turns_nan_after_a_jump_raises_in_both_engines():
+    # mid-sub-step, at a candidate's own time: the coupled stepper tests it per
+    # candidate, the ensemble per round
+    policy = StepPolicy(candidate_cap=50.0, max_retries=0)
+    x0 = np.zeros((8, 1))
+    with pytest.raises(RateBoundViolation, match=r"^rate nan above bound 2 for particle \d+ in system X at t=0\.\d+$"):
+        simulate_coupled(("X",), _rate_after_first_jump(math.nan), 1.0, 1.0, make_driver_bundle(1, 0, 8),
+                         initial_positions=x0, policy=policy)
+    with pytest.raises(RateBoundViolation, match=r"^rate nan above bound 2 for copy \d+ in system LIMIT at t=0\.\d+$"):
+        simulate_ensemble(_rate_after_first_jump(math.nan), 1.0, 1.0, make_driver_bundle(1, 0, 8),
+                          constant_flow(x0, 1.0), initial_positions=x0, policy=policy)
+
+
+def test_an_infinite_start_rate_names_the_particle_instead_of_overflowing():
+    # neuronal's rate overflows to inf at 1e160; sizing the sub-step from it was an OverflowError
+    spec = build("neuronal", {})
+    with pytest.raises(RateBoundViolation, match=r"^rate inf for particle 0 at t=0 is not finite$"), \
+            np.errstate(over="ignore"):
+        simulate("X", spec, 0.1, 0.05, make_driver_bundle(0, 0, 4), init=InitSampler(kind="point", point=(1.0e160,)))
 
 
 def test_rate_bound_retry_recovers():
@@ -343,7 +378,7 @@ class _ReferenceSimulator(CoupledSimulator):
                 d = np.linalg.norm(self.system(a).pos - self.system(b).pos, axis=1)
                 np.maximum(self.sup[key], d, out=self.sup[key])
 
-    def _substep(self, t, h, bounds):
+    def _substep(self, t, h, bounds, ceilings=None):
         spec = self.spec
         euler = self.scheme == "euler"
         drifts, diffs = [], []
