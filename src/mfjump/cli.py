@@ -4,7 +4,8 @@ Exit codes: 0 success; 1 error or partial sweep; validate maps its verdict
 to 0 (pass), 2 (fail), 3 (indeterminate).  Input the library rejects
 (``InvalidInputError``, ``ConfigError``) and a partial sweep (``SweepError``:
 the good cells' outputs are written) print ``mfjump <command>: <reason>`` as
-one stderr line, and ``main`` returns 1.
+one stderr line, and ``main`` returns 1; so does an engine error outside a sweep
+cell (``RateBoundViolation``, ``NumericalBlowupError``), its type before the reason.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .drivers import InvalidInputError, make_driver_bundle
 from .harness import SimConfig, SweepError, _ConfigLoader, run_chaos_sweep, run_diagnostics, run_validate, save_jumplog_csv, save_paths_csv
 from .metrics import w1_assignment
 from .models import ProbeConfig
-from .particle import simulate
+from .particle import NumericalBlowupError, RateBoundViolation, simulate
 from .zoo import build, model_ids
 
 
@@ -47,11 +48,12 @@ def _cmd_simulate(args) -> int:
     spec = build(config.model.id, config.model.params)
     n = int(config.run.Ns[0])
     bundle = make_driver_bundle(config.run.seed, 0, n)
-    paths = simulate(
-        args.system, spec, config.run.T, config.run.dt, bundle,
-        init=config.init, scheme=config.run.scheme,
-        policy=config.stepping,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # as in a sweep cell: the engine raises on an overflow that matters
+        paths = simulate(
+            args.system, spec, config.run.T, config.run.dt, bundle,
+            init=config.init, scheme=config.run.scheme,
+            policy=config.stepping,
+        )
     outdir = Path(config.output.dir)
     outdir.mkdir(parents=True, exist_ok=True)
     with open(outdir / f"paths_{args.system}.csv", "w") as fh:
@@ -172,6 +174,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (InvalidInputError, SweepError) as exc:  # ConfigError included: the reason, not a traceback
         print(f"mfjump {args.command}: {exc}", file=sys.stderr)
+        return 1
+    except (RateBoundViolation, NumericalBlowupError) as exc:
+        print(f"mfjump {args.command}: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
 

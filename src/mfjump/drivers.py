@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
+import math
 import sys
 import threading
 import types
@@ -377,48 +378,83 @@ def collect_candidates(
     inter-arrival uniform w places the next candidate ``-log(w) / bound``
     later; if that lies in (t0, t1], a thinning-level uniform, scaled by
     the bound, follows.  The walk ends with the first candidate past t1.
-    Each round hashes a live particle's thinning level and next gap,
-    draws c and c + 1 of its stream, in one call.
     Returns (times, jumpers, u_levels, event_indices) sorted by time with
     ties broken by particle index.  Particles with zero bound emit nothing.
     """
-    n = bundle.n
-    poisson = bundle.poisson
     r = np.asarray(rate_bounds, dtype=np.float64)
-    times_acc: list[np.ndarray] = []
-    jumps_acc: list[np.ndarray] = []
-    us_acc: list[np.ndarray] = []
-    ks_acc: list[np.ndarray] = []
-
     # a slice when every bound is positive: index arrays over all rows cost ~3x
     active = slice(None) if np.all(r > 0) else np.flatnonzero(r > 0)
-    cur = np.full(n, np.inf)
-    w = poisson.uniforms_at(active)
-    cur[active] = t0 - np.log(w) / r[active]
+    cur = np.full(bundle.n, np.inf)
+    cur[active] = t0 - np.log(bundle.poisson.uniforms_at(active)) / r[active]
     live = np.flatnonzero(cur <= t1)
-    tl = cur[live]  # the live particles' candidate times; fancy indexes copy, so the lists own their arrays
-    while live.size > 0:
+    rounds = _candidate_rounds(bundle, live, cur[live], np.full(bundle.n, t1), r)
+    times, jumpers, us, ks = (np.concatenate(a) for a in zip(_NO_CANDIDATES, *rounds))
+    order = np.lexsort((jumpers, times))
+    return times[order], jumpers[order], us[order], ks[order]
+
+
+_NO_CANDIDATES = (np.empty(0), np.empty(0, dtype=np.int64), np.empty(0), np.empty(0, dtype=np.int64))
+
+
+def _candidate_rounds(bundle: DriverBundle, live: np.ndarray, tl: np.ndarray, t1: np.ndarray, r: np.ndarray) -> list:
+    """The candidates of the rows ``live`` from theirs at times ``tl`` through the rows' ends ``t1``
+    under their bounds ``r``, as (times, rows, u_levels, event_indices) per round.  A round hashes
+    each live row's thinning level and next gap, draws c and c + 1 of its stream, in one call."""
+    poisson, rounds = bundle.poisson, []
+    while live.size:
         c = poisson.counters[live]
         u, w = _uniform_from_raw(_raw_from_counters(poisson.keys[live], c + _U64_PAIR))
         poisson.counters[live] = c + _U64_TWO
         k = bundle.cand_counts[live].astype(np.int64)
         bundle.cand_counts[live] += _U64_ONE
         rl = r[live]
-        times_acc.append(tl)
-        jumps_acc.append(live)
-        us_acc.append(u * rl)
-        ks_acc.append(k)
+        rounds.append((tl, live, u * rl, k))
         nxt = tl - np.log(w) / rl
-        keep = nxt <= t1
+        keep = nxt <= t1[live]
         live, tl = live[keep], nxt[keep]
+    return rounds
 
-    if not times_acc:
-        empty = np.empty(0)
-        return empty, np.empty(0, dtype=np.int64), empty, np.empty(0, dtype=np.int64)
 
-    times = np.concatenate(times_acc)
-    jumpers = np.concatenate(jumps_acc)
-    us = np.concatenate(us_acc)
-    ks = np.concatenate(ks_acc)
-    order = np.lexsort((jumpers, times))
-    return times[order], jumpers[order], us[order], ks[order]
+def _grid_candidates(bundle: DriverBundle, t0s, t1s, rate_bounds: np.ndarray) -> list[tuple]:
+    """``collect_candidates`` on the windows (t0s[i], t1s[i]] in turn: its tuple per window, bit for bit,
+    and its counters after the last, in one batched walk.  A pass hashes the first gaps of every row's
+    next ``ahead`` windows, which are its draws up to its first window with a candidate; that window's
+    candidates are walked in rounds as in ``collect_candidates``, and the row's next pass starts after it.
+    """
+    t0s, t1s = np.asarray(t0s, dtype=np.float64), np.asarray(t1s, dtype=np.float64)
+    nw = len(t0s)
+    poisson = bundle.poisson
+    r = np.asarray(rate_bounds, dtype=np.float64)
+    rows = np.flatnonzero(r > 0)
+    nxt = np.zeros(rows.size, dtype=np.int64)  # each row's next window
+    busiest = float(r[rows].max() * np.mean(t1s - t0s)) if rows.size and nw else 0.0  # candidates per window
+    ahead = nw if busiest * nw <= 2.0 else max(1, math.ceil(2.0 / busiest))  # windows of ~2 candidates
+    steps = np.arange(ahead)
+    row_win, row_end = np.zeros(bundle.n, dtype=np.int64), np.empty(bundle.n)  # a walked row's window, its end
+    acc = [(*_NO_CANDIDATES, np.empty(0, dtype=np.int64))]  # collect_candidates' tuple and the window
+    while rows.size:
+        win = nxt[:, None] + steps
+        inside = win < nw
+        np.minimum(win, nw - 1, out=win)
+        c = poisson.counters[rows]
+        w = _uniform_from_raw(_raw_from_counters(poisson.keys[rows, None], c[:, None] + steps.astype(np.uint64)))
+        cur = t0s[win] - np.log(w) / r[rows, None]
+        hit = inside & (cur <= t1s[win])
+        first = hit.argmax(axis=1)
+        live = np.flatnonzero(hit[np.arange(rows.size), first])
+        used = np.minimum(ahead, nw - nxt)
+        used[live] = first[live] + 1
+        poisson.counters[rows] = c + used.astype(np.uint64)
+        nxt += used
+        jl = rows[live]
+        row_win[jl] = nxt[live] - 1
+        row_end[jl] = t1s[row_win[jl]]
+        acc += [(*rd, row_win[rd[1]]) for rd in _candidate_rounds(bundle, jl, cur[live, first[live]], row_end, r)]
+        more = nxt < nw
+        rows, nxt = rows[more], nxt[more]
+
+    times, jumpers, us, ks, wins = (np.concatenate(a) for a in zip(*acc))
+    order = np.lexsort((jumpers, times, wins))
+    cuts = np.searchsorted(wins[order], np.arange(nw + 1)).tolist()
+    sorted_ = [a[order] for a in (times, jumpers, us, ks)]
+    return [tuple(a[i:j] for a in sorted_) for i, j in zip(cuts[:-1], cuts[1:])]

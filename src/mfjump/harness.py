@@ -400,12 +400,13 @@ def run_chaos_sweep(config: SimConfig, force: bool = False) -> ChaosReport:
         else:  # the probes run in a worker beside the limit solve
             verdict = pool.submit(run_validate, config.model.id, config.model.params)
         try:
-            flow = solve_limit(
-                spec, config.limit.ensemble or 16 * max(Ns), config.run.T, config.run.dt,
-                seed=config.run.seed, tol=config.limit.picard_tol,
-                max_iter=config.limit.picard_max_iter, scheme=config.run.scheme,
-                policy=config.stepping, init=config.init,
-            )
+            with np.errstate(over="ignore", invalid="ignore"):  # as in a cell
+                flow = solve_limit(
+                    spec, config.limit.ensemble or 16 * max(Ns), config.run.T, config.run.dt,
+                    seed=config.run.seed, tol=config.limit.picard_tol,
+                    max_iter=config.limit.picard_max_iter, scheme=config.run.scheme,
+                    policy=config.stepping, init=config.init,
+                )
         finally:  # a failed verdict wins over a failed solve
             if pool is not None:
                 _gate(verdict.result(), force)

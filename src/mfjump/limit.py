@@ -47,6 +47,7 @@ from .particle import (
     StepPolicy,
     _advance_substeps,
     _frozen_coefficients,
+    _next_draws,
     _resolve_scheme,
     output_grid,
     simulate_coupled,
@@ -178,7 +179,7 @@ def simulate_ensemble(
     snaps = np.empty((ncells + 1, m, d))
     snaps[0] = pos
     jumps = 0
-    replay = enumerate(tape) if tape else None  # a tape with entries is replayed, an empty one records
+    replay = enumerate([*tape, (None, None)]) if tape else None  # a tape with entries is replayed, an empty one records
 
     def rates(t):
         return np.asarray(spec.rate(pos, flow.cell(t).measure), dtype=np.float64)
@@ -194,6 +195,9 @@ def simulate_ensemble(
     def restore(snap):
         pos[:, :] = snap[0]
         drivers.restore(snap[1])
+
+    if spec.meta.rate_global_bound is not None:  # the raise is final and pos is private: no rewind is read
+        snapshot, restore = (lambda: None), (lambda snap: None)
 
     for cell in range(ncells):
         start, end = dt_eff * cell, dt_eff * (cell + 1)
@@ -225,15 +229,11 @@ def _event_rounds(block: np.ndarray, time: np.ndarray, row: np.ndarray) -> list[
 def _substep_draws(drivers, tape, replay, t, h, bounds, bdim):
     """A sub-step's Brownian increments (None when ``bdim`` is), candidates and their ``_event_rounds``.
 
-    A ``replay`` (``enumerate(tape)``) returns the next tape entry, which must be for this sub-step's
-    (t, h), and leaves the bundle as it stands.  Otherwise the sub-step draws, and appends to the tape if any.
+    A ``replay`` (``_next_draws``) returns the next tape entry's draws and leaves the bundle as it
+    stands.  Otherwise the sub-step draws, and appends to the tape if any.
     """
     if replay is not None:
-        i, entry = next(replay, (len(tape), (None, None)))
-        if entry[:2] != (t, h):
-            raise InvalidInputError(f"draw tape entry {i} is not for the sub-step at t={t!r}, h={h!r}: "
-                                    "the tape was recorded on another grid")
-        return entry[2:]
+        return _next_draws(replay, t, h)
     dW = None if bdim is None else drivers.brownian.normals_block(bdim) * math.sqrt(h)
     cands = collect_candidates(drivers, t, t + h, bounds)
     rounds = _event_rounds(cands[1], cands[0], cands[1])

@@ -9,6 +9,9 @@ interacting systems of one replica event by event; ``simulate_ensemble``
 sub-steps with ``_advance_substeps`` and freeze coefficients with
 ``_frozen_coefficients``.  The intermediate system replaces each
 collateral kick by its mean-field drift, ``models.collateral_drift``.
+A declared global rate bound fixes the sub-step grid before the run, so
+``simulate_coupled`` draws it whole (``_grid_draws``) and the Picard solve
+records its first sweep's draws; their sub-steps replay what they would draw.
 
 Scheme
 ------
@@ -52,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .drivers import DriverBundle, InvalidInputError, _finite, _integer, _positive, collect_candidates, marks_uniforms
+from .drivers import DriverBundle, InvalidInputError, _finite, _grid_candidates, _integer, _positive, collect_candidates, marks_uniforms
 from .models import EmpiricalMeasure, ModelSpec, collateral_drift
 
 
@@ -148,14 +151,15 @@ def apply_jump(
     Returns (positions, main_amplitude); a measure over ``positions`` is stale after it.
     """
     n = positions.shape[0]
-    xj = positions[jumper].copy()
-    psi = spec.main_jump(xj[None, :], measure, np.asarray([h_main]))[0]
+    row = positions[jumper : jumper + 1]
+    xj = row.copy()
+    psi = spec.main_jump(xj, measure, np.asarray([h_main]))
     if h_collateral is not None:
-        theta = np.asarray(spec.collateral_jump(xj, positions, measure, h_main, h_collateral))
+        theta = np.asarray(spec.collateral_jump(xj[0], positions, measure, h_main, h_collateral))
         if theta.any():
             positions += np.divide(theta, n, out=kick)  # the jumper's row is overwritten below
-    positions[jumper] = xj + psi
-    return positions, psi
+    np.add(xj, psi, out=row)
+    return positions, psi[0]
 
 
 class _LiveSystem:
@@ -284,6 +288,43 @@ def _advance_substeps(spec, policy, t, end, rates, substep, snapshot, restore) -
         t += h
 
 
+def _substep_grid(spec: ModelSpec, policy: StepPolicy, ends) -> list[tuple[float, float]]:
+    """Every sub-step (t, h) that ``_advance_substeps`` takes from 0 through the cell ends ``ends``
+    under a declared global rate bound, which fixes them before the run."""
+    grid, t, zero = [], 0.0, np.zeros(1)
+    for end in ends:
+        _advance_substeps(spec, policy, t, end, lambda t: zero, lambda t, h, *_: grid.append((t, h)),
+                          lambda: None, lambda snap: None)
+        t = end
+    return grid
+
+
+def _grid_draws(bundle: DriverBundle, grid: list, bound: float, bdim: int | None):
+    """(t, h, Brownian increments or None without ``bdim``, candidates) of every sub-step of ``grid``
+    under the rate bound ``bound``, the numbers the sub-steps one by one draw, then (None, None) for
+    ``_next_draws``.  One Brownian block and one candidate walk cover as many sub-steps as fit in 2**16 numbers."""
+    n = bundle.n
+    step = max(1, (1 << 16) // (n * (bdim or 1)))
+    for a in range(0, len(grid), step):
+        part = grid[a : a + step]
+        cands = _grid_candidates(bundle, [t for t, _ in part], [t + h for t, h in part], np.full(n, bound))
+        if bdim is not None:  # sub-step s takes the next bdim numbers of every Brownian stream
+            z = bundle.brownian.normals_block(bdim * len(part)).reshape(n, len(part), bdim).transpose(1, 0, 2).copy()
+        for s, ((t, h), c) in enumerate(zip(part, cands)):
+            yield t, h, None if bdim is None else z[s] * math.sqrt(h), c
+    yield None, None
+
+
+def _next_draws(replay, t: float, h: float) -> tuple:
+    """The draws of the next entry of ``replay``, an ``enumerate`` over (t, h, *draws) entries that
+    ends with (None, None); the entry must be for the sub-step (t, h)."""
+    i, entry = next(replay)
+    if entry[:2] != (t, h):
+        raise InvalidInputError(f"draw tape entry {i} is not for the sub-step at t={t!r}, h={h!r}: "
+                                "the tape was recorded on another grid")
+    return entry[2:]
+
+
 class CoupledSimulator:
     """Steps one or more systems on a shared driver bundle.
 
@@ -318,6 +359,7 @@ class CoupledSimulator:
         self._mark_scratch = np.empty((2, drivers.n), dtype=np.uint64)
         self._kick = np.empty((drivers.n, spec.dim))
         self._limit_rates = (math.nan, None)  # (t, LIMIT's rate vector at t), kept by _rates
+        self._replay = None  # simulate_coupled's pre-drawn grid (``_next_draws``), else each sub-step draws
         self._pairs = []  # (system a, system b, sup array, d=1 fold buffer) per coupled pair
         for (a, b), key in self.PAIR_KEYS.items():
             if a in systems and b in systems:
@@ -410,11 +452,13 @@ class CoupledSimulator:
             drifts.append(f)
             diffs.append(sig)
 
-        dW = None
-        if euler and spec.has_diffusion():
-            dW = self.bundle.brownian.normals_block(spec.brownian_dim) * math.sqrt(h)
-
-        cands = collect_candidates(self.bundle, t, t + h, bounds)
+        if self._replay is not None:
+            dW, cands = _next_draws(self._replay, t, h)
+        else:
+            dW = None
+            if euler and spec.has_diffusion():
+                dW = self.bundle.brownian.normals_block(spec.brownian_dim) * math.sqrt(h)
+            cands = collect_candidates(self.bundle, t, t + h, bounds)
         ceils = ceilings.tolist()
         keys = self.bundle.marks_keys
         # marks are addressed by particle id, so relabeling the bundle
@@ -441,7 +485,7 @@ class CoupledSimulator:
                 if s.kind == "LIMIT" and tau < lim_end and j not in lim_moved:
                     lam_j = float(lim_lam[j])
                 else:
-                    lam_j = float(np.asarray(spec.rate(s.pos[j : j + 1], mu))[0])
+                    lam_j = float(spec.rate(s.pos[j : j + 1], mu)[0])
                 if not lam_j <= ceils[j]:
                     raise RateBoundViolation(
                         f"rate {lam_j:.6g} above bound {float(bounds[j]):.6g} "
@@ -578,6 +622,10 @@ def simulate_coupled(
         x0 = (init or InitSampler(mean=tuple([0.0] * spec.dim))).sample(drivers, spec.dim)
     sim.set_initial(x0)
     ncells, dt_eff = output_grid(T, dt)
+    if spec.meta.rate_global_bound is not None:  # the bound fixes the grid: draw it all at once
+        grid = _substep_grid(spec, sim.policy, [dt_eff * (cell + 1) for cell in range(ncells)])
+        bdim = spec.brownian_dim if sim.scheme == "euler" and spec.has_diffusion() else None
+        sim._replay = enumerate(_grid_draws(drivers, grid, float(spec.meta.rate_global_bound), bdim))
     times = [0.0]
     positions = {k: [sim.system(k).pos.copy()] for k in systems} if record_paths else None
     for cell in range(ncells):

@@ -76,9 +76,14 @@ def _capped_jump_model(p: _CappedJumpParams, drift, class_tag: str, **meta) -> M
         return sig_rows(x.shape[0])
 
     def rate(x, m):
+        if x.shape == (1, 1):  # one d=1 row in Python floats; np.minimum returns its second argument on a tie
+            r, cap = math.sqrt(x.item(0) * x.item(0)), p.rate_cap_radius
+            return [p.rate_base + p.rate_slope * (r if r < cap or r != r else cap)]
         return p.rate_base + p.rate_slope * np.minimum(_radius(x), p.rate_cap_radius)
 
     def main_jump(x, m, h1):
+        if x.shape == (1, 1):
+            return [[-p.jump_scale * x.item(0) * float(h1[0])]]
         return -p.jump_scale * x * np.asarray(h1, dtype=np.float64)[:, None]
 
     def collateral_jump(xj, targets, m, h1, h2):
@@ -201,10 +206,14 @@ def build_neuronal(params: NeuronalParams) -> ModelSpec:
         return np.zeros((x.shape[0], d, 0))
 
     def rate(x, m):
+        if x.shape == (1, 1):  # the power stays numpy's array loop: Python's differs in the last bit
+            return [b_radial(np.array([math.sqrt(x.item(0) * x.item(0))])).item(0) + p.rate_offset]
         return b_radial(_radius(x)) + p.rate_offset
 
     def main_jump(x, m, h1):
         # reset: x + psi = U(h1) in [0, u_max]^d
+        if x.shape == (1, 1):
+            return [[p.reset_max * float(h1[0]) - x.item(0)]]
         return p.reset_max * np.asarray(h1, dtype=np.float64)[:, None] - x
 
     def collateral_jump(xj, targets, m, h1, h2):

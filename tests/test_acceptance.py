@@ -211,6 +211,13 @@ def test_criterion_7_jump_count_concentration():
         ok = ok and (pb <= pa or overlap)
         detail.append(f"P(N={a})={pa:.3f} -> P(N={b})={pb:.3f}")
     assert _line(7, "jump-count concentration", ok, f"H={h_t:.3f}; " + "; ".join(detail))
+    # no replica may reach H at any N, and then every tail reads 0 whatever the model does; the
+    # cross-replica sd of C_N(T)/N on the same runs must fall at criterion 1's rate
+    sds = [float(np.std(np.asarray(counts[N]) / N, ddof=1)) for N in Ns]
+    fit = fit_rate(Ns, sds)
+    sd_ok = -0.65 <= fit.slope <= -0.35
+    detail = ", ".join(f"sd(N={N})={sd:.3f}" for N, sd in zip(Ns, sds))
+    assert _line(7, "jump-count sd rate", sd_ok, f"{detail}; slope={fit.slope:+.3f} in [-0.65, -0.35]")
 
 
 def test_criterion_8_picard_convergence():

@@ -18,6 +18,7 @@ from mfjump.drivers import (
     InvalidInputError,
     StreamKey,
     StreamState,
+    _grid_candidates,
     collect_candidates,
     make_driver_bundle,
     marks_uniforms,
@@ -333,6 +334,58 @@ def test_collect_candidates_matches_the_two_call_walk_over_many_rounds():
     pids = np.asarray([9, 2**32 - 1, 4, 70000, 0, 5, 123456789])
     assert _same_candidate_walk(8, bounds, pids, [(0.0, 0.5), (0.5, 1.0)]) >= 3
     assert _same_candidate_walk(8, bounds, None, [(2.0, 2.5)]) >= 3
+
+
+def _same_grid_walk(seed, bounds, pids, widths):
+    """``_grid_candidates`` on the windows of ``widths`` against ``collect_candidates`` window by
+    window, bit for bit; returns the largest number of candidates one particle had in one window."""
+    t0s = np.cumsum([0.0, *widths[:-1]]).tolist()
+    t1s = [t + h for t, h in zip(t0s, widths)]  # as a sub-step computes its end
+    batched, single = (make_driver_bundle(seed, 3, len(bounds), particle_ids=pids) for _ in range(2))
+    with np.errstate(over="ignore"):  # a subnormal bound puts the first gap at inf in both
+        got = _grid_candidates(batched, t0s, t1s, bounds)
+        assert len(got) == len(widths)
+        most = 0
+        for window, t0, t1 in zip(got, t0s, t1s):
+            want = collect_candidates(single, t0, t1, bounds)
+            for a, b in zip(window, want):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            most = max(most, int(np.bincount(want[1], minlength=1).max()))
+    assert np.array_equal(batched.poisson.counters, single.poisson.counters)
+    assert np.array_equal(batched.cand_counts, single.cand_counts)
+    return most
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=_U32,
+    bounds=st.lists(_BOUND, min_size=1, max_size=12),
+    relabel=st.booleans(),
+    widths=st.lists(st.floats(0.001, 0.3), min_size=50, max_size=70),
+)
+def test_grid_walk_matches_collect_candidates_window_by_window(seed, bounds, relabel, widths):
+    # zero bounds emit nothing; relabeled ids address other streams
+    n = len(bounds)
+    pids = np.random.default_rng(seed).choice(2**32, n, replace=False) if relabel else None
+    _same_grid_walk(seed, np.asarray(bounds), pids, widths)
+
+
+def test_grid_walk_matches_collect_candidates_over_many_rounds():
+    # bound 30 over 60 windows of 0.1 or 0.5: some window holds 3 or more candidates of one particle,
+    # and the walk looks one window ahead; at bound 3 over windows of 0.05 it looks 14 ahead
+    bounds = np.asarray([30.0, 0.0, 30.0, 2.0, 30.0, 0.0, 12.0])
+    pids = np.asarray([9, 2**32 - 1, 4, 70000, 0, 5, 123456789])
+    assert _same_grid_walk(8, bounds, pids, [0.5] * 60) >= 3
+    assert _same_grid_walk(8, bounds, None, [0.1] * 60) >= 3
+    assert _same_grid_walk(8, np.full(7, 3.0), pids, [0.05] * 60) >= 3
+    assert _same_grid_walk(8, np.zeros(3), None, [0.1] * 60) == 0
+    assert _same_grid_walk(8, np.full(2, 1e-308), None, [0.1] * 60) == 0  # 2 / busiest overflowed to inf
+
+
+def test_grid_walk_keeps_a_candidate_at_its_window_end():
+    # a first gap that lands exactly on a window's end is a candidate of that window in both walks
+    tau = float(collect_candidates(make_driver_bundle(8, 3, 1), 0.0, 10.0, np.ones(1))[0][0])
+    assert _same_grid_walk(8, np.ones(1), None, [tau, 0.5]) == 1
 
 
 def test_bundle_snapshot_rewinds_exactly():

@@ -12,6 +12,7 @@ import pytest
 import yaml
 
 import mfjump
+import mfjump.cli as cli
 import mfjump.harness as harness
 from mfjump.cli import main as cli_main
 from mfjump.drivers import PICARD_REPLICA
@@ -23,6 +24,7 @@ from mfjump.harness import (
     run_diagnostics,
     run_validate,
 )
+from mfjump.particle import NumericalBlowupError
 
 
 def _config_dict(out_dir, **run_kw):
@@ -635,6 +637,36 @@ def test_cli_diagnostics_with_an_infinite_start_rate_exits_with_one_line(tmp_pat
         "mfjump diagnostics: 2 of 2 cells failed, first N=8 replica 0: RateBoundViolation: "
         f"rate inf for particle 0 at t=0 is not finite; partial results in {tmp_path / 'out'}\n"
     )
+
+
+@pytest.mark.parametrize("command", ["simulate", "chaos-sweep"])
+def test_cli_engine_error_outside_a_cell_exits_with_one_line(tmp_path, command):
+    # simulate steps outside any sweep cell, and chaos-sweep's limit solve raises before one runs;
+    # both used to end in a traceback
+    d = _diag_config(tmp_path / "out")
+    d["run"].update(T=0.1, Ns=[8], replicas=2)
+    d["init"] = {"kind": "point", "point": [1.0e160]}
+    (tmp_path / "big.yaml").write_text(yaml.safe_dump(d))
+    src = str(Path(mfjump.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "mfjump.cli", command, "--config", str(tmp_path / "big.yaml")],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == f"mfjump {command}: RateBoundViolation: rate inf for particle 0 at t=0 is not finite\n"
+
+
+def test_cli_blowup_outside_a_cell_exits_with_one_line(tmp_path, monkeypatch, capsys):
+    cfg = _diag_config(tmp_path / "out")
+    cfg_path = tmp_path / "cfg.yaml"
+    cfg_path.write_text(yaml.safe_dump(cfg))
+
+    def blowup(*args, **kwargs):
+        raise NumericalBlowupError(0.25, np.full((8, 1), np.inf), "X")
+
+    monkeypatch.setattr(cli, "simulate", blowup)
+    assert cli_main(["simulate", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err == "mfjump simulate: NumericalBlowupError: non-finite positions in system X at t=0.25\n"
 
 
 def test_cli_validate_reads_an_exponent_param_as_a_number(capsys):

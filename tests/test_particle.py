@@ -552,6 +552,53 @@ def test_event_loop_matches_reference_candidate_at_flow_grid_time(monkeypatch):
     assert not set(placed) & set(zip(lim.jump_times, lim.jump_particles))
 
 
+def _count_per_substep_draws(monkeypatch) -> list:
+    calls = []
+    monkeypatch.setattr(particle, "collect_candidates", lambda *args: calls.append(1) or collect_candidates(*args))
+    return calls
+
+
+@pytest.mark.parametrize("model", ["lipschitz-demo", "convex-potential"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_coupled_run_on_the_predrawn_grid_equals_drawing_per_substep(model, dim, monkeypatch):
+    # simulate_coupled draws a globally bounded model's whole sub-step grid before the run;
+    # a bare CoupledSimulator advanced cell by cell draws in every sub-step
+    spec = build(model, dict(_STRONG_KICKS, dim=dim))
+    n, T, dt = 24, 1.0, 0.1
+    flow = solve_limit(spec, 96, T, dt, seed=5, tol=1e-12, max_iter=1, init=InitSampler(mean=(0.3,) * dim))
+    x0 = np.random.default_rng(dim).normal(0.3, 0.8, size=(n, dim))
+    policy = StepPolicy(candidate_cap=0.3)  # 4 sub-steps a cell whose widths the remaining time sizes
+    systems = ("X", "Y", "LIMIT")
+    calls = _count_per_substep_draws(monkeypatch)
+    res = simulate_coupled(systems, spec, T, dt, make_driver_bundle(7, 0, n), flow=flow,
+                           initial_positions=x0, policy=policy)
+    assert calls == []
+    sim, grid = _run_cells(CoupledSimulator, systems, spec, x0, T, dt, 7, None, flow=flow, policy=policy)
+    assert len(calls) == 4 * output_grid(T, dt)[0]
+    for i, s in enumerate(sim.systems):
+        paths = res["paths"][s.kind]
+        assert np.array_equal(paths.positions[1:], grid[:, i])
+        assert paths.jump_times.tolist() == s.jump_times and paths.jump_particles.tolist() == s.jump_particles
+        assert np.array_equal(paths.jump_pre, np.asarray(s.jump_pre).reshape(-1, dim))
+        assert np.array_equal(paths.jump_post, np.asarray(s.jump_post).reshape(-1, dim))
+        assert res["jump_counts"][s.kind] == s.jump_count > 0
+    assert res["sup"].keys() == sim.sup.keys()
+    for key, sup in sim.sup.items():
+        assert sup.tobytes() == res["sup"][key].tobytes(), key
+
+
+def test_a_predrawn_grid_entry_for_another_substep_raises(monkeypatch):
+    spec = build("lipschitz-demo")
+    policy = StepPolicy(candidate_cap=0.3)
+    grid = particle._substep_grid(spec, policy, [0.1, 0.2])
+    assert len(grid) == 2
+    t, h = grid[1]
+    monkeypatch.setattr(particle, "_substep_grid", lambda *args: [grid[0], (t, np.nextafter(h, 1.0))])
+    with pytest.raises(InvalidInputError, match=rf"^draw tape entry 1 is not for the sub-step at t={t!r}, h={h!r}: "
+                                                 "the tape was recorded on another grid$"):
+        simulate("X", spec, 0.2, 0.1, make_driver_bundle(7, 0, 8), policy=policy)
+
+
 def test_event_loop_matches_reference_neuronal_triple():
     spec = build("neuronal", {"collateral_amp": 1.9})
     n, T, dt = 16, 2.0, 0.1

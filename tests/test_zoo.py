@@ -291,6 +291,41 @@ def test_rate_radius_has_the_bits_of_the_linalg_norm(d, rows, data):
         assert _radius(x[0]).tobytes() == np.linalg.norm(x[0], axis=-1).tobytes()  # one point
 
 
+def _one_row_values() -> np.ndarray:
+    """Zeros of both signs, subnormals, squares that overflow near 1e154, +-inf, NaN and the cap
+    radii, then 40,000 values of every magnitude and sign and of the probe domain."""
+    edge = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310, 1e154, -1e154,
+            1.3407807929942596e154, 1.3407807929942597e154, -2e154, 1e300, np.inf, -np.inf, np.nan,
+            2.0, -2.0, 1.5, -1.5, 1.0]
+    rng = np.random.default_rng(28)
+    spread = rng.choice([-1.0, 1.0], 20_000) * 10.0 ** rng.uniform(-323, 308, 20_000)
+    return np.concatenate([edge, spread, rng.uniform(-5.0, 5.0, 20_000)])
+
+
+@pytest.mark.parametrize("model,params", [
+    ("lipschitz-demo", {}),
+    ("convex-potential", {"rate_base": 0.5, "rate_slope": 1.25, "rate_cap_radius": 1.5, "jump_scale": 0.8}),
+    # a -0.0 cap ties with every radius 0: np.minimum returns its second argument there
+    ("lipschitz-demo", {"rate_base": -0.0, "rate_cap_radius": -0.0}),
+    *[("neuronal", {"rate_exponent": a, "reset_max": 0.7}) for a in (1.0, 1.5, 2.0, 3.0)],
+])
+def test_one_row_rate_and_main_jump_have_the_bits_of_the_vector_path(model, params):
+    # the event loops evaluate one d=1 row per candidate and per jump, in Python floats
+    spec = build(model, params)
+    m = make_empirical(np.zeros((4, 1)))
+    x = _one_row_values()[:, None]
+    h = np.random.default_rng(29).uniform(size=len(x))
+    h[:3] = 0.0, 5e-324, 1.0 - 2.0**-53
+    assert isinstance(spec.rate(x[:1], m), list) and isinstance(spec.main_jump(x[:1], m, h[:1]), list)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rates = np.asarray(spec.rate(x, m), dtype=np.float64)
+        jumps = np.asarray(spec.main_jump(x, m, h), dtype=np.float64)[:, 0]
+        one_rates = np.asarray([spec.rate(x[i : i + 1], m)[0] for i in range(len(x))])
+        one_jumps = np.asarray([spec.main_jump(x[i : i + 1], m, h[i : i + 1])[0][0] for i in range(len(x))])
+    assert one_rates.tobytes() == rates.tobytes()
+    assert one_jumps.tobytes() == jumps.tobytes()
+
+
 @pytest.mark.parametrize("model", ["lipschitz-demo", "convex-potential"])
 @pytest.mark.parametrize("d", [1, 3])
 def test_capped_jump_diffusion_is_a_read_only_broadcast_per_row_count(model, d):
