@@ -18,7 +18,7 @@ from .models import (
 from .metrics import fit_rate, jump_count_stats, moment_diagnostics, w1_1d, w1_assignment
 from .zoo import build, default_params, model_ids
 from .particle import InitSampler, PathRecordSet, StepPolicy, simulate, simulate_coupled
-from .limit import FlowApproximation, coupled_chaos_run, picard_iterate, simulate_ensemble, solve_limit
+from .limit import FlowApproximation, picard_iterate, simulate_ensemble, solve_limit
 from .harness import SimConfig, run_chaos_sweep, run_diagnostics, run_validate
 
 __version__ = "0.1.0"

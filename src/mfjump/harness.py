@@ -26,10 +26,10 @@ import numpy as np
 import yaml
 
 from .drivers import InvalidInputError, _integer, _positive, make_driver_bundle, scipy_extension
-from .limit import FlowApproximation, coupled_chaos_run, solve_limit
+from .limit import FlowApproximation, solve_limit
 from .metrics import ChaosReport, fit_rate, jump_count_stats, moment_diagnostics
 from .models import AssumptionReport, ProbeConfig, validate_model
-from .particle import InitSampler, StepPolicy, simulate
+from .particle import InitSampler, StepPolicy, simulate, simulate_coupled
 from .zoo import build, model_ids
 
 PKG_VERSION = "0.1.0"
@@ -369,10 +369,9 @@ def _write_plotdata(plot_dir: Path, Ns: list[int], distances: dict) -> None:
 
 
 def _chaos_values(config: SimConfig, spec, bundle, flow) -> dict:
-    res = coupled_chaos_run(
-        spec, config.run.T, config.run.dt, bundle, flow,
-        init=config.init, scheme=config.run.scheme,
-        policy=config.stepping,
+    res = simulate_coupled(
+        ("X", "Y", "LIMIT"), spec, config.run.T, config.run.dt, bundle,
+        flow=flow, init=config.init, scheme=config.run.scheme, policy=config.stepping, record_paths=False,
     )
     return {
         "d_xy": float(np.mean(res["sup"]["xy"])),

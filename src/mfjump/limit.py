@@ -12,9 +12,10 @@ For a model with a declared global rate bound every sub-step's thinning
 bound is that constant, and a rate above it raises instead of halving the
 step, so the sub-step grid and every number drawn on it (Brownian blocks
 and Poisson candidates) are the same in each sweep.  ``solve_limit``
-records them in the first sweep and later sweeps replay them without
-drawing.  The replayed numbers are the ones a draw would return, so the
-flow is bit-identical to drawing in every sweep.
+draws them whole before the first sweep's first sub-step
+(``particle._grid_draws``) and every sweep replays them without drawing.
+The replayed numbers are the ones a draw would return, so the flow is
+bit-identical to drawing in every sweep.
 
 For the superlinear-rate class the only flow dependence is the scalar
 summary t -> <mu_t, rate>, which enters the drift truncated at a constant
@@ -30,14 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .drivers import (
-    PICARD_REPLICA,
-    DriverBundle,
-    InvalidInputError,
-    collect_candidates,
-    make_driver_bundle,
-    marks_uniforms_batch,
-)
+from .drivers import PICARD_REPLICA, DriverBundle, InvalidInputError, make_driver_bundle, marks_uniforms_batch
 from .metrics import w1_sup
 from .models import EmpiricalMeasure, ModelSpec, collateral_drift, make_empirical
 from .particle import (
@@ -47,10 +41,11 @@ from .particle import (
     StepPolicy,
     _advance_substeps,
     _frozen_coefficients,
+    _grid_draws,
     _next_draws,
     _resolve_scheme,
+    _substep_grid,
     output_grid,
-    simulate_coupled,
 )
 
 _QUAD_CAP = 512
@@ -161,10 +156,12 @@ def simulate_ensemble(
     Copies never interact: within a sub-step their candidate events are
     processed in per-copy time order (vectorized round by round across
     copies).  The measure argument is the frozen flow of the cell.
-    An empty ``tape`` records the run's sub-step draws with their event
-    rounds, and a later run on the same grid and streams replays them
-    (``_substep_draws``) without sorting again; it needs a model with a
-    declared global rate bound, whose thinning bounds never change.
+    A declared global rate bound fixes the sub-step grid, so the run draws
+    every sub-step's numbers with their event rounds (``_ensemble_draws``)
+    before its first sub-step.  An empty ``tape`` is filled with them, and
+    a filled one is replayed without drawing or sorting again, as a run on
+    the same grid and streams would draw the same numbers; a tape needs
+    such a bound.  Under a rate-following bound each sub-step draws its own.
     """
     if tape is not None and spec.meta.rate_global_bound is None:
         raise InvalidInputError("a draw tape needs a declared global rate bound: other bounds vary by sweep")
@@ -179,14 +176,20 @@ def simulate_ensemble(
     snaps = np.empty((ncells + 1, m, d))
     snaps[0] = pos
     jumps = 0
-    replay = enumerate([*tape, (None, None)]) if tape else None  # a tape with entries is replayed, an empty one records
+    replay = None
+    if spec.meta.rate_global_bound is not None:  # the bound fixes the grid: draw it whole before the first sub-step
+        tape = [] if tape is None else tape
+        if not tape:
+            grid = _substep_grid(spec, policy, [dt_eff * (cell + 1) for cell in range(ncells)])
+            tape += _ensemble_draws(drivers, grid, np.full(m, float(spec.meta.rate_global_bound)), bdim)
+        replay = enumerate([*tape, (None, None)])
 
     def rates(t):
         return np.asarray(spec.rate(pos, flow.cell(t).measure), dtype=np.float64)
 
     def substep(t, h, bounds, ceilings):
         nonlocal jumps
-        draws = _substep_draws(drivers, tape, replay, t, h, bounds, bdim)
+        draws = _next_draws(replay, t, h) if replay else _ensemble_draws(drivers, [(t, h)], bounds, bdim)[0][2:]
         jumps += _ensemble_substep(spec, pos, drivers, flow, t, h, bounds, ceilings, trunc_c, euler, draws)
 
     def snapshot():
@@ -195,9 +198,6 @@ def simulate_ensemble(
     def restore(snap):
         pos[:, :] = snap[0]
         drivers.restore(snap[1])
-
-    if spec.meta.rate_global_bound is not None:  # the raise is final and pos is private: no rewind is read
-        snapshot, restore = (lambda: None), (lambda snap: None)
 
     for cell in range(ncells):
         start, end = dt_eff * cell, dt_eff * (cell + 1)
@@ -226,24 +226,14 @@ def _event_rounds(block: np.ndarray, time: np.ndarray, row: np.ndarray) -> list[
     return [order[seq == r] for r in range(int(seq.max()) + 1)] if len(b) else []
 
 
-def _substep_draws(drivers, tape, replay, t, h, bounds, bdim):
-    """A sub-step's Brownian increments (None when ``bdim`` is), candidates and their ``_event_rounds``.
-
-    A ``replay`` (``_next_draws``) returns the next tape entry's draws and leaves the bundle as it
-    stands.  Otherwise the sub-step draws, and appends to the tape if any.
-    """
-    if replay is not None:
-        return _next_draws(replay, t, h)
-    dW = None if bdim is None else drivers.brownian.normals_block(bdim) * math.sqrt(h)
-    cands = collect_candidates(drivers, t, t + h, bounds)
-    rounds = _event_rounds(cands[1], cands[0], cands[1])
-    if tape is not None:
-        tape.append((t, h, dW, cands, rounds))
-    return dW, cands, rounds
+def _ensemble_draws(drivers, grid, bounds, bdim) -> list:
+    """(t, h, Brownian increments or None, candidates, their ``_event_rounds``) of every sub-step of ``grid``
+    (``particle._grid_draws``)."""
+    return [(t, h, dW, c, _event_rounds(c[1], c[0], c[1])) for t, h, dW, c in _grid_draws(drivers, grid, bounds, bdim)]
 
 
 def _ensemble_substep(spec, pos, drivers, flow, t, h, bounds, ceilings, trunc_c, euler, draws) -> int:
-    """One sub-step of every copy in place on ``draws`` (``_substep_draws``); returns its
+    """One sub-step of every copy in place on ``draws`` (``_ensemble_draws`` less t and h); returns its
     accepted jumps, raises if a copy blows up."""
     _, _, mu, quad, lam_mean = flow.cell(t)
     g = collateral_drift(spec, pos, quad, min(lam_mean, trunc_c))
@@ -329,7 +319,7 @@ def picard_iterate(
 
     Every sweep addresses the same driver namespace, so the returned delta
     is a pathwise contraction measure, not fresh-sample noise.  ``tape``
-    records or replays the sweep's draws (``simulate_ensemble``).
+    is filled with the sweep's draws or replayed (``simulate_ensemble``).
     """
     res = simulate_ensemble(
         spec, T, dt, make_driver_bundle(seed, PICARD_REPLICA, M), flow_k,
@@ -408,32 +398,3 @@ def solve_limit(
     }
     return flow
 
-
-def coupled_chaos_run(
-    spec: ModelSpec,
-    T: float,
-    dt: float,
-    drivers: DriverBundle,
-    flow: FlowApproximation,
-    *,
-    init: InitSampler | None = None,
-    initial_positions: np.ndarray | None = None,
-    scheme: str = "auto",
-    policy: StepPolicy | None = None,
-) -> dict:
-    """Triple (X, Y, limit copies) of ``drivers.n`` particles on shared drivers.
-
-    Returns ``simulate_coupled``'s dict without ``paths``: ``sup`` of the
-    pairs xy, ylimit and xlimit, ``jump_counts`` of X, Y and LIMIT, and
-    ``retries``.  At most one of ``init``/``initial_positions`` may be given.
-    The sup is evaluated over all grid points and all event times; limit
-    copies are driven by the solved flow, index-coupled to the particles
-    through the shared per-particle streams.  The values are distances of
-    this synchronous coupling, hence upper bounds for the path-space W1
-    (README says how tight, per model).
-    """
-    return simulate_coupled(
-        ("X", "Y", "LIMIT"), spec, T, dt, drivers,
-        flow=flow, init=init, initial_positions=initial_positions,
-        scheme=scheme, policy=policy, record_paths=False,
-    )

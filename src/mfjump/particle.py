@@ -9,9 +9,11 @@ interacting systems of one replica event by event; ``simulate_ensemble``
 sub-steps with ``_advance_substeps`` and freeze coefficients with
 ``_frozen_coefficients``.  The intermediate system replaces each
 collateral kick by its mean-field drift, ``models.collateral_drift``.
-A declared global rate bound fixes the sub-step grid before the run, so
-``simulate_coupled`` draws it whole (``_grid_draws``) and the Picard solve
-records its first sweep's draws; their sub-steps replay what they would draw.
+Every sub-step's Brownian increments and Poisson candidates are drawn by
+one producer, ``_grid_draws``.  A declared global rate bound fixes the
+sub-step grid before the run, so both engines draw it whole before their
+first sub-step and their sub-steps replay what they would draw; under a
+rate-following bound each sub-step draws its own.
 
 Scheme
 ------
@@ -41,17 +43,20 @@ collateral term) folded in via an exponential integrator.
 
 Thinning bounds are local per particle: a declared global rate bound when
 the model has one, otherwise an affine envelope of the current rate.  A
-rate above an envelope aborts the sub-step, which is retried with a halved
-step a bounded number of times.  Halving cannot change a declared bound,
-so a rate above it raises at once.  Both engines pass a rate only when it
-is at most its row's ceiling (``_thinning_bounds``), so a NaN or infinite
-rate raises too: violations surface, they are never silently absorbed.
+rate above an envelope aborts the sub-step, which is rewound and retried
+with a halved step a bounded number of times.  Halving cannot change a
+declared bound, so a rate above it raises at once, with no rewind: the
+systems are left where the failed sub-step put them.  Both engines pass a
+rate only when it is at most its row's ceiling (``_thinning_bounds``), so
+a NaN or infinite rate raises too: violations surface, they are never
+silently absorbed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -257,12 +262,14 @@ def _advance_substeps(spec, policy, t, end, rates, substep, snapshot, restore) -
 
     ``rates(t)`` gives the rates the bounds must cover, and
     ``substep(t, h, bounds, ceilings)`` advances the state on the bounds and
-    their ceilings, made once per sub-step.  A sub-step that raises
-    ``RateBoundViolation`` is rewound with ``restore(snapshot())`` and,
-    under a rate-following bound, retried at half the step at most
-    ``policy.max_retries`` times; a declared global bound, which halving
-    cannot change, raises at once.  Returns the number of retries.
+    their ceilings, made once per sub-step.  Under a declared global rate
+    bound, which halving cannot change, a ``RateBoundViolation`` is final:
+    the sub-step runs once, with no snapshot, and the error propagates.
+    Under a rate-following bound a sub-step that raises is rewound with
+    ``restore(snapshot())`` and retried at half the step at most
+    ``policy.max_retries`` times.  Returns the number of retries.
     """
+    final = spec.meta.rate_global_bound is not None
     retried = 0
     while True:
         rem = end - t
@@ -274,14 +281,16 @@ def _advance_substeps(spec, policy, t, end, rates, substep, snapshot, restore) -
         h = rem / nsub
         retries = 0
         while True:
-            snap = snapshot()
+            snap = None if final else snapshot()
             try:
                 substep(t, h, bounds, ceilings)
                 break
             except RateBoundViolation:
+                if final:
+                    raise
                 restore(snap)
                 retries += 1
-                if spec.meta.rate_global_bound is not None or retries > policy.max_retries:
+                if retries > policy.max_retries:
                     raise
                 h /= 2.0
         retried += retries
@@ -293,26 +302,34 @@ def _substep_grid(spec: ModelSpec, policy: StepPolicy, ends) -> list[tuple[float
     under a declared global rate bound, which fixes them before the run."""
     grid, t, zero = [], 0.0, np.zeros(1)
     for end in ends:
-        _advance_substeps(spec, policy, t, end, lambda t: zero, lambda t, h, *_: grid.append((t, h)),
-                          lambda: None, lambda snap: None)
+        _advance_substeps(spec, policy, t, end, lambda t: zero, lambda t, h, *_: grid.append((t, h)), None, None)
         t = end
     return grid
 
 
-def _grid_draws(bundle: DriverBundle, grid: list, bound: float, bdim: int | None):
-    """(t, h, Brownian increments or None without ``bdim``, candidates) of every sub-step of ``grid``
-    under the rate bound ``bound``, the numbers the sub-steps one by one draw, then (None, None) for
-    ``_next_draws``.  One Brownian block and one candidate walk cover as many sub-steps as fit in 2**16 numbers."""
+def _grid_draws(bundle: DriverBundle, grid: list, bounds: np.ndarray, bdim: int | None):
+    """(t, h, Brownian increments or None without ``bdim``, candidates) of every sub-step (t, h) of
+    ``grid`` under the per-row rate bounds ``bounds``: the numbers of every sub-step of both engines.
+
+    A narrow bundle (n * bdim at most 2,048, so that 32 sub-steps fit in 2**16 numbers) asked for
+    more than one sub-step draws as many as fit in 2**16 numbers at once, in one Brownian block and
+    one batched candidate walk (``_grid_candidates``).  Anything else draws sub-step by sub-step
+    (``normals_block``, ``collect_candidates``): the batched walk is slower on wide bundles and on
+    a single window.  Both walks return the same numbers.
+    """
     n = bundle.n
-    step = max(1, (1 << 16) // (n * (bdim or 1)))
+    width = n * (bdim or 1)
+    step = (1 << 16) // width if width <= 2048 and len(grid) > 1 else 1
     for a in range(0, len(grid), step):
         part = grid[a : a + step]
-        cands = _grid_candidates(bundle, [t for t, _ in part], [t + h for t, h in part], np.full(n, bound))
+        if step > 1:
+            cands = _grid_candidates(bundle, [t for t, _ in part], [t + h for t, h in part], bounds)
+        else:
+            cands = [collect_candidates(bundle, t, t + h, bounds) for t, h in part]
         if bdim is not None:  # sub-step s takes the next bdim numbers of every Brownian stream
             z = bundle.brownian.normals_block(bdim * len(part)).reshape(n, len(part), bdim).transpose(1, 0, 2).copy()
         for s, ((t, h), c) in enumerate(zip(part, cands)):
             yield t, h, None if bdim is None else z[s] * math.sqrt(h), c
-    yield None, None
 
 
 def _next_draws(replay, t: float, h: float) -> tuple:
@@ -321,7 +338,7 @@ def _next_draws(replay, t: float, h: float) -> tuple:
     i, entry = next(replay)
     if entry[:2] != (t, h):
         raise InvalidInputError(f"draw tape entry {i} is not for the sub-step at t={t!r}, h={h!r}: "
-                                "the tape was recorded on another grid")
+                                "the tape was drawn for another grid")
     return entry[2:]
 
 
@@ -359,6 +376,7 @@ class CoupledSimulator:
         self._mark_scratch = np.empty((2, drivers.n), dtype=np.uint64)
         self._kick = np.empty((drivers.n, spec.dim))
         self._limit_rates = (math.nan, None)  # (t, LIMIT's rate vector at t), kept by _rates
+        self._bdim = spec.brownian_dim if self.scheme == "euler" and spec.has_diffusion() else None
         self._replay = None  # simulate_coupled's pre-drawn grid (``_next_draws``), else each sub-step draws
         self._pairs = []  # (system a, system b, sup array, d=1 fold buffer) per coupled pair
         for (a, b), key in self.PAIR_KEYS.items():
@@ -455,10 +473,7 @@ class CoupledSimulator:
         if self._replay is not None:
             dW, cands = _next_draws(self._replay, t, h)
         else:
-            dW = None
-            if euler and spec.has_diffusion():
-                dW = self.bundle.brownian.normals_block(spec.brownian_dim) * math.sqrt(h)
-            cands = collect_candidates(self.bundle, t, t + h, bounds)
+            (_, _, dW, cands), = _grid_draws(self.bundle, [(t, h)], bounds, self._bdim)
         ceils = ceilings.tolist()
         keys = self.bundle.marks_keys
         # marks are addressed by particle id, so relabeling the bundle
@@ -622,10 +637,10 @@ def simulate_coupled(
         x0 = (init or InitSampler(mean=tuple([0.0] * spec.dim))).sample(drivers, spec.dim)
     sim.set_initial(x0)
     ncells, dt_eff = output_grid(T, dt)
-    if spec.meta.rate_global_bound is not None:  # the bound fixes the grid: draw it all at once
+    if spec.meta.rate_global_bound is not None:  # the bound fixes the grid: draw it whole before the run
         grid = _substep_grid(spec, sim.policy, [dt_eff * (cell + 1) for cell in range(ncells)])
-        bdim = spec.brownian_dim if sim.scheme == "euler" and spec.has_diffusion() else None
-        sim._replay = enumerate(_grid_draws(drivers, grid, float(spec.meta.rate_global_bound), bdim))
+        bounds = np.full(drivers.n, float(spec.meta.rate_global_bound))
+        sim._replay = enumerate(chain(_grid_draws(drivers, grid, bounds, sim._bdim), [(None, None)]))
     times = [0.0]
     positions = {k: [sim.system(k).pos.copy()] for k in systems} if record_paths else None
     for cell in range(ncells):

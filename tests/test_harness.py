@@ -259,14 +259,14 @@ def test_sweep_report_regenerates_from_manifest(tmp_path):
 
 
 def test_sweep_partial_failure_persists_other_cells(tmp_path, monkeypatch):
-    real = harness.coupled_chaos_run
+    real = harness.simulate_coupled
 
-    def flaky(spec, T, dt, drivers, flow, **kw):
+    def flaky(systems, spec, T, dt, drivers, **kw):
         if drivers.n == 8 and drivers.replica == harness.replica_stream_key(1, 1):
             raise RuntimeError("injected cell failure")
-        return real(spec, T, dt, drivers, flow, **kw)
+        return real(systems, spec, T, dt, drivers, **kw)
 
-    monkeypatch.setattr(harness, "coupled_chaos_run", flaky)
+    monkeypatch.setattr(harness, "simulate_coupled", flaky)
     cfg = SimConfig.from_dict(_config_dict(tmp_path / "p"))
     with pytest.raises(SweepError) as err:
         run_chaos_sweep(cfg)
@@ -705,14 +705,14 @@ def test_cli_partial_sweep_exits_1_with_one_line(tmp_path, monkeypatch, capsys, 
     # ends with status 1 and one stderr line naming the first failure
     if command == "chaos-sweep":
         cfg = _config_dict(tmp_path / "out")
-        real = harness.coupled_chaos_run
+        real = harness.simulate_coupled
 
-        def flaky(spec, T, dt, drivers, flow, **kw):
+        def flaky(systems, spec, T, dt, drivers, **kw):
             if drivers.replica == harness.replica_stream_key(1, 1):
                 raise RuntimeError("injected cell failure")
-            return real(spec, T, dt, drivers, flow, **kw)
+            return real(systems, spec, T, dt, drivers, **kw)
 
-        monkeypatch.setattr(harness, "coupled_chaos_run", flaky)
+        monkeypatch.setattr(harness, "simulate_coupled", flaky)
         written = "distances.csv"
     else:
         cfg = _diag_config(tmp_path / "out")

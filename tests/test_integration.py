@@ -7,7 +7,7 @@ from scipy.stats import kstest
 
 from mfjump.cli import main as cli_main
 from mfjump.drivers import make_driver_bundle, StreamKey, StreamState
-from mfjump.limit import constant_flow, coupled_chaos_run, solve_limit
+from mfjump.limit import constant_flow, solve_limit
 from mfjump.models import AssumptionMeta, ModelSpec, collateral_drift
 from mfjump.particle import InitSampler, simulate, simulate_coupled
 from mfjump.zoo import build
@@ -99,7 +99,7 @@ def test_two_dimensional_coupled_run():
     init = InitSampler(mean=(0.3, -0.2), std=0.4)
     flow = solve_limit(spec, 512, 0.8, 0.05, seed=66, tol=1e-2, max_iter=4, init=init)
     assert flow.ensemble.shape[2] == 2
-    res = coupled_chaos_run(spec, 0.8, 0.05, make_driver_bundle(66, 1, 32), flow, init=init)
+    res = simulate_coupled(("X", "Y", "LIMIT"), spec, 0.8, 0.05, make_driver_bundle(66, 1, 32), flow=flow, init=init)
     sup = res["sup"]
     assert np.all(np.isfinite(sup["xlimit"]))
     assert np.all(sup["xlimit"] <= sup["xy"] + sup["ylimit"] + 1e-12)
@@ -122,9 +122,9 @@ def test_neuronal_coupled_distances_shrink_with_n():
     means = []
     for ni, n in enumerate((32, 256)):
         vals = [
-            coupled_chaos_run(spec, 2.0, 0.05,
-                              make_driver_bundle(91, (ni << 20) | r, n), flow, init=init
-                              )["sup"]["xlimit"].mean()
+            simulate_coupled(("X", "Y", "LIMIT"), spec, 2.0, 0.05,
+                             make_driver_bundle(91, (ni << 20) | r, n), flow=flow, init=init
+                             )["sup"]["xlimit"].mean()
             for r in range(6)
         ]
         means.append(np.mean(vals))

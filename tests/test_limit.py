@@ -11,7 +11,6 @@ from mfjump.metrics import w1_capped
 from mfjump.limit import (
     FlowApproximation,
     constant_flow,
-    coupled_chaos_run,
     ensemble_noise_floor,
     flow_delta,
     picard_iterate,
@@ -395,14 +394,14 @@ def test_coupled_run_triangle_inequality_and_degeneracy():
     spec = build("lipschitz-demo", {})
     init = InitSampler(mean=(0.5,), std=0.5)
     flow = solve_limit(spec, 1024, 1.0, 0.05, seed=21, tol=5e-3, max_iter=6, init=init)
-    s = coupled_chaos_run(spec, 1.0, 0.05, make_driver_bundle(21, 3, 64), flow, init=init)["sup"]
+    s = simulate_coupled(("X", "Y", "LIMIT"), spec, 1.0, 0.05, make_driver_bundle(21, 3, 64), flow=flow, init=init)["sup"]
     assert np.all(s["xlimit"] <= s["xy"] + s["ylimit"] + 1e-12)
     assert np.all(s["xy"] >= 0) and s["xy"].max() > 0
 
     # collateral off: X and Y coincide exactly for every index
     spec0 = build("lipschitz-demo", {"collateral_amp": 0.0})
     flow0 = solve_limit(spec0, 1024, 1.0, 0.05, seed=21, tol=5e-3, max_iter=6, init=init)
-    s0 = coupled_chaos_run(spec0, 1.0, 0.05, make_driver_bundle(21, 3, 64), flow0, init=init)["sup"]
+    s0 = simulate_coupled(("X", "Y", "LIMIT"), spec0, 1.0, 0.05, make_driver_bundle(21, 3, 64), flow=flow0, init=init)["sup"]
     assert np.all(s0["xy"] == 0.0)
 
 
@@ -451,23 +450,19 @@ def test_coupled_run_measure_free_dynamics_degenerates():
     spec = build("lipschitz-demo", {"interaction": 0.0})
     init = InitSampler(mean=(0.5,), std=0.5)
     flow = solve_limit(spec, 256, 1.0, 0.05, seed=33, tol=1e-3, max_iter=4, init=init)
-    s = coupled_chaos_run(spec, 1.0, 0.05, make_driver_bundle(33, 0, 32), flow, init=init)["sup"]
+    s = simulate_coupled(("X", "Y", "LIMIT"), spec, 1.0, 0.05, make_driver_bundle(33, 0, 32), flow=flow, init=init)["sup"]
     assert np.all(s["ylimit"] == 0.0)
     assert s["xy"].max() > 0  # collateral kicks still move the interacting system
 
 
 
-@pytest.mark.parametrize("entry", ["simulate_coupled", "coupled_chaos_run"])
-def test_two_starts_are_rejected(entry):
+def test_two_starts_are_rejected():
     # initial_positions used to win and init was dropped without a word
     spec = build("lipschitz-demo", {})
     flow = constant_flow(np.zeros((4, 1)), 1.0, spec)
     kw = dict(flow=flow, init=InitSampler(mean=(0.5,)), initial_positions=np.ones((4, 1)))
     with pytest.raises(InvalidInputError, match="at most one of init and initial_positions"):
-        if entry == "simulate_coupled":
-            simulate_coupled(("X", "Y", "LIMIT"), spec, 1.0, 0.5, make_driver_bundle(1, 0, 4), **kw)
-        else:
-            coupled_chaos_run(spec, 1.0, 0.5, make_driver_bundle(1, 0, 4), **kw)
+        simulate_coupled(("X", "Y", "LIMIT"), spec, 1.0, 0.5, make_driver_bundle(1, 0, 4), **kw)
 
 def test_moment_bound_transfer_neuronal():
     # ensemble estimates of E[rate^p] settle: no positive trend on the

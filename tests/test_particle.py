@@ -595,8 +595,43 @@ def test_a_predrawn_grid_entry_for_another_substep_raises(monkeypatch):
     t, h = grid[1]
     monkeypatch.setattr(particle, "_substep_grid", lambda *args: [grid[0], (t, np.nextafter(h, 1.0))])
     with pytest.raises(InvalidInputError, match=rf"^draw tape entry 1 is not for the sub-step at t={t!r}, h={h!r}: "
-                                                 "the tape was recorded on another grid$"):
+                                                 "the tape was drawn for another grid$"):
         simulate("X", spec, 0.2, 0.1, make_driver_bundle(7, 0, 8), policy=policy)
+
+
+@pytest.mark.parametrize("n", [64, 1024, 4096])
+@pytest.mark.parametrize("bdim", [None, 1, 2])
+@pytest.mark.parametrize("substeps", [1, 40])
+def test_grid_draws_equal_drawing_substep_by_substep(n, bdim, substeps, monkeypatch):
+    # the producer takes one batched walk per 2**16 numbers on a bundle of n * bdim <= 2,048 rows
+    # asked for more than one sub-step, else draws each sub-step; either way its numbers and the
+    # bundle's counters after it are those of normals_block and collect_candidates called per sub-step
+    rng = np.random.default_rng(n + substeps)
+    widths = rng.uniform(0.05, 0.5, size=substeps)
+    grid = list(zip(np.concatenate(([0.0], np.cumsum(widths)[:-1])).tolist(), widths.tolist()))
+    bounds = rng.uniform(0.0, 3.0, size=n)
+    bounds[::7] = 0.0
+    walks = {"batched": 0, "per sub-step": 0}
+    for name, attr in (("batched", "_grid_candidates"), ("per sub-step", "collect_candidates")):
+        fn = getattr(particle, attr)
+        monkeypatch.setattr(particle, attr, lambda *a, fn=fn, name=name: walks.__setitem__(name, walks[name] + 1) or fn(*a))
+    bundle, ref = make_driver_bundle(3, 1, n), make_driver_bundle(3, 1, n)
+    drawn = list(particle._grid_draws(bundle, grid, bounds, bdim))
+    batched = n * (bdim or 1) <= 2048 and substeps > 1
+    assert walks == ({"batched": math.ceil(substeps / ((1 << 16) // (n * (bdim or 1)))), "per sub-step": 0}
+                     if batched else {"batched": 0, "per sub-step": substeps})
+    assert len(drawn) == substeps
+    for (t, h), (t_, h_, dW, cands) in zip(grid, drawn):
+        assert (t_, h_) == (t, h)
+        if bdim is None:
+            assert dW is None
+        else:
+            assert dW.tobytes() == (ref.brownian.normals_block(bdim) * math.sqrt(h)).tobytes()
+        for a, b in zip(cands, collect_candidates(ref, t, t + h, bounds)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+    for key, value in ref.snapshot().items():
+        assert np.array_equal(bundle.snapshot()[key], value), key
+    assert sum(len(c[0]) for *_, c in drawn) > substeps
 
 
 def test_event_loop_matches_reference_neuronal_triple():

@@ -1,4 +1,4 @@
-"""Picard sweeps of a globally bounded model replay the first sweep's draws.
+"""Picard sweeps of a globally bounded model replay draws made before the first sweep.
 
 ``tests/data/limit_golden.json`` holds sha256 digests of ``solve_limit``'s
 outputs for every case in ``CASES``, taken from the code that drew in every
@@ -8,6 +8,7 @@ sweep.  To rewrite it from the current tree:
 
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -15,10 +16,11 @@ import pytest
 
 import mfjump.drivers as drivers
 import mfjump.limit as limit
-from mfjump.drivers import PICARD_REPLICA, InvalidInputError, make_driver_bundle
+import mfjump.particle as particle
+from mfjump.drivers import PICARD_REPLICA, InvalidInputError, collect_candidates, make_driver_bundle
 from mfjump.limit import constant_flow, simulate_ensemble, solve_limit
 from mfjump.models import AssumptionMeta, ModelSpec
-from mfjump.particle import CoupledSimulator, InitSampler, RateBoundViolation, StepPolicy, simulate_coupled
+from mfjump.particle import CoupledSimulator, InitSampler, RateBoundViolation, StepPolicy, output_grid, simulate_coupled
 from mfjump.zoo import build
 
 GOLDEN = Path(__file__).parent / "data" / "limit_golden.json"
@@ -62,45 +64,48 @@ def test_solve_limit_matches_golden(name):
     assert _digests(name) == json.loads(GOLDEN.read_text())[name]
 
 
-def _count_draws_per_sweep(monkeypatch):
-    """Patches the sweep and both draws; returns {draw: calls before the first sweep, then per sweep}."""
-    calls = {"collect_candidates": [0], "normals_block": [0]}
-    picard_iterate = limit.picard_iterate
+def _log_draws_and_substeps(monkeypatch) -> list:
+    """Patches the sweeps, the sub-steps and the draws; returns the log of their calls in order."""
+    log = []
 
-    def sweep(*args, **kwargs):
-        for counts in calls.values():
-            counts.append(0)
-        return picard_iterate(*args, **kwargs)
-
-    def counted(name, fn):
+    def logged(name, fn):
         def wrapper(*args, **kwargs):
-            calls[name][-1] += 1
+            log.append(name)
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(limit, "picard_iterate", sweep)
-    monkeypatch.setattr(limit, "collect_candidates", counted("collect_candidates", limit.collect_candidates))
-    monkeypatch.setattr(
-        drivers.StreamArray, "normals_block", counted("normals_block", drivers.StreamArray.normals_block)
-    )
-    return calls
+    monkeypatch.setattr(limit, "picard_iterate", logged("sweep", limit.picard_iterate))
+    monkeypatch.setattr(limit, "_ensemble_substep", logged("substep", limit._ensemble_substep))
+    monkeypatch.setattr(particle, "collect_candidates", logged("candidates", particle.collect_candidates))
+    monkeypatch.setattr(particle, "_grid_candidates", logged("candidates", particle._grid_candidates))
+    monkeypatch.setattr(drivers.StreamArray, "normals_block", logged("normals", drivers.StreamArray.normals_block))
+    return log
 
 
-def test_bounded_model_draws_in_the_first_sweep_only(monkeypatch):
-    calls = _count_draws_per_sweep(monkeypatch)
-    solve_limit(build("lipschitz-demo"), 256, 0.3, 0.05, seed=3, tol=1e-12, max_iter=3, init=GAUSS)
-    # the initial sample takes one normal block; then 6 cells of one sub-step each
-    assert calls == {"collect_candidates": [0, 6, 0, 0], "normals_block": [1, 6, 0, 0]}
+@pytest.mark.parametrize("M,walks", [(256, 1), (4096, 6)])
+def test_bounded_model_draws_once_before_the_first_substep(M, walks, monkeypatch):
+    # 6 cells of one sub-step each: 256 copies take one batched walk and one
+    # Brownian block for all 6, 4,096 copies draw sub-step by sub-step
+    log = _log_draws_and_substeps(monkeypatch)
+    solve_limit(build("lipschitz-demo"), M, 0.3, 0.05, seed=3, tol=1e-12, max_iter=3, init=GAUSS)
+    assert log[:2] == ["normals", "sweep"]  # the initial sample, then sweep 1
+    first = log.index("substep")
+    assert log[2:first] == ["candidates", "normals"] * walks
+    assert log[first:] == ["substep"] * 6 + ["sweep"] + ["substep"] * 6 + ["sweep"] + ["substep"] * 6
 
 
 def test_unbounded_model_draws_in_every_sweep(monkeypatch):
-    calls = _count_draws_per_sweep(monkeypatch)
+    # a rate-following bound: every sub-step of every sweep draws its own candidates, just before it steps
+    log = _log_draws_and_substeps(monkeypatch)
     flow = solve_limit(build("neuronal"), 256, 0.3, 0.05, seed=3, tol=1e-12, max_iter=3,
                        init=InitSampler(kind="uniform"))
     assert flow.meta["deltas"][-1] > 0  # the sweeps moved, so they were simulated
-    sweeps = calls["collect_candidates"]
-    assert len(sweeps) == 4 and min(sweeps[1:]) >= 6
-    assert calls["normals_block"] == [0, 0, 0, 0]  # exact scheme, no diffusion
+    assert "normals" not in log  # exact scheme, no diffusion
+    sweeps = " ".join(log).split("sweep")
+    assert len(sweeps) == 4 and sweeps[0] == ""
+    for sweep in sweeps[1:]:
+        steps = sweep.split()
+        assert len(steps) >= 12 and steps == ["candidates", "substep"] * (len(steps) // 2)
 
 
 def test_tape_needs_a_global_rate_bound():
@@ -183,7 +188,7 @@ def test_replayed_sweeps_equal_drawn_sweeps():
 @pytest.mark.parametrize("replaying", [False, True])
 def test_a_rate_above_the_declared_bound_raises_on_the_first_attempt(replaying, monkeypatch):
     # the default policy allows 8 halved retries, yet the spike in sub-step 2
-    # of a recording or a replaying sweep raises: that sub-step ran once
+    # of a sweep on an empty tape or on a filled one raises: that sub-step ran once
     assert StepPolicy().max_retries == 8
     rate = _SpikingRate(M)
     spec = _spiking_spec(rate)
@@ -197,26 +202,73 @@ def test_a_rate_above_the_declared_bound_raises_on_the_first_attempt(replaying, 
     with pytest.raises(RateBoundViolation, match=r"^rate 10 above bound 2 for copy \d+ in system LIMIT at t=0\.[5-7]"):
         _sweep(spec, tape)
     assert calls == [0.0, 0.25, 0.5]
-    assert len(tape) == (4 if replaying else 3)  # a recording sweep keeps the draws of the sub-step that raised
+    assert len(tape) == 4  # an empty tape is filled whole before the first sub-step
 
 
-def test_coupled_systems_raise_on_the_first_attempt_and_rewind_the_substep():
+def test_a_declared_bound_raise_takes_no_snapshot_in_either_engine(monkeypatch):
+    # the raise is final, so neither engine copies its state to rewind a sub-step;
+    # a spike in the first sub-step leaves the bundle where that sub-step put it
+    snapshots = []
+    snapshot = drivers.DriverBundle.snapshot
+    monkeypatch.setattr(drivers.DriverBundle, "snapshot", lambda self: snapshots.append(1) or snapshot(self))
     rate = _SpikingRate(M)
     spec = _spiking_spec(rate)
     rate.spike_at = 2
     with pytest.raises(RateBoundViolation, match=r"^rate 10 above bound 2 for particle \d+ in system X at t=0\.[5-7]"):
         simulate_coupled(("X",), spec, T, DT, make_driver_bundle(5, 0, M), initial_positions=X0)
-    # a spike in the first sub-step leaves the systems and the bundle as they started
+    rate.substeps, rate.spike_at = 0, 2
+    with pytest.raises(RateBoundViolation, match=r"^rate 10 above bound 2 for copy \d+ in system LIMIT at t=0\.[5-7]"):
+        _sweep(spec, None)
     rate.substeps, rate.spike_at = 0, 0
     bundle = make_driver_bundle(5, 0, M)
-    fresh = bundle.snapshot()
     sim = CoupledSimulator(spec, bundle, ("X",))
     sim.set_initial(X0)
     with pytest.raises(RateBoundViolation):
         sim.advance(DT)
-    assert np.array_equal(sim.system("X").pos, X0) and sim.system("X").jump_count == 0
-    for key, value in bundle.snapshot().items():
-        assert np.array_equal(value, fresh[key])
+    assert snapshots == []
+    assert bundle.poisson.counters.any()
+    # a rate-following bound still snapshots every sub-step, to rewind a halved retry
+    simulate_coupled(("X",), build("neuronal"), T, DT, make_driver_bundle(5, 0, M), initial_positions=X0)
+    assert len(snapshots) >= 4
+
+
+def _drawn_one_by_one(bundle, grid, bound, bdim):
+    """Each sub-step's Brownian increments, candidates and event rounds, drawn as the sub-step comes."""
+    for t, h in grid:
+        dW = None if bdim is None else bundle.brownian.normals_block(bdim) * math.sqrt(h)
+        cands = collect_candidates(bundle, t, t + h, np.full(bundle.n, bound))
+        yield dW, cands, limit._event_rounds(cands[1], cands[0], cands[1])
+
+
+@pytest.mark.parametrize("model,params,m", [
+    ("lipschitz-demo", {}, 256),  # one batched walk
+    ("lipschitz-demo", {}, 4096),  # sub-step by sub-step
+    ("lipschitz-demo", {"dim": 2}, 1024),  # n * bdim = 2,048, the widest batched bundle: walks of 32 and 8
+    ("convex-potential", {}, 2048),
+])
+def test_a_predrawn_sweep_equals_drawing_each_substep_as_it_comes(model, params, m):
+    spec = build(model, params)
+    T, dt, d, bound = 1.0, 0.1, spec.dim, float(spec.meta.rate_global_bound)
+    x0 = np.random.default_rng(m).normal(0.3, 0.7, size=(m, d))
+    flow = solve_limit(spec, 128, T, dt, seed=2, tol=1e-12, max_iter=1, init=InitSampler(mean=(0.3,) * d))
+    policy = StepPolicy(candidate_cap=0.06)  # bound 2: 4 sub-steps a cell
+    tape = []
+    res = simulate_ensemble(spec, T, dt, make_driver_bundle(4, PICARD_REPLICA, m), flow,
+                            initial_positions=x0, policy=policy, tape=tape)
+
+    bundle = make_driver_bundle(4, PICARD_REPLICA, m)
+    ncells, dt_eff = output_grid(T, dt)
+    grid = particle._substep_grid(spec, policy, [dt_eff * (cell + 1) for cell in range(ncells)])
+    assert len(grid) == len(tape) == 4 * ncells
+    pos, snaps, jumps = x0.copy(), [x0.copy()], 0
+    bounds, ceilings = particle._thinning_bounds(spec, policy, np.zeros(m), 0.0)
+    for (t, h), draws in zip(grid, _drawn_one_by_one(bundle, grid, bound, spec.brownian_dim)):
+        jumps += limit._ensemble_substep(spec, pos, bundle, flow, t, h, bounds, ceilings, math.inf, True, draws)
+        if math.isclose(t + h, dt_eff * len(snaps), rel_tol=1e-9):
+            snaps.append(pos.copy())
+    assert len(snaps) == ncells + 1
+    assert res.snapshots.tobytes() == np.asarray(snaps).tobytes()
+    assert res.jump_count == jumps > 0
 
 
 @pytest.mark.parametrize("T,dt,entry", [(T, 0.5, "0 is not for the sub-step at t=0.0, h=0.5"),
@@ -226,7 +278,7 @@ def test_a_tape_recorded_on_another_grid_raises(T, dt, entry):
     spec = _spiking_spec(_SpikingRate(M))
     tape = []
     _sweep(spec, tape)
-    with pytest.raises(InvalidInputError, match=f"^draw tape entry {entry}: the tape was recorded on another grid$"):
+    with pytest.raises(InvalidInputError, match=f"^draw tape entry {entry}: the tape was drawn for another grid$"):
         _sweep(spec, tape, T, dt)
 
 
