@@ -109,6 +109,7 @@ KIND_CODES = {"brownian": 1, "poisson": 2, "marks": 3, "init": 4}
 # sweep cells).  (1 << 40) + 2 is taken by the generator in tests/weak_step.py.
 PICARD_REPLICA = 1 << 40
 PROBE_REPLICA = (1 << 40) + 1
+SUBSAMPLE_REPLICA = (1 << 40) + 3  # the W1 subsample's permutation (metrics.subsample_indices)
 
 _U64_GOLD = np.uint64(_GOLD)
 _U64_MIX1 = np.uint64(_MIX1)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .drivers import InvalidInputError, StreamKey, StreamState, scipy_extension
+from .drivers import SUBSAMPLE_REPLICA, InvalidInputError, StreamKey, StreamState, scipy_extension
 
 ASSIGNMENT_CAP = 512
 _Z95 = 1.96  # two-sided 95% normal quantile
@@ -104,7 +104,7 @@ def subsample_indices(n: int, cap: int, seed: int) -> np.ndarray:
     """
     if n <= cap:
         return np.arange(n)
-    s = StreamState(StreamKey(seed, 0, 0, "init").hash64())
+    s = StreamState(StreamKey(seed, SUBSAMPLE_REPLICA, 0, "init").hash64())
     order = np.argsort(s.uniforms(n))
     return np.sort(order[:cap])
 

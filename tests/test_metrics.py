@@ -13,7 +13,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mfjump
-from mfjump.drivers import InvalidInputError, StreamKey, StreamState
+from mfjump.drivers import (
+    PICARD_REPLICA,
+    PROBE_REPLICA,
+    SUBSAMPLE_REPLICA,
+    InvalidInputError,
+    StreamKey,
+    StreamState,
+    make_driver_bundle,
+)
+from mfjump.harness import replica_stream_key
 from mfjump.metrics import (
     _linear_sum_assignment,
     _pairwise_cost,
@@ -382,6 +391,20 @@ def test_w1_assignment_cap():
     assert np.array_equal(idx1, idx2)
     assert len(idx1) == 512 and len(np.unique(idx1)) == 512
     assert w1_capped(a, a) == 0.0
+
+
+@pytest.mark.parametrize("seed", [0, 5, 20240801])
+def test_subsample_stream_is_no_particles_init_stream(seed):
+    # the permutation used to take particle 0's init stream of a sweep's first
+    # cell and of mfjump simulate (replica 0); it has a reserved replica now
+    key = StreamKey(seed, SUBSAMPLE_REPLICA, 0, "init").hash64()
+    assert SUBSAMPLE_REPLICA > replica_stream_key(2**20 - 1, 2**20 - 1)
+    assert SUBSAMPLE_REPLICA not in (PICARD_REPLICA, PROBE_REPLICA, (1 << 40) + 2)  # + 2: tests/weak_step.py
+    replicas = [0, PICARD_REPLICA, PROBE_REPLICA] + [replica_stream_key(ni, r) for ni in range(4) for r in range(4)]
+    init_keys = np.concatenate([make_driver_bundle(seed, rep, 600).init.keys for rep in replicas])
+    assert key not in init_keys.tolist()
+    order = np.argsort(StreamState(key).uniforms(600))
+    assert np.array_equal(subsample_indices(600, 512, seed), np.sort(order[:512]))
 
 
 def plain_w1_sup(pairs, seed=0):

@@ -27,7 +27,7 @@ from mfjump.models import EmpiricalMeasure, ModelSpec, make_empirical
 from mfjump.particle import RateBoundViolation
 
 # replica namespace of the generator's mark streams, next to the library's
-# reserved PICARD_REPLICA and PROBE_REPLICA
+# reserved PICARD_REPLICA, PROBE_REPLICA and SUBSAMPLE_REPLICA
 WEAK_TEST_REPLICA = (1 << 40) + 2
 
 
