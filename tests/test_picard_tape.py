@@ -37,12 +37,20 @@ CASES = {
     ),
     "convex-potential": ("convex-potential", {}, 1024, 0.5, 0.05, 15, GAUSS, None),
     "neuronal": ("neuronal", {}, 1024, 0.5, 0.05, 16, InitSampler(kind="uniform"), None),
+    "neuronal-truncation-binds": ("neuronal", {}, 1024, 0.5, 0.05, 16, InitSampler(kind="uniform"), None),
 }
+# cases whose truncation C starts at this multiple of the initial rate summary's sup instead of
+# ``limit.TRUNC_FACTOR``: at 0.2, C binds and doubles in each of the first three sweeps
+TRUNC_FACTORS = {"neuronal-truncation-binds": 0.2}
 
 
 def _solve(name):
     model, params, M, T, dt, seed, init, policy = CASES[name]
-    return solve_limit(build(model, params), M, T, dt, seed=seed, tol=1e-12, max_iter=4, init=init, policy=policy)
+    factor, limit.TRUNC_FACTOR = limit.TRUNC_FACTOR, TRUNC_FACTORS.get(name, limit.TRUNC_FACTOR)
+    try:
+        return solve_limit(build(model, params), M, T, dt, seed=seed, tol=1e-12, max_iter=4, init=init, policy=policy)
+    finally:
+        limit.TRUNC_FACTOR = factor
 
 
 def _digest(values) -> str:
@@ -50,8 +58,7 @@ def _digest(values) -> str:
     return hashlib.sha256(repr(a.shape).encode() + a.tobytes()).hexdigest()
 
 
-def _digests(name) -> dict:
-    flow = _solve(name)
+def _digests(flow) -> dict:
     arrays = {
         "times": flow.times, "ensemble": flow.ensemble, "lam_mean": flow.lam_mean,
         "deltas": flow.meta["deltas"], "noise_floor": flow.meta["noise_floor"],
@@ -61,7 +68,11 @@ def _digests(name) -> dict:
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_solve_limit_matches_golden(name):
-    assert _digests(name) == json.loads(GOLDEN.read_text())[name]
+    flow = _solve(name)
+    assert _digests(flow) == json.loads(GOLDEN.read_text())[name]
+    if name in TRUNC_FACTORS:  # C bound the rate summary: it doubled after each of the first three sweeps
+        assert flow.meta["trunc_doublings"] == [flow.trunc_c / 4, flow.trunc_c / 2, flow.trunc_c]
+        assert np.max(flow.lam_mean) < flow.trunc_c
 
 
 def _log_draws_and_substeps(monkeypatch) -> list:
@@ -283,4 +294,4 @@ def test_a_tape_recorded_on_another_grid_raises(T, dt, entry):
 
 
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps({name: _digests(name) for name in CASES}, indent=2, sort_keys=True) + "\n")
+    GOLDEN.write_text(json.dumps({name: _digests(_solve(name)) for name in CASES}, indent=2, sort_keys=True) + "\n")
