@@ -328,7 +328,9 @@ class DriverBundle:
 
     def __post_init__(self):
         ids = np.asarray(self.particle_ids)
-        if ids.size and (ids.dtype.kind not in "iu" or ids.min() < 0 or ids.max() >= 1 << 32):
+        if not ids.size:
+            raise InvalidInputError("a driver bundle needs at least one particle")
+        if ids.dtype.kind not in "iu" or ids.min() < 0 or ids.max() >= 1 << 32:
             raise InvalidInputError("particle ids must be integers in [0, 2**32): the mark address is (k << 32) | id")
         self.particle_ids = ids
         reps = np.broadcast_to(self.replica, ids.shape)

@@ -19,14 +19,17 @@ bit-identical to drawing in every sweep.
 
 For the superlinear-rate class the only flow dependence is the scalar
 summary t -> <mu_t, rate>, which enters the drift truncated at a constant
-C; C starts at four times the initial summary's sup and doubles whenever
-the truncation binds on more than a configured fraction of the grid.
+C.  C lives on the flow (``FlowApproximation.trunc_c``), whose cells hold
+the truncated summary, so a sweep frozen at a flow reads that flow's C.
+``solve_limit`` starts C at four times the initial summary's sup and
+doubles it whenever the truncation binds on more than a configured fraction
+of the grid.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -54,7 +57,8 @@ SATURATION_FRACTION = 0.01  # share of grid times above trunc_c that doubles it
 
 
 class FlowCell(NamedTuple):
-    """A flow's grid cell: span [start, end), measure, capped quadrature sub-ensemble, rate summary."""
+    """A flow's grid cell: span [start, end), measure, capped quadrature sub-ensemble, and rate summary
+    truncated at the flow's ``trunc_c``."""
 
     start: float
     end: float
@@ -65,7 +69,8 @@ class FlowCell(NamedTuple):
 
 @dataclass
 class FlowApproximation:
-    """Time-marginal flow: per-grid-time ensemble plus scalar summaries."""
+    """Time-marginal flow: per-grid-time ensemble plus scalar summaries, and the truncation C of
+    the drift of a sweep frozen at it."""
 
     times: np.ndarray  # (G,)
     ensemble: np.ndarray  # (G, M, d)
@@ -93,7 +98,7 @@ class FlowApproximation:
             mu = EmpiricalMeasure(self.ensemble[i])
             quad = mu if self.M <= _QUAD_CAP else EmpiricalMeasure(self.ensemble[i, :: self.M // _QUAD_CAP][:_QUAD_CAP])
             end = float(self.times[i + 1]) if i + 1 < len(self.times) else math.inf
-            self._cells[i] = FlowCell(float(self.times[i]), end, mu, quad, float(self.lam_mean[i]))
+            self._cells[i] = FlowCell(float(self.times[i]), end, mu, quad, min(float(self.lam_mean[i]), self.trunc_c))
         return self._cells[i]
 
     def save(self, path) -> None:
@@ -131,13 +136,6 @@ def constant_flow(points: np.ndarray, T: float, spec: ModelSpec | None = None) -
     return _flow_from_snapshots(spec, times, ens, math.inf)
 
 
-@dataclass
-class EnsembleResult:
-    times: np.ndarray
-    snapshots: np.ndarray  # (G, M, d)
-    jump_count: int
-
-
 def simulate_ensemble(
     spec: ModelSpec,
     T: float,
@@ -146,16 +144,18 @@ def simulate_ensemble(
     flow: FlowApproximation,
     *,
     initial_positions: np.ndarray,
-    trunc_c: float = math.inf,
     scheme: str = "auto",
     policy: StepPolicy | None = None,
     tape: list | None = None,
-) -> EnsembleResult:
-    """M independent copies of the frozen-flow SDE, fully vectorized.
+) -> FlowApproximation:
+    """The flow of ``drivers.n`` independent copies of the SDE frozen at ``flow``, fully vectorized.
 
     Copies never interact: within a sub-step their candidate events are
     processed in per-copy time order (vectorized round by round across
-    copies).  The measure argument is the frozen flow of the cell.
+    copies).  The measure argument is the frozen flow's cell, truncation
+    included.  The returned flow is recorded at ``output_grid``'s cell ends
+    after 0, keeps the frozen flow's ``trunc_c`` and counts the accepted
+    jumps in ``meta["jumps"]``.
     A declared global rate bound fixes the sub-step grid, so the run draws
     every sub-step's numbers with their event rounds (``_ensemble_draws``)
     before its first sub-step.  An empty ``tape`` is filled with them, and
@@ -171,16 +171,15 @@ def simulate_ensemble(
     m = drivers.n
     d = spec.dim
     pos = np.asarray(initial_positions, dtype=np.float64).reshape(m, d).copy()
-    ncells, dt_eff = output_grid(T, dt)
-    times = [0.0]
-    snaps = np.empty((ncells + 1, m, d))
+    ends = output_grid(T, dt)
+    snaps = np.empty((len(ends) + 1, m, d))
     snaps[0] = pos
     jumps = 0
     replay = None
     if spec.meta.rate_global_bound is not None:  # the bound fixes the grid: draw it whole before the first sub-step
         tape = [] if tape is None else tape
         if not tape:
-            grid = _substep_grid(spec, policy, [dt_eff * (cell + 1) for cell in range(ncells)])
+            grid = _substep_grid(spec, policy, ends)
             tape += _ensemble_draws(drivers, grid, np.full(m, float(spec.meta.rate_global_bound)), bdim)
         replay = enumerate([*tape, (None, None)])
 
@@ -190,7 +189,7 @@ def simulate_ensemble(
     def substep(t, h, bounds, ceilings):
         nonlocal jumps
         draws = _next_draws(replay, t, h) if replay else _ensemble_draws(drivers, [(t, h)], bounds, bdim)[0][2:]
-        jumps += _ensemble_substep(spec, pos, drivers, flow, t, h, bounds, ceilings, trunc_c, euler, draws)
+        jumps += _ensemble_substep(spec, pos, drivers, flow, t, h, bounds, ceilings, euler, draws)
 
     def snapshot():
         return pos.copy(), drivers.snapshot()
@@ -199,17 +198,13 @@ def simulate_ensemble(
         pos[:, :] = snap[0]
         drivers.restore(snap[1])
 
-    for cell in range(ncells):
-        start, end = dt_eff * cell, dt_eff * (cell + 1)
+    times = [0.0, *ends]
+    for cell, (start, end) in enumerate(zip(times, ends)):
         _advance_substeps(spec, policy, start, end, rates, substep, snapshot, restore)
-        times.append(end)
         snaps[cell + 1] = pos
-
-    return EnsembleResult(
-        times=np.asarray(times),
-        snapshots=snaps,
-        jump_count=jumps,
-    )
+    out = _flow_from_snapshots(spec, np.asarray(times), snaps, flow.trunc_c)
+    out.meta["jumps"] = jumps
+    return out
 
 
 def _event_rounds(block: np.ndarray, time: np.ndarray, row: np.ndarray) -> list[np.ndarray]:
@@ -232,11 +227,11 @@ def _ensemble_draws(drivers, grid, bounds, bdim) -> list:
     return [(t, h, dW, c, _event_rounds(c[1], c[0], c[1])) for t, h, dW, c in _grid_draws(drivers, grid, bounds, bdim)]
 
 
-def _ensemble_substep(spec, pos, drivers, flow, t, h, bounds, ceilings, trunc_c, euler, draws) -> int:
+def _ensemble_substep(spec, pos, drivers, flow, t, h, bounds, ceilings, euler, draws) -> int:
     """One sub-step of every copy in place on ``draws`` (``_ensemble_draws`` less t and h); returns its
     accepted jumps, raises if a copy blows up."""
     _, _, mu, quad, lam_mean = flow.cell(t)
-    g = collateral_drift(spec, pos, quad, min(lam_mean, trunc_c))
+    g = collateral_drift(spec, pos, quad, lam_mean)
     f, sig = _frozen_coefficients(spec, pos, mu, g, euler)
     dW, (times, copies, us, ks), rounds = draws
     t_last = np.full(pos.shape[0], t)
@@ -304,28 +299,26 @@ def flow_delta(flow_a: FlowApproximation, flow_b: FlowApproximation, seed: int =
 def picard_iterate(
     flow_k: FlowApproximation,
     spec: ModelSpec,
-    M: int,
     T: float,
     dt: float,
     *,
     seed: int = 0,
-    trunc_c: float = math.inf,
     scheme: str = "auto",
     policy: StepPolicy | None = None,
     initial_positions: np.ndarray,
     tape: list | None = None,
 ) -> tuple[FlowApproximation, float]:
-    """One frozen-flow sweep: simulate M copies against flow_k, measure the move.
+    """One frozen-flow sweep: the next flow, one copy per row of ``initial_positions`` frozen at
+    flow_k and its truncation C, and how far it moved from flow_k.
 
     Every sweep addresses the same driver namespace, so the returned delta
     is a pathwise contraction measure, not fresh-sample noise.  ``tape``
     is filled with the sweep's draws or replayed (``simulate_ensemble``).
     """
-    res = simulate_ensemble(
-        spec, T, dt, make_driver_bundle(seed, PICARD_REPLICA, M), flow_k,
-        initial_positions=initial_positions, trunc_c=trunc_c, scheme=scheme, policy=policy, tape=tape,
+    bundle = make_driver_bundle(seed, PICARD_REPLICA, len(initial_positions))
+    flow_next = simulate_ensemble(
+        spec, T, dt, bundle, flow_k, initial_positions=initial_positions, scheme=scheme, policy=policy, tape=tape,
     )
-    flow_next = _flow_from_snapshots(spec, res.times, res.snapshots, trunc_c)
     return flow_next, flow_delta(flow_k, flow_next, seed=seed)
 
 
@@ -374,8 +367,8 @@ def solve_limit(
     tape = [] if spec.meta.rate_global_bound is not None else None
     for _ in range(max_iter):
         flow, delta = picard_iterate(
-            flow, spec, M, T, dt,
-            seed=seed, trunc_c=trunc_c, scheme=scheme, policy=policy, initial_positions=x0, tape=tape,
+            replace(flow, trunc_c=trunc_c), spec, T, dt,
+            seed=seed, scheme=scheme, policy=policy, initial_positions=x0, tape=tape,
         )
         deltas.append(delta)
         if math.isfinite(trunc_c):

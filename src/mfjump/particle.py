@@ -276,7 +276,7 @@ def _advance_substeps(spec, policy, t, end, rates, substep, snapshot, restore) -
         if rem <= 1e-12 * max(1.0, abs(end)):
             return retried
         bounds, ceilings = _thinning_bounds(spec, policy, rates(t), t)
-        rmax = float(bounds.max()) if bounds.size else 0.0
+        rmax = float(bounds.max())
         nsub = max(1, int(math.ceil(rmax * rem / policy.candidate_cap))) if rmax > 0 else 1
         h = rem / nsub
         retries = 0
@@ -449,7 +449,6 @@ class CoupledSimulator:
 
     def _substep(self, t: float, h: float, bounds: np.ndarray, ceilings: np.ndarray) -> None:
         spec = self.spec
-        n = self.bundle.n
         euler = self.scheme == "euler"
 
         # frozen start-of-sub-step drift/diffusion
@@ -462,7 +461,7 @@ class CoupledSimulator:
             if s.kind == "Y":
                 g = collateral_drift(spec, s.pos, mu)
             elif s.kind == "LIMIT":
-                g = collateral_drift(spec, s.pos, s.cell.quad, min(s.cell.lam_mean, s.flow.trunc_c))
+                g = collateral_drift(spec, s.pos, s.cell.quad, s.cell.lam_mean)
                 lim_end = s.cell.end if euler and self._limit_rates[0] == t else -math.inf
             else:
                 g = None
@@ -575,12 +574,13 @@ def _pathset_from(sim_times: list, sim_positions: list, sys: _LiveSystem, dim: i
     )
 
 
-def output_grid(T: float, dt: float) -> tuple[int, float]:
-    """Number of cells and effective dt; dt is nudged to divide T exactly."""
+def output_grid(T: float, dt: float) -> list[float]:
+    """The output cells' ends after 0, through T, with dt nudged to divide T exactly: every run steps
+    to and records at these ends, so coupled runs and Picard sweeps on one T and dt meet the same cells."""
     if not (T > 0 and dt > 0):
         raise InvalidInputError("T and dt must be positive")
     n = max(1, int(round(T / dt)))
-    return n, T / n
+    return [T / n * (cell + 1) for cell in range(n)]
 
 
 def simulate(
@@ -636,15 +636,15 @@ def simulate_coupled(
     else:
         x0 = (init or InitSampler(mean=tuple([0.0] * spec.dim))).sample(drivers, spec.dim)
     sim.set_initial(x0)
-    ncells, dt_eff = output_grid(T, dt)
+    ends = output_grid(T, dt)
     if spec.meta.rate_global_bound is not None:  # the bound fixes the grid: draw it whole before the run
-        grid = _substep_grid(spec, sim.policy, [dt_eff * (cell + 1) for cell in range(ncells)])
+        grid = _substep_grid(spec, sim.policy, ends)
         bounds = np.full(drivers.n, float(spec.meta.rate_global_bound))
         sim._replay = enumerate(chain(_grid_draws(drivers, grid, bounds, sim._bdim), [(None, None)]))
     times = [0.0]
     positions = {k: [sim.system(k).pos.copy()] for k in systems} if record_paths else None
-    for cell in range(ncells):
-        sim.advance(dt_eff * (cell + 1))  # the flow's grid; summed widths drift off it
+    for end in ends:
+        sim.advance(end)
         times.append(sim.t)
         if record_paths:
             for k in systems:

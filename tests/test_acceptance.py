@@ -5,13 +5,15 @@ criterion.  Budgets are sized for a laptop-scale machine; the chaos-rate
 sweep is the longest item.
 """
 
+import dataclasses
 from itertools import permutations
 
 import numpy as np
 
-from mfjump.drivers import make_driver_bundle, StreamKey, StreamState
+import mfjump.limit as limit
+from mfjump.drivers import PICARD_REPLICA, make_driver_bundle, StreamKey, StreamState
 from mfjump.harness import SimConfig, run_chaos_sweep, run_diagnostics
-from mfjump.limit import solve_limit
+from mfjump.limit import constant_flow, ensemble_noise_floor, picard_iterate, solve_limit
 from mfjump.metrics import fit_rate, jump_count_stats, w1_1d, w1_assignment
 from mfjump.models import AssumptionMeta, ModelSpec
 from mfjump.particle import InitSampler, simulate, simulate_coupled
@@ -220,19 +222,44 @@ def test_criterion_7_jump_count_concentration():
     assert _line(7, "jump-count sd rate", sd_ok, f"{detail}; slope={fit.slope:+.3f} in [-0.65, -0.35]")
 
 
+def _picard_verdicts(deltas, floor):
+    """Criterion 8's verdict and its companion's on a Picard delta sequence and its noise floor."""
+    decreasing = sum(b < a for a, b in zip(deltas, deltas[1:]))
+    detail = f"deltas={['%.2e' % d for d in deltas]}, noise floor={floor:.2e}"
+    # the companion: sweeps on shared drivers converge pathwise, far below
+    # the noise of a fresh ensemble; fresh-noise sweeps stall near it
+    return decreasing >= 3 and deltas[-1] < 3.0 * floor, deltas[-1] < 0.1 * floor, detail
+
+
 def test_criterion_8_picard_convergence():
     # neuronal defaults at ensemble size 1e4: successive flow deltas decrease
-    # for at least 3 consecutive sweeps and the final delta sits below 3x the
-    # Monte Carlo noise floor of the ensemble
+    # in at least 3 of the 5 sweep-to-sweep steps, not necessarily in a row,
+    # and the final delta sits below 3x the Monte Carlo noise floor of the ensemble
     spec = build("neuronal", {})
     flow = solve_limit(spec, 10_000, 3.0, 0.05, seed=606, tol=1e-12, max_iter=6,
                        init=NEURONAL_INIT)
-    deltas = flow.meta["deltas"]
-    floor = flow.meta["noise_floor"]
-    decreasing = sum(b < a for a, b in zip(deltas, deltas[1:]))
-    ok = decreasing >= 3 and deltas[-1] < 3.0 * floor
-    assert _line(8, "Picard convergence", ok,
-                 f"deltas={['%.2e' % d for d in deltas]}, noise floor={floor:.2e}")
+    ok, pathwise, detail = _picard_verdicts(flow.meta["deltas"], flow.meta["noise_floor"])
+    assert _line(8, "Picard convergence", ok, detail)
+    # companion: the final delta is below a tenth of the noise floor
+    assert _line("8b", "Picard convergence is pathwise", pathwise, detail)
+
+
+def test_criterion_8_companion_rejects_sweeps_on_fresh_noise():
+    # criterion 8's solve, but sweep k draws on seed 606 + k: the flows then stop
+    # converging pathwise and the deltas stall near the noise floor, which
+    # criterion 8's own statistic does not catch and its companion must
+    spec = build("neuronal", {})
+    M, T, dt, seed = 10_000, 3.0, 0.05, 606
+    x0 = NEURONAL_INIT.sample(make_driver_bundle(seed, PICARD_REPLICA, M), spec.dim)
+    flow = constant_flow(x0, T, spec)
+    flow = dataclasses.replace(flow, trunc_c=limit.TRUNC_FACTOR * float(np.max(flow.lam_mean)))
+    deltas = []
+    for k in range(6):
+        flow, delta = picard_iterate(flow, spec, T, dt, seed=seed + k, initial_positions=x0)
+        deltas.append(delta)
+    ok, pathwise, detail = _picard_verdicts(deltas, ensemble_noise_floor(flow, seed=seed))
+    _line(8, "Picard convergence on fresh-noise sweeps", ok, detail)
+    assert not _line("8b", "Picard convergence on fresh-noise sweeps is pathwise", pathwise, detail)
 
 
 def test_criterion_9_worker_determinism(tmp_path):

@@ -216,6 +216,13 @@ def test_bundle_rejects_ids_outside_the_mark_address_space(ids):
         make_driver_bundle(1, 0, len(ids), particle_ids=ids)
 
 
+def test_bundle_rejects_an_empty_particle_list():
+    # an empty bundle used to step until numpy's empty-mean warnings and a raw ZeroDivisionError in the grid draws
+    for make in (lambda: make_driver_bundle(0, 0, 0), lambda: DriverBundle(0, 0, np.arange(0))):
+        with pytest.raises(InvalidInputError, match="^a driver bundle needs at least one particle$"):
+            make()
+
+
 def test_bundle_ids_distinct_within_one_replica():
     with pytest.raises(InvalidInputError, match="distinct"):
         make_driver_bundle(1, 0, 3, particle_ids=[4, 0, 4])

@@ -58,8 +58,8 @@ def test_picard_constant_rate_fixed_point():
     M, T, dt = 2000, 1.5, 0.05
     bundle = make_driver_bundle(4, 0, M)  # only for the initial sample shape
     flow0 = constant_flow(np.full((M, 1), 0.4), T, spec)
-    flow1, d1 = picard_iterate(flow0, spec, M, T, dt, seed=4, initial_positions=np.full((M, 1), 0.4))
-    flow2, d2 = picard_iterate(flow1, spec, M, T, dt, seed=4, initial_positions=np.full((M, 1), 0.4))
+    flow1, d1 = picard_iterate(flow0, spec, T, dt, seed=4, initial_positions=np.full((M, 1), 0.4))
+    flow2, d2 = picard_iterate(flow1, spec, T, dt, seed=4, initial_positions=np.full((M, 1), 0.4))
     assert np.allclose(flow1.lam_mean, lam0, atol=0)
     assert d1 > 0
     assert d2 == 0.0
@@ -70,8 +70,8 @@ def test_picard_no_jumps_collapses_to_decay():
     M, T, dt = 500, 2.0, 0.1
     x0 = np.full((M, 1), 1.0)
     flow0 = constant_flow(x0, T, spec)
-    flow1, _ = picard_iterate(flow0, spec, M, T, dt, seed=1, initial_positions=x0)
-    flow2, d2 = picard_iterate(flow1, spec, M, T, dt, seed=1, initial_positions=x0)
+    flow1, _ = picard_iterate(flow0, spec, T, dt, seed=1, initial_positions=x0)
+    flow2, d2 = picard_iterate(flow1, spec, T, dt, seed=1, initial_positions=x0)
     assert d2 == 0.0
     decay = np.exp(-flow1.times)
     assert np.allclose(flow1.ensemble[:, :, 0], decay[:, None], rtol=1e-10)
@@ -85,7 +85,7 @@ def test_flow_delta_reads_the_cell_in_force_across_grids():
     M, T = 64, 2.0
     x0 = np.full((M, 1), 1.0)
     flow0 = constant_flow(x0, T, spec)
-    flow1, d1 = picard_iterate(flow0, spec, M, T, 0.1, seed=1, initial_positions=x0)
+    flow1, d1 = picard_iterate(flow0, spec, T, 0.1, seed=1, initial_positions=x0)
     assert len(flow1.times) == 21
     assert d1 == flow_delta(flow0, flow1) == pytest.approx(1.0 - math.exp(-T), rel=1e-10)
     assert flow_delta(flow1, flow0) == d1
@@ -110,7 +110,7 @@ def _picard_flows(spec, M, seed, sweeps, T=0.3, dt=0.1):
     x0 = InitSampler(mean=(0.5,) * spec.dim, std=0.5).sample(make_driver_bundle(seed, 0, M), spec.dim)
     flows = [constant_flow(x0, T, spec)]
     for _ in range(sweeps):
-        flows.append(picard_iterate(flows[-1], spec, M, T, dt, seed=seed, initial_positions=x0)[0])
+        flows.append(picard_iterate(flows[-1], spec, T, dt, seed=seed, initial_positions=x0)[0])
     return flows
 
 
@@ -169,8 +169,7 @@ def test_picard_fixed_point_within_noise_floor():
     M, T, dt = 4000, 3.0, 0.05
     flow = solve_limit(spec, M, T, dt, seed=7, tol=1e-12, max_iter=6, init=UNIF)
     x0 = UNIF.sample(make_driver_bundle(7, 1 << 40, M), 1)
-    _, delta = picard_iterate(flow, spec, M, T, dt, seed=7, initial_positions=x0,
-                              trunc_c=flow.trunc_c)
+    _, delta = picard_iterate(flow, spec, T, dt, seed=7, initial_positions=x0)  # at the flow's own C
     assert delta <= 2.0 * flow.meta["noise_floor"]
 
 
@@ -279,16 +278,15 @@ def test_coupled_limit_copies_follow_the_truncated_flow_drift(monkeypatch):
                        init=UNIF)
     assert np.all(flow.lam_mean > flow.trunc_c)
     x0 = UNIF.sample(make_driver_bundle(9, 0, M), 1)
-    ens = simulate_ensemble(spec, T, dt, make_driver_bundle(9, 0, M), flow,
-                            initial_positions=x0, trunc_c=flow.trunc_c)
+    ens = simulate_ensemble(spec, T, dt, make_driver_bundle(9, 0, M), flow, initial_positions=x0)
     sim = CoupledSimulator(spec, make_driver_bundle(9, 0, M), ("LIMIT",), flow=flow)
     sim.set_initial(x0)
     coupled = [x0]
     for end in flow.times[1:]:
         sim.advance(end)
         coupled.append(sim.system("LIMIT").pos.copy())
-    assert ens.jump_count > 0
-    np.testing.assert_allclose(np.asarray(coupled), ens.snapshots, rtol=0, atol=1e-12)
+    assert ens.trunc_c == flow.trunc_c and ens.meta["jumps"] > 0
+    np.testing.assert_allclose(np.asarray(coupled), ens.ensemble, rtol=0, atol=1e-12)
 
 
 def test_coupled_limit_copies_read_the_flow_cell_of_each_grid_time(monkeypatch):
@@ -307,7 +305,7 @@ def test_coupled_limit_copies_read_the_flow_cell_of_each_grid_time(monkeypatch):
                            flow=flow, initial_positions=x0)
     path = res["paths"]["LIMIT"]
     assert np.array_equal(path.times, ens.times)
-    np.testing.assert_allclose(path.positions, ens.snapshots, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(path.positions, ens.ensemble, rtol=0, atol=1e-12)
 
 
 def test_ensemble_retry_recovers_and_surfaces():
@@ -334,8 +332,8 @@ def test_ensemble_retry_recovers_and_surfaces():
     with pytest.raises(RateBoundViolation, match=r"for copy \d+ in system LIMIT at t=0\.\d"):
         run(0)
     res = run(16)
-    assert res.jump_count > 0
-    assert np.all(np.isfinite(res.snapshots[-1]))
+    assert res.meta["jumps"] > 0
+    assert np.all(np.isfinite(res.ensemble[-1]))
 
 
 @pytest.mark.parametrize("model", [None, "lipschitz-demo"])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -221,7 +222,7 @@ def _oracle_y(spec, pos, mu):
 
 def _oracle_limit(spec, pos, flow, t, trunc_c):
     if spec.collateral_mean_kind() == "constant":
-        lm = min(flow.cell(t).lam_mean, trunc_c)
+        lm = min(float(flow.lam_mean[flow.cell_index(t)]), trunc_c)
         ev = np.asarray(spec.collateral_mean, dtype=np.float64)
         return np.broadcast_to(lm * ev, pos.shape).copy()
     mu = flow.cell(t).quad
@@ -266,8 +267,9 @@ def test_collateral_drift_matches_replaced_formulas(name):
     flow = FlowApproximation(times=np.asarray([0.0, 0.5, 1.0]), ensemble=ens,
                              lam_mean=np.asarray([1.3, 2.9, 2.1]), trunc_c=math.inf)
     for trunc_c in (math.inf, 2.0):
+        cut = dataclasses.replace(flow, trunc_c=trunc_c)  # its cells hold the truncated summary
         for t in (0.0, 0.6, 1.0):
-            got = collateral_drift(spec, pos, flow.cell(t).quad, min(flow.cell(t).lam_mean, trunc_c))
+            got = collateral_drift(spec, pos, cut.cell(t).quad, cut.cell(t).lam_mean)
             assert np.array_equal(got, _oracle_limit(spec, pos, flow, t, trunc_c))
     # the validator's field at a single target
     m = make_empirical(pos[:4])

@@ -280,7 +280,7 @@ def test_limit_ensemble_accepts_a_rate_up_to_the_rounding_slack():
     x0 = np.zeros((8, 1))
     res = simulate_ensemble(_rate_after_first_jump(EDGE), 1.0, 1.0, make_driver_bundle(1, 0, 8),
                             constant_flow(x0, 1.0), initial_positions=x0, policy=policy)
-    assert res.jump_count > 8
+    assert res.meta["jumps"] > 8
     with pytest.raises(RateBoundViolation, match=r"^rate 2 above bound 2 for copy \d+ in system LIMIT at t="):
         simulate_ensemble(_rate_after_first_jump(PAST_EDGE), 1.0, 1.0, make_driver_bundle(1, 0, 8),
                           constant_flow(x0, 1.0), initial_positions=x0, policy=policy)
@@ -388,7 +388,8 @@ class _ReferenceSimulator(CoupledSimulator):
                 g = collateral_drift(spec, s.pos, mu)
             elif s.kind == "LIMIT":
                 cell = s.flow.cell(t)
-                g = collateral_drift(spec, s.pos, cell.quad, min(cell.lam_mean, s.flow.trunc_c))
+                lam_mean = float(s.flow.lam_mean[s.flow.cell_index(t)])
+                g = collateral_drift(spec, s.pos, cell.quad, min(lam_mean, s.flow.trunc_c))
             else:
                 g = None
             f, sig = _frozen_coefficients(spec, s.pos, mu, g, euler)
@@ -453,10 +454,9 @@ class _ReferenceSimulator(CoupledSimulator):
 def _run_cells(cls, systems, spec, x0, T, dt, seed, particle_ids, **kw):
     sim = cls(spec, make_driver_bundle(seed, 0, len(x0), particle_ids=particle_ids), systems, **kw)
     sim.set_initial(x0)
-    ncells, dt_eff = output_grid(T, dt)
     grid = []
-    for cell in range(ncells):
-        sim.advance(dt_eff * (cell + 1))
+    for end in output_grid(T, dt):
+        sim.advance(end)
         grid.append(np.stack([s.pos.copy() for s in sim.systems]))
     return sim, np.stack(grid)
 
@@ -524,11 +524,10 @@ def test_event_loop_matches_reference_candidate_at_flow_grid_time(monkeypatch):
     # moved onto it with u = 1, so LIMIT must read the next cell there
     # (side="right") and reject
     T, dt = 3.0, 0.1
-    ncells, dtf = output_grid(T, dt / 2)
-    times = dtf * np.arange(ncells + 1)
-    signs = np.where(np.arange(ncells + 1) % 2 == 0, 1.0, -1.0)
+    times = np.asarray([0.0, *output_grid(T, dt / 2)])
+    signs = np.where(np.arange(len(times)) % 2 == 0, 1.0, -1.0)
     flow = FlowApproximation(times=times, ensemble=np.tile(signs[:, None, None], (1, 8, 1)),
-                             lam_mean=np.zeros(ncells + 1), trunc_c=math.inf)
+                             lam_mean=np.zeros(len(times)), trunc_c=math.inf)
     base = build("lipschitz-demo", {"collateral_amp": 3.0, "rate_cap_radius": 2.0, "rate_slope": 0.5})  # bound 2
     spec = dataclasses.replace(base, rate=lambda x, m: 1.0 + 0.5 * math.tanh(4.0 * float(m.mean[0])) + 0.4 * np.tanh(x[:, 0]))
     placed, draw = [], collect_candidates
@@ -574,7 +573,7 @@ def test_coupled_run_on_the_predrawn_grid_equals_drawing_per_substep(model, dim,
                            initial_positions=x0, policy=policy)
     assert calls == []
     sim, grid = _run_cells(CoupledSimulator, systems, spec, x0, T, dt, 7, None, flow=flow, policy=policy)
-    assert len(calls) == 4 * output_grid(T, dt)[0]
+    assert len(calls) == 4 * len(output_grid(T, dt))
     for i, s in enumerate(sim.systems):
         paths = res["paths"][s.kind]
         assert np.array_equal(paths.positions[1:], grid[:, i])

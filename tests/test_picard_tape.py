@@ -185,17 +185,6 @@ def _sweep(spec, tape, T=T, dt=DT):
                              initial_positions=X0, tape=tape)
 
 
-def test_replayed_sweeps_equal_drawn_sweeps():
-    # three sweeps on a tape against three that draw: positions and jump counts agree after each
-    spec = _spiking_spec(_SpikingRate(M))
-    tape = []
-    for _ in range(3):
-        taped, drawn = _sweep(spec, tape), _sweep(spec, None)
-        assert len(tape) == 4
-        assert np.array_equal(taped.snapshots, drawn.snapshots)
-        assert taped.jump_count == drawn.jump_count > 0
-
-
 @pytest.mark.parametrize("replaying", [False, True])
 def test_a_rate_above_the_declared_bound_raises_on_the_first_attempt(replaying, monkeypatch):
     # the default policy allows 8 halved retries, yet the spike in sub-step 2
@@ -258,28 +247,32 @@ def _drawn_one_by_one(bundle, grid, bound, bdim):
     ("convex-potential", {}, 2048),
 ])
 def test_a_predrawn_sweep_equals_drawing_each_substep_as_it_comes(model, params, m):
+    # three Picard sweeps, each frozen at the one before: the first fills the tape and the
+    # next two replay it, against sub-steps that draw on a fresh bundle as they come
     spec = build(model, params)
     T, dt, d, bound = 1.0, 0.1, spec.dim, float(spec.meta.rate_global_bound)
     x0 = np.random.default_rng(m).normal(0.3, 0.7, size=(m, d))
     flow = solve_limit(spec, 128, T, dt, seed=2, tol=1e-12, max_iter=1, init=InitSampler(mean=(0.3,) * d))
     policy = StepPolicy(candidate_cap=0.06)  # bound 2: 4 sub-steps a cell
-    tape = []
-    res = simulate_ensemble(spec, T, dt, make_driver_bundle(4, PICARD_REPLICA, m), flow,
-                            initial_positions=x0, policy=policy, tape=tape)
-
-    bundle = make_driver_bundle(4, PICARD_REPLICA, m)
-    ncells, dt_eff = output_grid(T, dt)
-    grid = particle._substep_grid(spec, policy, [dt_eff * (cell + 1) for cell in range(ncells)])
-    assert len(grid) == len(tape) == 4 * ncells
-    pos, snaps, jumps = x0.copy(), [x0.copy()], 0
+    ends = output_grid(T, dt)
+    grid = particle._substep_grid(spec, policy, ends)
     bounds, ceilings = particle._thinning_bounds(spec, policy, np.zeros(m), 0.0)
-    for (t, h), draws in zip(grid, _drawn_one_by_one(bundle, grid, bound, spec.brownian_dim)):
-        jumps += limit._ensemble_substep(spec, pos, bundle, flow, t, h, bounds, ceilings, math.inf, True, draws)
-        if math.isclose(t + h, dt_eff * len(snaps), rel_tol=1e-9):
-            snaps.append(pos.copy())
-    assert len(snaps) == ncells + 1
-    assert res.snapshots.tobytes() == np.asarray(snaps).tobytes()
-    assert res.jump_count == jumps > 0
+    tape = []
+    for _ in range(3):
+        res = simulate_ensemble(spec, T, dt, make_driver_bundle(4, PICARD_REPLICA, m), flow,
+                                initial_positions=x0, policy=policy, tape=tape)
+        assert len(grid) == len(tape) == 4 * len(ends)
+
+        bundle = make_driver_bundle(4, PICARD_REPLICA, m)
+        pos, snaps, jumps = x0.copy(), [x0.copy()], 0
+        for (t, h), draws in zip(grid, _drawn_one_by_one(bundle, grid, bound, spec.brownian_dim)):
+            jumps += limit._ensemble_substep(spec, pos, bundle, flow, t, h, bounds, ceilings, True, draws)
+            if math.isclose(t + h, ends[len(snaps) - 1], rel_tol=1e-9):
+                snaps.append(pos.copy())
+        assert len(snaps) == len(ends) + 1
+        assert res.ensemble.tobytes() == np.asarray(snaps).tobytes()
+        assert res.meta["jumps"] == jumps > 0
+        flow = res
 
 
 @pytest.mark.parametrize("T,dt,entry", [(T, 0.5, "0 is not for the sub-step at t=0.0, h=0.5"),
