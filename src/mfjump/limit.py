@@ -170,7 +170,9 @@ def simulate_ensemble(
     bdim = spec.brownian_dim if euler and spec.has_diffusion() else None
     m = drivers.n
     d = spec.dim
-    pos = np.asarray(initial_positions, dtype=np.float64).reshape(m, d).copy()
+    pos = np.array(initial_positions, dtype=np.float64)
+    if pos.shape != (m, d):  # a reshape would read (16, 1) as 8 copies in d=2
+        raise InvalidInputError(f"initial positions must have shape {(m, d)}, got {pos.shape}")
     ends = output_grid(T, dt)
     snaps = np.empty((len(ends) + 1, m, d))
     snaps[0] = pos

@@ -34,7 +34,11 @@ pair folds every row after an X jump in it, row j after a Y or LIMIT
 jump in it, and every row at each sub-step end and, in the exact scheme,
 before each accepted jump.  Between two accepted events a difference of
 two exact-scheme rows moves along a straight segment, so its sup there
-is at an end and a rejected candidate needs no fold.
+is at an end and a rejected candidate needs no fold.  A d=1 row is read
+and written in Python floats wherever that gives the array code's bits:
+the zoo's one-row rates and main jumps return lists (the neuronal power
+is a float product only at alpha 1 and 2), and ``apply_jump`` writes such
+a jump with one float add.
 
 For the pull-to-origin, diffusion-free class an exact integrator replaces
 Euler: between events positions follow the closed-form exponential decay,
@@ -161,9 +165,12 @@ def apply_jump(
     psi = spec.main_jump(xj, measure, np.asarray([h_main]))
     if h_collateral is not None:
         theta = np.asarray(spec.collateral_jump(xj[0], positions, measure, h_main, h_collateral))
-        if theta.any():
+        if theta.item(0) != 0 or theta.any():  # the first element decides most kicks without a pass over all n
             positions += np.divide(theta, n, out=kick)  # the jumper's row is overwritten below
-    np.add(xj, psi, out=row)
+    if type(psi) is list and row.shape == (1, 1):  # a one-row coefficient in Python floats: the same IEEE add
+        positions[jumper, 0] = xj.item(0) + psi[0][0]
+    else:
+        np.add(xj, psi, out=row)
     return positions, psi[0]
 
 
@@ -391,9 +398,9 @@ class CoupledSimulator:
         raise KeyError(kind)
 
     def set_initial(self, positions: np.ndarray) -> None:
-        pos = np.atleast_2d(np.asarray(positions, dtype=np.float64))
+        pos = np.asarray(positions, dtype=np.float64)
         if pos.shape != (self.bundle.n, self.spec.dim):
-            raise InvalidInputError(f"initial positions must have shape {(self.bundle.n, self.spec.dim)}")
+            raise InvalidInputError(f"initial positions must have shape {(self.bundle.n, self.spec.dim)}, got {pos.shape}")
         for s in self.systems:
             s.pos[:] = pos
         self._update_sup()
@@ -507,7 +514,7 @@ class CoupledSimulator:
                     )
                 if u > lam_j:
                     continue
-                if not euler and not jumped:
+                if not euler and not jumped and self._pairs:
                     self._update_sup()  # the left limits: a difference moves on a segment, so its sup is at an end
                 # one mark hash per candidate: the main mark is element j of X's row
                 if s.kind == "X":
@@ -527,7 +534,7 @@ class CoupledSimulator:
                 jumped.append(s)
                 if s.kind == "LIMIT":
                     lim_moved.add(j)
-            if jumped:
+            if jumped and self._pairs:
                 self._update_sup(jumped, j)
 
         if euler:
@@ -632,7 +639,7 @@ def simulate_coupled(
         raise InvalidInputError("give at most one of init and initial_positions")
     sim = CoupledSimulator(spec, drivers, systems=systems, flow=flow, policy=policy, scheme=scheme, record=record_paths)
     if initial_positions is not None:
-        x0 = np.asarray(initial_positions, dtype=np.float64).reshape(drivers.n, spec.dim)
+        x0 = initial_positions  # set_initial checks its shape: a reshape would read (16, 1) as 8 rows in d=2
     else:
         x0 = (init or InitSampler(mean=tuple([0.0] * spec.dim))).sample(drivers, spec.dim)
     sim.set_initial(x0)

@@ -206,8 +206,12 @@ def build_neuronal(params: NeuronalParams) -> ModelSpec:
         return np.zeros((x.shape[0], d, 0))
 
     def rate(x, m):
-        if x.shape == (1, 1):  # the power stays numpy's array loop: Python's differs in the last bit
-            return [b_radial(np.array([math.sqrt(x.item(0) * x.item(0))])).item(0) + p.rate_offset]
+        # one d=1 row in Python floats at alpha 2 and 1, whose array powers round as r * r and return r;
+        # other alphas keep numpy's array loop: libm's pow (Python's r ** alpha) differs in some last bits
+        if x.shape == (1, 1):
+            r = math.sqrt(x.item(0) * x.item(0))
+            b = r * r if p.rate_exponent == 2.0 else r if p.rate_exponent == 1.0 else b_radial(np.array([r])).item(0)
+            return [b + p.rate_offset]
         return b_radial(_radius(x)) + p.rate_offset
 
     def main_jump(x, m, h1):

@@ -1,9 +1,12 @@
 import dataclasses
 import math
+import re
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
 from mfjump import particle
@@ -356,6 +359,60 @@ def test_invalid_dt_rejected():
     spec = build("lipschitz-demo", {})
     with pytest.raises(InvalidInputError):
         _one_step("X", spec, np.zeros((1, 1)), 0.0, make_driver_bundle(0, 0, 1))
+
+
+@pytest.mark.parametrize("dim, shape", [(2, (16, 1)), (1, (8,)), (1, (1, 8))])
+def test_initial_positions_of_another_shape_are_rejected_by_both_engines(dim, shape):
+    # a reshape used to run 16 one-dimensional rows as 8 points in d=2
+    spec = build("lipschitz-demo", {"dim": dim})
+    x0 = np.zeros(shape)
+    message = re.escape(f"initial positions must have shape {(8, dim)}, got {shape}")
+    with pytest.raises(InvalidInputError, match=message):
+        simulate_coupled(("X", "Y"), spec, 0.5, 0.25, make_driver_bundle(1, 0, 8), initial_positions=x0)
+    with pytest.raises(InvalidInputError, match=message):
+        simulate_ensemble(spec, 0.5, 0.25, make_driver_bundle(1, 0, 8), constant_flow(np.zeros((8, dim)), 0.5),
+                          initial_positions=x0)
+
+
+# zeros of both signs, subnormals, squares that overflow near 1e154, infinities and NaN
+_EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -2.5e-320, 2.2e-308, 1.3e-154, 1e154, -1.4e154, 3e154,
+                                1e300, np.inf, -np.inf, np.nan])
+
+
+@pytest.mark.parametrize("model, params", [
+    ("lipschitz-demo", {}),
+    ("convex-potential", {"rate_cap_radius": 1.5, "jump_scale": 0.8}),
+    *[("neuronal", {"rate_exponent": a}) for a in (1.0, 1.5, 2.0, 3.0)],
+])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_one_row_floats_have_the_bits_of_the_batched_rows(model, params, data):
+    # the event loop evaluates one d=1 row per candidate and jumps it in Python floats; the reference
+    # evaluates the same row inside a two-row batch and writes the jump with array operations
+    spec = build(model, params)
+    n = data.draw(st.integers(1, 5))
+    x = np.asarray(data.draw(st.lists(st.one_of(_EDGE_FLOATS, st.floats()), min_size=n, max_size=n)))[:, None]
+    j = data.draw(st.integers(0, n - 1))
+    h_main = data.draw(st.floats(0.0, 1.0, exclude_max=True))
+    marks = st.one_of(st.sampled_from([0.0, 0.5]), st.floats(0.0, 1.0, exclude_max=True))  # 0 and 0.5 zero a kick
+    h_coll = np.asarray(data.draw(st.lists(marks, min_size=n, max_size=n)))
+    m = make_empirical(np.zeros((4, 1)))
+    pair = np.vstack([x[j], x[j]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        one_rate = spec.rate(x[j : j + 1], m)
+        assert isinstance(one_rate, list)
+        assert np.float64(one_rate[0]).tobytes() == spec.rate(pair, m)[:1].tobytes()
+        psi_ref = spec.main_jump(pair, m, np.full(2, h_main))[:1]
+        theta = np.asarray(spec.collateral_jump(x[j], x, m, h_main, h_coll))
+        for h in (h_coll, None):
+            pos, ref = x.copy(), x.copy()
+            _, psi = apply_jump(spec, pos, j, m, h_main, h, np.empty_like(x))
+            if h is not None and theta.any():
+                ref += theta / n
+            np.add(x[j : j + 1], psi_ref, out=ref[j : j + 1])
+            assert isinstance(psi, list)
+            assert np.asarray(psi, dtype=np.float64).tobytes() == psi_ref[0].tobytes()
+            assert pos.tobytes() == ref.tobytes()
 
 
 class _ReferenceSimulator(CoupledSimulator):
@@ -723,6 +780,27 @@ def test_event_loop_matches_reference_x_only(model, n, low, relabel):
     sim = _assert_same_run(("X",), spec, x0, 1.0, 0.1, 3, pids)
     assert sim.sup == {}
     assert sim.scheme == ("exact" if model == "neuronal" else "euler")
+
+
+@pytest.mark.parametrize("model, params, scheme", [
+    ("lipschitz-demo", dict(_STRONG_KICKS, jump_scale=1.0), "euler"),
+    ("convex-potential", dict(_STRONG_KICKS, dim=2), "euler"),
+    ("neuronal", {"collateral_amp": 1.9}, "exact"),
+])
+def test_coupled_sups_keep_the_triangle_inequality(model, params, scheme):
+    # at every fold |X - LIMIT| <= |X - Y| + |Y - LIMIT|, each at most its own sup, as long as every pair
+    # folds each row that moved; steep rates and strong kicks make Y and LIMIT jump without X.  A missed
+    # fold lowers a sup, so this sees only misses in xy or ylimit where xlimit folds: it fails when the
+    # X-Y fold after a Y-only jump is skipped, not when X jumps fold row j alone (xy and xlimit both miss)
+    spec = build(model, params)
+    n, T, dt = 16, 2.0, 0.1
+    init = InitSampler(kind="uniform") if model == "neuronal" else InitSampler(mean=(0.5,) * spec.dim, std=0.8)
+    flow = solve_limit(spec, 64, T, dt, seed=3, tol=1e-12, max_iter=1, init=init)
+    sups = [simulate_coupled(("X", "Y", "LIMIT"), spec, T, dt, make_driver_bundle(seed, 0, n), flow=flow, init=init,
+                             scheme=scheme, record_paths=False)["sup"] for seed in range(16)]
+    for sup in sups:
+        assert np.all(sup["xlimit"] <= (sup["xy"] + sup["ylimit"]) * (1.0 + 1e-12))
+        assert np.all(sup["xy"] > 0) and np.all(sup["ylimit"] > 0)
 
 
 def test_step_policy_rejects_unusable_values():
