@@ -171,7 +171,7 @@ def simulate_ensemble(
     m = drivers.n
     d = spec.dim
     pos = np.array(initial_positions, dtype=np.float64)
-    if pos.shape != (m, d):  # a reshape would read (16, 1) as 8 copies in d=2
+    if pos.shape != (m, d):
         raise InvalidInputError(f"initial positions must have shape {(m, d)}, got {pos.shape}")
     ends = output_grid(T, dt)
     snaps = np.empty((len(ends) + 1, m, d))

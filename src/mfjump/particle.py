@@ -37,8 +37,9 @@ two exact-scheme rows moves along a straight segment, so its sup there
 is at an end and a rejected candidate needs no fold.  A d=1 row is read
 and written in Python floats wherever that gives the array code's bits:
 the zoo's one-row rates and main jumps return lists (the neuronal power
-is a float product only at alpha 1 and 2), and ``apply_jump`` writes such
-a jump with one float add.
+is the float product r * r at alpha 2, numpy's square; other alphas keep
+the array power, which libm's pow does not match bit for bit), and
+``apply_jump`` writes such a jump with one float add.
 
 For the pull-to-origin, diffusion-free class an exact integrator replaces
 Euler: between events positions follow the closed-form exponential decay,
@@ -167,7 +168,7 @@ def apply_jump(
         theta = np.asarray(spec.collateral_jump(xj[0], positions, measure, h_main, h_collateral))
         if theta.item(0) != 0 or theta.any():  # the first element decides most kicks without a pass over all n
             positions += np.divide(theta, n, out=kick)  # the jumper's row is overwritten below
-    if type(psi) is list and row.shape == (1, 1):  # a one-row coefficient in Python floats: the same IEEE add
+    if type(psi) is list and row.shape == (1, 1):  # the shape test sends a user spec's d>1 list to the array add
         positions[jumper, 0] = xj.item(0) + psi[0][0]
     else:
         np.add(xj, psi, out=row)
@@ -514,7 +515,7 @@ class CoupledSimulator:
                     )
                 if u > lam_j:
                     continue
-                if not euler and not jumped and self._pairs:
+                if not euler and not jumped:
                     self._update_sup()  # the left limits: a difference moves on a segment, so its sup is at an end
                 # one mark hash per candidate: the main mark is element j of X's row
                 if s.kind == "X":
@@ -534,7 +535,7 @@ class CoupledSimulator:
                 jumped.append(s)
                 if s.kind == "LIMIT":
                     lim_moved.add(j)
-            if jumped and self._pairs:
+            if jumped:
                 self._update_sup(jumped, j)
 
         if euler:
@@ -639,7 +640,7 @@ def simulate_coupled(
         raise InvalidInputError("give at most one of init and initial_positions")
     sim = CoupledSimulator(spec, drivers, systems=systems, flow=flow, policy=policy, scheme=scheme, record=record_paths)
     if initial_positions is not None:
-        x0 = initial_positions  # set_initial checks its shape: a reshape would read (16, 1) as 8 rows in d=2
+        x0 = initial_positions  # set_initial checks its shape
     else:
         x0 = (init or InitSampler(mean=tuple([0.0] * spec.dim))).sample(drivers, spec.dim)
     sim.set_initial(x0)

@@ -206,12 +206,11 @@ def build_neuronal(params: NeuronalParams) -> ModelSpec:
         return np.zeros((x.shape[0], d, 0))
 
     def rate(x, m):
-        # one d=1 row in Python floats at alpha 2 and 1, whose array powers round as r * r and return r;
+        # one d=1 row in Python floats; at alpha 2 numpy's array power is np.square, so r * r has its bits;
         # other alphas keep numpy's array loop: libm's pow (Python's r ** alpha) differs in some last bits
         if x.shape == (1, 1):
             r = math.sqrt(x.item(0) * x.item(0))
-            b = r * r if p.rate_exponent == 2.0 else r if p.rate_exponent == 1.0 else b_radial(np.array([r])).item(0)
-            return [b + p.rate_offset]
+            return [(r * r if p.rate_exponent == 2.0 else b_radial(np.array([r])).item(0)) + p.rate_offset]
         return b_radial(_radius(x)) + p.rate_offset
 
     def main_jump(x, m, h1):

@@ -374,7 +374,7 @@ def test_initial_positions_of_another_shape_are_rejected_by_both_engines(dim, sh
                           initial_positions=x0)
 
 
-# zeros of both signs, subnormals, squares that overflow near 1e154, infinities and NaN
+# zeros of both signs, subnormals, values whose squares overflow, infinities and NaN
 _EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -2.5e-320, 2.2e-308, 1.3e-154, 1e154, -1.4e154, 3e154,
                                 1e300, np.inf, -np.inf, np.nan])
 
@@ -382,13 +382,13 @@ _EDGE_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -2.5e-320, 2.2e-308, 1.3e-154
 @pytest.mark.parametrize("model, params", [
     ("lipschitz-demo", {}),
     ("convex-potential", {"rate_cap_radius": 1.5, "jump_scale": 0.8}),
-    *[("neuronal", {"rate_exponent": a}) for a in (1.0, 1.5, 2.0, 3.0)],
+    ("neuronal", {}),
 ])
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
-def test_one_row_floats_have_the_bits_of_the_batched_rows(model, params, data):
-    # the event loop evaluates one d=1 row per candidate and jumps it in Python floats; the reference
-    # evaluates the same row inside a two-row batch and writes the jump with array operations
+def test_one_row_jump_has_the_bits_of_the_array_write(model, params, data):
+    # the event loop jumps one d=1 row in Python floats; the reference evaluates the same row inside a
+    # two-row batch and writes the jump with array operations (test_zoo pins the one-row rates)
     spec = build(model, params)
     n = data.draw(st.integers(1, 5))
     x = np.asarray(data.draw(st.lists(st.one_of(_EDGE_FLOATS, st.floats()), min_size=n, max_size=n)))[:, None]
@@ -396,12 +396,11 @@ def test_one_row_floats_have_the_bits_of_the_batched_rows(model, params, data):
     h_main = data.draw(st.floats(0.0, 1.0, exclude_max=True))
     marks = st.one_of(st.sampled_from([0.0, 0.5]), st.floats(0.0, 1.0, exclude_max=True))  # 0 and 0.5 zero a kick
     h_coll = np.asarray(data.draw(st.lists(marks, min_size=n, max_size=n)))
+    if data.draw(st.booleans()):  # one mark for all rows: 0 (neuronal) or 0.5 (capped jumps) zeroes every kick
+        h_coll[:] = h_coll[0]
     m = make_empirical(np.zeros((4, 1)))
     pair = np.vstack([x[j], x[j]])
     with np.errstate(over="ignore", invalid="ignore"):
-        one_rate = spec.rate(x[j : j + 1], m)
-        assert isinstance(one_rate, list)
-        assert np.float64(one_rate[0]).tobytes() == spec.rate(pair, m)[:1].tobytes()
         psi_ref = spec.main_jump(pair, m, np.full(2, h_main))[:1]
         theta = np.asarray(spec.collateral_jump(x[j], x, m, h_main, h_coll))
         for h in (h_coll, None):
