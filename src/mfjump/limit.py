@@ -43,6 +43,7 @@ from .particle import (
     RateBoundViolation,
     StepPolicy,
     _advance_substeps,
+    _at,
     _frozen_coefficients,
     _grid_draws,
     _next_draws,
@@ -182,7 +183,7 @@ def simulate_ensemble(
         tape = [] if tape is None else tape
         if not tape:
             grid = _substep_grid(spec, policy, ends)
-            tape += _ensemble_draws(drivers, grid, np.full(m, float(spec.meta.rate_global_bound)), bdim)
+            tape += _ensemble_draws(drivers, grid, float(spec.meta.rate_global_bound), bdim)
         replay = enumerate([*tape, (None, None)])
 
     def rates(t):
@@ -225,7 +226,7 @@ def _event_rounds(block: np.ndarray, time: np.ndarray, row: np.ndarray) -> list[
 
 def _ensemble_draws(drivers, grid, bounds, bdim) -> list:
     """(t, h, Brownian increments or None, candidates, their ``_event_rounds``) of every sub-step of ``grid``
-    (``particle._grid_draws``)."""
+    (``particle._grid_draws``, ``bounds`` as there)."""
     return [(t, h, dW, c, _event_rounds(c[1], c[0], c[1])) for t, h, dW, c in _grid_draws(drivers, grid, bounds, bdim)]
 
 
@@ -236,7 +237,7 @@ def _ensemble_substep(spec, pos, drivers, flow, t, h, bounds, ceilings, euler, d
     g = collateral_drift(spec, pos, quad, lam_mean)
     f, sig = _frozen_coefficients(spec, pos, mu, g, euler)
     dW, (times, copies, us, ks), rounds = draws
-    t_last = np.full(pos.shape[0], t)
+    t_last = None if euler else np.full(pos.shape[0], t)
 
     def decay(rows, until):
         # exact integrator: closed-form pull to the origin plus frozen drift g
@@ -252,11 +253,11 @@ def _ensemble_substep(spec, pos, drivers, flow, t, h, bounds, ceilings, euler, d
         if not euler:
             decay(ec, et)
         lam_e = np.asarray(spec.rate(pos[ec], mu), dtype=np.float64)
-        over = ~(lam_e <= ceilings[ec])
+        over = ~(lam_e <= _at(ceilings, ec))
         if np.any(over):
             i = int(np.flatnonzero(over)[0])
             raise RateBoundViolation(
-                f"rate {lam_e[i]:.6g} above bound {bounds[ec][i]:.6g} "
+                f"rate {lam_e[i]:.6g} above bound {_at(bounds, ec[i]):.6g} "
                 f"for copy {ec[i]} in system LIMIT at t={et[i]:.6g}"
             )
         acc = eu <= lam_e

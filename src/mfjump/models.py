@@ -39,7 +39,7 @@ class EmpiricalMeasure:
     @property
     def mean(self) -> np.ndarray:
         if self._mean is None:
-            self._mean = self.points.mean(axis=0)
+            self._mean = np.add.reduce(self.points, axis=0) / len(self.points)  # ndarray.mean's float64 bits
         return self._mean
 
 

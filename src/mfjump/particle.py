@@ -20,25 +20,27 @@ Scheme
 Hybrid stepping: drift/diffusion advance by Euler using the start-of-step
 empirical measure, while candidate Poisson events inside the step are
 placed at their exact times and processed in time order (ties broken by
-particle index).  The measure seen by jump evaluations is live: it updates
-at every jump inside the step; LIMIT's is the flow cell in force.  In the
-Euler scheme a LIMIT row moves only at its own jump, so until then, and
-until its cell ends, its thinning rate is read from its rate vector taken
-at the sub-step start.  An accepted main jump of particle j moves
-j by the main amplitude and every other particle by the collateral
+particle index).  The measure seen by jump evaluations is live: it
+updates at every jump inside the step; LIMIT's is the flow cell in force.
+In the Euler scheme a LIMIT row moves only at its own jump, so until
+then, and until its cell ends, its thinning rate is read from its rate
+vector taken at the sub-step start.  An accepted main jump of particle j
+moves j by the main amplitude and every other particle by the collateral
 amplitude over N, both evaluated at the pre-jump state.  The marks of a
 candidate are hashed once: an accepted X jump hashes the collateral row
 and takes its element j as the main mark, which Y and LIMIT reuse.  The
-running sup distances of coupled pairs fold only rows that moved: a
-pair folds every row after an X jump in it, row j after a Y or LIMIT
+running sups of coupled pairs fold squared distances, and ``sup`` takes
+the root when it is read: sqrt is correctly rounded and monotone, so the
+root of the max is the max of the roots.  They fold only rows that moved:
+a pair folds every row after an X jump in it, row j after a Y or LIMIT
 jump in it, and every row at each sub-step end and, in the exact scheme,
 before each accepted jump.  Between two accepted events a difference of
-two exact-scheme rows moves along a straight segment, so its sup there
-is at an end and a rejected candidate needs no fold.  A d=1 row is read
-and written in Python floats wherever that gives the array code's bits:
-the zoo's one-row rates and main jumps return lists (the neuronal power
-is the float product r * r at alpha 2, numpy's square; other alphas keep
-the array power, which libm's pow does not match bit for bit), and
+two exact-scheme rows moves along a straight segment, so its sup there is
+at an end and a rejected candidate needs no fold.  A d=1 row is read and
+written in Python floats wherever that gives the array code's bits: the
+zoo's one-row rates and main jumps return lists (the neuronal power is
+the float product r * r at alpha 2, numpy's square; other alphas keep the
+array power, which libm's pow does not match bit for bit), and
 ``apply_jump`` writes such a jump with one float add.
 
 For the pull-to-origin, diffusion-free class an exact integrator replaces
@@ -46,15 +48,16 @@ Euler: between events positions follow the closed-form exponential decay,
 with any piecewise-constant drift (the intermediate system's absorbed
 collateral term) folded in via an exponential integrator.
 
-Thinning bounds are local per particle: a declared global rate bound when
-the model has one, otherwise an affine envelope of the current rate.  A
+Thinning bounds are local per particle: an affine envelope of the current
+rate, or the model's declared global rate bound, one float for the run.  A
 rate above an envelope aborts the sub-step, which is rewound and retried
 with a halved step a bounded number of times.  Halving cannot change a
 declared bound, so a rate above it raises at once, with no rewind: the
 systems are left where the failed sub-step put them.  Both engines pass a
-rate only when it is at most its row's ceiling (``_thinning_bounds``), so
-a NaN or infinite rate raises too: violations surface, they are never
-silently absorbed.
+rate only when it is at most its row's ceiling (``_thinning_bounds``; a
+declared bound's start check reads the rates' max and min and searches
+the rows only when they fail), so a NaN or infinite rate raises too:
+violations surface, they are never silently absorbed.
 """
 
 from __future__ import annotations
@@ -243,26 +246,34 @@ def _frozen_coefficients(spec: ModelSpec, pos: np.ndarray, mu, g: np.ndarray | N
     return (f if g is None else f + g), sig
 
 
-def _thinning_bounds(spec: ModelSpec, policy: StepPolicy, lam: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row thinning bounds valid at the current rates ``lam``, and their ceilings.
-
-    A ceiling is its bound plus rounding slack, and a rate passes only when
-    ``lam <= ceiling``.  A start rate that fails or is not finite is a
-    declaration failure that halving cannot repair, so it raises here.
+def _thinning_bounds(spec: ModelSpec, policy: StepPolicy, lam: np.ndarray, t: float) -> tuple:
+    """Thinning bounds valid at the current rates ``lam``, and their ceilings: under a declared global rate
+    bound one float each for every row, fixed for the run, else one per row.  A ceiling is its bound plus
+    rounding slack, and a rate passes only when ``lam <= ceiling``.  A start rate that fails or is not
+    finite is a declaration failure that halving cannot repair, so it raises here.
     """
     cap = spec.meta.rate_global_bound
-    bounds = np.full(lam.shape[0], float(cap)) if cap is not None else policy.bound_mult * lam + policy.bound_add
+    bounds = float(cap) if cap is not None else policy.bound_mult * lam + policy.bound_add
     ceilings = bounds * (1.0 + 1e-12) + 1e-12
+    if cap is not None and lam.max() <= ceilings and lam.min() > -math.inf:  # NaN fails the max
+        return bounds, ceilings
     bad = np.flatnonzero(~(np.isfinite(lam) & (lam <= ceilings)))
     if bad.size:
         j = int(bad[0])
         if not math.isfinite(lam[j]):
             raise RateBoundViolation(f"rate {lam[j]:.6g} for particle {j} at t={t:.6g} is not finite")
+        held = ("the declared rate bound" if cap is not None
+                else f"the step policy's envelope {policy.bound_mult:g} * rate + {policy.bound_add:g}")
         raise RateBoundViolation(
-            f"rate {lam[j]:.6g} already above bound {bounds[j]:.6g} for particle {j} "
-            f"at t={t:.6g}; the declared rate bound does not hold"
+            f"rate {lam[j]:.6g} already above bound {_at(bounds, j):.6g} for particle {j} "
+            f"at t={t:.6g}; {held} does not hold"
         )
     return bounds, ceilings
+
+
+def _at(bounds, rows):
+    """``bounds`` from ``_thinning_bounds`` at ``rows``."""
+    return bounds if isinstance(bounds, float) else bounds[rows]
 
 
 def _advance_substeps(spec, policy, t, end, rates, substep, snapshot, restore) -> int:
@@ -284,7 +295,7 @@ def _advance_substeps(spec, policy, t, end, rates, substep, snapshot, restore) -
         if rem <= 1e-12 * max(1.0, abs(end)):
             return retried
         bounds, ceilings = _thinning_bounds(spec, policy, rates(t), t)
-        rmax = float(bounds.max())
+        rmax = bounds if final else float(bounds.max())
         nsub = max(1, int(math.ceil(rmax * rem / policy.candidate_cap))) if rmax > 0 else 1
         h = rem / nsub
         retries = 0
@@ -315,9 +326,9 @@ def _substep_grid(spec: ModelSpec, policy: StepPolicy, ends) -> list[tuple[float
     return grid
 
 
-def _grid_draws(bundle: DriverBundle, grid: list, bounds: np.ndarray, bdim: int | None):
-    """(t, h, Brownian increments or None without ``bdim``, candidates) of every sub-step (t, h) of
-    ``grid`` under the per-row rate bounds ``bounds``: the numbers of every sub-step of both engines.
+def _grid_draws(bundle: DriverBundle, grid: list, bounds: float | np.ndarray, bdim: int | None):
+    """(t, h, Brownian increments or None without ``bdim``, candidates) of every sub-step (t, h) of ``grid``
+    under ``bounds``, one rate bound for every row or one per row: the numbers of every sub-step of both engines.
 
     A narrow bundle (n * bdim at most 2,048, so that 32 sub-steps fit in 2**16 numbers) asked for
     more than one sub-step draws as many as fit in 2**16 numbers at once, in one Brownian block and
@@ -326,6 +337,7 @@ def _grid_draws(bundle: DriverBundle, grid: list, bounds: np.ndarray, bdim: int 
     a single window.  Both walks return the same numbers.
     """
     n = bundle.n
+    bounds = np.full(n, bounds) if isinstance(bounds, float) else bounds
     width = n * (bdim or 1)
     step = (1 << 16) // width if width <= 2048 and len(grid) > 1 else 1
     for a in range(0, len(grid), step):
@@ -379,18 +391,23 @@ class CoupledSimulator:
         self.systems = [_LiveSystem(k, spec, np.zeros((drivers.n, spec.dim)), flow, record) for k in systems]
         self.t = 0.0
         self.retry_count = 0
-        self.sup: dict[str, np.ndarray] = {}
+        self._sq: dict[str, np.ndarray] = {}  # per pair, the running sup of squared distances
         self._marks = np.empty(drivers.n)  # buffers for every accepted X jump
         self._mark_scratch = np.empty((2, drivers.n), dtype=np.uint64)
         self._kick = np.empty((drivers.n, spec.dim))
         self._limit_rates = (math.nan, None)  # (t, LIMIT's rate vector at t), kept by _rates
         self._bdim = spec.brownian_dim if self.scheme == "euler" and spec.has_diffusion() else None
         self._replay = None  # simulate_coupled's pre-drawn grid (``_next_draws``), else each sub-step draws
-        self._pairs = []  # (system a, system b, sup array, d=1 fold buffer) per coupled pair
+        self._pairs = []  # (system a, system b, squared sup array, d=1 fold buffer) per coupled pair
         for (a, b), key in self.PAIR_KEYS.items():
             if a in systems and b in systems:
-                self.sup[key] = np.zeros(drivers.n)
-                self._pairs.append((self.system(a), self.system(b), self.sup[key], np.empty((drivers.n, 1)) if spec.dim == 1 else None))
+                self._sq[key] = np.zeros(drivers.n)
+                self._pairs.append((self.system(a), self.system(b), self._sq[key], np.empty((drivers.n, 1)) if spec.dim == 1 else None))
+
+    @property
+    def sup(self) -> dict[str, np.ndarray]:
+        """Per pair, the per-index running sup distance: the root of the squared sup, as sqrt is monotone."""
+        return {k: np.sqrt(v) for k, v in self._sq.items()}
 
     def system(self, kind: str) -> _LiveSystem:
         for s in self.systems:
@@ -412,39 +429,35 @@ class CoupledSimulator:
         """Largest rate of each particle over the coupled systems; LIMIT's own vector is kept for ``_substep``."""
         rates = {s.kind: s.rates(t) for s in self.systems}
         self._limit_rates = (t, rates.get("LIMIT"))
-        return np.maximum.reduce(list(rates.values()))
+        return rates.popitem()[1] if len(rates) == 1 else np.maximum.reduce(list(rates.values()))
 
     def _snapshot(self) -> dict:
-        return {
-            "bundle": self.bundle.snapshot(),
-            "systems": [s.snapshot() for s in self.systems],
-            "sup": {k: v.copy() for k, v in self.sup.items()},
-        }
+        return {"bundle": self.bundle.snapshot(), "systems": [s.snapshot() for s in self.systems],
+                "sq": {k: v.copy() for k, v in self._sq.items()}}
 
     def _restore(self, snap: dict) -> None:
         self.bundle.restore(snap["bundle"])
         for s, ssnap in zip(self.systems, snap["systems"]):
             s.restore(ssnap)
-        for k in self.sup:
-            self.sup[k][:] = snap["sup"][k]
+        for k in self._sq:
+            self._sq[k][:] = snap["sq"][k]
 
     def _update_sup(self, jumped: list | None = None, j: int = 0) -> None:
-        """Fold current distances into each pair's sup; after a jump of particle j, only rows ``jumped`` systems moved."""
-        for a, b, sup, buf in self._pairs:  # X comes first in its pairs
+        """Fold squared distances into each pair's sup; after a jump of particle j, only rows ``jumped`` systems moved."""
+        for a, b, sq, buf in self._pairs:  # X comes first in its pairs
             if jumped is not None and a not in jumped and b not in jumped:
                 continue
             every = jumped is None or (a.kind == "X" and a in jumped)
             if buf is None:
                 rows = slice(None) if every else slice(j, j + 1)
                 diff = a.pos[rows] - b.pos[rows]
-                np.maximum(sup[rows], np.sqrt(np.add.reduce(diff * diff, axis=1)), out=sup[rows])
+                np.maximum(sq[rows], np.add.reduce(diff * diff, axis=1), out=sq[rows])
             elif every:  # d=1: the same operations in place, as a length-1 reduce returns its element
-                np.multiply(np.subtract(a.pos, b.pos, out=buf), buf, out=buf)
-                np.maximum(sup, np.sqrt(buf, out=buf)[:, 0], out=sup)
+                np.maximum(sq, np.multiply(np.subtract(a.pos, b.pos, out=buf), buf, out=buf)[:, 0], out=sq)
             else:  # d=1, row j in Python floats, keeping np.maximum's NaN propagation
                 dv = a.pos.item(j) - b.pos.item(j)
-                if (r := math.sqrt(dv * dv)) > sup.item(j) or r != r:
-                    sup[j] = r
+                if (q := dv * dv) > sq.item(j) or q != q:
+                    sq[j] = q
 
     def advance(self, end: float) -> None:
         """Advance all systems to time ``end``, the end of one output cell."""
@@ -481,7 +494,7 @@ class CoupledSimulator:
             dW, cands = _next_draws(self._replay, t, h)
         else:
             (_, _, dW, cands), = _grid_draws(self.bundle, [(t, h)], bounds, self._bdim)
-        ceils = ceilings.tolist()
+        ceils = [ceilings] * self.bundle.n if isinstance(ceilings, float) else ceilings.tolist()
         keys = self.bundle.marks_keys
         # marks are addressed by particle id, so relabeling the bundle
         # permutes trajectories exactly
@@ -503,14 +516,14 @@ class CoupledSimulator:
                 break
             h_main, h_coll, jumped = None, None, []
             for s in self.systems:
-                mu = s.measure_now(tau)
                 if s.kind == "LIMIT" and tau < lim_end and j not in lim_moved:
-                    lam_j = float(lim_lam[j])
+                    mu, lam_j = None, lim_lam.item(j)  # the measure is read only for a jump
                 else:
+                    mu = s.measure_now(tau)
                     lam_j = float(spec.rate(s.pos[j : j + 1], mu)[0])
                 if not lam_j <= ceils[j]:
                     raise RateBoundViolation(
-                        f"rate {lam_j:.6g} above bound {float(bounds[j]):.6g} "
+                        f"rate {lam_j:.6g} above bound {float(_at(bounds, j)):.6g} "
                         f"for particle {j} in system {s.kind} at t={tau:.6g}"
                     )
                 if u > lam_j:
@@ -528,7 +541,7 @@ class CoupledSimulator:
                     s.jump_times.append(tau)
                     s.jump_particles.append(j)
                     s.jump_pre.append(s.pos[j].copy())
-                apply_jump(spec, s.pos, j, mu, h_main, h_coll if s.kind == "X" else None, self._kick)
+                apply_jump(spec, s.pos, j, mu or s.measure_now(tau), h_main, h_coll if s.kind == "X" else None, self._kick)
                 if s.record:
                     s.jump_post.append(s.pos[j].copy())
                 s.jump_count += 1
@@ -539,10 +552,12 @@ class CoupledSimulator:
                 self._update_sup(jumped, j)
 
         if euler:
+            noise = (None, None)  # (diffusion array, its noise product): systems given one array share it
             for s, f, sig in zip(self.systems, drifts, diffs):
                 s.pos += h * f
                 if dW is not None:
-                    s.pos += np.einsum("nij,nj->ni", sig, dW)
+                    noise = noise if sig is noise[0] else (sig, np.einsum("nij,nj->ni", sig, dW))
+                    s.pos += noise[1]
 
         for s in self.systems:
             if not np.isfinite(s.pos).all():
@@ -647,8 +662,7 @@ def simulate_coupled(
     ends = output_grid(T, dt)
     if spec.meta.rate_global_bound is not None:  # the bound fixes the grid: draw it whole before the run
         grid = _substep_grid(spec, sim.policy, ends)
-        bounds = np.full(drivers.n, float(spec.meta.rate_global_bound))
-        sim._replay = enumerate(chain(_grid_draws(drivers, grid, bounds, sim._bdim), [(None, None)]))
+        sim._replay = enumerate(chain(_grid_draws(drivers, grid, float(spec.meta.rate_global_bound), sim._bdim), [(None, None)]))
     times = [0.0]
     positions = {k: [sim.system(k).pos.copy()] for k in systems} if record_paths else None
     for end in ends:
@@ -658,7 +672,7 @@ def simulate_coupled(
             for k in systems:
                 positions[k].append(sim.system(k).pos.copy())
     out = {
-        "sup": {k: v.copy() for k, v in sim.sup.items()},
+        "sup": sim.sup,
         "jump_counts": {k: sim.system(k).jump_count for k in systems},
         "retries": sim.retry_count,
     }

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mfjump.drivers import InvalidInputError, StreamKey, StreamState
 from mfjump.limit import FlowApproximation
@@ -22,6 +24,20 @@ def test_make_empirical_mean_example():
     mu = make_empirical([[0.0], [2.0]])
     assert np.mean(mu.points) == pytest.approx(1.0)
     assert mu.mean[0] == pytest.approx(1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 20_000), d=st.integers(1, 3), step=st.integers(1, 3), spread=st.integers(0, 300),
+       seed=st.integers(0, 2**32 - 1), head=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=6))
+def test_empirical_mean_has_the_bits_of_ndarray_mean(n, d, step, spread, seed, head):
+    # mixed signs and magnitudes 10**-spread .. 10**spread, some drawn floats in the first rows, and
+    # a strided view like a flow cell's quadrature sub-ensemble
+    rng = np.random.default_rng(seed)
+    pts = rng.standard_normal((n * step, d)) * 10.0 ** rng.uniform(-spread, spread, (n * step, d))
+    pts.flat[: len(head)] = head[: pts.size]
+    pts = pts[::step]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert EmpiricalMeasure(pts).mean.tobytes() == pts.mean(axis=0).tobytes()
 
 
 def test_make_empirical_constant_integration():

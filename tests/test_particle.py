@@ -261,9 +261,36 @@ def _rate_after_first_jump(rate):
 
 def test_thinning_bounds_cover_a_rate_up_to_the_rounding_slack():
     spec = _rate_after_first_jump(EDGE)
-    assert particle._thinning_bounds(spec, StepPolicy(), np.asarray([EDGE]), 0.0)[0].tolist() == [2.0]
+    assert particle._thinning_bounds(spec, StepPolicy(), np.asarray([EDGE]), 0.0) == (2.0, EDGE)
     with pytest.raises(RateBoundViolation, match=r"^rate 2 already above bound 2 for particle 0 at t=0; "):
         particle._thinning_bounds(spec, StepPolicy(), np.asarray([PAST_EDGE]), 0.0)
+
+
+@pytest.mark.parametrize("bad, message", [
+    (math.nan, "rate nan for particle 3 at t=0 is not finite"),
+    (math.inf, "rate inf for particle 3 at t=0 is not finite"),
+    (-math.inf, "rate -inf for particle 3 at t=0 is not finite"),
+    (PAST_EDGE, "rate 2 already above bound 2 for particle 3 at t=0; the declared rate bound does not hold"),
+], ids=["nan", "inf", "-inf", "past-edge"])
+def test_the_declared_bound_start_check_names_the_first_bad_row_in_both_engines(bad, message):
+    # rows 3 and 5 start at 1 and read ``bad``, the others read 1 under the declared bound 2: the
+    # check passes on the rows' max and min and searches the rows only when they fail
+    spec = _spec(drift=lambda x, m: np.zeros_like(x), rate=lambda x, m: np.where(x[:, 0] > 0.5, bad, 1.0),
+                 main=lambda x, m, h: np.zeros_like(x), cap=2.0)
+    x0 = np.zeros((8, 1))
+    x0[[3, 5]] = 1.0
+    with pytest.raises(RateBoundViolation, match=f"^{re.escape(message)}$"):
+        simulate_coupled(("X",), spec, 1.0, 0.5, make_driver_bundle(1, 0, 8), initial_positions=x0)
+    with pytest.raises(RateBoundViolation, match=f"^{re.escape(message)}$"):
+        simulate_ensemble(spec, 1.0, 0.5, make_driver_bundle(1, 0, 8), constant_flow(x0, 1.0), initial_positions=x0)
+
+
+def test_a_start_rate_above_the_policy_envelope_names_the_envelope():
+    # no declared bound: the envelope 0.5 * rate + 0 lies below every positive rate
+    with pytest.raises(RateBoundViolation, match=r"^rate \S+ already above bound \S+ for particle 0 at t=0; "
+                                                 r"the step policy's envelope 0\.5 \* rate \+ 0 does not hold$"):
+        simulate("X", build("neuronal", {}), 0.2, 0.05, make_driver_bundle(1, 0, 8), init=InitSampler(kind="uniform"),
+                 policy=StepPolicy(bound_mult=0.5, bound_add=0.0))
 
 
 def test_event_loop_accepts_a_rate_up_to_the_rounding_slack():
@@ -418,11 +445,28 @@ class _ReferenceSimulator(CoupledSimulator):
     """The per-event loop before its scalar rewrite, kept as the oracle.
 
     Every candidate re-hashes the main mark on its own, hashes the
-    collateral row again for X, and folds every row of every pair into the
-    sup after every candidate.  Jumps and decays write new position arrays
-    instead of updating them in place.  LIMIT reads its flow cell and its
-    rate afresh at every candidate.
+    collateral row again for X, and folds every row's ``np.linalg.norm``
+    distance of every pair into a sup of its own after every candidate.
+    Jumps and decays write new position arrays instead of updating them in
+    place.  LIMIT reads its flow cell and its rate afresh at every
+    candidate.
     """
+
+    def __init__(self, *args, **kw):
+        super().__init__(*args, **kw)
+        self._norm_sup = {k: np.zeros(self.bundle.n) for k in self._sq}
+
+    @property
+    def sup(self):
+        return self._norm_sup
+
+    def _snapshot(self):
+        return {**super()._snapshot(), "norm_sup": {k: v.copy() for k, v in self._norm_sup.items()}}
+
+    def _restore(self, snap):
+        super()._restore(snap)
+        for k, v in snap["norm_sup"].items():
+            self._norm_sup[k][:] = v
 
     @staticmethod
     def _measure_at(s, t):
@@ -430,9 +474,9 @@ class _ReferenceSimulator(CoupledSimulator):
 
     def _update_sup(self, jumped=None, j=0) -> None:
         for (a, b), key in self.PAIR_KEYS.items():
-            if key in self.sup:
+            if key in self._norm_sup:
                 d = np.linalg.norm(self.system(a).pos - self.system(b).pos, axis=1)
-                np.maximum(self.sup[key], d, out=self.sup[key])
+                np.maximum(self._norm_sup[key], d, out=self._norm_sup[key])
 
     def _substep(self, t, h, bounds, ceilings=None):
         spec = self.spec
@@ -454,6 +498,7 @@ class _ReferenceSimulator(CoupledSimulator):
         dW = None
         if euler and spec.has_diffusion():
             dW = self.bundle.brownian.normals_block(spec.brownian_dim) * math.sqrt(h)
+        bounds = np.broadcast_to(bounds, self.bundle.n)  # a declared bound is one float for every row
         times, jumpers, us, ks = collect_candidates(self.bundle, t, t + h, bounds)
         t_last = t
         for tau, j, u, k in zip(times, jumpers, us, ks):
@@ -543,11 +588,15 @@ def _assert_same_run(systems, spec, x0, T, dt, seed, particle_ids=None, **kw):
 _STRONG_KICKS = {"collateral_amp": 3.0, "rate_slope": 3.0, "rate_cap_radius": 3.0}
 
 
-@pytest.mark.parametrize("dim, n", [(1, 16), (2, 16), (2, 257)], ids=["1", "2", "2-n257"])
-def test_event_loop_matches_reference_lipschitz_triple(dim, n):
+@pytest.mark.parametrize("dim, n, sigma_of_x", [(1, 16, False), (2, 16, False), (2, 257, False), (1, 16, True)],
+                         ids=["1", "2", "2-n257", "1-sigma-of-x"])
+def test_event_loop_matches_reference_lipschitz_triple(dim, n, sigma_of_x):
     # N=257: the reused mark and kick buffers and the per-pair sup fold at a
-    # size where most rows do not move on a Y or LIMIT jump
+    # size where most rows do not move on a Y or LIMIT jump.  A diffusion that
+    # reads x gives each system its own array, so no noise product is shared
     spec = build("lipschitz-demo", dict(_STRONG_KICKS, dim=dim))
+    if sigma_of_x:
+        spec = dataclasses.replace(spec, diffusion=lambda x, m: (0.3 + 0.2 * np.tanh(x))[:, :, None] * np.eye(dim))
     T, dt = 2.0, 0.1
     flow = solve_limit(spec, 96, T, dt, seed=5, tol=1e-12, max_iter=1)
     x0 = np.random.default_rng(dim).normal(0.3, 0.8, size=(n, dim))
