@@ -33,10 +33,11 @@ Gaussians are ``ndtri(uniform)``; exponential inter-arrival times are
 
 Mark coordinates are addressed statelessly: the mark for particle index
 ``m`` attached to candidate event number ``k`` of a given marks stream is
-uniform number ``(k << 32) | m`` of that stream.  Only the coordinates a
-jump actually touches are ever materialized.  Because ``m`` fills the low
-32 bits of that address, particle ids are distinct integers in
-[0, 2**32); ``DriverBundle`` and ``make_driver_bundle`` reject others.
+uniform number ``(k << 32) | m`` of that stream.  They are hashed on
+demand, one event's row of particles at most, and rows hashed ahead for the
+jumps the stepper predicts go unused when it mispredicts.  Because ``m``
+fills the low 32 bits of that address, particle ids are distinct integers
+in [0, 2**32); ``DriverBundle`` and ``make_driver_bundle`` reject others.
 
 Reference vectors for ``(seed=42, replica=0, particle=0, kind="brownian")``
 are frozen in ``tests/data/stream_vectors.json``.
@@ -117,6 +118,7 @@ _U64_MIX2 = np.uint64(_MIX2)
 _U64_ONE, _U64_TWO = np.uint64(1), np.uint64(2)
 _U64_PAIR = np.asarray([[0], [1]], dtype=np.uint64)  # plus c: the counters c and c + 1 as two rows
 _U64_11, _U64_27, _U64_30, _U64_31 = (np.uint64(s) for s in (11, 27, 30, 31))
+_U64_EVENT = np.uint64(((1 << 32) * _GOLD) & _MASK)  # times k: (k << 32) * GOLD mod 2**64, a mark event's part
 
 
 class InvalidInputError(ValueError):
@@ -172,12 +174,10 @@ def _counter_offsets(counters) -> np.ndarray:
     return z
 
 
-def _raw_from_counters(key: int | np.ndarray, counters, offsets=None, out=None, tmp=None) -> np.ndarray:
-    """Raw draw #c of the stream ``key``: mix64(key + (c + 1) * GOLD), mod 2**64; ``offsets``
-    may hold ``_counter_offsets(counters)``, and then ``out`` and ``tmp`` uint64 buffers to hash in."""
-    if offsets is None:
-        offsets = out = _counter_offsets(counters)
-    return _mix64_inplace(np.add(offsets, np.asarray(key, dtype=np.uint64), out=out), tmp)
+def _raw_from_counters(key: int | np.ndarray, counters) -> np.ndarray:
+    """Raw draw #c of the stream ``key``: mix64(key + (c + 1) * GOLD), mod 2**64."""
+    offsets = _counter_offsets(counters)
+    return _mix64_inplace(np.add(offsets, np.asarray(key, dtype=np.uint64), out=offsets))
 
 
 def _uniform_from_raw(raw: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -233,16 +233,20 @@ class StreamState:
         return ndtri(self.uniforms(n))
 
 
-def marks_uniforms(marks_key: int, event_index: int, particle_indices, *, offsets=None, out=None, scratch=(None, None)):
-    """Mark coordinates for one event: uniform #((k << 32) | m) of the marks stream.
+def marks_uniforms(marks_keys, event_indices, particle_indices, *, offsets=None, out=None, scratch=(None, None)):
+    """Mark coordinates of one or more events over the same particles, flat, event after event:
+    uniform #((k << 32) | m) of each event's marks stream for every particle m.
 
-    For m < 2**32, key + ((k << 32 | m) + 1) * GOLD equals
-    (key + (k << 32) * GOLD) + (m + 1) * GOLD mod 2**64, so the event's
-    part is one scalar added to the per-particle part.
-    ``offsets`` may hold that part (``DriverBundle.mark_offsets``), ``out`` a float64 and ``scratch`` a (2, n) uint64 buffer.
+    For m < 2**32, key + ((k << 32 | m) + 1) * GOLD equals (key + (k << 32) * GOLD) + (m + 1) * GOLD
+    mod 2**64, so an event's part is one number added to the per-particle part.  ``offsets`` may hold that
+    part (``DriverBundle.mark_offsets``), and ``out`` (float64) and the two rows of ``scratch`` (uint64)
+    at least as many numbers as are hashed: their heads take the work.
     """
-    base = (int(marks_key) + (int(event_index) << 32) * _GOLD) & _MASK
-    return _uniform_from_raw(_raw_from_counters(base, particle_indices, offsets, *scratch), out)
+    bases = np.asarray(marks_keys, np.uint64).reshape(-1, 1) + np.asarray(event_indices, np.uint64).reshape(-1, 1) * _U64_EVENT
+    offsets = _counter_offsets(particle_indices) if offsets is None else offsets
+    raw, tmp = (b if b is None else b[: bases.size * offsets.size].reshape(-1, offsets.size) for b in scratch)
+    raw = _mix64_inplace(np.add(offsets, bases, out=raw), tmp).reshape(-1)
+    return _uniform_from_raw(raw, out if out is None else out[: raw.size])
 
 
 def marks_uniforms_batch(marks_keys: np.ndarray, event_indices: np.ndarray, particle_indices: np.ndarray) -> np.ndarray:

@@ -183,12 +183,36 @@ def test_mark_row_element_is_the_single_mark_and_the_scalar_uniform(key, k, pids
     row = marks_uniforms(key, k, ids)
     for i, m in enumerate(pids):
         assert row[i] == marks_uniforms(key, k, ids[i : i + 1])[0] == _scalar_uniform(key, (k << 32) | m)
-    # the stepper's form: cached per-particle offsets, hashed in reused buffers
-    out, scratch = np.empty(len(ids)), np.empty((2, len(ids)), dtype=np.uint64)
+    # the stepper's form: several events in one call, cached per-particle offsets, hashed in the heads of
+    # reused buffers; this row comes second, after the row of the next event
+    out, scratch = np.empty(3 * len(ids)), np.empty((2, 3 * len(ids)), dtype=np.uint64)
     offsets = DriverBundle(0, 0, ids).mark_offsets
     for _ in range(2):
-        got = marks_uniforms(key, k, ids, offsets=offsets, out=out, scratch=scratch)
-        assert got is out and got.tobytes() == row.tobytes()
+        got = marks_uniforms([key, key], [(k + 1) % 2**32, k], ids, offsets=offsets, out=out, scratch=scratch)
+        assert got.base is out and got.tobytes() == marks_uniforms(key, (k + 1) % 2**32, ids).tobytes() + row.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 3, 1000, 2**15 + 1])
+def test_mark_rows_of_several_events_equal_their_one_event_rows(n):
+    # the stepper's batch: up to 2**15 // n rows of events with different jumpers and event indices,
+    # flat, event after event; 1,000 does not divide 2**15, and a count above it gets one row per call
+    rng = np.random.default_rng(n)
+    ids = rng.choice(2**32, n, replace=False)
+    offsets = DriverBundle(0, 0, ids).mark_offsets
+    rows = max(1, 2**15 // n)
+    keys = rng.integers(0, 2**64, rows, dtype=np.uint64, endpoint=False)
+    ks = rng.integers(0, 2**32, rows)
+    out, scratch = np.empty(rows * n), np.empty((2, rows * n), dtype=np.uint64)
+    got = marks_uniforms(keys, ks, ids, offsets=offsets, out=out, scratch=scratch)
+    assert got.shape == (rows * n,) and got.base is out
+    for r in range(rows):
+        assert got[r * n : (r + 1) * n].tobytes() == marks_uniforms(int(keys[r]), int(ks[r]), ids).tobytes()
+    for r, i in ((0, 0), (rows - 1, n - 1), (rows // 2, n // 2)):
+        assert got[r * n + i] == _scalar_uniform(int(keys[r]), (int(ks[r]) << 32) | int(ids[i]))
+    # fewer rows than the buffers hold use their heads; unbuffered calls allocate
+    head = marks_uniforms(keys[:1], ks[:1], ids, offsets=offsets, out=out, scratch=scratch)
+    assert head.base is out and head.size == n and head.tobytes() == got[:n].tobytes()
+    assert marks_uniforms(keys, ks, ids).tobytes() == got.tobytes()
 
 
 @settings(max_examples=200, deadline=None)
