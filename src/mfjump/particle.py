@@ -27,20 +27,24 @@ then, and until its cell ends, its thinning rate is read from its rate
 vector taken at the sub-step start.  An accepted main jump of particle j
 moves j by the main amplitude and every other particle by the collateral
 amplitude over N, both evaluated at the pre-jump state.  The marks of a
-candidate are hashed once: an accepted X jump hashes the collateral row
-and takes its element j as the main mark, which Y and LIMIT reuse.  The
-running sups of coupled pairs fold squared distances, and ``sup`` takes
-the root when it is read: sqrt is correctly rounded and monotone, so the
-root of the max is the max of the roots.  They fold only rows that moved:
-a pair folds every row after an X jump in it, row j after a Y or LIMIT
-jump in it, and every row at each sub-step end and, in the exact scheme,
-before each accepted jump.  Between two accepted events a difference of
-two exact-scheme rows moves along a straight segment, so its sup there is
-at an end and a rejected candidate needs no fold.  A d=1 row is read and
-written in Python floats wherever that gives the array code's bits: the
-zoo's one-row rates and main jumps return lists (the neuronal power is
-the float product r * r at alpha 2, numpy's square; other alphas keep the
-array power, which libm's pow does not match bit for bit), and
+candidate are hashed once: X's collateral row, whose element j is the main
+mark that Y and LIMIT reuse, or the main mark alone when only Y or LIMIT
+jump.  When X accepts a candidate that its sub-step start rates predicted
+(level at most the rate) and that has no row yet, one call hashes the rows
+of it and of the next predicted ones, up to ``MARK_BATCH`` numbers; an
+unpredicted acceptance is hashed alone.  A wrong prediction changes no
+output bit.  The running sups of coupled pairs fold squared distances, and
+``sup`` takes the root when it is read: sqrt is correctly rounded and
+monotone, so the root of the max is the max of the roots.  They fold only
+rows that moved: a pair folds every row after an X jump in it, row j after
+a Y or LIMIT jump in it, and every row at each sub-step end and, in the
+exact scheme, before each accepted jump.  Between two accepted events a
+difference of two exact-scheme rows moves along a straight segment, so its
+sup there is at an end and a rejected candidate needs no fold.  A d=1 row
+is read and written in Python floats wherever that gives the array code's
+bits: the zoo's one-row rates and main jumps return lists (the neuronal
+power is the float product r * r at alpha 2, numpy's square; other alphas
+keep the array power, which libm's pow does not match bit for bit), and
 ``apply_jump`` writes such a jump with one float add.
 
 For the pull-to-origin, diffusion-free class an exact integrator replaces
@@ -373,6 +377,7 @@ class CoupledSimulator:
     """
 
     PAIR_KEYS = {("X", "Y"): "xy", ("Y", "LIMIT"): "ylimit", ("X", "LIMIT"): "xlimit"}
+    MARK_BATCH = 1 << 15  # the numbers of X's mark rows that one call hashes at most
 
     def __init__(
         self,
@@ -392,10 +397,10 @@ class CoupledSimulator:
         self.t = 0.0
         self.retry_count = 0
         self._sq: dict[str, np.ndarray] = {}  # per pair, the running sup of squared distances
-        self._marks = np.empty(drivers.n)  # buffers for every accepted X jump
-        self._mark_scratch = np.empty((2, drivers.n), dtype=np.uint64)
+        batch = max(1, self.MARK_BATCH // drivers.n) * drivers.n  # buffers for a batch of X's mark rows
+        self._marks, self._mark_scratch = np.empty(batch), np.empty((2, batch), dtype=np.uint64)
         self._kick = np.empty((drivers.n, spec.dim))
-        self._limit_rates = (math.nan, None)  # (t, LIMIT's rate vector at t), kept by _rates
+        self._start_rates = (math.nan, {})  # (t, each system's rate vector at t), kept by _rates
         self._bdim = spec.brownian_dim if self.scheme == "euler" and spec.has_diffusion() else None
         self._replay = None  # simulate_coupled's pre-drawn grid (``_next_draws``), else each sub-step draws
         self._pairs = []  # (system a, system b, squared sup array, d=1 fold buffer) per coupled pair
@@ -426,10 +431,10 @@ class CoupledSimulator:
     # -- stepping ---------------------------------------------------------
 
     def _rates(self, t: float) -> np.ndarray:
-        """Largest rate of each particle over the coupled systems; LIMIT's own vector is kept for ``_substep``."""
+        """Largest rate of each particle over the coupled systems; each system's own vector is kept for ``_substep``."""
         rates = {s.kind: s.rates(t) for s in self.systems}
-        self._limit_rates = (t, rates.get("LIMIT"))
-        return rates.popitem()[1] if len(rates) == 1 else np.maximum.reduce(list(rates.values()))
+        self._start_rates = (t, rates)
+        return next(iter(rates.values())) if len(rates) == 1 else np.maximum.reduce(list(rates.values()))
 
     def _snapshot(self) -> dict:
         return {"bundle": self.bundle.snapshot(), "systems": [s.snapshot() for s in self.systems],
@@ -476,14 +481,14 @@ class CoupledSimulator:
         drifts: list[np.ndarray | None] = []
         diffs: list[np.ndarray | None] = []
         # Euler: LIMIT's rate is its entry in _rates(t)'s vector until its row jumps or its cell ends
-        lim_end, lim_lam, lim_moved = -math.inf, self._limit_rates[1], set()
+        (t0, start), lim_end, lim_moved = self._start_rates, -math.inf, set()
         for s in self.systems:
             mu = s.measure_now(t)
             if s.kind == "Y":
                 g = collateral_drift(spec, s.pos, mu)
             elif s.kind == "LIMIT":
                 g = collateral_drift(spec, s.pos, s.cell.quad, s.cell.lam_mean)
-                lim_end = s.cell.end if euler and self._limit_rates[0] == t else -math.inf
+                lim_end = s.cell.end if euler and t0 == t else -math.inf
             else:
                 g = None
             f, sig = _frozen_coefficients(spec, s.pos, mu, g, euler)
@@ -498,12 +503,14 @@ class CoupledSimulator:
         keys = self.bundle.marks_keys
         # marks are addressed by particle id, so relabeling the bundle
         # permutes trajectories exactly
-        pids = self.bundle.particle_ids
+        pids, n = self.bundle.particle_ids, self.bundle.n
+        pred = np.flatnonzero(cands[2] <= (start["X"][cands[1]] if "X" in start and t0 == t else -math.inf))
+        rows = {}  # X's mark rows by candidate, hashed in batches of the predicted candidates ``pred``
 
         t_last = t
         decays = [(s.pos, g) for s, g in zip(self.systems, drifts)]
         events = zip(*(c.tolist() + [e] for c, e in zip(cands, (t + h, -1, 0.0, 0))))
-        for tau, j, u, k in events:  # j = -1: the sub-step end, where the exact scheme decays too
+        for i, (tau, j, u, k) in enumerate(events):  # j = -1: the sub-step end, where the exact scheme decays too
             if not euler and tau > t_last:
                 factor = math.exp(-(tau - t_last))
                 one_minus = 1.0 - factor
@@ -517,7 +524,7 @@ class CoupledSimulator:
             h_main, h_coll, jumped = None, None, []
             for s in self.systems:
                 if s.kind == "LIMIT" and tau < lim_end and j not in lim_moved:
-                    mu, lam_j = None, lim_lam.item(j)  # the measure is read only for a jump
+                    mu, lam_j = None, start["LIMIT"].item(j)  # the measure is read only for a jump
                 else:
                     mu = s.measure_now(tau)
                     lam_j = float(spec.rate(s.pos[j : j + 1], mu)[0])
@@ -530,10 +537,16 @@ class CoupledSimulator:
                     continue
                 if not euler and not jumped:
                     self._update_sup()  # the left limits: a difference moves on a segment, so its sup is at an end
-                # one mark hash per candidate: the main mark is element j of X's row
+                # one mark hash per candidate: the main mark is element j of X's row.  An unpredicted row is
+                # hashed alone into the batch's first row, which the jump that opened the batch has used
                 if s.kind == "X":
-                    h_coll = marks_uniforms(int(keys[j]), k, pids, offsets=self.bundle.mark_offsets,
-                                            out=self._marks, scratch=self._mark_scratch)
+                    if (h_coll := rows.get(i)) is None:
+                        r = pred.searchsorted(i)
+                        sel = pred[r : r + self._marks.size // n] if i in pred[r : r + 1] else np.array([i])
+                        block = marks_uniforms(keys[cands[1][sel]], cands[3][sel], pids, offsets=self.bundle.mark_offsets,
+                                               out=self._marks, scratch=self._mark_scratch).reshape(-1, n)
+                        rows.update(zip(sel.tolist(), block))
+                        h_coll = block[0]
                     h_main = float(h_coll[j])
                 elif h_main is None:
                     h_main = float(marks_uniforms(int(keys[j]), k, pids[j : j + 1])[0])

@@ -562,8 +562,8 @@ def _run_cells(cls, systems, spec, x0, T, dt, seed, particle_ids, **kw):
     return sim, np.stack(grid)
 
 
-def _assert_same_run(systems, spec, x0, T, dt, seed, particle_ids=None, **kw):
-    new, grid_new = _run_cells(CoupledSimulator, systems, spec, x0, T, dt, seed, particle_ids, **kw)
+def _assert_same_run(systems, spec, x0, T, dt, seed, particle_ids=None, engine=CoupledSimulator, **kw):
+    new, grid_new = _run_cells(engine, systems, spec, x0, T, dt, seed, particle_ids, **kw)
     ref, grid_ref = _run_cells(_ReferenceSimulator, systems, spec, x0, T, dt, seed, particle_ids, **kw)
     assert np.array_equal(grid_new, grid_ref)
     assert new.sup.keys() == ref.sup.keys()
@@ -736,6 +736,65 @@ def test_grid_draws_equal_drawing_substep_by_substep(n, bdim, substeps, monkeypa
     for key, value in ref.snapshot().items():
         assert np.array_equal(bundle.snapshot()[key], value), key
     assert sum(len(c[0]) for *_, c in drawn) > substeps
+
+
+class _PredictionLog(CoupledSimulator):
+    """The engine, counting X's candidates of every finished sub-step by whether X's start rate predicted
+    their acceptance (level at most the rate) and whether X accepted them; both recomputed here."""
+
+    def __init__(self, *args, **kw):
+        super().__init__(*args, **kw)
+        self.kinds = {(p, a): 0 for p in (False, True) for a in (False, True)}  # (predicted, accepted) -> count
+
+    def _substep(self, t, h, bounds, ceilings):
+        x = self.system("X")
+        lam = np.asarray(self.spec.rate(x.pos, x.measure_now(t)), dtype=np.float64)
+        snap = self.bundle.snapshot()
+        times, jumpers, us, _ = collect_candidates(self.bundle, t, t + h, np.broadcast_to(bounds, self.bundle.n))
+        self.bundle.restore(snap)
+        first = x.jump_count
+        super()._substep(t, h, bounds, ceilings)
+        accepted = set(zip(x.jump_times[first:], x.jump_particles[first:]))
+        for tau, j, u in zip(times.tolist(), jumpers.tolist(), us.tolist()):
+            self.kinds[(u <= lam[j], (tau, j) in accepted)] += 1
+
+
+def _neuronal_triple():
+    spec = build("neuronal", {"collateral_amp": 1.9})
+    flow = solve_limit(spec, 96, 2.0, 0.1, seed=2, tol=1e-12, max_iter=1, init=InitSampler(kind="uniform"))
+    return spec, flow, InitSampler(kind="uniform").sample(make_driver_bundle(4, 1, 16), 1), 1, {"scheme": "exact"}
+
+
+def _lipschitz_triple():
+    spec = build("lipschitz-demo", dict(_STRONG_KICKS, jump_scale=1.0))
+    flow = solve_limit(spec, 96, 2.0, 0.1, seed=5, tol=1e-12, max_iter=1)
+    return spec, flow, np.random.default_rng(1).normal(0.3, 0.8, size=(16, 1)), 0, {"scheme": "euler"}
+
+
+def _rate_following_triple():
+    # the same steep rates and strong kicks without the declared bound, under an envelope they often break
+    base = build("lipschitz-demo", dict(_STRONG_KICKS, jump_scale=1.0))
+    spec = dataclasses.replace(base, meta=dataclasses.replace(base.meta, rate_global_bound=None))
+    policy = StepPolicy(bound_mult=1.0, bound_add=0.5, max_retries=16)
+    flow = solve_limit(spec, 96, 2.0, 0.1, seed=5, tol=1e-12, max_iter=1, policy=policy)
+    x0 = np.random.default_rng(1).normal(0.3, 0.8, size=(16, 1))
+    return spec, flow, x0, 0, {"scheme": "euler", "policy": policy}
+
+
+@pytest.mark.parametrize("batch", [CoupledSimulator.MARK_BATCH, 48], ids=["default-batch", "batch-48"])
+@pytest.mark.parametrize("run", [_neuronal_triple, _lipschitz_triple, _rate_following_triple],
+                         ids=["exact", "euler", "rate-following-retries"])
+def test_event_loop_matches_reference_when_the_mark_prediction_fails(run, batch, monkeypatch):
+    # X's mark rows are hashed in batches of the candidates its start rates predict it accepts; a predicted
+    # candidate that X rejects leaves an unused row, and one that X accepts unpredicted is hashed alone,
+    # keeping the batch in hand.  Decays, kicks and retried sub-steps make both happen; 48 numbers are
+    # 3 rows at N=16, so a sub-step also opens several batches.  The oracle hashes every jump's row alone
+    monkeypatch.setattr(CoupledSimulator, "MARK_BATCH", batch)
+    spec, flow, x0, seed, kw = run()
+    sim = _assert_same_run(("X", "Y", "LIMIT"), spec, x0, 2.0, 0.1, seed, engine=_PredictionLog, flow=flow, **kw)
+    assert sim.kinds[(True, False)] > 0 and sim.kinds[(False, True)] > 0, sim.kinds
+    assert sim.kinds[(True, True)] > 10 * sim.kinds[(False, True)]
+    assert (run is _rate_following_triple) == (sim.retry_count > 0)
 
 
 def test_event_loop_matches_reference_neuronal_triple():
