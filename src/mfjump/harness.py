@@ -539,6 +539,9 @@ def run_diagnostics(config: SimConfig) -> DiagnosticsBundle:
         N: jump_count_stats([c["jump_count"] for c in rows], N, thresholds)
         for N, rows in rows_by_n.items()
     }
+    # the cross-replica sd of jumps per particle and its rate in N, which criterion 7's companion asserts
+    jump_sd = {N: float(np.std([c["jumps_per_particle"] for c in rows], ddof=1)) for N, rows in rows_by_n.items() if len(rows) > 1}
+    sd_fit = fit_rate(list(jump_sd), list(jump_sd.values())) if len(jump_sd) >= 3 and min(jump_sd.values()) > 0 else None
 
     bundle = DiagnosticsBundle(
         Ns=Ns,
@@ -575,6 +578,7 @@ def run_diagnostics(config: SimConfig) -> DiagnosticsBundle:
                 }
                 for N, t in jump_tails.items()
             },
+            "jump_sd": {"per_N": {str(N): sd for N, sd in jump_sd.items()}, "fit": sd_fit and dataclasses.asdict(sd_fit)},
             "manifest": bundle.manifest,
         },
     )

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import multiprocessing
 import os
@@ -24,6 +25,7 @@ from mfjump.harness import (
     run_diagnostics,
     run_validate,
 )
+from mfjump.metrics import fit_rate
 from mfjump.particle import NumericalBlowupError
 
 
@@ -403,6 +405,28 @@ def test_diagnostics_without_good_cells_for_an_n(tmp_path, monkeypatch):
     ratios_8 = [c["jumps_per_particle"] for c in full.cells if c["N"] == 8]
     assert payload["jump_tails"]["8"]["thresholds"] == [2.0 * float(np.mean(ratios_8))]
     assert len((tmp_path / "p" / "diagnostics.csv").read_text().splitlines()) == 2 + 3
+
+
+def test_diagnostics_report_the_jump_count_sd_and_its_rate(tmp_path, monkeypatch):
+    # beside the jump tails, which read 0 when no replica reaches the threshold, diagnostics.json holds the
+    # cross-replica sd of jumps per particle at each N with 2 good replicas and, given 3 such Ns, its fit in N
+    d = _diag_config(tmp_path / "full")
+    d["run"].update(T=1.0, Ns=[8, 16, 32])
+    run_diagnostics(SimConfig.from_dict(d))
+    rows = [r.split(",") for r in (tmp_path / "full" / "diagnostics.csv").read_text().splitlines()[2:]]
+    sds = {N: float(np.std([float(r[2]) for r in rows if r[0] == str(N)], ddof=1)) for N in (8, 16, 32)}
+    fit = fit_rate(list(sds), list(sds.values()))
+    payload = json.loads((tmp_path / "full" / "diagnostics.json").read_text())["jump_sd"]
+    assert payload["per_N"] == {str(N): sd for N, sd in sds.items()}
+    assert payload["fit"] == json.loads(json.dumps(dataclasses.asdict(fit)))
+    assert all(sd > 0 for sd in sds.values()) and -2.0 < fit.slope < 0.0
+    # two good replicas left at N=16 still count; one left at N=32 drops it, and two Ns get no fit
+    _fail_diag_cells(monkeypatch, [(1, 0), (2, 0), (2, 1)])
+    with pytest.raises(SweepError):
+        run_diagnostics(SimConfig.from_dict(dict(d, output={"dir": str(tmp_path / "p")})))
+    payload = json.loads((tmp_path / "p" / "diagnostics.json").read_text())["jump_sd"]
+    assert sorted(payload["per_N"]) == ["16", "8"] and payload["per_N"]["8"] == sds[8]
+    assert payload["fit"] is None
 
 
 def test_diagnostics_without_jumps_sets_no_default_threshold(tmp_path, capsys):
