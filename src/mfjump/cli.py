@@ -88,6 +88,12 @@ def _cmd_diagnostics(args) -> int:
     for n, tail in bundle.jump_tails.items():
         for h, pr, lo, hi in zip(tail.thresholds, tail.tail_prob, tail.wilson_lo, tail.wilson_hi):
             print(f"N={n} P(jumps/N >= {h:.4g}) = {pr:.4g}  Wilson=({lo:.4g}, {hi:.4g})")
+    # the values of diagnostics.json's jump_sd, in full
+    for n, sd in bundle.jump_sd.items():
+        print(f"N={n} sd(jumps/N) = {sd!r}")
+    fit = bundle.jump_sd_fit
+    print("sd(jumps/N) rate: null" if fit is None else
+          f"sd(jumps/N) rate: slope={fit.slope!r} CI=({fit.slope_ci[0]!r}, {fit.slope_ci[1]!r})")
     print(f"outputs in {config.output.dir}")
     return 0
 

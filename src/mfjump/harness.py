@@ -27,7 +27,7 @@ import yaml
 
 from .drivers import InvalidInputError, _integer, _positive, make_driver_bundle, scipy_extension
 from .limit import FlowApproximation, solve_limit
-from .metrics import ChaosReport, fit_rate, jump_count_stats, moment_diagnostics
+from .metrics import ChaosReport, RateFit, fit_rate, jump_count_stats, moment_diagnostics
 from .models import AssumptionReport, ProbeConfig, validate_model
 from .particle import InitSampler, StepPolicy, simulate, simulate_coupled
 from .zoo import build, model_ids
@@ -460,10 +460,10 @@ def run_chaos_sweep(config: SimConfig, force: bool = False) -> ChaosReport:
 
 
 def _diag_values(config: SimConfig, spec, bundle, flow) -> dict:
-    paths = simulate(
+    paths = simulate(  # a cell reads the grid positions and the jump count, never the jump log
         "X", spec, config.run.T, config.run.dt, bundle,
         init=config.init, scheme=config.run.scheme,
-        policy=config.stepping,
+        policy=config.stepping, jump_log=False,
     )
     moments = {}
     for p in config.diagnostics.moment_powers:
@@ -484,6 +484,8 @@ class DiagnosticsBundle:
     moment_verdicts: dict  # (N, p) -> dict with slope CI and verdict
     jump_tails: dict  # N -> JumpTailTable
     thresholds: list[float]
+    jump_sd: dict  # N -> cross-replica sd of jumps per particle, at each N with 2 good replicas
+    jump_sd_fit: RateFit | None  # the sd's rate in N, given 3 such Ns with sd > 0
     manifest: dict
 
 
@@ -549,6 +551,8 @@ def run_diagnostics(config: SimConfig) -> DiagnosticsBundle:
         moment_verdicts=moment_verdicts,
         jump_tails=jump_tails,
         thresholds=thresholds,
+        jump_sd=jump_sd,
+        jump_sd_fit=sd_fit,
         manifest=_manifest(config, failures),
     )
 

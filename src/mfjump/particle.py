@@ -26,7 +26,12 @@ In the Euler scheme a LIMIT row moves only at its own jump, so until
 then, and until its cell ends, its thinning rate is read from its rate
 vector taken at the sub-step start.  An accepted main jump of particle j
 moves j by the main amplitude and every other particle by the collateral
-amplitude over N, both evaluated at the pre-jump state.  The marks of a
+amplitude over N, both evaluated at the pre-jump state.  For N = 2**k the
+kick multiplies by 2**-k, which is exact, so it rounds to the quotient's
+bits; any other N divides.  A system counts its jumps and, when the run
+keeps a jump log (``jump_log``, on by default), logs each jump's time,
+particle and pre- and post-jump rows; the log changes no other number,
+and a lone system folds no sups.  The marks of a
 candidate are hashed once: X's collateral row, whose element j is the main
 mark that Y and LIMIT reuse, or the main mark alone when only Y or LIMIT
 jump.  When X accepts a candidate that its sub-step start rates predicted
@@ -174,12 +179,18 @@ def apply_jump(
     if h_collateral is not None:
         theta = np.asarray(spec.collateral_jump(xj[0], positions, measure, h_main, h_collateral))
         if theta.item(0) != 0 or theta.any():  # the first element decides most kicks without a pass over all n
-            positions += np.divide(theta, n, out=kick)  # the jumper's row is overwritten below
+            positions += _collateral_kick(theta, n, kick)  # the jumper's row is overwritten below
     if type(psi) is list and row.shape == (1, 1):  # the shape test sends a user spec's d>1 list to the array add
         positions[jumper, 0] = xj.item(0) + psi[0][0]
     else:
         np.add(xj, psi, out=row)
     return positions, psi[0]
+
+
+def _collateral_kick(theta: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
+    """``theta / n``, into ``out``.  For n = 2**k it multiplies by 2**-k, which is exact, so both round
+    the same real number to the same float; the multiply is the cheaper ufunc.  Any other n divides."""
+    return np.multiply(theta, 1.0 / n, out=out) if n & (n - 1) == 0 else np.divide(theta, n, out=out)
 
 
 class _LiveSystem:
@@ -506,6 +517,7 @@ class CoupledSimulator:
         pids, n = self.bundle.particle_ids, self.bundle.n
         pred = np.flatnonzero(cands[2] <= (start["X"][cands[1]] if "X" in start and t0 == t else -math.inf))
         rows = {}  # X's mark rows by candidate, hashed in batches of the predicted candidates ``pred``
+        fold = bool(self._pairs)  # a lone system has no sups to fold
 
         t_last = t
         decays = [(s.pos, g) for s, g in zip(self.systems, drifts)]
@@ -535,7 +547,7 @@ class CoupledSimulator:
                     )
                 if u > lam_j:
                     continue
-                if not euler and not jumped:
+                if fold and not euler and not jumped:
                     self._update_sup()  # the left limits: a difference moves on a segment, so its sup is at an end
                 # one mark hash per candidate: the main mark is element j of X's row.  An unpredicted row is
                 # hashed alone into the batch's first row, which the jump that opened the batch has used
@@ -561,7 +573,7 @@ class CoupledSimulator:
                 jumped.append(s)
                 if s.kind == "LIMIT":
                     lim_moved.add(j)
-            if jumped:
+            if fold and jumped:
                 self._update_sup(jumped, j)
 
         if euler:
@@ -580,34 +592,30 @@ class CoupledSimulator:
 
 @dataclass
 class PathRecordSet:
-    """Grid paths of all particles of one system plus its jump log."""
+    """Grid paths of all particles of one system, its jump count and, when the run kept one, its jump log."""
 
     times: np.ndarray  # (G,)
     positions: np.ndarray  # (G, N, d)
-    jump_times: np.ndarray
-    jump_particles: np.ndarray
-    jump_pre: np.ndarray
-    jump_post: np.ndarray
+    jump_count: int
+    jump_times: np.ndarray | None = None  # the jump log: None when the run kept none
+    jump_particles: np.ndarray | None = None
+    jump_pre: np.ndarray | None = None
+    jump_post: np.ndarray | None = None
 
     @property
     def n_particles(self) -> int:
         return self.positions.shape[1]
 
-    @property
-    def jump_count(self) -> int:
-        return len(self.jump_times)
-
 
 def _pathset_from(sim_times: list, sim_positions: list, sys: _LiveSystem, dim: int) -> PathRecordSet:
-    e = len(sys.jump_times)
-    return PathRecordSet(
-        times=np.asarray(sim_times),
-        positions=np.asarray(sim_positions),
-        jump_times=np.asarray(sys.jump_times),
-        jump_particles=np.asarray(sys.jump_particles, dtype=np.int64),
-        jump_pre=np.asarray(sys.jump_pre).reshape(e, dim),
-        jump_post=np.asarray(sys.jump_post).reshape(e, dim),
-    )
+    paths = PathRecordSet(times=np.asarray(sim_times), positions=np.asarray(sim_positions), jump_count=sys.jump_count)
+    if sys.record:
+        e = len(sys.jump_times)
+        paths.jump_times = np.asarray(sys.jump_times)
+        paths.jump_particles = np.asarray(sys.jump_particles, dtype=np.int64)
+        paths.jump_pre = np.asarray(sys.jump_pre).reshape(e, dim)
+        paths.jump_post = np.asarray(sys.jump_post).reshape(e, dim)
+    return paths
 
 
 def output_grid(T: float, dt: float) -> list[float]:
@@ -630,15 +638,18 @@ def simulate(
     initial_positions: np.ndarray | None = None,
     scheme: str = "auto",
     policy: StepPolicy | None = None,
+    jump_log: bool = True,
 ) -> PathRecordSet:
     """Full path record of one system of ``drivers.n`` particles; deterministic given the args.
 
     At most one of ``init``/``initial_positions`` may be given; the default
-    start is a standard Gaussian sampled from the init streams.
+    start is a standard Gaussian sampled from the init streams.  Without
+    ``jump_log`` the record keeps the grid positions and the jump count and
+    no jump log; every other number is the same.
     """
     res = simulate_coupled(
         (system,), spec, T, dt, drivers,
-        init=init, initial_positions=initial_positions, scheme=scheme, policy=policy,
+        init=init, initial_positions=initial_positions, scheme=scheme, policy=policy, jump_log=jump_log,
     )
     return res["paths"][system]
 
@@ -656,17 +667,20 @@ def simulate_coupled(
     scheme: str = "auto",
     policy: StepPolicy | None = None,
     record_paths: bool = True,
+    jump_log: bool = True,
 ) -> dict:
     """Run several systems of ``drivers.n`` particles in lockstep on one driver bundle.
 
     At most one of ``init``/``initial_positions`` may be given.  Returns a
     dict: ``sup``, per pair, the per-index running sup distance at every
     grid point and every event time; ``jump_counts`` per system; ``retries``,
-    the halved sub-steps; with ``record_paths``, ``paths`` per system.
+    the halved sub-steps; with ``record_paths``, ``paths`` per system, each
+    with a jump log when ``jump_log`` is on.
     """
     if init is not None and initial_positions is not None:
         raise InvalidInputError("give at most one of init and initial_positions")
-    sim = CoupledSimulator(spec, drivers, systems=systems, flow=flow, policy=policy, scheme=scheme, record=record_paths)
+    sim = CoupledSimulator(spec, drivers, systems=systems, flow=flow, policy=policy, scheme=scheme,
+                           record=record_paths and jump_log)
     if initial_positions is not None:
         x0 = initial_positions  # set_initial checks its shape
     else:

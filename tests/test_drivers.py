@@ -19,6 +19,7 @@ from mfjump.drivers import (
     StreamKey,
     StreamState,
     _grid_candidates,
+    _uniform_from_raw,
     collect_candidates,
     make_driver_bundle,
     marks_uniforms,
@@ -172,6 +173,23 @@ def _scalar_uniform(key: int, i: int) -> float:
     """uniform(key, i) of the module docstring, on python ints."""
     raw = mix64(key + (i + 1) * 0x9E3779B97F4A7C15)
     return ((raw >> 11) + 0.5) * 2.0**-53
+
+
+# the ends of [0, 2**63) and [2**63, 2**64), where a signed shift or a signed view before the shift goes wrong,
+# and words whose 53 kept bits make the + 0.5 round
+_RAW_EDGES = [0, 1, 2**11 - 1, 2**11, 2**63 - 1, 2**63, 2**63 + 2**11, 2**64 - 2**11, 2**64 - 1, 2**64 - 2**12]
+
+
+@settings(max_examples=300, deadline=None)
+@given(words=st.lists(st.one_of(st.sampled_from(_RAW_EDGES), _U64, st.integers(2**63, 2**64 - 1)), min_size=1, max_size=64))
+def test_uniform_from_raw_is_the_python_int_formula(words):
+    # the conversion reads the shifted words through an int64 view; every word, the top half included,
+    # must give ((raw >> 11) + 0.5) * 2**-53 on python ints, into a fresh array and into ``out``
+    want = np.asarray([((w >> 11) + 0.5) * 2.0**-53 for w in words])
+    assert _uniform_from_raw(np.asarray(words, dtype=np.uint64)).tobytes() == want.tobytes()
+    out = np.empty(len(words) + 3)
+    got = _uniform_from_raw(np.asarray(words, dtype=np.uint64), out[: len(words)])
+    assert got.base is out and got.tobytes() == want.tobytes()
 
 
 @settings(max_examples=200, deadline=None)

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -407,12 +408,22 @@ def test_diagnostics_without_good_cells_for_an_n(tmp_path, monkeypatch):
     assert len((tmp_path / "p" / "diagnostics.csv").read_text().splitlines()) == 2 + 3
 
 
-def test_diagnostics_report_the_jump_count_sd_and_its_rate(tmp_path, monkeypatch):
+def _printed_jump_sd(out: str) -> dict:
+    """The sd lines that ``mfjump diagnostics`` prints, in the form of diagnostics.json's ``jump_sd``."""
+    per_n = {m[1]: float(m[2]) for m in re.finditer(r"^N=(\d+) sd\(jumps/N\) = (\S+)$", out, re.M)}
+    fit = re.search(r"^sd\(jumps/N\) rate: (?:null|slope=(\S+) CI=\((\S+), (\S+)\))$", out, re.M)
+    return {"per_N": per_n, "fit": fit[1] and {"slope": float(fit[1]), "slope_ci": [float(fit[2]), float(fit[3])]}}
+
+
+def test_diagnostics_report_the_jump_count_sd_and_its_rate(tmp_path, monkeypatch, capsys):
     # beside the jump tails, which read 0 when no replica reaches the threshold, diagnostics.json holds the
-    # cross-replica sd of jumps per particle at each N with 2 good replicas and, given 3 such Ns, its fit in N
+    # cross-replica sd of jumps per particle at each N with 2 good replicas and, given 3 such Ns, its fit in N;
+    # the console report prints the same values
     d = _diag_config(tmp_path / "full")
     d["run"].update(T=1.0, Ns=[8, 16, 32])
-    run_diagnostics(SimConfig.from_dict(d))
+    (tmp_path / "full.yaml").write_text(yaml.safe_dump(d))
+    assert cli_main(["diagnostics", "--config", str(tmp_path / "full.yaml")]) == 0
+    printed = _printed_jump_sd(capsys.readouterr().out)
     rows = [r.split(",") for r in (tmp_path / "full" / "diagnostics.csv").read_text().splitlines()[2:]]
     sds = {N: float(np.std([float(r[2]) for r in rows if r[0] == str(N)], ddof=1)) for N in (8, 16, 32)}
     fit = fit_rate(list(sds), list(sds.values()))
@@ -420,6 +431,7 @@ def test_diagnostics_report_the_jump_count_sd_and_its_rate(tmp_path, monkeypatch
     assert payload["per_N"] == {str(N): sd for N, sd in sds.items()}
     assert payload["fit"] == json.loads(json.dumps(dataclasses.asdict(fit)))
     assert all(sd > 0 for sd in sds.values()) and -2.0 < fit.slope < 0.0
+    assert printed == {"per_N": payload["per_N"], "fit": {k: payload["fit"][k] for k in ("slope", "slope_ci")}}
     # two good replicas left at N=16 still count; one left at N=32 drops it, and two Ns get no fit
     _fail_diag_cells(monkeypatch, [(1, 0), (2, 0), (2, 1)])
     with pytest.raises(SweepError):
@@ -442,8 +454,11 @@ def test_diagnostics_without_jumps_sets_no_default_threshold(tmp_path, capsys):
     path = tmp_path / "quiet.yaml"
     path.write_text(yaml.safe_dump(d))
     assert cli_main(["diagnostics", "--config", str(path)]) == 0
-    assert "P(jumps/N" not in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "P(jumps/N" not in out
     payload = json.loads((tmp_path / "quiet" / "diagnostics.json").read_text())
+    # one N whose replicas made no jump: its sd is 0 and there is no fit
+    assert _printed_jump_sd(out) == payload["jump_sd"] == {"per_N": {"4": 0.0}, "fit": None}
     assert payload["jump_tails"] == {"4": {"thresholds": [], "tail_prob": [], "wilson_lo": [], "wilson_hi": []}}
     rows = (tmp_path / "quiet" / "diagnostics.csv").read_text().splitlines()[2:]
     assert [r.split(",")[2] for r in rows] == ["0.0", "0.0"]

@@ -5,7 +5,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
@@ -441,6 +441,26 @@ def test_one_row_jump_has_the_bits_of_the_array_write(model, params, data):
             assert pos.tobytes() == ref.tobytes()
 
 
+_NOT_POWERS_OF_TWO = [3, 5, 6, 7, 12, 24, 100, 1000, 4095, 2**32 - 1, 2**32 + 1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(theta=st.lists(st.one_of(_EDGE_FLOATS, st.floats()), min_size=1, max_size=8),
+       n=st.one_of(st.integers(0, 32).map(lambda k: 2**k), st.sampled_from(_NOT_POWERS_OF_TWO)))
+@example(theta=[5.0], n=12)  # 5 * (1 / 12) rounds to another float than 5 / 12: n = 12 must divide
+@example(theta=[5e-324, -5e-324, 1.5e-323, -0.0], n=2)  # halfway subnormals round to even
+@example(theta=[2.2e-308, 1.7976931348623157e308, -np.inf, np.nan], n=2**32)
+def test_collateral_kick_has_the_bits_of_the_division(theta, n):
+    # the kicks are theta / n; for n = 2**k the engine multiplies by the exact 2**-k instead,
+    # which must round every theta, subnormal, huge, infinite, NaN or -0, to the quotient's bits
+    theta = np.asarray(theta)[:, None]
+    want = np.divide(theta, n).tobytes()
+    assert particle._collateral_kick(theta, n).tobytes() == want
+    out = np.empty_like(theta)
+    assert particle._collateral_kick(theta, n, out) is out and out.tobytes() == want
+    assert 5.0 * (1.0 / 12) != 5.0 / 12
+
+
 class _ReferenceSimulator(CoupledSimulator):
     """The per-event loop before its scalar rewrite, kept as the oracle.
 
@@ -448,8 +468,8 @@ class _ReferenceSimulator(CoupledSimulator):
     collateral row again for X, and folds every row's ``np.linalg.norm``
     distance of every pair into a sup of its own after every candidate.
     Jumps and decays write new position arrays instead of updating them in
-    place.  LIMIT reads its flow cell and its rate afresh at every
-    candidate.
+    place, and X's kicks are ``theta / N`` at every N.  LIMIT reads its
+    flow cell and its rate afresh at every candidate.
     """
 
     def __init__(self, *args, **kw):
@@ -520,8 +540,14 @@ class _ReferenceSimulator(CoupledSimulator):
                     h_main = float(
                         marks_uniforms(int(self.bundle.marks_keys[j]), int(k), np.asarray([pids[j]]))[0]
                     )
-                    h_coll = marks_uniforms(int(self.bundle.marks_keys[j]), int(k), pids) if s.kind == "X" else None
-                    new_pos, _psi = apply_jump(spec, s.pos.copy(), j, mu, h_main, h_coll)
+                    new_pos, _psi = apply_jump(spec, s.pos.copy(), j, mu, h_main, None)
+                    if s.kind == "X":  # every row but the jumper's takes its kick theta / N
+                        h_coll = marks_uniforms(int(self.bundle.marks_keys[j]), int(k), pids)
+                        theta = np.asarray(spec.collateral_jump(s.pos[j], s.pos, mu, h_main, h_coll))
+                        if theta.any():
+                            kicked = s.pos + theta / len(s.pos)
+                            kicked[j] = new_pos[j]
+                            new_pos = kicked
                     s.jump_times.append(float(tau))
                     s.jump_particles.append(j)
                     s.jump_pre.append(s.pos[j].copy())
@@ -588,8 +614,9 @@ def _assert_same_run(systems, spec, x0, T, dt, seed, particle_ids=None, engine=C
 _STRONG_KICKS = {"collateral_amp": 3.0, "rate_slope": 3.0, "rate_cap_radius": 3.0}
 
 
-@pytest.mark.parametrize("dim, n, sigma_of_x", [(1, 16, False), (2, 16, False), (2, 257, False), (1, 16, True)],
-                         ids=["1", "2", "2-n257", "1-sigma-of-x"])
+@pytest.mark.parametrize("dim, n, sigma_of_x",
+                         [(1, 16, False), (1, 12, False), (2, 16, False), (2, 257, False), (1, 16, True)],
+                         ids=["1", "1-n12", "2", "2-n257", "1-sigma-of-x"])
 def test_event_loop_matches_reference_lipschitz_triple(dim, n, sigma_of_x):
     # N=257: the reused mark and kick buffers and the per-pair sup fold at a
     # size where most rows do not move on a Y or LIMIT jump.  A diffusion that
@@ -798,11 +825,13 @@ def test_event_loop_matches_reference_when_the_mark_prediction_fails(run, batch,
 
 
 def test_event_loop_matches_reference_neuronal_triple():
+    # X's kicks divide by N = 12 and multiply by 2**-4 at N = 16; the oracle divides at both
     spec = build("neuronal", {"collateral_amp": 1.9})
-    n, T, dt = 16, 2.0, 0.1
+    T, dt = 2.0, 0.1
     flow = solve_limit(spec, 96, T, dt, seed=2, tol=1e-12, max_iter=1, init=InitSampler(kind="uniform"))
-    x0 = InitSampler(kind="uniform").sample(make_driver_bundle(4, 1, n), 1)
-    _assert_same_run(("X", "Y", "LIMIT"), spec, x0, T, dt, 4, flow=flow, scheme="exact")
+    for n in (12, 16):
+        x0 = InitSampler(kind="uniform").sample(make_driver_bundle(4, 1, n), 1)
+        _assert_same_run(("X", "Y", "LIMIT"), spec, x0, T, dt, 4, flow=flow, scheme="exact")
 
 
 def test_exact_triple_folds_left_limits_only_at_accepted_jumps():
@@ -873,10 +902,32 @@ def test_unrecorded_triple_counts_jumps_across_retries():
     assert "paths" not in runs[0]
 
 
+@pytest.mark.parametrize("run", [_neuronal_triple, _rate_following_triple], ids=["exact", "rate-following-retries"])
+def test_a_run_without_a_jump_log_has_the_bits_of_the_logged_run(run):
+    # the jump log is bookkeeping: without it the triple and X alone keep every grid position, jump count,
+    # retry and sup bit for bit, and the path record keeps its jump count
+    spec, flow, x0, seed, kw = run()
+    n = len(x0)
+    logged, bare = (simulate_coupled(("X", "Y", "LIMIT"), spec, 2.0, 0.1, make_driver_bundle(seed, 0, n), flow=flow,
+                                     initial_positions=x0, jump_log=log, **kw) for log in (True, False))
+    assert bare["retries"] == logged["retries"] and bare["jump_counts"] == logged["jump_counts"]
+    assert bare["sup"].keys() == logged["sup"].keys()
+    assert all(bare["sup"][k].tobytes() == logged["sup"][k].tobytes() for k in logged["sup"])
+    alone = {log: simulate("X", spec, 2.0, 0.1, make_driver_bundle(seed, 0, n), initial_positions=x0, jump_log=log, **kw)
+             for log in (True, False)}
+    for with_log, without in [*((logged["paths"][k], bare["paths"][k]) for k in ("X", "Y", "LIMIT")), (alone[True], alone[False])]:
+        assert without.times.tobytes() == with_log.times.tobytes()
+        assert without.positions.tobytes() == with_log.positions.tobytes()
+        assert without.jump_count == with_log.jump_count == len(with_log.jump_times) > 0
+        assert without.jump_times is without.jump_particles is without.jump_pre is without.jump_post is None
+    assert logged["jump_counts"] == {k: logged["paths"][k].jump_count for k in ("X", "Y", "LIMIT")}
+
+
 @pytest.mark.parametrize(
     "model, n, low, relabel",
-    [("lipschitz-demo", 16, -1.0, False), ("neuronal", 257, 0.0, True)],
-    ids=["lipschitz-demo-n16", "neuronal-n257"],
+    [("lipschitz-demo", 16, -1.0, False), ("lipschitz-demo", 12, -1.0, False), ("neuronal", 12, 0.0, False),
+     ("neuronal", 16, 0.0, True), ("neuronal", 257, 0.0, True)],
+    ids=["lipschitz-demo-n16", "lipschitz-demo-n12", "neuronal-n12", "neuronal-n16", "neuronal-n257"],
 )
 def test_event_loop_matches_reference_x_only(model, n, low, relabel):
     # neuronal: the exact scheme's in-place decays; ids spread over [0, 2**32)
