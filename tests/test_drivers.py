@@ -181,7 +181,8 @@ _RAW_EDGES = [0, 1, 2**11 - 1, 2**11, 2**63 - 1, 2**63, 2**63 + 2**11, 2**64 - 2
 
 
 @settings(max_examples=300, deadline=None)
-@given(words=st.lists(st.one_of(st.sampled_from(_RAW_EDGES), _U64, st.integers(2**63, 2**64 - 1)), min_size=1, max_size=64))
+@given(words=st.lists(st.one_of(st.sampled_from(_RAW_EDGES), _U64, st.integers(2**63, 2**64 - 1)), min_size=1,
+                     max_size=64))
 def test_uniform_from_raw_is_the_python_int_formula(words):
     # the conversion reads the shifted words through an int64 view; every word, the top half included,
     # must give ((raw >> 11) + 0.5) * 2**-53 on python ints, into a fresh array and into ``out``
