@@ -6,7 +6,9 @@ the SDE whose measure argument is frozen to the previous flow; the
 iteration's contraction is measured as the sup over the grid of the W1
 distance between successive ensembles.  All sweeps reuse the same drivers
 (same replica namespace), so successive flows converge pathwise.  This sup and
-the noise floor's solve W1 only where it can raise them (``metrics.w1_sup``).
+the noise floor's solve W1 only where an upper bound on it can raise them
+(``metrics.w1_sup``): the identity matching's cost, and in d >= 2 the cost of
+an assignment restricted to matching blocks.
 
 For a model with a declared global rate bound every sub-step's thinning
 bound is that constant, and a rate above it raises instead of halving the
@@ -293,7 +295,8 @@ def _flow_from_snapshots(spec: ModelSpec, times: np.ndarray, snaps: np.ndarray, 
 def flow_delta(flow_a: FlowApproximation, flow_b: FlowApproximation, seed: int = 0) -> float:
     """sup over flow_b's grid of W1 between its ensemble and flow_a's ensemble in force at that time.
 
-    Exact, though ``w1_sup`` solves only the times whose identity-matching cost can reach the running sup.
+    Exact, though ``w1_sup`` solves only the times whose identity-matching cost, and in d >= 2 block
+    bound, can reach the running sup.
     """
     pairs = ((flow_a.ensemble[flow_a.cell_index(t)], ens) for t, ens in zip(flow_b.times, flow_b.ensemble))
     return w1_sup(pairs, seed)
@@ -332,6 +335,8 @@ def ensemble_noise_floor(flow: FlowApproximation, seed: int = 0) -> float:
     the same law at size M/2) and takes the sup over the grid of their W1
     over sqrt(2), the square-root size correction back to M.  ``w1_sup`` solves only the
     halves that can raise the sup; one division of it is exact, as division by sqrt(2) is monotone.
+    Independent halves have an identity-matching cost far above their W1, so in d >= 2 it is their
+    block bounds that skip solves, once a W1 is known or every solver thread is busy.
     """
     return w1_sup(((ens[0::2], ens[1::2]) for ens in flow.ensemble), seed) / math.sqrt(2.0)
 

@@ -121,44 +121,74 @@ def w1_capped(a, b, seed: int = 0) -> float:
     return w1_assignment(a[idx], b[idx])
 
 
+def _block_bound(a: np.ndarray, b: np.ndarray) -> float:
+    """Mean cost of an assignment of equal-shape (n, d >= 2) samples that bounds their W1 from above.
+
+    Each sample splits into four equal-count blocks, halves by coordinate 0 and then halves of each
+    by coordinate 1; block k of ``a`` is matched to block k of ``b`` by an exact assignment.  The four
+    together are one permutation, and any permutation's mean cost is at least the W1.
+    """
+
+    def blocks(x):
+        halves = np.array_split(np.argsort(x[:, 0], kind="stable"), 2)
+        return [h[q] for h in halves for q in np.array_split(np.argsort(x[h, 1], kind="stable"), 2)]
+
+    total = 0.0
+    for ia, ib in zip(blocks(a), blocks(b)):
+        cost = _pairwise_cost(a[ia], b[ib])
+        total += float(cost[_linear_sum_assignment()(cost)].sum())
+    return total / len(a)
+
+
 def w1_sup(pairs, seed: int = 0) -> float:
     """``max(w1_capped(a, b, seed) for a, b in pairs)`` (0.0 for none), bit for bit, with fewer solves.
 
     A pair's identity-matching cost on the rows ``w1_capped`` uses bounds its W1 from above, so pairs
-    are solved by descending bound while the bound, widened by 1e-9 for rounding, reaches the running
-    max.  Pairs of unequal shapes or with a point not finite or above 1e150 are always solved, so they
-    raise as in ``w1_capped``.  The subsample is drawn once per call.
+    are visited by descending bound and solved only while the bound, widened by 1e-9 for rounding,
+    reaches the running max.  A bound that is not finite, and in d >= 2 a pair with a point above
+    1e150, makes the pair always solved, so pairs of unequal shapes or with a point not finite raise
+    as in ``w1_capped``.  The subsample is drawn once per call.
 
     In d >= 2 the calling thread builds and checks each cost matrix, and up to ``_solver_threads()``
     compiled solves run at once on threads that end with the call.  A pair is submitted only while its
-    bound also reaches each submitted pair's lower bound |mean(a - b)| (Jensen) less 1e-9 of that pair's
-    bound, so the pairs solved include the one-at-a-time visit's and the max has the same bits.
+    bound also reaches each submitted pair's lower bound |mean(a - b)| (Jensen) less 1e-9 of that
+    pair's bound.  Once every thread is busy or a W1 is known, a pair of at least 64 rows that its
+    identity bound cannot skip gets the tighter ``_block_bound`` on the calling thread, beside the
+    running solves, and is skipped when that bound, widened by 1e-9, is below the running max or a
+    submitted pair's lower bound.  Every pair left unsolved has a W1 at most a solved pair's, so the
+    max has the plain loop's bits whichever pairs thread timing leaves to be solved.
     """
     sub = functools.cache(lambda n: subsample_indices(n, ASSIGNMENT_CAP, seed))
     work = []
     for a, b in pairs:
         a, b = (np.atleast_2d(np.asarray(x, dtype=np.float64)) for x in (a, b))
-        if a.shape == b.shape and a.size and a.shape[1] > 1:
-            a, b = a[sub(len(a))], b[sub(len(a))]
         bound, low = np.inf, 0.0
-        if a.shape == b.shape and a.size and np.abs(a).max() <= 1e150 and np.abs(b).max() <= 1e150:
-            diff = a - b
-            bound = float(np.mean(np.linalg.norm(diff, axis=1)))
-            low = float(np.linalg.norm(diff.mean(axis=0))) - 1e-9 * bound if a.shape[1] > 1 else 0.0
-        work.append((bound, low, a, b))
+        if a.shape == b.shape and a.size and a.shape[1] == 1:
+            bound = float(np.mean(np.abs(a - b)))
+        elif a.shape == b.shape and a.size:
+            a, b = a[sub(len(a))], b[sub(len(a))]
+            if np.abs(a).max() <= 1e150 and np.abs(b).max() <= 1e150:
+                diff = a - b
+                bound = float(np.mean(np.linalg.norm(diff, axis=1)))
+                low = float(np.linalg.norm(diff.mean(axis=0))) - 1e-9 * bound
+        work.append((bound if bound < np.inf else np.inf, low, a, b))  # NaN or overflow: always solved
     w1s, lows, running = [0.0], [0.0], {}  # running: in-flight solve -> its cost matrix
     with ThreadPoolExecutor(threads := _solver_threads()) as pool:
         for bound, low, a, b in sorted(work, key=lambda w: -w[0]):  # stable: ties stay in order
-            while len(running) >= threads and bound * (1.0 + 1e-9) >= max(w1s + lows):
-                done = wait(running, return_when=FIRST_COMPLETED).done
-                w1s += [float(running.pop(f)[f.result()].mean()) for f in done]
-            if bound * (1.0 + 1e-9) < max(w1s + lows):
-                break
-            if a.shape[1] == 1 or bound == np.inf:
-                w1s.append(w1_capped(a, b, seed))
-            elif (cost := _checked_cost(a, b)) is not None:
-                running[pool.submit(_linear_sum_assignment(), cost)] = cost
-                lows.append(low)
+            block, blockable = np.inf, a.shape[1] > 1 and len(a) >= 64 and bound < np.inf
+            while max(w1s + lows) <= min(bound, block) * (1.0 + 1e-9):
+                if blockable and (len(running) >= threads or len(w1s) > 1):
+                    block, blockable = _block_bound(a, b), False
+                elif len(running) >= threads:
+                    done = wait(running, return_when=FIRST_COMPLETED).done
+                    w1s += [float(running.pop(f)[f.result()].mean()) for f in done]
+                else:
+                    if a.shape[1] == 1 or bound == np.inf:
+                        w1s.append(w1_capped(a, b, seed))
+                    elif (cost := _checked_cost(a, b)) is not None:
+                        running[pool.submit(_linear_sum_assignment(), cost)] = cost
+                        lows.append(low)
+                    break
         w1s += [float(cost[f.result()].mean()) for f, cost in running.items()]
     return max(w1s)
 

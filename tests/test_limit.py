@@ -154,6 +154,34 @@ def test_converged_flow_delta_solves_fewer_assignments(monkeypatch):
     assert (fast, plain) == (1, 2)
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_noise_floor_solves_fewer_assignments(monkeypatch, threads):
+    import mfjump.metrics
+
+    spec = build("lipschitz-demo", {"dim": 2})
+    flow = _picard_flows(spec, 1030, 5, sweeps=1)[-1]
+    solver = mfjump.metrics._linear_sum_assignment()
+    solves = []
+
+    def counting():
+        def solve(cost):
+            solves.append(cost.shape)
+            return solver(cost)
+        return solve
+
+    monkeypatch.setattr(mfjump.metrics, "_solver_threads", lambda: threads)
+    monkeypatch.setattr(mfjump.metrics, "_linear_sum_assignment", counting)
+    floor = ensemble_noise_floor(flow, seed=5)
+    fast = solves.count((512, 512))
+    assert floor == _plain_noise_floor(flow, 5)
+    plain = solves.count((512, 512)) - fast
+    # the even/odd halves' identity bounds are ~9x their W1 and skip nothing; once the threads are
+    # busy or a W1 is known, the block bounds of the later grid times fall below a solved W1 (a
+    # second thread may start a second solve before the first W1 is known)
+    assert len(flow.times) == 4
+    assert plain == 4 and 1 <= fast <= threads
+
+
 def test_picard_contraction_neuronal():
     spec = build("neuronal", {})
     M, T, dt = 4000, 3.0, 0.05

@@ -24,6 +24,8 @@ from mfjump.drivers import (
 )
 from mfjump.harness import replica_stream_key
 from mfjump.metrics import (
+    ASSIGNMENT_CAP,
+    _block_bound,
     _linear_sum_assignment,
     _pairwise_cost,
     fit_rate,
@@ -421,12 +423,18 @@ def _pair_sets(d, n, rng):
     moved = [base + scale * rng.normal(size=(n, d)) for scale in (1.0, 0.3, 0.3, 0.01, 0.0)]
     shuffled = base[rng.permutation(n)]  # identity bound far above W1 = 0
     far = base + 0.5  # identity matching optimal: bound == W1
+    # independent halves of a wider sample, and the same halves scaled by 1 + 1e-6 with their rows
+    # in the optimal matching's order: the largest W1 comes last in the visit, with an identity bound
+    # equal to its W1, and a block bound scaled by 0.9 skips it wherever the true one is within 1.11x
+    halves = (2.0 * base[0::2], 2.0 * base[1::2])
+    rows, cols = _linear_sum_assignment()(_pairwise_cost(*halves))
+    matched = (halves[0][rows] * (1 + 1e-6), halves[1][cols] * (1 + 1e-6))
     return [
         [(base, m) for m in moved],
         [(base, shuffled), (base, moved[3]), (base, moved[1])],
         [(base, far), (base, far.copy()), (far, base), (base, moved[1])],
         [(base, moved[2]), (base, moved[1])] * 2,
-        [(m[0::2], m[1::2]) for m in [base, *moved]],
+        [(m[0::2], m[1::2]) for m in [base, *moved]] + [halves, matched],
         # a shuffled translation: identity bound far above W1 = the lower bound |mean(a - b)|,
         # and a plain translation whose W1 is 1% above it
         [(base, shuffled + 0.5), (base, base + 0.505)],
@@ -442,6 +450,40 @@ def test_w1_sup_equals_the_plain_loop(monkeypatch, d, n, threads):
         for pairs in _pair_sets(d, n, rng):
             assert w1_sup(pairs, seed=seed) == plain_w1_sup(pairs, seed=seed)
     assert w1_sup([]) == plain_w1_sup([]) == 0.0
+
+
+def test_w1_sup_differential_test_catches_a_block_bound_below_w1(monkeypatch):
+    # a block bound scaled by 0.9 can fall below the W1 it bounds; the even/odd pair set then skips
+    # its largest W1, so the differential test above would fail
+    bound = _block_bound
+    monkeypatch.setattr("mfjump.metrics._solver_threads", lambda: 1)
+    monkeypatch.setattr("mfjump.metrics._block_bound", lambda a, b: 0.9 * bound(a, b))
+    for d, n in [(2, 700), (3, 600)]:
+        pairs = _pair_sets(d, n, np.random.default_rng(100 * d + n))[4]
+        assert w1_sup(pairs) < plain_w1_sup(pairs)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("n", [64, 65, 100, 512, 600])
+def test_block_bound_is_at_least_the_w1_of_the_same_rows(d, n):
+    rng = np.random.default_rng(10 * n + d)
+    base = rng.normal(size=(n, d))
+    ties = rng.integers(0, 3, size=(n, d)).astype(float)  # coordinates tie across the block splits
+    dup = np.repeat(base[: (n + 3) // 4], 4, axis=0)[:n]  # every point four times
+    pairs = [
+        (base, rng.normal(size=(n, d))),
+        (base, base + 0.3 * np.eye(d)[0]),
+        (base, base[rng.permutation(n)]),
+        (dup, dup[rng.permutation(n)] + 0.1),
+        (dup, base),
+        (ties, rng.integers(0, 3, size=(n, d)).astype(float)),
+        (ties, ties[rng.permutation(n)]),
+    ]
+    idx = subsample_indices(n, ASSIGNMENT_CAP, 0)
+    for a, b in pairs:
+        w1 = w1_capped(a, b)
+        # w1_sup widens the bound by 1e-9 for rounding before it skips a solve
+        assert _block_bound(a[idx], b[idx]) * (1.0 + 1e-9) >= w1
 
 
 def test_w1_sup_equals_the_plain_loop_when_later_solves_finish_first(monkeypatch):
