@@ -4,6 +4,7 @@ W1 between equal-size empirical measures is exact: sorted matching in 1D,
 optimal assignment in R^d (uniform empirical measures couple optimally by a
 permutation) by scipy's compiled ``linear_sum_assignment`` (Crouse 2016) on a
 cost built in place coordinate by coordinate: ``np.linalg.norm``'s bits, d <= 7.
+A pair near a translation is solved on a potential-reduced cost (``_solve``).
 A sup over pairs (``w1_sup``) runs its d >= 2 solves on up to one thread per
 CPU in the process's affinity, with the same bits for any count.
 """
@@ -73,6 +74,24 @@ def _checked_cost(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     return cost
 
 
+def _solve(cost: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
+    """The W1 of equal-shape (n, d >= 2) samples from their ``_checked_cost``, which it may overwrite.
+
+    Where J = |mean(b - a)|, at most the W1, is half the identity cost or more, and u_i = k.(a_i - a_0)
+    and v_j = k.(b_j - a_0), k the unit mean shift, lie within 1024 J, it solves cost + u_i - v_j: every
+    permutation's total moves by one constant, the solver is faster, and the permutation found stays
+    within 7e-13 relative of optimal.  Its matched distances are recomputed as in ``_pairwise_cost``.
+    """
+    jensen = float(np.linalg.norm(shift := (b - a).mean(axis=0)))
+    if jensen > 0.0 and 2.0 * jensen >= np.linalg.norm(b - a, axis=1).mean():
+        u, v = (a - a[0]) @ (shift / jensen), (b - a[0]) @ (shift / jensen)
+        if max(np.abs(u).max(), np.abs(v).max()) <= 1024.0 * jensen:
+            cost += u[:, None]
+            cost -= v
+    rows, cols = _linear_sum_assignment()(cost)
+    return float(np.sqrt(functools.reduce(np.add, np.square(a[rows] - b[cols]).T)).mean())
+
+
 def w1_assignment(a, b) -> float:
     """Exact W1 between equal-size empirical measures in R^d.
 
@@ -81,6 +100,8 @@ def w1_assignment(a, b) -> float:
     sorted matching is exact at any n; in d >= 2, n above ``ASSIGNMENT_CAP``
     is rejected (callers subsample explicitly via ``subsample_indices``).
     Duplicate points are fine; identical samples give 0.0 without a solve.
+    A pair near a translation is solved on a potential-reduced cost (``_solve``),
+    which may pick another optimal permutation where several tie.
     """
     a = np.atleast_2d(np.asarray(a, dtype=np.float64))
     b = np.atleast_2d(np.asarray(b, dtype=np.float64))
@@ -92,8 +113,7 @@ def w1_assignment(a, b) -> float:
         return w1_1d(a[:, 0], b[:, 0])
     if (cost := _checked_cost(a, b)) is None:
         return 0.0
-    rows, cols = _linear_sum_assignment()(cost)
-    return float(cost[rows, cols].mean())
+    return _solve(cost, a, b)
 
 
 def subsample_indices(n: int, cap: int, seed: int) -> np.ndarray:
@@ -150,7 +170,7 @@ def w1_sup(pairs, seed: int = 0) -> float:
     as in ``w1_capped``.  The subsample is drawn once per call.
 
     In d >= 2 the calling thread builds and checks each cost matrix, and up to ``_solver_threads()``
-    compiled solves run at once on threads that end with the call.  A pair is submitted only while its
+    ``_solve`` calls run at once on threads that end with the call.  A pair is submitted only while its
     bound also reaches each submitted pair's lower bound |mean(a - b)| (Jensen) less 1e-9 of that
     pair's bound.  Once every thread is busy or a W1 is known, a pair of at least 64 rows that its
     identity bound cannot skip gets the tighter ``_block_bound`` on the calling thread, beside the
@@ -172,7 +192,7 @@ def w1_sup(pairs, seed: int = 0) -> float:
                 bound = float(np.mean(np.linalg.norm(diff, axis=1)))
                 low = float(np.linalg.norm(diff.mean(axis=0))) - 1e-9 * bound
         work.append((bound if bound < np.inf else np.inf, low, a, b))  # NaN or overflow: always solved
-    w1s, lows, running = [0.0], [0.0], {}  # running: in-flight solve -> its cost matrix
+    w1s, lows, running = [0.0], [0.0], set()  # running: in-flight solves
     with ThreadPoolExecutor(threads := _solver_threads()) as pool:
         for bound, low, a, b in sorted(work, key=lambda w: -w[0]):  # stable: ties stay in order
             block, blockable = np.inf, a.shape[1] > 1 and len(a) >= 64 and bound < np.inf
@@ -180,16 +200,16 @@ def w1_sup(pairs, seed: int = 0) -> float:
                 if blockable and (len(running) >= threads or len(w1s) > 1):
                     block, blockable = _block_bound(a, b), False
                 elif len(running) >= threads:
-                    done = wait(running, return_when=FIRST_COMPLETED).done
-                    w1s += [float(running.pop(f)[f.result()].mean()) for f in done]
+                    done, running = wait(running, return_when=FIRST_COMPLETED)
+                    w1s += [f.result() for f in done]
                 else:
                     if a.shape[1] == 1 or bound == np.inf:
                         w1s.append(w1_capped(a, b, seed))
                     elif (cost := _checked_cost(a, b)) is not None:
-                        running[pool.submit(_linear_sum_assignment(), cost)] = cost
+                        running.add(pool.submit(_solve, cost, a, b))
                         lows.append(low)
                     break
-        w1s += [float(cost[f.result()].mean()) for f, cost in running.items()]
+        w1s += [f.result() for f in running]
     return max(w1s)
 
 

@@ -17,7 +17,7 @@ from mfjump.limit import constant_flow, ensemble_noise_floor, picard_iterate, so
 from mfjump.metrics import fit_rate, jump_count_stats, w1_1d, w1_assignment
 from mfjump.models import AssumptionMeta, ModelSpec
 from mfjump.particle import InitSampler, simulate, simulate_coupled
-from mfjump.zoo import build
+from mfjump.zoo import LipschitzDemoParams, build
 from weak_step import coordinate_function, generator_apply, single_step_weak_estimate
 
 DEMO_INIT = InitSampler(kind="gauss", mean=(0.5,), std=0.5)
@@ -165,6 +165,52 @@ def test_criterion_5_ou_oracle():
     assert _line(5, "OU oracle", mean_ok and var_ok,
                  f"mean err {abs(final.mean() - mean_target):.2e} vs 3se {3 * mean_se:.2e}; "
                  f"var err {abs(var_hat - var_target):.2e} vs 3se {3 * var_se:.2e}")
+
+
+# criterion 5's companion, with jumps and interaction: lipschitz-demo at a constant rate
+# (rate_slope 0), whose limit's mean m and second moment S solve a closed linear ODE,
+# m' = -(a + l0 b / 2) m and S' = -2 a S + 2 th (m^2 - S) + s0^2 + l0 S (b^2 / 3 - b)
+CONSTANT_RATE = {"rate_slope": 0.0}
+ODE_M, ODE_SEED, ODE_T, ODE_DT = 16_384, 20240801, 1.0, 0.01
+
+
+def _moment_ode(t, spec_params, m0, s0_sq):
+    """The closed form of the ODE above from m(0) = m0 and S(0) = s0_sq."""
+    p = spec_params
+    kappa = p.mean_reversion + p.rate_base * p.jump_scale / 2.0
+    c = 2.0 * p.mean_reversion + 2.0 * p.interaction + p.rate_base * (p.jump_scale - p.jump_scale**2 / 3.0)
+    m = m0 * np.exp(-kappa * t)
+    S = (s0_sq * np.exp(-c * t) + p.sigma0**2 * (1.0 - np.exp(-c * t)) / c
+         + 2.0 * p.interaction * m0**2 * (np.exp(-2.0 * kappa * t) - np.exp(-c * t)) / (c - 2.0 * kappa))
+    return m, S
+
+
+def _moment_z(max_iter):
+    """Largest |z| over the grid of the flow's mean and second moment against the ODE."""
+    flow = solve_limit(build("lipschitz-demo", CONSTANT_RATE), ODE_M, ODE_T, ODE_DT, seed=ODE_SEED,
+                       tol=1e-3, max_iter=max_iter, init=DEMO_INIT)
+    x = flow.ensemble[:, :, 0]
+    m, S = _moment_ode(flow.times, LipschitzDemoParams(**CONSTANT_RATE), 0.5, 0.5**2 + 0.5**2)
+    z_mean = (x.mean(axis=1) - m) / (x.std(axis=1, ddof=1) / np.sqrt(ODE_M))
+    z_second = ((x**2).mean(axis=1) - S) / ((x**2).std(axis=1, ddof=1) / np.sqrt(ODE_M))
+    return float(np.max(np.abs(z_mean))), float(np.max(np.abs(z_second))), len(flow.meta["deltas"])
+
+
+def test_criterion_5_companion_picard_flow_matches_the_moment_ode():
+    # M, seed and the 4 se tolerance at every grid time were fixed before the first run
+    z_mean, z_second, sweeps = _moment_z(max_iter=8)
+    ok = z_mean < 4.0 and z_second < 4.0
+    assert _line("5b", "Picard flow moments match the constant-rate ODE", ok,
+                 f"max |z| mean {z_mean:.2f}, second moment {z_second:.2f} after {sweeps} sweeps")
+
+
+def test_criterion_5_companion_rejects_one_sweep_from_the_start():
+    # one sweep frozen at the start's measure reads the wrong mean, so the interaction
+    # no longer cancels in m' and the companion's statistic must reject the flow
+    z_mean, z_second, _ = _moment_z(max_iter=1)
+    ok = z_mean < 4.0 and z_second < 4.0
+    assert not _line("5b", "one sweep from constant_flow matches the constant-rate ODE", ok,
+                     f"max |z| mean {z_mean:.2f}, second moment {z_second:.2f}")
 
 
 def test_criterion_6_moment_bound(tmp_path):

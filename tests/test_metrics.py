@@ -23,11 +23,13 @@ from mfjump.drivers import (
     make_driver_bundle,
 )
 from mfjump.harness import replica_stream_key
+from mfjump.limit import solve_limit
 from mfjump.metrics import (
     ASSIGNMENT_CAP,
     _block_bound,
     _linear_sum_assignment,
     _pairwise_cost,
+    _solve,
     fit_rate,
     jump_count_stats,
     subsample_indices,
@@ -37,6 +39,8 @@ from mfjump.metrics import (
     w1_sup,
     wilson_interval,
 )
+from mfjump.particle import InitSampler
+from mfjump.zoo import build
 
 
 def brute_force_w1(a: np.ndarray, b: np.ndarray) -> float:
@@ -251,19 +255,135 @@ def test_identical_samples_skip_the_solve(monkeypatch):
         w1_assignment(huge, huge[[1, 0, 2]])
 
 
+def _solved(a, b):
+    """``_solve`` on a copy of the pair's cost: its W1, whether it reduced the cost, and the columns it solved for."""
+    solver, seen = _linear_sum_assignment(), []
+
+    def spy(cost):
+        seen.append(solver(cost))
+        return seen[-1]
+
+    cost = _pairwise_cost(a, b)
+    work = cost.copy()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("mfjump.metrics._linear_sum_assignment", lambda: spy)
+        w1 = _solve(work, a, b)
+    return w1, not np.array_equal(work, cost), seen[0]
+
+
+def _translated_pairs(d, n, rng):
+    """Three pairs near a translation (Jensen bound at least half the identity cost) and one far from it."""
+    a, shift = rng.normal(size=(n, d)), np.linspace(1.0, 0.3, d)
+    return [
+        (a, a + shift + 0.3 * rng.normal(size=(n, d))),
+        (a, rng.normal(size=(n, d)) + 2.0 * shift),
+        (a, 1.2 * a + 0.5 * shift),
+        (a, rng.normal(size=(n, d))),
+    ]
+
+
+def _first_delta_pairs(seed):
+    """The first Picard delta's pairs on limit-d2's model and start at 512 copies: x0 against sweep 1's flow."""
+    flow = solve_limit(build("lipschitz-demo", {"dim": 2}), 512, 0.3, 0.1, seed=seed, tol=1e-12, max_iter=1,
+                       init=InitSampler(mean=(0.5, 0.5), std=0.5))
+    return [(flow.ensemble[0], ens) for ens in flow.ensemble[1:]]
+
+
+@pytest.mark.parametrize("d", [2, 3, 7])
+@pytest.mark.parametrize("n", [64, 65, 512])
+def test_reduced_solve_equals_the_unreduced_solve_bit_for_bit(d, n):
+    rng = np.random.default_rng(1000 * d + n)
+    reduced = []
+    for a, b in _translated_pairs(d, n, rng):
+        cost = _pairwise_cost(a, b)
+        rows, cols = _linear_sum_assignment()(cost)
+        w1, was_reduced, (_, solved_cols) = _solved(a, b)
+        assert w1 == float(cost[rows, cols].mean())
+        assert np.array_equal(solved_cols, cols)
+        reduced.append(was_reduced)
+    assert reduced == [True, True, True, False]
+
+
+def test_reduced_solve_equals_the_unreduced_solve_on_first_picard_delta_pairs():
+    reduced = []
+    for seed in range(4):
+        for a, b in _first_delta_pairs(seed):
+            cost = _pairwise_cost(a, b)
+            w1, was_reduced, _ = _solved(a, b)
+            assert w1 == float(cost[_linear_sum_assignment()(cost)].mean())
+            reduced.append(was_reduced)
+    # by grid time: no t = 0.1 pair is near enough a translation, every t = 0.3 pair is
+    assert reduced[0::3] == [False] * 4 and reduced[2::3] == [True] * 4
+
+
+def test_reduced_solve_is_exact_far_from_the_origin():
+    # a potential k.a_i about the origin would round at 1e10's ulp, far above these distances,
+    # and pick a permutation about 1e-8 worse; taken about a_0 it spans only the cloud
+    rng = np.random.default_rng(10)
+    for _ in range(4):
+        a = 1e10 + rng.normal(size=(512, 2))
+        b = a + [0.4, 0.1] + 0.3 * rng.normal(size=(512, 2))
+        cost = _pairwise_cost(a, b)
+        w1, was_reduced, _ = _solved(a, b)
+        assert was_reduced and w1 == float(cost[_linear_sum_assignment()(cost)].mean())
+
+
+def test_reduced_solve_leaves_a_cluster_beside_a_far_point_unreduced():
+    # a potential spanning 1e12 would round the cluster's 1e-5 costs away, so that the identity
+    # (9.4e-6) and the swap (the W1, 6.7e-6) tie; the gate on its span keeps the plain solve
+    a = np.array([[1e12, 0.0], [0.0, 0.0], [0.0, 1e-5]])
+    b = np.array([[1e12, 0.0], [1e-5, 1e-5], [1e-5, 0.0]])
+    cost = _pairwise_cost(a, b)
+    w1, was_reduced, _ = _solved(a, b)
+    assert not was_reduced and w1 == float(cost[_linear_sum_assignment()(cost)].mean())
+    assert w1_assignment(a, b) == w1 == pytest.approx(2e-5 / 3, rel=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=_cloud_pair())
+def test_solve_returns_the_mean_distance_of_the_permutation_it_solved_for(pair):
+    # the distances are recomputed, not read off the reduced cost: on one row the W1 is the
+    # unreduced cost itself, and on more rows the mean over the solved permutation, ties or not;
+    # that permutation is optimal for the unreduced cost up to the reduction's rounding
+    a, b = pair
+    cost = _pairwise_cost(a, b)
+    w1, _, (rows, cols) = _solved(a, b)
+    assert w1 == float(cost[rows, cols].mean())
+    assert w1 <= float(cost[_linear_sum_assignment()(cost)].mean()) * (1.0 + 1e-12)
+    if len(a) == 1:
+        assert w1 == cost[0, 0]
+
+
+def test_translated_lattice_ties_keep_the_sup_equal_to_the_plain_loop(monkeypatch):
+    # a lattice of spacing 0.1 translated by (0.3, 0): many permutations are optimal, and the reduced
+    # cost may pick another one than the plain solve, whose mean differs in the last bits
+    lattice = 0.1 * np.stack(np.meshgrid(np.arange(16.0), np.arange(16.0)), axis=-1).reshape(-1, 2)
+    a, b = lattice, lattice + [0.3, 0.0]
+    cost = _pairwise_cost(a, b)
+    unreduced = float(cost[_linear_sum_assignment()(cost)].mean())
+    w1, was_reduced, _ = _solved(a, b)
+    assert was_reduced and abs(w1 - unreduced) <= 1e-15 * unreduced
+    assert w1_assignment(a, b) == w1
+    for threads in (1, 2):
+        monkeypatch.setattr("mfjump.metrics._solver_threads", lambda: threads)
+        pairs = [(a, b), (a, a + [0.2, 0.1]), (a[::2], b[::2])]
+        assert w1_sup(pairs) == plain_w1_sup(pairs) == w1
+
+
 def test_w1_assignment_peak_memory():
     n = 512
     rng = np.random.default_rng(9)
     a, b = rng.normal(size=(n, 2)), rng.normal(size=(n, 2))
     w1_assignment(a, b)  # loads the solver outside the measurement
-    tracemalloc.start()
-    try:
-        w1_assignment(a, b)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # one n x n cost, a 64-row scratch and the finiteness mask
-    assert peak < 1.5 * n * n * 8, peak
+    for other in (b, a + 0.5):  # the second is reduced in place
+        tracemalloc.start()
+        try:
+            w1_assignment(a, other)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one n x n cost, a 64-row scratch and the finiteness mask
+        assert peak < 1.5 * n * n * 8, peak
 
 
 _SOLVER_PROBE = textwrap.dedent("""

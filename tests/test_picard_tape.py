@@ -16,6 +16,7 @@ import pytest
 
 import mfjump.drivers as drivers
 import mfjump.limit as limit
+import mfjump.metrics as metrics
 import mfjump.particle as particle
 from mfjump.drivers import PICARD_REPLICA, InvalidInputError, collect_candidates, make_driver_bundle
 from mfjump.limit import constant_flow, simulate_ensemble, solve_limit
@@ -34,6 +35,10 @@ CASES = {
     ),
     "lipschitz-demo-d2": (
         "lipschitz-demo", {"dim": 2}, 1024, 0.3, 0.1, 14, InitSampler(mean=(0.5, 0.5), std=0.5), None,
+    ),
+    # limit-d2's size: W1 pairs are 512-row subsamples, and the first delta's are near translations
+    "lipschitz-demo-d2-limit-size": (
+        "lipschitz-demo", {"dim": 2}, 16384, 0.3, 0.1, 17, InitSampler(mean=(0.5, 0.5), std=0.5), None,
     ),
     "convex-potential": ("convex-potential", {}, 1024, 0.5, 0.05, 15, GAUSS, None),
     "neuronal": ("neuronal", {}, 1024, 0.5, 0.05, 16, InitSampler(kind="uniform"), None),
@@ -67,12 +72,31 @@ def _digests(flow) -> dict:
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_solve_limit_matches_golden(name):
+def test_solve_limit_matches_golden(monkeypatch, name):
+    # in d = 2 a Picard delta pairs copies with their own later positions, near a translation, so some
+    # of its solves run on the potential-reduced cost; the noise floor's independent halves never do
+    solve, noise_floor, solves, phase = metrics._solve, limit.ensemble_noise_floor, [], ["delta"]
+
+    def spy(cost, a, b):
+        unreduced = cost.copy()
+        w1 = solve(cost, a, b)
+        solves.append((phase[0], not np.array_equal(cost, unreduced)))
+        return w1
+
+    def floor(flow, seed=0):
+        phase[0] = "noise floor"
+        return noise_floor(flow, seed=seed)
+
+    monkeypatch.setattr(metrics, "_solve", spy)
+    monkeypatch.setattr(limit, "ensemble_noise_floor", floor)
     flow = _solve(name)
     assert _digests(flow) == json.loads(GOLDEN.read_text())[name]
     if name in TRUNC_FACTORS:  # C bound the rate summary: it doubled after each of the first three sweeps
         assert flow.meta["trunc_doublings"] == [flow.trunc_c / 4, flow.trunc_c / 2, flow.trunc_c]
         assert np.max(flow.lam_mean) < flow.trunc_c
+    if flow.ensemble.shape[2] == 2:
+        assert ("delta", True) in solves and ("noise floor", False) in solves
+        assert ("noise floor", True) not in solves
 
 
 def _log_draws_and_substeps(monkeypatch) -> list:
