@@ -27,7 +27,8 @@ from .metrics import w1_assignment
 class EmpiricalMeasure:
     """Uniform probability measure on n points in R^d that do not move while it is in use.
 
-    The mean is computed at its first read and kept.
+    The mean is computed at its first read and kept.  A measure passed to a
+    coefficient is valid during that call only: the engines may move its points after it.
     """
 
     __slots__ = ("points", "_mean")
@@ -79,7 +80,8 @@ class AssumptionMeta:
 class ModelSpec:
     """One model instance: coefficients, dimensions, class tag, metadata.
 
-    Coefficient contracts (all pure, shareable across workers):
+    Coefficient contracts (all pure, shareable across workers; a measure
+    ``m`` is valid during the call only, so a coefficient keeps none):
 
     - ``drift(x, m) -> (n, d)`` for x of shape (n, d)
     - ``diffusion(x, m) -> (n, d, d1)`` (or broadcastable to it)

@@ -20,8 +20,8 @@ Scheme
 Hybrid stepping: drift/diffusion advance by Euler using the start-of-step
 empirical measure, while candidate Poisson events inside the step are
 placed at their exact times and processed in time order (ties broken by
-particle index).  The measure seen by jump evaluations is live: it
-updates at every jump inside the step; LIMIT's is the flow cell in force.
+particle index).  The measure seen by jump evaluations is live: one per
+run for X and Y, over moving points; LIMIT's is the flow cell in force.
 In the Euler scheme a LIMIT row moves only at its own jump, so until
 then, and until its cell ends, its thinning rate is read from its rate
 vector taken at the sub-step start.  An accepted main jump of particle j
@@ -31,13 +31,13 @@ kick multiplies by 2**-k, which is exact, so it rounds to the quotient's
 bits; any other N divides.  A system counts its jumps and, when the run
 keeps a jump log (``jump_log``, on by default), logs each jump's time,
 particle and pre- and post-jump rows; the log changes no other number,
-and a lone system folds no sups.  The marks of a
-candidate are hashed once: X's collateral row, whose element j is the main
-mark that Y and LIMIT reuse, or the main mark alone when only Y or LIMIT
-jump.  When X accepts a candidate that its sub-step start rates predicted
-(level at most the rate) and that has no row yet, one call hashes the rows
-of it and of the next predicted ones, up to ``MARK_BATCH`` numbers; an
-unpredicted acceptance is hashed alone.  A wrong prediction changes no
+and a lone system folds no sups.  The marks of a candidate are hashed
+once: X's collateral row, whose element j is the main mark that Y and
+LIMIT reuse, or the main mark alone when only Y or LIMIT jump.  X walks
+forward over the candidates its start rates predict (level at most the
+rate): accepting one past the batch in hand, it hashes its row and the
+next predicted ones' in one call, up to ``MARK_BATCH`` numbers, and an
+unpredicted one alone into the first row.  A wrong prediction changes no
 output bit.  The running sups of coupled pairs fold squared distances, and
 ``sup`` takes the root when it is read: sqrt is correctly rounded and
 monotone, so the root of the max is the max of the roots.  They fold only
@@ -164,20 +164,24 @@ def apply_jump(
     h_main: float,
     h_collateral: np.ndarray | None,
     kick: np.ndarray | None = None,
+    h1: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One main jump plus its simultaneous collateral kicks, written into ``positions``.
 
     All amplitudes are evaluated at the pre-jump positions and measure.
     ``h_collateral is None`` means the jump has no collateral channel (the
-    intermediate system and limit copies); ``kick`` may hold an (n, d) buffer for the kicks.
-    Returns (positions, main_amplitude); a measure over ``positions`` is stale after it.
+    intermediate system and limit copies); ``kick`` may hold an (n, d) buffer for the kicks and ``h1`` a
+    one-element buffer for the main mark.  Returns (positions, main_amplitude).
     """
     n = positions.shape[0]
     row = positions[jumper : jumper + 1]
     xj = row.copy()
-    psi = spec.main_jump(xj, measure, np.asarray([h_main]))
+    h1 = np.empty(1) if h1 is None else h1
+    h1[0] = h_main
+    psi = spec.main_jump(xj, measure, h1)
     if h_collateral is not None:
-        theta = np.asarray(spec.collateral_jump(xj[0], positions, measure, h_main, h_collateral))
+        theta = spec.collateral_jump(xj[0], positions, measure, h_main, h_collateral)
+        theta = theta if type(theta) is np.ndarray else np.asarray(theta)
         if theta.item(0) != 0 or theta.any():  # the first element decides most kicks without a pass over all n
             positions += _collateral_kick(theta, n, kick)  # the jumper's row is overwritten below
     if type(psi) is list and row.shape == (1, 1):  # the shape test sends a user spec's d>1 list to the array add
@@ -193,6 +197,13 @@ def _collateral_kick(theta: np.ndarray, n: int, out: np.ndarray | None = None) -
     return np.multiply(theta, 1.0 / n, out=out) if n & (n - 1) == 0 else np.divide(theta, n, out=out)
 
 
+class _LiveMeasure(EmpiricalMeasure):
+    """A system's measure over its positions for a run: they move, so each read computes the mean afresh."""
+
+    __slots__ = ()
+    mean = property(lambda self: np.add.reduce(self.points, axis=0) / len(self.points))  # EmpiricalMeasure's bits
+
+
 class _LiveSystem:
     """One process in a coupled set: positions, jump log and, for LIMIT, the flow cell last read."""
 
@@ -204,6 +215,7 @@ class _LiveSystem:
         self.kind = kind
         self.spec = spec
         self.pos = np.array(positions, dtype=np.float64)
+        self.live = None if kind == "LIMIT" else _LiveMeasure(self.pos)  # X's and Y's one measure for the run
         self.flow = flow
         self.cell = flow.cell(0.0) if kind == "LIMIT" else None  # the flow cell last read
         self.record = record  # False: count the jumps, log none
@@ -214,9 +226,9 @@ class _LiveSystem:
         self.jump_post: list[np.ndarray] = []
 
     def measure_now(self, t: float) -> EmpiricalMeasure:
-        """The measure at time t: the flow cell's for LIMIT, else one over the current positions."""
-        if self.kind != "LIMIT":
-            return EmpiricalMeasure(self.pos)
+        """The measure at t: LIMIT's flow cell's, else the system's live one, valid during a coefficient call only."""
+        if self.live is not None:
+            return self.live
         if not self.cell.start <= t < self.cell.end:
             self.cell = self.flow.cell(t)
         return self.cell.measure
@@ -410,7 +422,7 @@ class CoupledSimulator:
         self._sq: dict[str, np.ndarray] = {}  # per pair, the running sup of squared distances
         batch = max(1, self.MARK_BATCH // drivers.n) * drivers.n  # buffers for a batch of X's mark rows
         self._marks, self._mark_scratch = np.empty(batch), np.empty((2, batch), dtype=np.uint64)
-        self._kick = np.empty((drivers.n, spec.dim))
+        self._kick, self._h1 = np.empty((drivers.n, spec.dim)), np.empty(1)  # reused buffers of apply_jump
         self._start_rates = (math.nan, {})  # (t, each system's rate vector at t), kept by _rates
         self._bdim = spec.brownian_dim if self.scheme == "euler" and spec.has_diffusion() else None
         self._replay = None  # simulate_coupled's pre-drawn grid (``_next_draws``), else each sub-step draws
@@ -516,8 +528,11 @@ class CoupledSimulator:
         # permutes trajectories exactly
         pids, n = self.bundle.particle_ids, self.bundle.n
         pred = np.flatnonzero(cands[2] <= (start["X"][cands[1]] if "X" in start and t0 == t else -math.inf))
-        rows = {}  # X's mark rows by candidate, hashed in batches of the predicted candidates ``pred``
-        fold = bool(self._pairs)  # a lone system has no sups to fold
+        # X's mark rows are hashed in batches of the predicted candidates ``pred``: the batch in hand holds those
+        # of pred[b0:b1] in the buffer's rows, and the walk's position p only moves forward (past its end, a sentinel)
+        walk, p, b0, b1, rows = [*pred.tolist(), len(cands[0])], 0, 0, 0, self._marks.reshape(-1, n)
+        fold, rate, lim_rates, h1, kick = bool(self._pairs), spec.rate, start.get("LIMIT"), self._h1, self._kick
+        systems = [(s, s.kind == "X", s.kind == "LIMIT", s.pos, s.live, s.record) for s in self.systems]
 
         t_last = t
         decays = [(s.pos, g) for s, g in zip(self.systems, drifts)]
@@ -534,12 +549,12 @@ class CoupledSimulator:
             if j < 0:
                 break
             h_main, h_coll, jumped = None, None, []
-            for s in self.systems:
-                if s.kind == "LIMIT" and tau < lim_end and j not in lim_moved:
-                    mu, lam_j = None, start["LIMIT"].item(j)  # the measure is read only for a jump
+            for s, is_x, is_lim, pos, mu, record in systems:
+                if is_lim and tau < lim_end and j not in lim_moved:
+                    lam_j = lim_rates.item(j)  # the measure is read only for a jump
                 else:
-                    mu = s.measure_now(tau)
-                    lam_j = float(spec.rate(s.pos[j : j + 1], mu)[0])
+                    mu = mu or s.measure_now(tau)
+                    lam_j = float(rate(pos[j : j + 1], mu)[0])
                 if not lam_j <= ceils[j]:
                     raise RateBoundViolation(
                         f"rate {lam_j:.6g} above bound {float(_at(bounds, j)):.6g} "
@@ -550,28 +565,31 @@ class CoupledSimulator:
                 if fold and not euler and not jumped:
                     self._update_sup()  # the left limits: a difference moves on a segment, so its sup is at an end
                 # one mark hash per candidate: the main mark is element j of X's row.  An unpredicted row is
-                # hashed alone into the batch's first row, which the jump that opened the batch has used
-                if s.kind == "X":
-                    if (h_coll := rows.get(i)) is None:
-                        r = pred.searchsorted(i)
-                        sel = pred[r : r + self._marks.size // n] if i in pred[r : r + 1] else np.array([i])
-                        block = marks_uniforms(keys[cands[1][sel]], cands[3][sel], pids, offsets=self.bundle.mark_offsets,
-                                               out=self._marks, scratch=self._mark_scratch).reshape(-1, n)
-                        rows.update(zip(sel.tolist(), block))
-                        h_coll = block[0]
+                # hashed alone into the buffer's first row, which the jump that opened the batch has used
+                if is_x:
+                    while walk[p] < i:
+                        p += 1
+                    if (predicted := walk[p] == i) and p < b1:
+                        h_coll = rows[p - b0]
+                    else:
+                        sel = pred[p : p + len(rows)] if predicted else np.array([i])
+                        marks_uniforms(keys[cands[1][sel]], cands[3][sel], pids, offsets=self.bundle.mark_offsets,
+                                       out=self._marks, scratch=self._mark_scratch)
+                        b0, b1 = (p, p + sel.size) if predicted else (b0, b1)
+                        h_coll = rows[0]
                     h_main = float(h_coll[j])
                 elif h_main is None:
                     h_main = float(marks_uniforms(int(keys[j]), k, pids[j : j + 1])[0])
-                if s.record:
+                if record:
                     s.jump_times.append(tau)
                     s.jump_particles.append(j)
-                    s.jump_pre.append(s.pos[j].copy())
-                apply_jump(spec, s.pos, j, mu or s.measure_now(tau), h_main, h_coll if s.kind == "X" else None, self._kick)
-                if s.record:
-                    s.jump_post.append(s.pos[j].copy())
+                    s.jump_pre.append(pos[j].copy())
+                apply_jump(spec, pos, j, mu or s.measure_now(tau), h_main, h_coll if is_x else None, kick, h1)
+                if record:
+                    s.jump_post.append(pos[j].copy())
                 s.jump_count += 1
                 jumped.append(s)
-                if s.kind == "LIMIT":
+                if is_lim:
                     lim_moved.add(j)
             if fold and jumped:
                 self._update_sup(jumped, j)

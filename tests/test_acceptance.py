@@ -10,6 +10,7 @@ from itertools import permutations
 
 import numpy as np
 
+import mfjump.harness as harness
 import mfjump.limit as limit
 from mfjump.drivers import PICARD_REPLICA, make_driver_bundle, StreamKey, StreamState
 from mfjump.harness import SimConfig, run_chaos_sweep, run_diagnostics
@@ -30,31 +31,52 @@ def _line(num, name, ok, detail):
     return ok
 
 
-def test_criterion_1_chaos_rate(tmp_path):
-    # lipschitz demo, d=1, T=2, N in {32..1024}, 32 replicas: fitted log-log
-    # slope of the mean sup coupling distance in [-0.65, -0.35] with
-    # R^2 >= 0.9, for each of the pairs X-Y, Y-limit and X-limit
-    config = SimConfig.from_dict(
+def _criterion_1_config(outdir, **run):
+    """Criterion 1's sweep config; ``run`` overrides entries of its run section."""
+    return SimConfig.from_dict(
         {
             "schema": 1,
             "model": {"id": "lipschitz-demo", "params": {}},
             "run": {
                 "T": 2.0, "dt": 0.01, "Ns": [32, 64, 128, 256, 512, 1024],
-                "replicas": 32, "seed": 20240801, "workers": 4,
+                "replicas": 32, "seed": 20240801, "workers": 4, **run,
             },
             "init": {"kind": "gauss", "mean": [0.5], "std": 0.5},
             "limit": {"ensemble": 16384, "picard_tol": 1e-3, "picard_max_iter": 8},
-            "output": {"dir": str(tmp_path / "chaos")},
+            "output": {"dir": str(outdir)},
         }
     )
-    report = run_chaos_sweep(config)
+
+
+def _chaos_rate_verdict(report):
+    """Criterion 1's statistic: every pair's slope in [-0.65, -0.35] with R^2 >= 0.9, and its detail line."""
     # both coupling steps of the paper (X to Y, Y to the limit) and their sum
     fits = {pair: report.fits[pair] for pair in ("d_xy", "d_ylimit", "d_xlimit")}
     ok = all(-0.65 <= f.slope <= -0.35 and f.r2 >= 0.9 for f in fits.values())
     detail = "; ".join(
         f"{pair} slope={f.slope:+.3f} (se {f.slope_se:.3f}), R2={f.r2:.3f}" for pair, f in fits.items()
     )
-    assert _line(1, "chaos rate", ok, detail)
+    return ok, detail
+
+
+def test_criterion_1_chaos_rate(tmp_path):
+    # lipschitz demo, d=1, T=2, N in {32..1024}, 32 replicas: fitted log-log
+    # slope of the mean sup coupling distance in [-0.65, -0.35] with
+    # R^2 >= 0.9, for each of the pairs X-Y, Y-limit and X-limit
+    report = run_chaos_sweep(_criterion_1_config(tmp_path / "chaos"))
+    assert _line(1, "chaos rate", *_chaos_rate_verdict(report))
+
+
+def test_criterion_1_rejects_limit_copies_frozen_at_the_start(tmp_path, monkeypatch):
+    # known-bad input: the LIMIT copies follow the Picard start sample's constant flow (mean 0.5) instead
+    # of the solved flow, whose mean decays, so d_ylimit should level off at the flow's bias.  Criterion
+    # 1's cells at 8 replicas, fixed before the run; workers change no number (criterion 9)
+    def start_flow(spec, M, T, dt, *, seed, init, **_):  # solve_limit's start, never iterated
+        return constant_flow(init.sample(make_driver_bundle(seed, PICARD_REPLICA, M), spec.dim), T, spec)
+
+    monkeypatch.setattr(harness, "solve_limit", start_flow)
+    report = run_chaos_sweep(_criterion_1_config(tmp_path / "frozen", replicas=8, workers=1))
+    assert not _line(1, "chaos rate with LIMIT frozen at the start", *_chaos_rate_verdict(report))
 
 
 def test_criterion_2_coupling_degeneracy():

@@ -771,6 +771,7 @@ class _PredictionLog(CoupledSimulator):
     def __init__(self, *args, **kw):
         super().__init__(*args, **kw)
         self.kinds = {(p, a): 0 for p in (False, True) for a in (False, True)}  # (predicted, accepted) -> count
+        self.substeps = 0
 
     def _substep(self, t, h, bounds, ceilings):
         x = self.system("X")
@@ -783,6 +784,7 @@ class _PredictionLog(CoupledSimulator):
         accepted = set(zip(x.jump_times[first:], x.jump_particles[first:]))
         for tau, j, u in zip(times.tolist(), jumpers.tolist(), us.tolist()):
             self.kinds[(u <= lam[j], (tau, j) in accepted)] += 1
+        self.substeps += 1
 
 
 def _neuronal_triple():
@@ -807,20 +809,28 @@ def _rate_following_triple():
     return spec, flow, x0, 0, {"scheme": "euler", "policy": policy}
 
 
-@pytest.mark.parametrize("batch", [CoupledSimulator.MARK_BATCH, 48], ids=["default-batch", "batch-48"])
+@pytest.mark.parametrize("batch", [CoupledSimulator.MARK_BATCH, 48, 16], ids=["default-batch", "batch-48", "batch-16"])
 @pytest.mark.parametrize("run", [_neuronal_triple, _lipschitz_triple, _rate_following_triple],
                          ids=["exact", "euler", "rate-following-retries"])
 def test_event_loop_matches_reference_when_the_mark_prediction_fails(run, batch, monkeypatch):
     # X's mark rows are hashed in batches of the candidates its start rates predict it accepts; a predicted
     # candidate that X rejects leaves an unused row, and one that X accepts unpredicted is hashed alone,
     # keeping the batch in hand.  Decays, kicks and retried sub-steps make both happen; 48 numbers are
-    # 3 rows at N=16, so a sub-step also opens several batches.  The oracle hashes every jump's row alone
+    # 3 rows at N=16, so a sub-step also opens several batches, and 16 numbers are one row, so every
+    # predicted acceptance opens a batch and an unpredicted one overwrites the row in hand.  The oracle
+    # hashes every jump's row alone
+    one_batch = batch == CoupledSimulator.MARK_BATCH  # at N=16 every sub-step's predicted rows fit one batch
     monkeypatch.setattr(CoupledSimulator, "MARK_BATCH", batch)
+    row_hashes = []  # per engine call, whether it hashed X's rows into the buffer
+    monkeypatch.setattr(particle, "marks_uniforms",
+                        lambda *a, **kw: row_hashes.append("out" in kw) or marks_uniforms(*a, **kw))
     spec, flow, x0, seed, kw = run()
     sim = _assert_same_run(("X", "Y", "LIMIT"), spec, x0, 2.0, 0.1, seed, engine=_PredictionLog, flow=flow, **kw)
     assert sim.kinds[(True, False)] > 0 and sim.kinds[(False, True)] > 0, sim.kinds
     assert sim.kinds[(True, True)] > 10 * sim.kinds[(False, True)]
     assert (run is _rate_following_triple) == (sim.retry_count > 0)
+    if one_batch and not sim.retry_count:  # X hashes its rows once per sub-step and once per unpredicted jump
+        assert sum(row_hashes) <= sim.kinds[(False, True)] + sim.substeps
 
 
 def test_event_loop_matches_reference_neuronal_triple():
@@ -928,15 +938,57 @@ def test_a_run_without_a_jump_log_has_the_bits_of_the_logged_run(run):
      ("neuronal", 16, 0.0, True), ("neuronal", 257, 0.0, True)],
     ids=["lipschitz-demo-n16", "lipschitz-demo-n12", "neuronal-n12", "neuronal-n16", "neuronal-n257"],
 )
-def test_event_loop_matches_reference_x_only(model, n, low, relabel):
+@pytest.mark.parametrize("batch", [CoupledSimulator.MARK_BATCH, 48], ids=["default-batch", "batch-48"])
+def test_event_loop_matches_reference_x_only(model, n, low, relabel, batch, monkeypatch):
     # neuronal: the exact scheme's in-place decays; ids spread over [0, 2**32)
-    # check the cached per-particle mark offsets
+    # check the cached per-particle mark offsets.  48 numbers hold at most 4
+    # rows, so the walk over the predicted candidates opens many batches
+    monkeypatch.setattr(CoupledSimulator, "MARK_BATCH", batch)
     spec = build(model, {})
     x0 = np.linspace(low, 1.0, n).reshape(n, 1)
     pids = np.random.default_rng(n).choice(2**32, n, replace=False) if relabel else None
     sim = _assert_same_run(("X",), spec, x0, 1.0, 0.1, 3, pids)
     assert sim.sup == {}
     assert sim.scheme == ("exact" if model == "neuronal" else "euler")
+
+
+def test_x_and_y_hand_their_coefficients_one_live_measure_for_the_run():
+    # X and Y each pass one measure over their positions array at every call of a whole run; its points move
+    # between calls, so at every call its mean must have the bits of a fresh measure over a copy of them
+    base = build("lipschitz-demo", dict(_STRONG_KICKS, jump_scale=1.0))
+    calls = []
+
+    def rate(x, m):  # reads the measure's mean, under lipschitz-demo's global bound 10
+        calls.append((m, m.mean.tobytes(), EmpiricalMeasure(m.points.copy()).mean.tobytes()))
+        return 1.0 + 3.0 * np.minimum(np.abs(x[:, 0] - 2.0 * m.mean[0]), 3.0)
+
+    spec = dataclasses.replace(base, rate=rate)
+    flow = solve_limit(spec, 96, 2.0, 0.1, seed=5, tol=1e-12, max_iter=1)
+    x0 = np.random.default_rng(3).normal(0.3, 0.8, size=(16, 1))
+    del calls[:]
+    sim, _ = _run_cells(CoupledSimulator, ("X", "Y", "LIMIT"), spec, x0, 2.0, 0.1, 7, None, flow=flow, scheme="euler")
+    for kind in ("X", "Y"):
+        s = sim.system(kind)
+        seen = [c for c in calls if c[0].points is s.pos]
+        assert len(seen) > 100 and {id(m) for m, _, _ in seen} == {id(s.measure_now(2.0))}
+        assert all(mean == fresh for _, mean, fresh in seen)
+        assert len({mean for _, mean, _ in seen}) > 10  # the points moved under the one measure
+
+
+@pytest.mark.parametrize("n", [12, 16])
+def test_a_collateral_jump_given_as_a_nested_list_kicks_with_the_array_bits(n):
+    # apply_jump converts a collateral amplitude that is not an array; the kicks must keep the array path's
+    # bits, dividing by N = 12 and multiplying by 2**-4 at N = 16
+    spec = build("neuronal", {"collateral_amp": 1.9})
+    listed = dataclasses.replace(spec, collateral_jump=lambda *a: spec.collateral_jump(*a).tolist())
+    x0 = InitSampler(kind="uniform").sample(make_driver_bundle(4, 1, n), 1)
+    runs = [simulate("X", s, 2.0, 0.1, make_driver_bundle(4, 0, n), initial_positions=x0) for s in (spec, listed)]
+    assert runs[0].jump_count > 0
+    assert runs[1].positions.tobytes() == runs[0].positions.tobytes()
+    assert runs[1].jump_post.tobytes() == runs[0].jump_post.tobytes()
+    h = np.linspace(0.0, 0.9, n)
+    pos = [apply_jump(s, x0.copy(), 3, make_empirical(x0), 0.25, h)[0] for s in (spec, listed)]
+    assert pos[1].tobytes() == pos[0].tobytes() and not np.array_equal(pos[0], x0)
 
 
 @pytest.mark.parametrize("model, params, scheme", [
