@@ -83,8 +83,13 @@ class FlowApproximation:
 
     def __post_init__(self):
         self._cells: dict[int, FlowCell] = {}
-        if self.ensemble.shape[0] != len(self.times):
-            raise InvalidInputError("ensemble and grid sizes disagree")
+        t, ens, lam = self.times, np.shape(self.ensemble), np.shape(self.lam_mean)  # O(G): each Picard sweep builds a flow
+        if np.ndim(t) != 1 or not len(t) or not (np.isfinite(t).all() and (np.diff(t) > 0).all()):
+            raise InvalidInputError(f"flow times must be 1-D, finite and strictly increasing, got {t!r}")
+        if len(ens) != 3 or ens[0] != len(t) or min(ens) < 1 or lam != (len(t),):
+            raise InvalidInputError(f"flow ensemble must be (G, M >= 1, d) and lam_mean (G,), G = {len(t)}: got {ens}, {lam}")
+        if not self.trunc_c > 0:  # NaN fails; inf means no truncation
+            raise InvalidInputError(f"trunc_c must be > 0 or inf, got {self.trunc_c!r}")
 
     @property
     def M(self) -> int:
@@ -121,12 +126,12 @@ class FlowApproximation:
         data = np.load(path, allow_pickle=False)
         if str(data["format"][0]) != "mfjump-flow-v1":
             raise InvalidInputError("unrecognized flow file format")
-        return FlowApproximation(
-            times=data["times"],
-            ensemble=data["ensemble"],
-            lam_mean=data["lam_mean"],
-            trunc_c=float(data["trunc_c"][0]),
-        )
+        flow = FlowApproximation(times=data["times"], ensemble=data["ensemble"], lam_mean=data["lam_mean"],
+                                 trunc_c=float(data["trunc_c"][0]))
+        e, lam = flow.ensemble, flow.lam_mean  # min and max carry any NaN, with no temporary the ensemble's size
+        if not np.isfinite([e.min(), e.max(), lam.min(), lam.max()]).all():
+            raise InvalidInputError(f"flow file {path} holds a non-finite ensemble or lam_mean value")
+        return flow
 
 
 def constant_flow(points: np.ndarray, T: float, spec: ModelSpec | None = None) -> FlowApproximation:

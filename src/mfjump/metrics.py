@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .drivers import SUBSAMPLE_REPLICA, InvalidInputError, StreamKey, StreamState, scipy_extension
+from .drivers import SUBSAMPLE_REPLICA, InvalidInputError, StreamKey, StreamState, _positive, scipy_extension
 
 ASSIGNMENT_CAP = 512
 _Z95 = 1.96  # two-sided 95% normal quantile
@@ -231,14 +231,16 @@ def fit_rate(Ns, errors, std_errs=None) -> RateFit:
     """
     Ns = np.asarray(Ns, dtype=np.float64)
     errors = np.asarray(errors, dtype=np.float64)
-    if len(set(Ns.tolist())) < 3:
-        raise InvalidInputError("need at least 3 distinct N values")
-    if np.any(errors <= 0):
-        raise InvalidInputError("errors must be positive")
+    if Ns.ndim != 1 or not np.all(np.isfinite(Ns) & (Ns > 0)) or len(set(Ns.tolist())) < 3:
+        raise InvalidInputError(f"N must be at least 3 distinct positive finite values, got {Ns.tolist()}")
+    if errors.shape != Ns.shape or not np.all(np.isfinite(errors) & (errors > 0)):
+        raise InvalidInputError(f"errors must be positive and finite, one per N, got {errors.tolist()}")
     x = np.log(Ns)
     y = np.log(errors)
     if std_errs is not None:
         se = np.asarray(std_errs, dtype=np.float64)
+        if se.shape != Ns.shape or not np.all(np.isfinite(se) & (se >= 0)):
+            raise InvalidInputError(f"std_errs must be finite and >= 0, one per N, got {se.tolist()}")
         var_log = np.maximum((se / errors) ** 2, 1e-30)
         w = 1.0 / var_log
     else:
@@ -348,10 +350,10 @@ def jump_count_stats(jump_counts, N: int, thresholds) -> JumpTailTable:
     jump-log length of each run).
     """
     counts = np.asarray(jump_counts, dtype=np.float64)
-    if np.any(np.asarray(thresholds) <= 0):
-        raise InvalidInputError("thresholds must be positive")
-    ratios = counts / float(N)
     hs = np.asarray(thresholds, dtype=np.float64)
+    if not _positive(N) or not np.all(hs > 0):  # NaN fails; an infinite threshold has tail 0
+        raise InvalidInputError(f"N must be positive and finite and thresholds positive, got N={N!r} and {hs.tolist()}")
+    ratios = counts / float(N)
     n = len(ratios)
     tail = np.empty(len(hs))
     lo = np.empty(len(hs))

@@ -22,22 +22,21 @@ empirical measure, while candidate Poisson events inside the step are
 placed at their exact times and processed in time order (ties broken by
 particle index).  The measure seen by jump evaluations is live: one per
 run for X and Y, over moving points; LIMIT's is the flow cell in force.
-In the Euler scheme a LIMIT row moves only at its own jump, so until
-then, and until its cell ends, its thinning rate is read from its rate
-vector taken at the sub-step start.  An accepted main jump of particle j
+Every system reads a candidate's thinning rate from its row and that
+measure at the candidate's time.  An accepted main jump of particle j
 moves j by the main amplitude and every other particle by the collateral
 amplitude over N, both evaluated at the pre-jump state.  For N = 2**k the
 kick multiplies by 2**-k, which is exact, so it rounds to the quotient's
 bits; any other N divides.  A system counts its jumps and, when the run
 keeps a jump log (``jump_log``, on by default), logs each jump's time,
-particle and pre- and post-jump rows; the log changes no other number,
-and a lone system folds no sups.  The marks of a candidate are hashed
-once: X's collateral row, whose element j is the main mark that Y and
-LIMIT reuse, or the main mark alone when only Y or LIMIT jump.  X walks
-forward over the candidates its start rates predict (level at most the
-rate): accepting one past the batch in hand, it hashes its row and the
-next predicted ones' in one call, up to ``MARK_BATCH`` numbers, and an
-unpredicted one alone into the first row.  A wrong prediction changes no
+particle and pre- and post-jump rows; the log changes no other number.
+The marks of a candidate are hashed once: X's collateral row, whose
+element j is the main mark that Y and LIMIT reuse, or the main mark
+alone when only Y or LIMIT jump.  X walks forward over the candidates
+its start rates predict (level at most the rate): accepting one past the
+batch in hand, it hashes its row and the next predicted ones' in one
+call, up to ``MARK_BATCH`` numbers, and an unpredicted one alone into
+the first row.  A wrong prediction changes no
 output bit.  The running sups of coupled pairs fold squared distances, and
 ``sup`` takes the root when it is read: sqrt is correctly rounded and
 monotone, so the root of the max is the max of the roots.  They fold only
@@ -423,7 +422,7 @@ class CoupledSimulator:
         batch = max(1, self.MARK_BATCH // drivers.n) * drivers.n  # buffers for a batch of X's mark rows
         self._marks, self._mark_scratch = np.empty(batch), np.empty((2, batch), dtype=np.uint64)
         self._kick, self._h1 = np.empty((drivers.n, spec.dim)), np.empty(1)  # reused buffers of apply_jump
-        self._start_rates = (math.nan, {})  # (t, each system's rate vector at t), kept by _rates
+        self._start_rates = (math.nan, None)  # (t, X's rate vector at t or None), kept by _rates
         self._bdim = spec.brownian_dim if self.scheme == "euler" and spec.has_diffusion() else None
         self._replay = None  # simulate_coupled's pre-drawn grid (``_next_draws``), else each sub-step draws
         self._pairs = []  # (system a, system b, squared sup array, d=1 fold buffer) per coupled pair
@@ -454,9 +453,9 @@ class CoupledSimulator:
     # -- stepping ---------------------------------------------------------
 
     def _rates(self, t: float) -> np.ndarray:
-        """Largest rate of each particle over the coupled systems; each system's own vector is kept for ``_substep``."""
+        """Largest rate of each particle over the coupled systems; X's own vector is kept for its mark prediction."""
         rates = {s.kind: s.rates(t) for s in self.systems}
-        self._start_rates = (t, rates)
+        self._start_rates = (t, rates.get("X"))
         return next(iter(rates.values())) if len(rates) == 1 else np.maximum.reduce(list(rates.values()))
 
     def _snapshot(self) -> dict:
@@ -503,15 +502,12 @@ class CoupledSimulator:
         # frozen start-of-sub-step drift/diffusion
         drifts: list[np.ndarray | None] = []
         diffs: list[np.ndarray | None] = []
-        # Euler: LIMIT's rate is its entry in _rates(t)'s vector until its row jumps or its cell ends
-        (t0, start), lim_end, lim_moved = self._start_rates, -math.inf, set()
         for s in self.systems:
             mu = s.measure_now(t)
             if s.kind == "Y":
                 g = collateral_drift(spec, s.pos, mu)
             elif s.kind == "LIMIT":
                 g = collateral_drift(spec, s.pos, s.cell.quad, s.cell.lam_mean)
-                lim_end = s.cell.end if euler and t0 == t else -math.inf
             else:
                 g = None
             f, sig = _frozen_coefficients(spec, s.pos, mu, g, euler)
@@ -527,12 +523,13 @@ class CoupledSimulator:
         # marks are addressed by particle id, so relabeling the bundle
         # permutes trajectories exactly
         pids, n = self.bundle.particle_ids, self.bundle.n
-        pred = np.flatnonzero(cands[2] <= (start["X"][cands[1]] if "X" in start and t0 == t else -math.inf))
+        t0, start = self._start_rates
+        pred = np.flatnonzero(cands[2] <= (start[cands[1]] if start is not None and t0 == t else -math.inf))
         # X's mark rows are hashed in batches of the predicted candidates ``pred``: the batch in hand holds those
         # of pred[b0:b1] in the buffer's rows, and the walk's position p only moves forward (past its end, a sentinel)
         walk, p, b0, b1, rows = [*pred.tolist(), len(cands[0])], 0, 0, 0, self._marks.reshape(-1, n)
-        fold, rate, lim_rates, h1, kick = bool(self._pairs), spec.rate, start.get("LIMIT"), self._h1, self._kick
-        systems = [(s, s.kind == "X", s.kind == "LIMIT", s.pos, s.live, s.record) for s in self.systems]
+        rate, h1, kick = spec.rate, self._h1, self._kick
+        systems = [(s, s.kind == "X", s.pos, s.live, s.record) for s in self.systems]
 
         t_last = t
         decays = [(s.pos, g) for s, g in zip(self.systems, drifts)]
@@ -549,12 +546,9 @@ class CoupledSimulator:
             if j < 0:
                 break
             h_main, h_coll, jumped = None, None, []
-            for s, is_x, is_lim, pos, mu, record in systems:
-                if is_lim and tau < lim_end and j not in lim_moved:
-                    lam_j = lim_rates.item(j)  # the measure is read only for a jump
-                else:
-                    mu = mu or s.measure_now(tau)
-                    lam_j = float(rate(pos[j : j + 1], mu)[0])
+            for s, is_x, pos, mu, record in systems:
+                mu = mu or s.measure_now(tau)
+                lam_j = float(rate(pos[j : j + 1], mu)[0])
                 if not lam_j <= ceils[j]:
                     raise RateBoundViolation(
                         f"rate {lam_j:.6g} above bound {float(_at(bounds, j)):.6g} "
@@ -562,7 +556,7 @@ class CoupledSimulator:
                     )
                 if u > lam_j:
                     continue
-                if fold and not euler and not jumped:
+                if not euler and not jumped:
                     self._update_sup()  # the left limits: a difference moves on a segment, so its sup is at an end
                 # one mark hash per candidate: the main mark is element j of X's row.  An unpredicted row is
                 # hashed alone into the buffer's first row, which the jump that opened the batch has used
@@ -584,23 +578,19 @@ class CoupledSimulator:
                     s.jump_times.append(tau)
                     s.jump_particles.append(j)
                     s.jump_pre.append(pos[j].copy())
-                apply_jump(spec, pos, j, mu or s.measure_now(tau), h_main, h_coll if is_x else None, kick, h1)
+                apply_jump(spec, pos, j, mu, h_main, h_coll if is_x else None, kick, h1)
                 if record:
                     s.jump_post.append(pos[j].copy())
                 s.jump_count += 1
                 jumped.append(s)
-                if is_lim:
-                    lim_moved.add(j)
-            if fold and jumped:
+            if jumped:
                 self._update_sup(jumped, j)
 
         if euler:
-            noise = (None, None)  # (diffusion array, its noise product): systems given one array share it
             for s, f, sig in zip(self.systems, drifts, diffs):
                 s.pos += h * f
                 if dW is not None:
-                    noise = noise if sig is noise[0] else (sig, np.einsum("nij,nj->ni", sig, dW))
-                    s.pos += noise[1]
+                    s.pos += np.einsum("nij,nj->ni", sig, dW)
 
         for s in self.systems:
             if not np.isfinite(s.pos).all():

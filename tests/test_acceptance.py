@@ -6,9 +6,11 @@ sweep is the longest item.
 """
 
 import dataclasses
+import os
 from itertools import permutations
 
 import numpy as np
+import pytest
 
 import mfjump.harness as harness
 import mfjump.limit as limit
@@ -31,17 +33,18 @@ def _line(num, name, ok, detail):
     return ok
 
 
-def _criterion_1_config(outdir, **run):
-    """Criterion 1's sweep config; ``run`` overrides entries of its run section."""
+def _criterion_1_config(outdir, model="lipschitz-demo", init=None, **run):
+    """Criterion 1's sweep config; ``model`` and ``init`` replace its model id and init section, ``run``
+    overrides entries of its run section."""
     return SimConfig.from_dict(
         {
             "schema": 1,
-            "model": {"id": "lipschitz-demo", "params": {}},
+            "model": {"id": model, "params": {}},
             "run": {
                 "T": 2.0, "dt": 0.01, "Ns": [32, 64, 128, 256, 512, 1024],
                 "replicas": 32, "seed": 20240801, "workers": 4, **run,
             },
-            "init": {"kind": "gauss", "mean": [0.5], "std": 0.5},
+            "init": init or {"kind": "gauss", "mean": [0.5], "std": 0.5},
             "limit": {"ensemble": 16384, "picard_tol": 1e-3, "picard_max_iter": 8},
             "output": {"dir": str(outdir)},
         }
@@ -77,6 +80,18 @@ def test_criterion_1_rejects_limit_copies_frozen_at_the_start(tmp_path, monkeypa
     monkeypatch.setattr(harness, "solve_limit", start_flow)
     report = run_chaos_sweep(_criterion_1_config(tmp_path / "frozen", replicas=8, workers=1))
     assert not _line(1, "chaos rate with LIMIT frozen at the start", *_chaos_rate_verdict(report))
+
+
+@pytest.mark.parametrize("model, run, init", [
+    ("neuronal", {"T": 2.0, "dt": 0.05}, {"kind": "uniform", "low": 0.0, "high": 1.0}),
+    ("convex-potential", {"T": 1.0, "dt": 0.01}, None),
+], ids=["neuronal", "convex-potential"])
+def test_criterion_1_chaos_rate_on_neuronal_and_convex_potential(tmp_path, model, run, init):
+    # criterion 1's statistic and Ns on two more families, at 16 replicas, fixed before the run.  The
+    # neuronal family follows De Masi, Galves, Löcherbach & Presutti (J. Stat. Phys. 2015) and Fournier
+    # & Löcherbach (AIHP 2016): superlinear rates and the exact scheme
+    report = run_chaos_sweep(_criterion_1_config(tmp_path / model, model, init, replicas=16, workers=2, **run))
+    assert _line(1, f"chaos rate on {model}", *_chaos_rate_verdict(report))
 
 
 def test_criterion_2_coupling_degeneracy():
@@ -330,24 +345,45 @@ def test_criterion_8_companion_rejects_sweeps_on_fresh_noise():
     assert not _line("8b", "Picard convergence on fresh-noise sweeps is pathwise", pathwise, detail)
 
 
+def _criterion_9_config(out, workers):
+    return SimConfig.from_dict(
+        {
+            "schema": 1,
+            "model": {"id": "lipschitz-demo", "params": {}},
+            "run": {"T": 0.5, "dt": 0.05, "Ns": [8, 16, 32], "replicas": 4,
+                    "seed": 2718, "workers": workers},
+            "init": {"kind": "gauss", "mean": [0.5], "std": 0.5},
+            "limit": {"ensemble": 512, "picard_tol": 1e-3, "picard_max_iter": 4},
+            "output": {"dir": str(out)},
+        }
+    )
+
+
+def _criterion_9_bytes(tmp_path):
+    """distances.csv of criterion 9's sweep on 1 worker and on 8 workers."""
+    run_chaos_sweep(_criterion_9_config(tmp_path / "serial", 1))
+    run_chaos_sweep(_criterion_9_config(tmp_path / "pool", 8))
+    return (tmp_path / "serial" / "distances.csv").read_bytes(), (tmp_path / "pool" / "distances.csv").read_bytes()
+
+
 def test_criterion_9_worker_determinism(tmp_path):
     # identical distances.csv bytes for 1 worker vs 8 workers
-    def cfg(out, workers):
-        return SimConfig.from_dict(
-            {
-                "schema": 1,
-                "model": {"id": "lipschitz-demo", "params": {}},
-                "run": {"T": 0.5, "dt": 0.05, "Ns": [8, 16, 32], "replicas": 4,
-                        "seed": 2718, "workers": workers},
-                "init": {"kind": "gauss", "mean": [0.5], "std": 0.5},
-                "limit": {"ensemble": 512, "picard_tol": 1e-3, "picard_max_iter": 4},
-                "output": {"dir": str(out)},
-            }
-        )
-
-    run_chaos_sweep(cfg(tmp_path / "serial", 1))
-    run_chaos_sweep(cfg(tmp_path / "pool", 8))
-    a = (tmp_path / "serial" / "distances.csv").read_bytes()
-    b = (tmp_path / "pool" / "distances.csv").read_bytes()
+    a, b = _criterion_9_bytes(tmp_path)
     assert _line(9, "worker-count determinism", a == b,
                  f"{len(a)} bytes, identical={a == b}")
+
+
+def test_criterion_9_rejects_a_stream_key_that_reads_the_process_id(tmp_path, monkeypatch):
+    # known-bad input: each cell's stream key mixes in the id of the process that runs it.  The pool
+    # forks, so patching the module before the sweep opens it reaches the workers
+    key = harness.replica_stream_key
+
+    def key_of_the_process(n_index, replica):
+        return key(n_index, replica) | (os.getpid() % 4096) << 24
+
+    monkeypatch.setattr(harness, "replica_stream_key", key_of_the_process)
+    a, b = _criterion_9_bytes(tmp_path)
+    lines = list(zip(a.decode().splitlines(), b.decode().splitlines()))
+    differ = sum(x != y for x, y in lines)
+    assert not _line(9, "worker-count determinism with a process-id stream key", a == b,
+                     f"{len(a)} and {len(b)} bytes, {differ} of {len(lines)} lines differ")

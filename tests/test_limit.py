@@ -336,6 +336,22 @@ def test_coupled_limit_copies_read_the_flow_cell_of_each_grid_time(monkeypatch):
     np.testing.assert_allclose(path.positions, ens.ensemble, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("params", [
+    {}, {"collateral_amp": 3.0, "rate_slope": 3.0, "rate_cap_radius": 3.0, "jump_scale": 1.0}, {"dim": 2},
+], ids=["defaults", "strong-kicks", "d2"])
+def test_euler_limit_copies_of_both_engines_agree_bit_for_bit(params):
+    # both engines read a copy's thinning rate once per candidate, at its row and the flow cell in force,
+    # so a lone LIMIT system in the event loop repeats the ensemble's rounds: grid positions and jump count
+    spec = build("lipschitz-demo", params)
+    M, T, dt = 64, 1.0, 0.1
+    flow = solve_limit(spec, 256, T, dt, seed=3, tol=1e-12, max_iter=2)
+    x0 = InitSampler(mean=(0.5,) * spec.dim, std=0.5).sample(make_driver_bundle(9, 0, M), spec.dim)
+    ens = simulate_ensemble(spec, T, dt, make_driver_bundle(9, 0, M), flow, initial_positions=x0)
+    res = simulate_coupled(("LIMIT",), spec, T, dt, make_driver_bundle(9, 0, M), flow=flow, initial_positions=x0)
+    assert np.array_equal(res["paths"]["LIMIT"].positions, ens.ensemble)
+    assert res["jump_counts"]["LIMIT"] == ens.meta["jumps"] > 0
+
+
 def test_ensemble_retry_recovers_and_surfaces():
     # outward main jumps push the rate above the start-of-sub-step envelope
     # (the spec of the particle stepper's retry test): halved retries let the
@@ -414,6 +430,38 @@ def test_flow_save_load_roundtrip(tmp_path):
         assert np.array_equal(loaded.ensemble, flow.ensemble)
         assert np.array_equal(loaded.lam_mean, flow.lam_mean)
         assert loaded.trunc_c == flow.trunc_c
+
+
+def _write_flow(path, times=(0.0, 0.5, 1.0), ensemble=None, lam_mean=(1.0, 1.0, 1.0), trunc_c=math.inf):
+    ens = np.zeros((len(times), 4, 1)) if ensemble is None else ensemble
+    np.savez(path, format=np.asarray(["mfjump-flow-v1"]), times=np.asarray(times, dtype=float), ensemble=ens,
+             lam_mean=np.asarray(lam_mean, dtype=float), trunc_c=np.asarray([trunc_c]))
+    return path
+
+
+@pytest.mark.parametrize("fields, match", [
+    ({"lam_mean": (1.0, 1.0)}, "lam_mean"),  # unchecked, the last cell raises IndexError when read
+    ({"times": (0.0, 1.0, 0.5)}, "strictly increasing"),  # unchecked, t = 0.7 is served the cell [0, 1)
+    ({"times": (0.0, np.nan, 1.0)}, "finite"),
+    ({"trunc_c": np.nan}, "trunc_c"),  # unchecked, it turns the truncation off
+    ({"trunc_c": 0.0}, "trunc_c"),
+    ({"ensemble": np.zeros((3, 4))}, "ensemble"),
+    ({"ensemble": np.zeros((3, 0, 1))}, "ensemble"),
+    ({"ensemble": np.zeros((2, 4, 1))}, "ensemble"),
+    ({"ensemble": np.where(np.arange(12).reshape(3, 4, 1) == 5, np.nan, 0.0)}, "non-finite"),
+    ({"ensemble": np.where(np.arange(12).reshape(3, 4, 1) == 11, -np.inf, 0.0)}, "non-finite"),
+    ({"lam_mean": (1.0, np.inf, 1.0)}, "non-finite"),
+], ids=["lam-mean-short", "times-unsorted", "times-nan", "trunc-nan", "trunc-zero", "ensemble-2d", "ensemble-m0",
+        "ensemble-short", "ensemble-nan", "ensemble-inf", "lam-mean-inf"])
+def test_flow_load_rejects_a_malformed_file(tmp_path, fields, match):
+    path = _write_flow(tmp_path / "flow.npz", **fields)
+    with pytest.raises(InvalidInputError, match=match):
+        FlowApproximation.load(path)
+
+
+def test_flow_load_accepts_an_untruncated_one_cell_flow(tmp_path):
+    flow = FlowApproximation.load(_write_flow(tmp_path / "flow.npz", times=(0.0,), lam_mean=(2.0,)))
+    assert flow.trunc_c == math.inf and flow.cell(5.0).lam_mean == 2.0
 
 
 def test_coupled_run_triangle_inequality_and_degeneracy():

@@ -724,6 +724,34 @@ def test_fit_rate_errors():
         fit_rate([8, 16, 32], [1.0, -0.5, 0.1])
 
 
+_NS, _ERRS, _SES = [32, 64, 128], [0.2, 0.15, 0.1], [0.01, 0.01, 0.01]
+
+
+@pytest.mark.parametrize("Ns, errors, std_errs, name", [
+    ([0, 64, 128], _ERRS, None, "N"),
+    ([-32, 64, 128], _ERRS, None, "N"),
+    ([32, 64, np.inf], _ERRS, None, "N"),
+    (_NS, [0.2, np.nan, 0.1], None, "errors"),
+    (_NS, [0.2, np.inf, 0.1], _SES, "errors"),
+    (_NS, [0.2, 0.15], None, "errors"),
+    (_NS, _ERRS, [0.01, np.nan, 0.01], "std_errs"),
+    (_NS, _ERRS, [0.01, -0.01, 0.01], "std_errs"),
+    (_NS, _ERRS, [0.01, 0.01], "std_errs"),
+], ids=["n-zero", "n-negative", "n-inf", "error-nan", "error-inf", "errors-short", "se-nan", "se-negative", "se-short"])
+def test_fit_rate_rejects_non_finite_or_mismatched_input(Ns, errors, std_errs, name):
+    # unchecked, each of these returns an all-NaN fit with RuntimeWarnings
+    with pytest.raises(InvalidInputError, match=f"^{name} must be"):
+        fit_rate(Ns, errors, std_errs)
+
+
+@pytest.mark.parametrize("N, thresholds", [(10, [1.0, np.nan]), (0, [1.0]), (np.inf, [1.0]), (np.nan, [1.0])],
+                         ids=["threshold-nan", "n-zero", "n-inf", "n-nan"])
+def test_jump_count_stats_rejects_a_nan_threshold_or_a_bad_n(N, thresholds):
+    # unchecked, a NaN threshold reads a tail probability of 0
+    with pytest.raises(InvalidInputError, match="N must be positive and finite and thresholds positive"):
+        jump_count_stats([100, 110, 90], N, thresholds)
+
+
 def test_wilson_interval_basics():
     lo, hi = wilson_interval(0, 50)
     assert lo == 0.0 and hi < 0.1

@@ -619,7 +619,8 @@ _STRONG_KICKS = {"collateral_amp": 3.0, "rate_slope": 3.0, "rate_cap_radius": 3.
 def test_event_loop_matches_reference_lipschitz_triple(dim, n, sigma_of_x):
     # N=257: the reused mark and kick buffers and the per-pair sup fold at a
     # size where most rows do not move on a Y or LIMIT jump.  A diffusion that
-    # reads x gives each system its own array, so no noise product is shared
+    # reads x gives each system its own array, so each system's noise must be
+    # the product of its own array with the shared increments
     spec = build("lipschitz-demo", dict(_STRONG_KICKS, dim=dim))
     if sigma_of_x:
         spec = dataclasses.replace(spec, diffusion=lambda x, m: (0.3 + 0.2 * np.tanh(x))[:, :, None] * np.eye(dim))
@@ -635,9 +636,10 @@ def test_event_loop_matches_reference_lipschitz_triple(dim, n, sigma_of_x):
 def test_event_loop_matches_reference_limit_rates_across_flow_cells():
     # Euler triple whose rate reads m.mean, on a flow solved on a grid 4x finer
     # than the run's: every sub-step crosses three flow cell ends, so LIMIT's
-    # rate vector from the sub-step start goes stale at each; jump_scale 1 and
-    # four candidates per row per sub-step make a LIMIT row jump and meet a
-    # later candidate in the same sub-step
+    # rate at a candidate must read the cell in force at its time, not the
+    # sub-step start's; jump_scale 1 and four candidates per row per sub-step
+    # make a LIMIT row jump and meet a later candidate in the same sub-step,
+    # whose rate must read the moved row
     base = build("lipschitz-demo", dict(_STRONG_KICKS, jump_scale=1.0))
     # the rate reads the measure's mean, under lipschitz-demo's global bound 10
     spec = dataclasses.replace(base, rate=lambda x, m: 1.0 + 3.0 * np.minimum(np.abs(x[:, 0] - 2.0 * m.mean[0]), 3.0))
